@@ -255,7 +255,8 @@ def replay_report(report: dict) -> bool:
         fresh = [c.to_json() for c in w.claims]
         if canonical_json(stored) != canonical_json(fresh):
             return False
-        return ok and bool(payload.get("verifications"))
+        # an unverified report reproduces when the verification fails again
+        return ok == bool(report["verified"]) and bool(payload.get("verifications"))
 
     rerun = run_task(copy.deepcopy(config))
     if task == "profile":

@@ -384,10 +384,10 @@ def sample_element(s: Scheme, n: int, rng: np.random.Generator) -> np.ndarray:
     raise SchemeError(f"no sampler for kind {s.kind!r}")
 
 
-def _orthonormal_tail_column(s: Scheme, d: int) -> np.ndarray:
-    """Next basis direction orthonormalized against A-levels below it (L2 grids)."""
+def _orthonormal_tail_column(s: Scheme, d: int, col: np.ndarray) -> np.ndarray:
+    """`col` orthonormalized against the first d basis columns (L2 grids)."""
     w = np.sqrt(s.space.grid.weights)
-    q, _ = np.linalg.qr(s.basis[:, : d + 1] * w[:, None])
+    q, _ = np.linalg.qr(np.column_stack([s.basis[:, :d], col]) * w[:, None])
     col = q[:, d] / w
     return col / norm(s.space, col)
 
@@ -403,7 +403,7 @@ def gap_candidates(s: Scheme, n: int, rng: np.random.Generator, count: int = 4) 
         elif s.space.norm_kind == "sup" and s.descriptor.get("family") == "trig":
             out.append(np.cos((n + 1) * s.space.grid.nodes))
         elif s.space.norm_kind == "lp" and s.space.p == 2.0 and s.space.carrier == "grid":
-            out.append(_orthonormal_tail_column(s, d))
+            out.append(_orthonormal_tail_column(s, d, s.basis[:, d]))
         for _ in range(count):
             c = rng.standard_normal(d_next - d)
             out.append(s.basis[:, d:d_next] @ c)
@@ -449,7 +449,8 @@ def density_candidates(s: Scheme, n: int, rng: np.random.Generator, count: int =
             e[min(s.chain_dim(n), s.space.dim - 1)] = 1.0
             out.append(e)
         if s.space.norm_kind == "lp" and s.space.p == 2.0 and s.space.carrier == "grid":
-            out.append(_orthonormal_tail_column(s, s.chain_dim(n)))
+            # the family candidate above, so the top level needs no column past the basis
+            out.append(_orthonormal_tail_column(s, s.chain_dim(n), out[-1]))
     elif s.kind == "interleaved-c0":
         used = (n + 1) // 2 if n % 2 == 1 else n // 2 + 1
         e = np.zeros(s.cap)

@@ -1,11 +1,14 @@
 """Best-approximation error computation E(x, A_n) per scheme kind.
 
 Every solver reports an exactness status.  "exact" means exact on the grid
-up to the documented solver tolerance (LP/exchange 1e-10, SVD machine
-precision, closed forms); "upper-bound" means the value is an achieved
-distance that may exceed the infimum (IRLS, greedy n-term selection).
-A value is always achievable, so it is never below the true error by more
-than the solver tolerance.
+up to the documented solver tolerance: sup-norm fits close a proved bracket
+value - lower <= LP_TOL * max(1, ||x||_inf) by discrete exchange, and the
+rare LP fallback runs at HiGHS default tolerances (about 1e-7); SVD is exact
+to machine precision, closed forms to rounding.  "upper-bound" means the value
+is an achieved distance that may exceed the infimum (IRLS, greedy n-term
+selection).  A value is always achievable, so it is never below the true
+error by more than the solver tolerance.  Sup fits record in their info the
+solver ("exchange" or "lp"), its iterations and the lower bound.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from .scheme import Scheme, SchemeError
 from .space import Space, SpaceError, norm
 
 LP_TOL = 1e-10
+EXCHANGE_MAX_ITER = 100
 IRLS_MAX_ITER = 500
 IRLS_REL_TOL = 1e-10
 IRLS_WEIGHT_FLOOR = 1e-12
@@ -85,56 +89,88 @@ def _sup_fit_lp(cols: np.ndarray, x: np.ndarray):
     return float(np.max(np.abs(x - approx))), coef, approx
 
 
-def _sup_fit_exchange(t: np.ndarray, x: np.ndarray, degree: int, max_iter: int = 80):
-    """Discrete minimax polynomial fit by single-point exchange.
+def _sup_fit(cols: np.ndarray, x: np.ndarray):
+    """Chebyshev fit over the columns by discrete exchange, LP when its bracket stays open.
 
-    Cheap enough to run inside the spline dynamic program; falls back to the
-    LP fit if the alternation stalls.
+    The exchange (Remez; Stiefel's discrete form) solves the (d+1)x(d+1)
+    system [cols[ref], s] (c, h) = x[ref] on a reference of d+1 indices with
+    signs s = (+1, -1, ...).  The last row lam of the system's inverse has
+    lam @ cols[ref] = 0 and lam @ s = 1, so for every c
+
+        |h| = |lam @ (x - cols c)[ref]| <= ||lam||_1 max |x - cols c|,
+
+    and lower = |h| / ||lam||_1 is a lower bound on the best error (de la
+    Vallee Poussin); it equals |h| when the columns form a Haar system.  The
+    loop stops once the re-measured max |x - cols c| is within
+    LP_TOL * max(1, ||x||_inf) of the best lower bound seen.  A singular
+    system, a stalled reference or the iteration cap sends the fit to the
+    LP, which runs at HiGHS default tolerances (LP_TOL is not passed to it).
+
+    Returns (value, approx, info); info holds solver, iterations and lower.
     """
-    npts = t.size
-    if npts <= degree + 1:
-        coef = np.polyfit(t, x, max(min(degree, npts - 1), 0)) if npts else np.zeros(1)
-        return 0.0, np.polyval(coef, t)
-    ref = np.unique(np.linspace(0, npts - 1, degree + 2).round().astype(int))
-    while ref.size < degree + 2:
-        extra = next(i for i in range(npts) if i not in set(ref))
-        ref = np.sort(np.append(ref, extra))
-    t0, scale = t.mean(), max(float(np.ptp(t)), 1e-300)
-    u = (t - t0) / scale
-    vand_all = np.vander(u, degree + 1, increasing=True)
-    for _ in range(max_iter):
-        signs = (-1.0) ** np.arange(ref.size)
-        sys_a = np.column_stack([vand_all[ref], signs])
-        try:
-            sol = np.linalg.solve(sys_a, x[ref])
-        except np.linalg.LinAlgError:
-            break
-        coef = sol[:-1]
-        resid = x - vand_all @ coef
-        worst = int(np.argmax(np.abs(resid)))
-        if np.abs(resid[worst]) <= abs(sol[-1]) * (1.0 + 1e-12) + 1e-15 or worst in ref:
-            return float(np.max(np.abs(resid))), x - resid
-        # single-point exchange preserving residual-sign alternation
-        sgn = np.sign(resid[worst])
-        pos = int(np.searchsorted(ref, worst))
-        if pos == 0:
-            if np.sign(resid[ref[0]]) == sgn:
-                ref[0] = worst
-            else:
-                ref = np.sort(np.concatenate([[worst], ref[:-1]]))
-        elif pos == ref.size:
-            if np.sign(resid[ref[-1]]) == sgn:
-                ref[-1] = worst
-            else:
-                ref = np.sort(np.concatenate([ref[1:], [worst]]))
-        else:
-            if np.sign(resid[ref[pos - 1]]) == sgn:
-                ref[pos - 1] = worst
-            else:
-                ref[pos] = worst
-        ref = np.sort(ref)
-    value, _, approx = _sup_fit_lp(vand_all, x)
-    return value, approx
+    n, d = cols.shape
+    tol = LP_TOL * max(1.0, float(np.max(np.abs(x))))
+    lower, it = 0.0, 0
+    if n <= d:  # no reference of d+1 points: interpolate, bracket [0, value]
+        coef, *_ = np.linalg.lstsq(cols, x, rcond=None)
+        approx = cols @ coef
+        value = float(np.max(np.abs(x - approx)))
+        if value <= tol:
+            return value, approx, {"solver": "exchange", "iterations": 0, "lower": 0.0, "tol": LP_TOL}
+    else:
+        system = np.empty((d + 1, d + 1))
+        system[:, d] = (-1.0) ** np.arange(d + 1)
+        ref = np.rint(np.arange(d + 1) * ((n - 1) / max(d, 1))).astype(int)  # evenly spaced
+        for it in range(1, EXCHANGE_MAX_ITER + 1):
+            system[:, :d] = cols[ref]
+            try:
+                inv = np.linalg.inv(system)
+            except np.linalg.LinAlgError:
+                break
+            sol = inv @ x[ref]
+            approx = cols @ sol[:d]
+            resid = x - approx
+            absr = np.abs(resid)
+            peak = int(absr.argmax())
+            value = float(absr[peak])
+            lower = max(lower, abs(float(sol[d])) / float(np.abs(inv[d]).sum()))
+            if value - lower <= tol:
+                return value, approx, {"solver": "exchange", "iterations": it, "lower": lower,
+                                       "tol": LP_TOL}
+            new = _exchange_reference(ref, resid < 0, absr, peak)
+            if np.array_equal(new, ref):  # stalled: not a Haar system on this reference
+                break
+            ref = new
+    value, _, approx = _sup_fit_lp(cols, x)
+    return value, approx, {"solver": "lp", "iterations": it, "lower": lower, "tol": LP_TOL}
+
+
+def _exchange_reference(ref: np.ndarray, neg: np.ndarray, absr: np.ndarray, peak: int) -> np.ndarray:
+    """Move each reference index to the peak of its residual sign run, then
+    insert the global peak so that the signs keep alternating.
+
+    `neg` and `absr` are the residual's sign and size, `peak` its argmax.  Two
+    reference indices in one run mean their signs were rounding noise (h near
+    0, e.g. x vanishing on the reference); the global peak then replaces the
+    reference index nearest to it.
+    """
+    cuts = np.flatnonzero(neg[1:] != neg[:-1]) + 1
+    runs = np.searchsorted(cuts, ref, side="right")
+    if np.any(runs[1:] == runs[:-1]):
+        new = ref.copy()
+        new[int(np.abs(ref - peak).argmin())] = peak
+        return new
+    bounds = np.concatenate(([0], cuts, [neg.size]))
+    new = np.array([a + int(absr[a:b].argmax()) for a, b in zip(bounds[runs], bounds[runs + 1])])
+    if peak in new:
+        return new
+    pos = int(np.searchsorted(new, peak))
+    if pos == 0:
+        return np.concatenate(([peak], new[1:] if neg[new[0]] == neg[peak] else new[:-1]))
+    if pos == new.size:
+        return np.concatenate((new[:-1] if neg[new[-1]] == neg[peak] else new[1:], [peak]))
+    new[pos - 1 if neg[new[pos - 1]] == neg[peak] else pos] = peak
+    return new
 
 
 def l1_fit_lp(cols: np.ndarray, x: np.ndarray, weights: np.ndarray):
@@ -197,8 +233,8 @@ def _irls_fit(space: Space, cols: np.ndarray, x: np.ndarray, p: float):
 def _fit_in_span(space: Space, cols: np.ndarray, x: np.ndarray):
     """Dispatch a linear best-approximation by the space's norm."""
     if space.norm_kind == "sup":
-        value, _, approx = _sup_fit_lp(cols, x)
-        return value, approx, "exact", {"solver": "lp", "tol": LP_TOL}
+        value, approx, info = _sup_fit(cols, x)
+        return value, approx, "exact", info
     if space.norm_kind == "lp":
         if space.p == 2.0:
             value, _, approx = _weighted_l2_fit(space, cols, x)
@@ -242,8 +278,9 @@ def _partition_feasible(v: np.ndarray, m: int, t: float):
 def best_m_value_sup(values: np.ndarray, m: int):
     """Optimal sup-distance of a sample vector to vectors with <= m distinct values.
 
-    Greedy feasibility plus bisection on the half-range; the final greedy
-    partition is re-measured so the returned value is exactly achievable.
+    Greedy feasibility plus bisection on the half-range down to adjacent
+    floats; the final greedy partition is re-measured so the returned value is
+    exactly achievable.
     """
     if m < 1:
         raise SolverError("value budget m must be >= 1")
@@ -252,17 +289,17 @@ def best_m_value_sup(values: np.ndarray, m: int):
     if v.size == 0:
         return 0.0, np.zeros(0), np.zeros(0, dtype=int)
     lo, hi = 0.0, float(v[-1] - v[0]) / 2.0
-    feasible, _ = _partition_feasible(v, m, lo)
-    if not feasible:
-        for _ in range(200):
+    if _partition_feasible(v, m, lo)[0]:
+        hi = lo  # at most m distinct values: a member
+    else:
+        while True:
             mid = 0.5 * (lo + hi)
-            ok, _ = _partition_feasible(v, m, mid)
-            if ok:
+            if mid == lo or mid == hi:
+                break
+            if _partition_feasible(v, m, mid)[0]:
                 hi = mid
             else:
                 lo = mid
-            if hi - lo <= 1e-18 * max(1.0, hi):
-                break
     _, bounds = _partition_feasible(v, m, hi)
     bounds.append(v.size)
     value = 0.0
@@ -455,10 +492,10 @@ def _spline_cost_table_l2(space: Space, x: np.ndarray, degree: int) -> np.ndarra
 def _spline_cost_entry(space: Space, x: np.ndarray, degree: int, i: int, j: int):
     g = space.grid
     t = g.nodes[i:j]
-    if space.norm_kind == "sup":
-        value, approx = _sup_fit_exchange(t, x[i:j], degree - 1)
-        return value, approx, "exact"
     cols = np.vander((t - t.mean()) / max(float(np.ptp(t)), 1e-300), degree, increasing=True)
+    if space.norm_kind == "sup":
+        value, approx, _ = _sup_fit(cols, x[i:j])
+        return value, approx, "exact"
     quad = g.weights[i:j]
     if space.p == 2.0:
         u = np.sqrt(quad)

@@ -55,6 +55,13 @@ class TestDensityCertificates:
         assert c.status == "exact"
         assert c.bound >= 0.9
 
+    def test_l2_chain_certificate_at_top_level(self):
+        s = build_scheme("monomial-chain-l2")
+        for n in (4, s.n_max):
+            c = density_lower_bound(s, n, rng_seed=1)
+            assert c.status == "exact"
+            assert c.bound == pytest.approx(1.0, abs=1e-9)
+
     def test_rank_certificate_from_identity(self):
         s = build_scheme({"kind": "rank", "n_max": 6,
                           "space": {"carrier": "matrix", "side": 6, "norm": "operator"}})

@@ -157,6 +157,19 @@ class TestReplay:
         report = run_task(cfg)
         assert replay_report(json.loads(json.dumps(report)))
 
+    def test_unverified_slowdecay_replays_its_verdict(self):
+        # a two-valued ladder element is a member of A_n where m(n) >= 2, so
+        # its distance there is 0 and the ladder's lower claims fail
+        report = run_task({"task": "slowdecay", "seed": 1, "scheme": "quantizer-linear",
+                           "params": {"i_max": 4}})
+        assert len(set(report["payload"]["element"])) == 2
+        observed = [v["observed"] for v in report["payload"]["verifications"]]
+        assert observed[2:] == [0.0, 0.0]
+        assert not report["verified"]
+        assert replay_report(json.loads(json.dumps(report)))
+        report["verified"] = True
+        assert not replay_report(json.loads(json.dumps(report)))
+
 
 class TestWitnessOps:
     @pytest.mark.parametrize("params", [

@@ -14,7 +14,8 @@ from lethargy.solve import (
     midpoint_quantizer,
     quantizer_error,
     _nterm_exhaustive,
-    _sup_fit_exchange,
+    _sup_fit,
+    _sup_fit_lp,
 )
 from lethargy.space import Grid, Space, norm
 
@@ -111,6 +112,29 @@ class TestQuantizerSolver:
                 got = quantizer_error(sp, x, m).value
                 want = brute_force_partition_value(x, m)
                 assert got == want
+
+    def test_member_has_zero_distance(self):
+        value, minimizer, _ = best_m_value_sup(np.array([0.0, 0.0, 1.0, 1.0]), 2)
+        assert value == 0.0
+        assert np.array_equal(minimizer, [0.0, 0.0, 1.0, 1.0])
+
+    def test_bisection_stops_at_adjacent_floats(self, rng, monkeypatch):
+        import lethargy.solve as solve_mod
+
+        calls = []
+        feasible = solve_mod._partition_feasible
+
+        def counted(v, m, t):
+            calls.append(t)
+            return feasible(v, m, t)
+
+        monkeypatch.setattr(solve_mod, "_partition_feasible", counted)
+        x = rng.standard_normal(2049)
+        for m in (2, 5, 12):
+            calls.clear()
+            value, _, _ = best_m_value_sup(x, m)
+            assert len(calls) <= 70
+            assert value > 0.0
 
     def test_budget_validation(self):
         g = Grid.interval(0, 1, 33)
@@ -265,11 +289,10 @@ class TestSplineSolver:
     def test_exchange_agrees_with_lp(self, rng):
         t = np.linspace(0, 1, 80)
         x = rng.standard_normal(80)
-        val_ex, _ = _sup_fit_exchange(t, x, 2)
-        from lethargy.solve import _sup_fit_lp
-
         cols = np.vander((t - t.mean()) / np.ptp(t), 3, increasing=True)
+        val_ex, _, info = _sup_fit(cols, x)
         val_lp, _, _ = _sup_fit_lp(cols, x)
+        assert info["solver"] == "exchange"
         assert val_ex == pytest.approx(val_lp, rel=1e-9, abs=1e-12)
 
 

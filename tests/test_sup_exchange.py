@@ -1,0 +1,101 @@
+"""The discrete exchange behind every sup-norm fit, against the HiGHS LP oracle."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from lethargy.solve import LP_TOL, _sup_fit, _sup_fit_lp
+
+VALUES = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
+
+
+def poly_columns(size: int, count: int) -> np.ndarray:
+    """Chebyshev columns of degree < count on `size` uniform nodes of [-1, 1]."""
+    return np.polynomial.chebyshev.chebvander(np.linspace(-1.0, 1.0, size), count - 1)
+
+
+def trig_columns(size: int, degree: int) -> np.ndarray:
+    """1, cos kt, sin kt (k <= degree) on `size` uniform nodes of the torus."""
+    t = 2.0 * np.pi * np.arange(size) / size
+    cols = [np.ones(size)]
+    for k in range(1, degree + 1):
+        cols += [np.cos(k * t), np.sin(k * t)]
+    return np.column_stack(cols)
+
+
+@st.composite
+def poly_cases(draw):
+    size = draw(st.integers(2, 65))
+    cols = poly_columns(size, draw(st.integers(1, min(size - 1, 9))))
+    return cols, np.array(draw(st.lists(VALUES, min_size=size, max_size=size)))
+
+
+@st.composite
+def trig_cases(draw):
+    size = draw(st.integers(4, 65))
+    cols = trig_columns(size, draw(st.integers(0, min((size - 2) // 2, 6))))
+    return cols, np.array(draw(st.lists(VALUES, min_size=size, max_size=size)))
+
+
+@st.composite
+def member_cases(draw):
+    """Elements of the span: the distance is 0 up to rounding."""
+    cols, _ = draw(st.one_of(poly_cases(), trig_cases()))
+    coef = np.array(draw(st.lists(VALUES, min_size=cols.shape[1], max_size=cols.shape[1])))
+    return cols, cols @ coef
+
+
+def assert_bracket_against_lp(cols: np.ndarray, x: np.ndarray) -> None:
+    value, approx, info = _sup_fit(cols, x)
+    lp_value, _, _ = _sup_fit_lp(cols, x)
+    scale = max(1.0, float(np.max(np.abs(x))))
+    assert value == pytest.approx(float(np.max(np.abs(x - approx))), abs=1e-15 * scale)
+    assert info["lower"] <= lp_value + 1e-12
+    assert value <= lp_value + 1e-12 * scale
+    if info["solver"] == "exchange":
+        assert value - info["lower"] <= LP_TOL * scale
+    else:
+        assert info["solver"] == "lp"
+
+
+@settings(max_examples=80, deadline=None)
+@given(poly_cases())
+def test_polynomial_columns(case):
+    assert_bracket_against_lp(*case)
+
+
+@settings(max_examples=80, deadline=None)
+@given(trig_cases())
+def test_trigonometric_columns(case):
+    assert_bracket_against_lp(*case)
+
+
+@settings(max_examples=60, deadline=None)
+@given(member_cases())
+def test_members_of_the_span(case):
+    cols, x = case
+    assert_bracket_against_lp(cols, x)
+    value, _, _ = _sup_fit(cols, x)
+    assert value <= 1e-9 * max(1.0, float(np.max(np.abs(x))))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_repeated_column_falls_back_to_lp(data):
+    size = data.draw(st.integers(3, 65))
+    cols = poly_columns(size, data.draw(st.integers(1, min(size - 2, 9))))
+    cols = np.column_stack([cols, cols[:, -1]])  # not a Haar system: every reference is singular
+    x = np.array(data.draw(st.lists(VALUES, min_size=size, max_size=size)))
+    value, _, info = _sup_fit(cols, x)
+    assert info["solver"] == "lp"
+    assert value == _sup_fit_lp(cols, x)[0]
+
+
+def test_generic_elements_use_the_exchange():
+    rng = np.random.default_rng(3)
+    for cols in (poly_columns(65, 9), trig_columns(64, 6)):
+        for _ in range(5):
+            _, _, info = _sup_fit(cols, rng.standard_normal(cols.shape[0]))
+            assert info["solver"] == "exchange"
+            assert 1 <= info["iterations"]
