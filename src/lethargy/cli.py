@@ -278,7 +278,8 @@ def replay_report(report: dict) -> bool:
     if task == "shapiro":
         return payload["verdict"] == rerun["payload"]["verdict"]
     if task == "validate":
-        return payload["passed"] == rerun["payload"]["passed"] and rerun["verified"]
+        return payload["passed"] == rerun["payload"]["passed"] and \
+            rerun["verified"] == bool(report["verified"])
     if task == "audit":
         return canonical_json(payload.get("violations", [])) == \
             canonical_json(rerun["payload"].get("violations", []))

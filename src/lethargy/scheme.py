@@ -642,8 +642,13 @@ def _proxy_probes(s: Scheme, rng: np.random.Generator) -> list:
     if s.space.carrier == "grid":
         g = s.space.grid
         t = (g.nodes - g.a) / (g.b - g.a)
-        out.append(np.sin(3.0 * t) + t * t)
-        out.append(np.exp(t) * np.cos(2.0 * t))
+        if g.domain == "torus":  # a periodic family needs periodic probes
+            theta = 2.0 * np.pi * t
+            out.append(np.exp(np.cos(theta)))
+            out.append(np.sin(3.0 * theta) + np.cos(theta) ** 2)
+        else:
+            out.append(np.sin(3.0 * t) + t * t)
+            out.append(np.exp(t) * np.cos(2.0 * t))
         if s.kind in ("quantizer", "spline", "wavelet-haar", "nterm"):
             out.append(np.abs(t - 0.5))
     elif s.space.carrier == "coords":

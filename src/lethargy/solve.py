@@ -9,10 +9,17 @@ is an achieved distance that may exceed the infimum (IRLS, greedy n-term
 selection).  A value is always achievable, so it is never below the true
 error by more than the solver tolerance.  Sup fits record in their info the
 solver ("exchange" or "lp"), its iterations and the lower bound.
+
+The quantizer and the sup-norm free-knot spline share one min-max
+segmentation solver (`_min_max_cells`), which also brackets its value: the
+quantizer's bracket closes exactly, and a sup spline is "exact" only when its
+bracket closes within LP_TOL * max(1, ||x||_inf).  Their info records the
+solver, the number of greedy passes ("iterations") and the lower bound.
 """
 
 from __future__ import annotations
 
+import bisect
 import csv
 import math
 import os
@@ -259,62 +266,112 @@ class QuantizerResult:
     value: float
     minimizer: np.ndarray
     labels: np.ndarray
+    info: dict = field(default_factory=dict, compare=False)
 
 
-def _partition_feasible(v: np.ndarray, m: int, t: float):
-    groups = 1
-    start = v[0]
-    bounds = [0]
-    for i in range(1, v.size):
-        if v[i] - start > 2.0 * t:
-            groups += 1
-            start = v[i]
-            bounds.append(i)
-            if groups > m:
-                return False, bounds
-    return True, bounds
+def _min_max_cells(n: int, k: int, cell_end, cell_cost, tol: float):
+    """Partition range(n) into at most k contiguous cells with the least largest cell cost.
+
+    `cell_cost(s, e)` returns (upper, lower), an achieved value and a proved
+    lower bound for the cost of the cell [s, e); the true cost never decreases
+    when a cell grows.  `cell_end(s, t)` returns the largest e > s with
+    upper(s, e) <= t.  "Can k cells reach t?" is then answered by greedy
+    longest cells (parametric search: Megiddo 1983, Frederickson 1991):
+
+    - a feasible check sets hi to the achieved largest cell cost;
+    - an infeasible check leaves k + 1 greedy starts s_0 < ... < s_k < n, and
+      any k-cell partition keeps one of the runs s_a .. s_{a+1} whole, so
+      lo = min_a lower(s_a, s_{a+1} + 1) is a lower bound (pigeonhole).
+
+    t bisects the bracket until hi - lo <= tol; the first probe, t = tol,
+    settles members at once.  When the midpoint meets an end (adjacent
+    floats), lo is probed once more if no earlier probe covered it, which
+    closes the bracket for exactly measured costs.  The result is the greedy
+    partition at t = hi, so it depends on the data only (the best partition
+    seen, should rounding in the upper values make that pass infeasible).
+
+    Returns (lo, bounds, passes): bounds are the cell starts followed by n.
+    """
+    def greedy(t: float) -> list:
+        starts = [0]
+        while starts[-1] < n and len(starts) <= k:
+            starts.append(cell_end(starts[-1], t))
+        return starts
+
+    lo, hi = 0.0, cell_cost(0, n)[0]
+    bad, good, best = -math.inf, math.inf, [0, n]  # largest infeasible and smallest feasible probes
+    t, passes = tol, 0
+    while hi - lo > tol:
+        passes += 1
+        starts = greedy(t)
+        if starts[-1] == n:
+            good = t
+            top = max(cell_cost(s, e)[0] for s, e in zip(starts, starts[1:]))
+            if top < hi:
+                hi, best = top, starts
+        else:
+            bad = t
+            lo = max(lo, min(cell_cost(s, e + 1)[1] for s, e in zip(starts, starts[1:])))
+        floor, ceil = max(lo, bad), min(hi, good)
+        t = 0.5 * (floor + ceil)
+        if t == floor or t == ceil:
+            if not bad < lo < good:
+                break
+            t = lo
+    passes += 1
+    final = greedy(hi)
+    return lo, final if final[-1] == n else best, passes
 
 
 def best_m_value_sup(values: np.ndarray, m: int):
     """Optimal sup-distance of a sample vector to vectors with <= m distinct values.
 
-    Greedy feasibility plus bisection on the half-range down to adjacent
-    floats; the final greedy partition is re-measured so the returned value is
-    exactly achievable.
+    The cells are runs of the sorted values, the cost of a cell is its
+    half-range, and `_min_max_cells` closes the bracket exactly (tol 0).  The
+    final greedy partition is re-measured, so the value is achieved.  Returns
+    (value, minimizer, labels, info).
     """
     if m < 1:
         raise SolverError("value budget m must be >= 1")
+    if not np.isfinite(values).all():
+        raise SolverError("the quantizer needs finite values")
     order = np.argsort(values, kind="stable")
     v = values[order]
     if v.size == 0:
-        return 0.0, np.zeros(0), np.zeros(0, dtype=int)
-    lo, hi = 0.0, float(v[-1] - v[0]) / 2.0
-    if _partition_feasible(v, m, lo)[0]:
-        hi = lo  # at most m distinct values: a member
-    else:
-        while True:
-            mid = 0.5 * (lo + hi)
-            if mid == lo or mid == hi:
-                break
-            if _partition_feasible(v, m, mid)[0]:
-                hi = mid
-            else:
-                lo = mid
-    _, bounds = _partition_feasible(v, m, hi)
-    bounds.append(v.size)
+        return 0.0, np.zeros(0), np.zeros(0, dtype=int), {"solver": "sorted-partition",
+                                                          "iterations": 0, "lower": 0.0}
+    vl = v.tolist()
+    size = len(vl)
+
+    def cell_end(s: int, t: float) -> int:
+        base, reach = vl[s], 2.0 * t
+        e = bisect.bisect_right(vl, base + reach, s + 1)
+        # base + reach is rounded: restore the exact predicate vl[j] - base <= 2t
+        while e < size and vl[e] - base <= reach:
+            e = bisect.bisect_right(vl, vl[e], e)
+        while vl[e - 1] - base > reach:
+            e = bisect.bisect_left(vl, vl[e - 1], s + 1, e)
+        return e
+
+    def cell_cost(s: int, e: int):
+        half = (vl[e - 1] - vl[s]) / 2.0
+        return half, half
+
+    lower, bounds, passes = _min_max_cells(size, m, cell_end, cell_cost, 0.0)
     value = 0.0
     levels = np.empty(len(bounds) - 1)
     labels_sorted = np.empty(v.size, dtype=int)
     for g, (i, j) in enumerate(zip(bounds[:-1], bounds[1:])):
-        half = float(v[j - 1] - v[i]) / 2.0
+        half = (vl[j - 1] - vl[i]) / 2.0
         value = max(value, half)
-        levels[g] = float(v[i]) + half
+        levels[g] = vl[i] + half
         labels_sorted[i:j] = g
     minimizer = np.empty_like(values, dtype=float)
     labels = np.empty_like(labels_sorted)
     minimizer[order] = levels[labels_sorted]
     labels[order] = labels_sorted
-    return value, minimizer, labels
+    return value, minimizer, labels, {"solver": "sorted-partition", "iterations": passes,
+                                      "lower": lower}
 
 
 def quantizer_error(space: Space, x: np.ndarray, m: int) -> QuantizerResult:
@@ -324,8 +381,7 @@ def quantizer_error(space: Space, x: np.ndarray, m: int) -> QuantizerResult:
     if m < 1:
         raise SolverError("value budget m must be >= 1")
     x = space.check(x)
-    value, minimizer, labels = best_m_value_sup(np.asarray(x, dtype=float), m)
-    return QuantizerResult(value, minimizer, labels)
+    return QuantizerResult(*best_m_value_sup(np.asarray(x, dtype=float), m))
 
 
 def midpoint_quantizer(x: np.ndarray, m: int, radius: Optional[float] = None) -> np.ndarray:
@@ -490,12 +546,9 @@ def _spline_cost_table_l2(space: Space, x: np.ndarray, degree: int) -> np.ndarra
 
 
 def _spline_cost_entry(space: Space, x: np.ndarray, degree: int, i: int, j: int):
+    """p-power error, fit and status of the best degree-<degree> L_p fit on nodes [i, j)."""
     g = space.grid
-    t = g.nodes[i:j]
-    cols = np.vander((t - t.mean()) / max(float(np.ptp(t)), 1e-300), degree, increasing=True)
-    if space.norm_kind == "sup":
-        value, approx, _ = _sup_fit(cols, x[i:j])
-        return value, approx, "exact"
+    cols = _spline_columns(g.nodes[i:j], degree)
     quad = g.weights[i:j]
     if space.p == 2.0:
         u = np.sqrt(quad)
@@ -504,6 +557,10 @@ def _spline_cost_entry(space: Space, x: np.ndarray, degree: int, i: int, j: int)
         return float(np.sum(quad * (x[i:j] - approx) ** 2)), approx, "exact"
     value_p, coef, approx, info = _irls_on_slice(cols, x[i:j], quad, space.p)
     return value_p, approx, "upper-bound"
+
+
+def _spline_columns(t: np.ndarray, degree: int) -> np.ndarray:
+    return np.vander((t - t.mean()) / max(float(np.ptp(t)), 1e-300), degree, increasing=True)
 
 
 def _irls_on_slice(cols: np.ndarray, y: np.ndarray, quad: np.ndarray, p: float):
@@ -526,39 +583,75 @@ def _irls_on_slice(cols: np.ndarray, y: np.ndarray, quad: np.ndarray, p: float):
     return value, coef, approx, info
 
 
+def _spline_sup(space: Space, x: np.ndarray, degree: int, pieces: int):
+    """Sup-norm free-knot spline by greedy segmentation (`_min_max_cells`).
+
+    A cell's cost is the minimax error of its degree-<degree> fit (`_sup_fit`,
+    which brackets it), and it never grows when the cell shrinks, so each
+    greedy cell end is found by galloping then bisecting over fits.  The
+    status is exact only when the segmentation bracket closed.
+    """
+    nodes = space.grid.nodes
+    npts = nodes.size
+    tol = LP_TOL * max(1.0, float(np.max(np.abs(x))))
+    costs: dict = {}
+
+    def cell_cost(s: int, e: int):
+        if (s, e) not in costs:
+            value, _, info = _sup_fit(_spline_columns(nodes[s:e], degree), x[s:e])
+            costs[s, e] = (value, info["lower"])
+        return costs[s, e]
+
+    def cell_end(s: int, t: float) -> int:
+        # cells of at most `degree` nodes are interpolated; gallop, then bisect,
+        # keeping upper(s, good) <= t < upper(s, bad)
+        good, bad, step = min(s + degree, npts), npts + 1, 1
+        while bad - good > 1:
+            probe = min(good + step, (good + bad) // 2)
+            if cell_cost(s, probe)[0] <= t:
+                good, step = probe, 2 * step
+            else:
+                bad = probe
+        return good
+
+    lower, bounds, passes = _min_max_cells(npts, pieces, cell_end, cell_cost, tol)
+    approx = np.empty(npts)
+    for i, j in zip(bounds[:-1], bounds[1:]):
+        approx[i:j] = _sup_fit(_spline_columns(nodes[i:j], degree), x[i:j])[1]
+    value = norm(space, x - approx)
+    status = "exact" if value - lower <= tol else "upper-bound"
+    return value, approx, status, {"solver": "greedy-segmentation", "iterations": passes,
+                                   "lower": lower, "knot_nodes": bounds[1:-1]}
+
+
 def _spline_error(space: Space, x: np.ndarray, degree: int, knots: int):
-    """Dynamic program over grid-node breakpoints with per-cell fits."""
+    """Sup norm: greedy segmentation; L_p: dynamic program over grid-node breakpoints."""
+    if space.norm_kind == "sup":
+        return _spline_sup(space, x, degree, knots + 1)
     g = space.grid
     npts = g.size
     if npts > 2049:
         raise NoSolverError("free-knot spline solver is limited to grids of <= 2049 nodes")
+    if space.p < 1.0:
+        raise NoSolverError("spline solver does not support p < 1 (non-convex regime)")
     pieces = knots + 1
-    if space.norm_kind == "lp" and space.p == 2.0:
+    if space.p == 2.0:
         cost = _spline_cost_table_l2(space, x, degree)
-        combine = "sum"
         status = "exact"
     else:
-        if space.norm_kind == "lp" and space.p < 1.0:
-            raise NoSolverError("spline solver does not support p < 1 (non-convex regime)")
         cost = np.full((npts + 1, npts + 1), math.inf)
-        status = "exact" if space.norm_kind == "sup" else "upper-bound"
+        status = "upper-bound"
         for i in range(npts):
             for j in range(i + 1, npts + 1):
                 cost[i, j] = _spline_cost_entry(space, x, degree, i, j)[0]
-        combine = "max" if space.norm_kind == "sup" else "sum"
 
     dp = np.full((pieces + 1, npts + 1), math.inf)
     arg = np.zeros((pieces + 1, npts + 1), dtype=int)
-    dp[0, 0] = 0.0 if combine == "sum" else 0.0
+    dp[0, 0] = 0.0
     for k in range(1, pieces + 1):
-        prev = dp[k - 1][:, None]
-        if combine == "sum":
-            total = prev + cost
-        else:
-            total = np.maximum(prev, cost)
+        total = dp[k - 1][:, None] + cost
         dp[k] = np.min(total, axis=0)
         arg[k] = np.argmin(total, axis=0)
-    raw = float(dp[pieces, npts])
     # reconstruct the minimizer
     cuts = [npts]
     k = pieces
@@ -608,7 +701,7 @@ def best_approx(space: Space, x: np.ndarray, s: Scheme, n: int, seed: int = 0) -
         if n > s.n_max:
             raise SolverError("quantizer level beyond the window has no declared budget")
         res = quantizer_error(space, x, s.m_of(n))
-        return BestApprox(res.value, res.minimizer, "exact", {"solver": "sorted-partition"})
+        return BestApprox(res.value, res.minimizer, "exact", res.info)
     if s.kind == "interleaved-c0":
         if space.norm_kind != "sup":
             raise NoSolverError("interleaved-c0 solver is defined for the sup norm")

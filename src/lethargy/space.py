@@ -186,6 +186,8 @@ class Space:
             raise SpaceError(f"element shape {x.shape} does not match carrier {self.shape}")
         if np.iscomplexobj(x) and not self.complex_ok:
             raise SpaceError("complex elements are not supported on this carrier")
+        if not np.isfinite(x).all():
+            raise SpaceError("element has non-finite entries (NaN or infinity)")
         return x
 
     def zero(self) -> np.ndarray:

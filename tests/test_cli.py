@@ -170,6 +170,17 @@ class TestReplay:
         report["verified"] = True
         assert not replay_report(json.loads(json.dumps(report)))
 
+    def test_unverified_validate_replays_its_verdict(self):
+        # a constant-only chain cannot approximate the density probes
+        report = run_task({"task": "validate", "seed": 3, "params": {"trials": 20},
+                           "scheme": {"kind": "chain", "family": "monomial", "n_max": 0,
+                                      "space": {"carrier": "grid", "domain": "interval",
+                                                "nodes": 65, "norm": "sup"}}})
+        assert not report["verified"]
+        assert replay_report(json.loads(json.dumps(report)))
+        report["verified"] = True
+        assert not replay_report(json.loads(json.dumps(report)))
+
 
 class TestWitnessOps:
     @pytest.mark.parametrize("params", [

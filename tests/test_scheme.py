@@ -119,7 +119,8 @@ class TestMembership:
 
 class TestValidate:
     @pytest.mark.parametrize("name", ["interleaved-c0", "rank-8-hs", "orthonormal-nterm",
-                                      "char-binary-intervals", "haar-wavelet-nterm"])
+                                      "char-binary-intervals", "haar-wavelet-nterm",
+                                      "trig-chain"])
     def test_registry_instances_pass(self, name):
         s = build_scheme(name)
         report = validate_scheme(s, trials=120, rng_seed=3)

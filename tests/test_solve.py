@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from lethargy.scheme import build_scheme
+from lethargy.cli import run_task
+from lethargy.scheme import build_scheme, list_schemes
 from lethargy.solve import (
     NoSolverError,
     SolverError,
@@ -17,7 +18,7 @@ from lethargy.solve import (
     _sup_fit,
     _sup_fit_lp,
 )
-from lethargy.space import Grid, Space, norm
+from lethargy.space import Grid, Space, SpaceError, norm
 
 
 def brute_force_partition_value(values, m):
@@ -114,27 +115,34 @@ class TestQuantizerSolver:
                 assert got == want
 
     def test_member_has_zero_distance(self):
-        value, minimizer, _ = best_m_value_sup(np.array([0.0, 0.0, 1.0, 1.0]), 2)
+        value, minimizer, _, info = best_m_value_sup(np.array([0.0, 0.0, 1.0, 1.0]), 2)
         assert value == 0.0
+        assert info["lower"] == 0.0
         assert np.array_equal(minimizer, [0.0, 0.0, 1.0, 1.0])
 
     def test_bisection_stops_at_adjacent_floats(self, rng, monkeypatch):
         import lethargy.solve as solve_mod
 
         calls = []
-        feasible = solve_mod._partition_feasible
+        driver = solve_mod._min_max_cells
 
-        def counted(v, m, t):
-            calls.append(t)
-            return feasible(v, m, t)
+        def counted(n, k, cell_end, cell_cost, tol):
+            def end(s, t):
+                if s == 0:  # every greedy pass starts at the first cell
+                    calls.append(t)
+                return cell_end(s, t)
 
-        monkeypatch.setattr(solve_mod, "_partition_feasible", counted)
+            return driver(n, k, end, cell_cost, tol)
+
+        monkeypatch.setattr(solve_mod, "_min_max_cells", counted)
         x = rng.standard_normal(2049)
         for m in (2, 5, 12):
             calls.clear()
-            value, _, _ = best_m_value_sup(x, m)
+            value, _, _, info = best_m_value_sup(x, m)
             assert len(calls) <= 70
+            assert info["iterations"] == len(calls)
             assert value > 0.0
+            assert info["lower"] == value
 
     def test_budget_validation(self):
         g = Grid.interval(0, 1, 33)
@@ -150,7 +158,7 @@ class TestQuantizerSolver:
 
     def test_labels_and_minimizer(self, rng):
         v = rng.standard_normal(50)
-        value, minimizer, labels = best_m_value_sup(v, 4)
+        value, minimizer, labels, _ = best_m_value_sup(v, 4)
         assert np.max(np.abs(v - minimizer)) == pytest.approx(value, abs=1e-15)
         assert len(np.unique(labels)) <= 4
 
@@ -165,6 +173,25 @@ class TestQuantizerSolver:
 
         a = sample_element(s, 1, rng)
         assert membership(s, a, 1)
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("name", list_schemes())
+    def test_nan_element_raises_space_error(self, name):
+        s = build_scheme(name)
+        x = np.zeros(s.space.shape)
+        x.flat[x.size // 2] = math.nan
+        with pytest.raises(SpaceError):
+            best_approx(s.space, x, s, 1)
+
+    def test_quantizer_refuses_non_finite_values(self):
+        # a NaN once made the bisection midpoint NaN, and the solve never returned
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(SolverError):
+                best_m_value_sup(np.array([0.0, bad, 1.0]), 2)
+        with pytest.raises(SpaceError):
+            run_task({"task": "profile", "scheme": "quantizer-linear",
+                      "params": {"n_max": 3, "element": {"values": [math.nan] * 2049}}})
 
 
 class TestInterleavedSolver:

@@ -88,6 +88,18 @@ class TestNorms:
             assert norm(sp, lam * x) == pytest.approx(abs(lam) * norm(sp, x), rel=1e-12, abs=1e-300)
 
 
+class TestCheck:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("space", [Space.sup_grid(Grid.torus(8), complex_ok=True),
+                                       Space.coords(8, 2.0), Space.matrix(2, "hs")],
+                             ids=["grid", "coords", "matrix"])
+    def test_non_finite_entries_rejected(self, space, bad):
+        x = space.zero()  # complex on the grid
+        x.flat[1] = bad
+        with pytest.raises(SpaceError, match="non-finite"):
+            space.check(x)
+
+
 class TestQuasiTriangle:
     @pytest.mark.parametrize("p", [0.5, 0.75, 1.0, 2.0])
     def test_modulus_on_many_pairs(self, p):
