@@ -25,14 +25,15 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Optional
 
 import numpy as np
+from scipy import linalg
 from scipy.optimize import linprog
 
 from .scheme import Scheme, SchemeError
-from .space import Space, SpaceError, norm
+from .space import Space, SpaceError, _norm_unchecked, norm
 
 LP_TOL = 1e-10
 EXCHANGE_MAX_ITER = 100
@@ -41,6 +42,7 @@ IRLS_REL_TOL = 1e-10
 IRLS_WEIGHT_FLOOR = 1e-12
 EXHAUSTIVE_SUBSET_LIMIT = 100_000
 GREEDY_RESTARTS = 8
+SCREEN_CHUNK = 4096  # subsets per batched eigensolve of the L2 n-term screen
 
 
 class NoSolverError(NotImplementedError):
@@ -65,7 +67,7 @@ class BestApprox:
 def _weighted_l2_fit(space: Space, cols: np.ndarray, x: np.ndarray):
     """Exact least-squares fit in the space's L2 (or ell_2) inner product."""
     if cols.shape[1] == 0:
-        return norm(space, x), np.zeros(0), np.zeros_like(x, dtype=float)
+        return _norm_unchecked(space, x), np.zeros(0), np.zeros_like(x, dtype=float)
     if space.carrier == "grid":
         w = np.sqrt(space.grid.weights)
         a = cols * w[:, None]
@@ -75,7 +77,7 @@ def _weighted_l2_fit(space: Space, cols: np.ndarray, x: np.ndarray):
         b = x
     coef, *_ = np.linalg.lstsq(a, b, rcond=None)
     approx = cols @ coef
-    return norm(space, x - approx), coef, approx
+    return _norm_unchecked(space, x - approx), coef, approx
 
 
 def _sup_fit_lp(cols: np.ndarray, x: np.ndarray):
@@ -213,7 +215,7 @@ def _irls_fit(space: Space, cols: np.ndarray, x: np.ndarray, p: float):
     Returns an achieved (upper-bound) value with a convergence certificate.
     """
     if cols.shape[1] == 0:
-        return norm(space, x), np.zeros(0), np.zeros_like(x, dtype=float), {"converged": True, "iterations": 0}
+        return _norm_unchecked(space, x), np.zeros(0), np.zeros_like(x, dtype=float), {"converged": True, "iterations": 0}
     quad = space.grid.weights if space.carrier == "grid" else np.ones(x.size)
     _, coef, approx = _weighted_l2_fit(space, cols, x)
     resid = x - approx
@@ -228,13 +230,16 @@ def _irls_fit(space: Space, cols: np.ndarray, x: np.ndarray, p: float):
         resid = x - approx
         new_value = _lp_power_error(space, resid, p) ** (1.0 / p)
         change = abs(new_value - value) / max(new_value, 1e-300)
-        best = min(new_value, value)
         info.update(iterations=it, last_rel_change=change)
         value = new_value
         if change < IRLS_REL_TOL:
             info["converged"] = True
             break
     return value, coef, approx, info
+
+
+def _is_l2(space: Space) -> bool:
+    return space.norm_kind == "lp" and space.p == 2.0
 
 
 def _fit_in_span(space: Space, cols: np.ndarray, x: np.ndarray):
@@ -328,7 +333,9 @@ def best_m_value_sup(values: np.ndarray, m: int):
 
     The cells are runs of the sorted values, the cost of a cell is its
     half-range, and `_min_max_cells` closes the bracket exactly (tol 0).  The
-    final greedy partition is re-measured, so the value is achieved.  Returns
+    value is the largest half-range of the final greedy partition.  The
+    minimizer takes each cell's midpoint vl[i] + half, which is rounded, so it
+    achieves the value only to within about one ulp of max|x|.  Returns
     (value, minimizer, labels, info).
     """
     if m < 1:
@@ -435,20 +442,82 @@ def _inner_products(space: Space, cols: np.ndarray, x: np.ndarray) -> np.ndarray
     return cols.T @ x
 
 
-def _dictionary_is_orthonormal(space: Space, atoms: np.ndarray) -> bool:
-    if atoms.shape[1] > 256 or space.norm_kind != "lp" or space.p != 2.0:
-        return False
+def _diag_gram(space: Space, atoms: np.ndarray) -> np.ndarray:
     if space.carrier == "grid":
-        g = atoms.T @ (atoms * space.grid.weights[:, None])
-    else:
-        g = atoms.T @ atoms
-    return bool(np.allclose(g, np.eye(atoms.shape[1]), atol=1e-10))
+        return np.einsum("ij,ij,i->j", atoms, atoms, space.grid.weights)
+    return np.einsum("ij,ij->j", atoms, atoms)
+
+
+def _gram(space: Space, atoms: np.ndarray) -> np.ndarray:
+    if space.carrier == "grid":
+        return atoms.T @ (atoms * space.grid.weights[:, None])
+    return atoms.T @ atoms
+
+
+def _dictionary_is_orthonormal(space: Space, atoms: np.ndarray) -> bool:
+    if atoms.shape[1] > 256 or not _is_l2(space):
+        return False
+    return bool(np.allclose(_gram(space, atoms), np.eye(atoms.shape[1]), atol=1e-10))
+
+
+def _nterm_l2_candidates(space: Space, atoms: np.ndarray, x: np.ndarray, n: int) -> list:
+    """The n-subsets, in `combinations` order, that may hold the least L2 error.
+
+    Each subset S gets the estimate x^T W x - c_S^T G_SS^{-1} c_S of its squared
+    error, from c = A^T W x and the Gram matrix G (only its diagonal when
+    n = 1), by batched eigensolves of the diagonally normalized blocks
+    D^-1/2 G_SS D^-1/2.  Their condition times max(D) / min(D) bounds the
+    condition k of G_SS, and the estimate is taken to be off from the direct
+    fit's squared error by at most err = max(sqrt(eps), n * N * eps * k) * x^T W x
+    (rounding in the N-term Gram sums, the eigensolve and the fit).  A subset
+    is kept when its estimate minus err does not exceed the least estimate
+    plus its err, and always when its block is singular or k > 1/sqrt(eps).
+    The kept subsets are re-measured directly, so the first least value in
+    `combinations` order is the same as fitting every subset.
+    """
+    n_rows, n_atoms = atoms.shape
+    eps = np.finfo(float).eps
+    c = _inner_products(space, atoms, x)
+    xx = _norm_unchecked(space, x) ** 2
+    diag = _diag_gram(space, atoms)
+    gram = _gram(space, atoms) if n > 1 else None
+    count = math.comb(n_atoms, n)
+    subsets = np.fromiter(chain.from_iterable(combinations(range(n_atoms), n)), dtype=np.intp,
+                          count=count * n).reshape(count, n)
+    est = np.full(len(subsets), np.nan)
+    err = np.full(len(subsets), np.inf)
+    for lo in range(0, len(subsets), SCREEN_CHUNK):
+        rows = subsets[lo:lo + SCREEN_CHUNK]
+        d = diag[rows]
+        scale = 1.0 / np.sqrt(d)
+        block = d[:, :, None] if gram is None else gram[rows[:, :, None], rows[:, None, :]]
+        try:
+            lam, vec = np.linalg.eigh(block * scale[:, :, None] * scale[:, None, :])
+        except np.linalg.LinAlgError:
+            continue
+        proj = np.einsum("kij,ki->kj", vec, c[rows] * scale)
+        spread = d.max(axis=1) / d.min(axis=1)
+        ok = (lam[:, 0] > 0) & (lam[:, 0] >= math.sqrt(eps) * lam[:, -1] * spread)
+        lam, proj, at = lam[ok], proj[ok], lo + np.flatnonzero(ok)
+        est[at] = xx - np.sum(np.abs(proj) ** 2 / lam, axis=1)
+        err[at] = np.maximum(math.sqrt(eps), n * n_rows * eps * lam[:, -1] / lam[:, 0] * spread[ok]) * xx
+    trusted = np.isfinite(err)
+    keep = ~trusted
+    if trusted.any():
+        keep |= est - err <= np.min((est + err)[trusted])
+    return [tuple(row) for row in subsets[keep].tolist()]
 
 
 def _nterm_exhaustive(space: Space, atoms: np.ndarray, x: np.ndarray, n: int):
+    """Best n-term fit over every n-subset of the atoms, the first least value in
+    `combinations` order.  In L2 a batched screen picks the subsets to fit."""
+    if n > 0 and _is_l2(space):
+        subsets = _nterm_l2_candidates(space, atoms, x, n)
+    else:
+        subsets = combinations(range(atoms.shape[1]), n)
     best = (math.inf, None, "exact", {})
     statuses = set()
-    for subset in combinations(range(atoms.shape[1]), n):
+    for subset in subsets:
         value, approx, status, _ = _fit_in_span(space, atoms[:, list(subset)], x)
         statuses.add(status)
         if value < best[0]:
@@ -459,54 +528,75 @@ def _nterm_exhaustive(space: Space, atoms: np.ndarray, x: np.ndarray, n: int):
     return value, approx, status, info
 
 
-def _nterm_greedy(space: Space, atoms: np.ndarray, x: np.ndarray, n: int, seed: int):
+def _nterm_greedy(space: Space, atoms: np.ndarray, x: np.ndarray, levels: list, seed: int) -> dict:
+    """Orthogonal matching pursuit with restarts, fitted at each of `levels`.
+
+    A restart's picks do not depend on how far it runs, so level n's picks
+    are the first n picks of one run to max(levels).  Returns
+    {n: (value, approx, "upper-bound", info)}, the least value over restarts.
+    """
     rng = np.random.default_rng(seed)
     n_atoms = atoms.shape[1]
+    top = max(levels)
+    l2 = _is_l2(space)
     col_scale = np.sqrt(np.maximum(_diag_gram(space, atoms), 1e-300))
-    best = (math.inf, None, {})
+    best = {n: (math.inf, None, {}) for n in levels}
     for restart in range(GREEDY_RESTARTS):
         chosen: list = []
         resid = x.astype(float)
-        for step in range(n):
+        for step in range(top):
             corr = np.abs(_inner_products(space, atoms, resid)) / col_scale
             corr[chosen] = -math.inf
             if restart > 0 and step == 0:
-                top = np.argsort(corr)[-min(16, n_atoms):]
-                pick = int(rng.choice(top))
+                pick = int(rng.choice(np.argsort(corr)[-min(16, n_atoms):]))
             else:
                 pick = int(np.argmax(corr))
             chosen.append(pick)
-            _, _, approx = _weighted_l2_fit(space, atoms[:, chosen], x)
-            resid = x - approx
-        value, approx, status, _ = _fit_in_span(space, atoms[:, chosen], x)
-        if value < best[0]:
-            best = (value, approx, {"subset": sorted(chosen)})
-    value, approx, info = best
-    info.update(solver="greedy-omp", restarts=GREEDY_RESTARTS)
-    return value, approx, "upper-bound", info
+            cols = atoms[:, chosen]
+            fit = _fit_in_span(space, cols, x) if step + 1 in best else None
+            if fit is not None and fit[0] < best[step + 1][0]:
+                best[step + 1] = (fit[0], fit[1], {"subset": sorted(chosen)})
+            if step + 1 < top:
+                # in L2 the level's fit is the pursuit's own projection
+                approx = fit[1] if fit is not None and l2 else _weighted_l2_fit(space, cols, x)[2]
+                resid = x - approx
+    return {n: (value, approx, "upper-bound", {**info, "solver": "greedy-omp",
+                                               "restarts": GREEDY_RESTARTS})
+            for n, (value, approx, info) in best.items()}
 
 
-def _diag_gram(space: Space, atoms: np.ndarray) -> np.ndarray:
-    if space.carrier == "grid":
-        return np.sum(space.grid.weights[:, None] * atoms * atoms, axis=0)
-    return np.sum(atoms * atoms, axis=0)
+def _nterm_levels(space: Space, atoms: np.ndarray, x: np.ndarray, levels: list, seed: int) -> dict:
+    """Best n-term fits {n: (value, approx, status, info)} for each of `levels`.
 
-
-def _nterm_error(space: Space, atoms: np.ndarray, x: np.ndarray, n: int, seed: int):
-    if n <= 0:
-        return norm(space, x), np.zeros_like(x, dtype=float), "exact", {"solver": "zero-level"}
+    An orthonormal dictionary takes the top coefficients of one sort; other
+    levels search every subset when they number at most
+    EXHAUSTIVE_SUBSET_LIMIT, and the rest share one greedy run.
+    """
     n_atoms = atoms.shape[1]
-    n = min(n, n_atoms)
-    if _dictionary_is_orthonormal(space, atoms):
+    out: dict = {}
+    greedy = []
+    order = None
+    if max(levels) > 0 and _dictionary_is_orthonormal(space, atoms):
         b = _inner_products(space, atoms, x)
-        top = np.argsort(-np.abs(b))[:n]
-        approx = atoms[:, top] @ b[top]
-        value = norm(space, x - approx)
-        return value, approx, "exact", {"solver": "orthonormal-top-coefficients",
-                                        "subset": sorted(int(i) for i in top)}
-    if math.comb(n_atoms, n) <= EXHAUSTIVE_SUBSET_LIMIT:
-        return _nterm_exhaustive(space, atoms, x, n)
-    return _nterm_greedy(space, atoms, x, n, seed)
+        order = np.argsort(-np.abs(b))
+    for level in levels:
+        n = min(level, n_atoms)
+        if n <= 0:
+            out[level] = (_norm_unchecked(space, x), np.zeros_like(x, dtype=float), "exact",
+                          {"solver": "zero-level"})
+        elif order is not None:
+            top = order[:n]
+            approx = atoms[:, top] @ b[top]
+            out[level] = (_norm_unchecked(space, x - approx), approx, "exact",
+                          {"solver": "orthonormal-top-coefficients",
+                           "subset": sorted(int(i) for i in top)})
+        elif math.comb(n_atoms, n) <= EXHAUSTIVE_SUBSET_LIMIT:
+            out[level] = _nterm_exhaustive(space, atoms, x, n)
+        else:
+            greedy.append(level)  # level < n_atoms here, since comb(n_atoms, n_atoms) = 1
+    if greedy:
+        out.update(_nterm_greedy(space, atoms, x, greedy, seed))
+    return out
 
 
 # -- free-knot splines ----------------------------------------------------------
@@ -618,23 +708,25 @@ def _spline_sup(space: Space, x: np.ndarray, degree: int, pieces: int):
     approx = np.empty(npts)
     for i, j in zip(bounds[:-1], bounds[1:]):
         approx[i:j] = _sup_fit(_spline_columns(nodes[i:j], degree), x[i:j])[1]
-    value = norm(space, x - approx)
+    value = _norm_unchecked(space, x - approx)
     status = "exact" if value - lower <= tol else "upper-bound"
     return value, approx, status, {"solver": "greedy-segmentation", "iterations": passes,
                                    "lower": lower, "knot_nodes": bounds[1:-1]}
 
 
-def _spline_error(space: Space, x: np.ndarray, degree: int, knots: int):
-    """Sup norm: greedy segmentation; L_p: dynamic program over grid-node breakpoints."""
-    if space.norm_kind == "sup":
-        return _spline_sup(space, x, degree, knots + 1)
+def _spline_lp(space: Space, x: np.ndarray, degree: int, knots: list) -> list:
+    """L_p free-knot splines by a dynamic program over grid-node breakpoints,
+    one fit (value, approx, status, info) per knot count in `knots`.
+
+    The cost table and the DP rows do not depend on the largest knot count,
+    so one table and one DP to max(knots) + 1 pieces serve every count.
+    """
     g = space.grid
     npts = g.size
     if npts > 2049:
         raise NoSolverError("free-knot spline solver is limited to grids of <= 2049 nodes")
     if space.p < 1.0:
         raise NoSolverError("spline solver does not support p < 1 (non-convex regime)")
-    pieces = knots + 1
     if space.p == 2.0:
         cost = _spline_cost_table_l2(space, x, degree)
         status = "exact"
@@ -645,30 +737,47 @@ def _spline_error(space: Space, x: np.ndarray, degree: int, knots: int):
             for j in range(i + 1, npts + 1):
                 cost[i, j] = _spline_cost_entry(space, x, degree, i, j)[0]
 
-    dp = np.full((pieces + 1, npts + 1), math.inf)
-    arg = np.zeros((pieces + 1, npts + 1), dtype=int)
+    top = max(knots) + 1
+    dp = np.full((top + 1, npts + 1), math.inf)
+    arg = np.zeros((top + 1, npts + 1), dtype=int)
     dp[0, 0] = 0.0
-    for k in range(1, pieces + 1):
+    for k in range(1, top + 1):
         total = dp[k - 1][:, None] + cost
         dp[k] = np.min(total, axis=0)
         arg[k] = np.argmin(total, axis=0)
-    # reconstruct the minimizer
-    cuts = [npts]
-    k = pieces
-    while k > 0:
-        cuts.append(int(arg[k, cuts[-1]]))
-        k -= 1
-    cuts = cuts[::-1]
-    approx = np.empty(npts)
-    for i, j in zip(cuts[:-1], cuts[1:]):
-        if j <= i:
-            continue
-        approx[i:j] = _spline_cost_entry(space, x, degree, i, j)[1]
-    value = norm(space, x - approx)
-    return value, approx, status, {"solver": "breakpoint-dp", "knot_nodes": cuts[1:-1]}
+    fits = []
+    for count in knots:
+        cuts = [npts]
+        for k in range(count + 1, 0, -1):
+            cuts.append(int(arg[k, cuts[-1]]))
+        cuts = cuts[::-1]
+        approx = np.empty(npts)
+        for i, j in zip(cuts[:-1], cuts[1:]):
+            if j <= i:
+                continue
+            approx[i:j] = _spline_cost_entry(space, x, degree, i, j)[1]
+        fits.append((_norm_unchecked(space, x - approx), approx, status,
+                     {"solver": "breakpoint-dp", "knot_nodes": cuts[1:-1]}))
+    return fits
+
+
+def _spline_error(space: Space, x: np.ndarray, degree: int, knots: int):
+    """Sup norm: greedy segmentation; L_p: dynamic program over grid-node breakpoints."""
+    if space.norm_kind == "sup":
+        return _spline_sup(space, x, degree, knots + 1)
+    return _spline_lp(space, x, degree, [knots])[0]
 
 
 # -- rank -----------------------------------------------------------------------
+
+
+def _rank_value(space: Space, sv: np.ndarray, n: int) -> float:
+    """Eckart-Young: the error of the best rank-n approximation, from the singular values."""
+    if n >= sv.size:
+        return 0.0
+    if space.norm_kind == "hs":
+        return float(np.sqrt(np.sum(sv[n:] ** 2)))
+    return float(sv[n])
 
 
 def _rank_error(space: Space, x: np.ndarray, n: int):
@@ -677,11 +786,31 @@ def _rank_error(space: Space, x: np.ndarray, n: int):
     if n >= sv.size:
         return 0.0, x.copy(), "exact", {"solver": "svd-truncation"}
     trunc = (u[:, :n] * sv[:n]) @ vt[:n] if n > 0 else np.zeros_like(x)
-    if space.norm_kind == "hs":
-        value = float(np.sqrt(np.sum(sv[n:] ** 2)))
-    else:
-        value = float(sv[n])
-    return value, trunc, "exact", {"solver": "svd-truncation"}
+    return _rank_value(space, sv, n), trunc, "exact", {"solver": "svd-truncation"}
+
+
+# -- L2 chains ------------------------------------------------------------------
+
+
+def _chain_l2_values(space: Space, s: Scheme, x: np.ndarray, n_max: int) -> list:
+    """E(x, A_n), n = 0..n_max, of a chain in L2 (or ell_2) from one QR of [a | b].
+
+    a is the weighted basis up to the top level's dimension and b the weighted
+    element, factored in place (neither Q nor a copy of [a | b] is formed).
+    R[i, -1] is b's coordinate on the i-th orthonormal column of a,
+    so the residual at dimension d is sqrt(sum_{i >= d} |R[i, -1]|^2), a sum
+    of non-negative terms (no cancellation for members).
+    """
+    dims = [s.chain_dim(n) for n in range(n_max + 1)]
+    top = dims[-1]
+    ab = np.empty((x.size, top + 1), dtype=np.result_type(s.basis, x), order="F")
+    ab[:, :top] = s.basis[:, :top]
+    ab[:, top] = x
+    if space.carrier == "grid":
+        ab *= np.sqrt(space.grid.weights)[:, None]
+    _, r = linalg.qr(ab, overwrite_a=True, mode="raw", check_finite=False)
+    tails = np.cumsum((np.abs(r[:, -1]) ** 2)[::-1])[::-1]
+    return [float(np.sqrt(tails[d])) if d < tails.size else 0.0 for d in dims]
 
 
 # -- public dispatch --------------------------------------------------------------
@@ -711,7 +840,7 @@ def best_approx(space: Space, x: np.ndarray, s: Scheme, n: int, seed: int = 0) -
         value, approx, status, info = _rank_error(space, x, n)
         return BestApprox(value, approx, status, info)
     if s.kind in ("nterm", "wavelet-haar"):
-        value, approx, status, info = _nterm_error(space, s.dictionary.atoms, x, n, seed)
+        value, approx, status, info = _nterm_levels(space, s.dictionary.atoms, x, [n], seed)[n]
         return BestApprox(value, approx, status, info)
     if s.kind == "spline":
         value, approx, status, info = _spline_error(space, x, s.degree, n)
@@ -777,26 +906,63 @@ def thread_budget() -> int:
         return 1
 
 
+def _whole_profile(space: Space, x: np.ndarray, s: Scheme, n_max: int, seed: int) -> Optional[list]:
+    """Profile entries for n = 0..n_max from one factorization of x, or None
+    when the kind and norm are solved level by level.
+
+    Rank: one SVD.  L2 chains: one QR.  L_p splines: one cost table and one
+    DP.  L2 n-term: one coefficient sort, or exhaustive levels plus one
+    greedy run shared by the greedy levels.  The values are those of
+    `best_approx` at each level (bit-identical for splines and n-term).
+    """
+    levels = list(range(n_max + 1))
+    l2 = _is_l2(space)
+    if s.kind == "rank":
+        sv = np.linalg.svd(x, compute_uv=False)
+        fits = [(_rank_value(space, sv, n), "exact") for n in levels]
+    elif s.kind == "chain" and l2:
+        fits = [(value, "exact") for value in _chain_l2_values(space, s, x, n_max)]
+    elif s.kind == "spline" and space.norm_kind == "lp":
+        fits = [(value, status) for value, _, status, _ in _spline_lp(space, x, s.degree, levels)]
+    elif s.kind in ("nterm", "wavelet-haar") and l2:
+        by_level = _nterm_levels(space, s.dictionary.atoms, x, levels, seed)
+        fits = [(by_level[n][0], by_level[n][2]) for n in levels]
+    else:
+        return None
+    return [ProfileEntry(n, value, status) for n, (value, status) in zip(levels, fits)]
+
+
 def error_profile(space: Space, x: np.ndarray, s: Scheme, n_max: int, seed: int = 0) -> ErrorProfile:
-    """Tabulate E(x, A_n), n = 0..n_max; solver errors become entries, not raises."""
+    """Tabulate E(x, A_n), n = 0..n_max; solver errors become entries, not raises.
+
+    Kinds with a whole-profile solve (`_whole_profile`) factor x once, and an
+    error there becomes an entry at every level.  The other kinds are solved
+    level by level, on up to LETHARGY_THREADS threads.
+    """
     x = space.check(x)
     if n_max > s.n_max:
         raise SolverError(f"n_max {n_max} beyond the scheme window {s.n_max}")
+    documented = (NoSolverError, SolverError, SpaceError, SchemeError)
+    levels = list(range(n_max + 1))
 
     def one(n: int) -> ProfileEntry:
         try:
             r = best_approx(space, x, s, n, seed=seed)
             return ProfileEntry(n, r.value, r.status)
-        except (NoSolverError, SolverError, SpaceError, SchemeError) as exc:
+        except documented as exc:
             return ProfileEntry(n, math.nan, "error", str(exc))
 
-    levels = list(range(n_max + 1))
-    workers = min(thread_budget(), len(levels))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            entries = list(pool.map(one, levels))
-    else:
-        entries = [one(n) for n in levels]
+    try:
+        entries = _whole_profile(space, x, s, n_max, seed) if levels else []
+    except documented as exc:
+        entries = [ProfileEntry(n, math.nan, "error", str(exc)) for n in levels]
+    if entries is None:
+        workers = min(thread_budget(), len(levels))
+        if workers > 1:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                entries = list(pool.map(one, levels))
+        else:
+            entries = [one(n) for n in levels]
 
     # nesting makes any achieved value at level n feasible at n+1, so an
     # upper-bound entry may be tightened by its predecessors

@@ -207,7 +207,11 @@ class Space:
 
 def norm(space: Space, x: np.ndarray) -> float:
     """Evaluate the space's (quasi-)norm."""
-    x = space.check(x)
+    return _norm_unchecked(space, space.check(x))
+
+
+def _norm_unchecked(space: Space, x: np.ndarray) -> float:
+    """The norm of an array the caller has built from checked elements (no validation)."""
     kind = space.norm_kind
     if kind == "sup":
         return float(np.max(np.abs(x))) if x.size else 0.0

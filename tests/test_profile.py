@@ -1,0 +1,215 @@
+"""Whole-profile solves in `error_profile` against the per-level `best_approx`,
+the batched L2 n-term screen against the former fit of every subset, and work
+counts that keep each profile to one factorization."""
+
+import math
+from itertools import combinations
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import lethargy.solve as solve
+from lethargy.scheme import build_scheme, sample_element
+from lethargy.solve import (
+    GREEDY_RESTARTS,
+    NoSolverError,
+    SolverError,
+    _fit_in_span,
+    _nterm_exhaustive,
+    best_approx,
+    error_profile,
+)
+from lethargy.space import Grid, Space, norm
+
+
+def _grid(nodes: int, p: float = 2.0, domain: str = "interval") -> dict:
+    return {"carrier": "grid", "domain": domain, "nodes": nodes, "norm": "lp", "p": p}
+
+
+INLINE = {
+    "coordinate-chain": {"kind": "chain", "family": "coordinate", "n_max": 7,
+                         "space": {"carrier": "coords", "dim": 8, "norm": "lp", "p": 2.0}},
+    "monomial-chain-65": {"kind": "chain", "family": "monomial", "n_max": 9, "space": _grid(65)},
+    "trig-chain-64": {"kind": "chain", "family": "trig", "n_max": 6,
+                      "space": _grid(64, domain="torus")},
+    "spline-33": {"kind": "spline", "degree": 3, "n_max": 4, "space": _grid(33)},
+    "spline-p1.5": {"kind": "spline", "degree": 2, "n_max": 2, "space": _grid(12, p=1.5)},
+    "rank-5-operator": {"kind": "rank", "n_max": 5,
+                        "space": {"carrier": "matrix", "side": 5, "norm": "operator"}},
+    "poly-atoms": {"kind": "nterm", "n_max": 9, "dictionary": {"family": "monomial", "count": 9},
+                   "space": _grid(33)},
+}
+SCHEMES = {name: build_scheme(name) for name in (
+    "monomial-chain-l2", "orthonormal-nterm", "char-binary-intervals", "haar-wavelet-nterm",
+    "free-knot-spline", "rank-8-hs", "rank-8-operator")}
+SCHEMES.update({name: build_scheme(desc) for name, desc in INLINE.items()})
+
+
+def per_level_profile(s, x, n_max, seed):
+    """(value, status) per level from `best_approx`, with the monotone
+    tightening of upper-bound entries that `error_profile` applies."""
+    out, best = [], math.inf
+    for n in range(n_max + 1):
+        try:
+            r = best_approx(s.space, x, s, n, seed=seed)
+        except (NoSolverError, SolverError) as exc:
+            out.append((str(exc), "error"))
+            continue
+        value = best if r.status == "upper-bound" and r.value > best else r.value
+        best = min(best, value)
+        out.append((value, r.status))
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(SCHEMES)), st.integers(0, 2**32 - 1),
+       st.sampled_from(["random", "member"]))
+def test_profile_matches_per_level_solves(name, seed, element):
+    s = SCHEMES[name]
+    rng = np.random.default_rng(seed)
+    if element == "member":
+        x = sample_element(s, int(rng.integers(0, s.n_max + 1)), rng)
+    else:
+        x = rng.standard_normal(s.space.shape)
+    prof = error_profile(s.space, x, s, s.n_max, seed=seed % 1000)
+    want = per_level_profile(s, x, s.n_max, seed % 1000)
+    assert [e.status for e in prof.entries] == [status for _, status in want]
+    got = [e.value for e in prof.entries]
+    if s.kind in ("rank", "chain"):
+        scale = norm(s.space, x)
+        assert got == [pytest.approx(v, rel=1e-12, abs=1e-12 * scale) for v, _ in want]
+    else:
+        assert got == [v for v, _ in want]  # bit-identical
+
+
+def test_shared_factorization_errors_become_entries():
+    s = build_scheme({"kind": "spline", "degree": 2, "n_max": 3, "space": _grid(33, p=0.5)})
+    x = np.random.default_rng(0).standard_normal(33)
+    prof = error_profile(s.space, x, s, 3)
+    want = per_level_profile(s, x, 3, 0)
+    assert [(e.status, e.note) for e in prof.entries] == [(st_, msg) for msg, st_ in want]
+    assert all(e.status == "error" for e in prof.entries)
+
+
+def test_l2_chain_member_profile_vanishes(rng):
+    s = SCHEMES["monomial-chain-l2"]
+    x = s.basis[:, :6] @ rng.standard_normal(6)  # an element of A_5
+    vals = error_profile(s.space, x, s, s.n_max).values()
+    assert np.all(vals[5:] <= 1e-9 * norm(s.space, x))
+    assert vals[4] > 1e-6 * norm(s.space, x)
+
+
+# -- the batched exhaustive screen against the former loop ----------------------------
+
+
+def loop_exhaustive(space, atoms, x, n):
+    """The former exhaustive search: a direct fit of every n-subset, keeping
+    the first least value in `combinations` order."""
+    best = (math.inf, None, "exact", {})
+    statuses = set()
+    for subset in combinations(range(atoms.shape[1]), n):
+        value, approx, status, _ = _fit_in_span(space, atoms[:, list(subset)], x)
+        statuses.add(status)
+        if value < best[0]:
+            best = (value, approx, status, {"subset": list(subset)})
+    value, approx, status, info = best
+    status = "exact" if statuses == {"exact"} else "upper-bound"
+    info.update(solver="exhaustive-subsets")
+    return value, approx, status, info
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(3, 12), st.integers(2, 9), st.integers(1, 5), st.integers(0, 2**32 - 1),
+       st.sampled_from(["random", "duplicate", "near-parallel", "scaled", "member"]),
+       st.sampled_from([1e-3, 1e-6, 1e-9]), st.booleans())
+def test_screen_matches_fitting_every_subset(dim, n_atoms, n, seed, shape, delta, on_grid):
+    n = min(n, n_atoms)
+    rng = np.random.default_rng(seed)
+    space = Space.lp_grid(Grid.interval(0.0, 1.0, dim), 2.0) if on_grid else Space.coords(dim, 2.0)
+    atoms = rng.standard_normal((dim, n_atoms))
+    if shape == "duplicate":
+        atoms[:, -1] = atoms[:, 0]
+    elif shape == "near-parallel":
+        atoms[:, -1] = atoms[:, 0] + delta * rng.standard_normal(dim)
+    elif shape == "scaled":  # a direct fit truncates the small columns
+        atoms *= 10.0 ** rng.uniform(-8.0, 8.0, n_atoms)
+    x = rng.standard_normal(dim)
+    if shape == "member" or rng.uniform() < 0.3:
+        pick = rng.choice(n_atoms, size=n, replace=False)
+        x = atoms[:, pick] @ rng.standard_normal(n) + (0.0 if shape == "member" else delta * x)
+    value, approx, status, info = _nterm_exhaustive(space, atoms, x, n)
+    want_value, want_approx, want_status, want_info = loop_exhaustive(space, atoms, x, n)
+    assert value == want_value
+    assert info == want_info
+    assert status == want_status
+    assert np.array_equal(approx, want_approx)
+
+
+# -- work counts ---------------------------------------------------------------------
+
+
+def _count(monkeypatch, owner, name):
+    calls = []
+    fn = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["rank-8-hs", "rank-8-operator"])
+def test_one_svd_per_rank_profile(name, rng, monkeypatch):
+    s = SCHEMES[name]
+    x = rng.standard_normal(s.space.shape)
+    calls = _count(monkeypatch, np.linalg, "svd")
+    error_profile(s.space, x, s, s.n_max)
+    # the operator norm of the element, reported beside the profile, is an SVD too
+    assert len(calls) == (1 if s.space.norm_kind == "hs" else 2)
+
+
+@pytest.mark.parametrize("name", ["monomial-chain-l2", "trig-chain-64", "coordinate-chain"])
+def test_one_qr_per_l2_chain_profile(name, rng, monkeypatch):
+    s = SCHEMES[name]
+    x = rng.standard_normal(s.space.shape)
+    qr = _count(monkeypatch, solve.linalg, "qr")
+    lstsq = _count(monkeypatch, np.linalg, "lstsq")
+    error_profile(s.space, x, s, s.n_max)
+    assert (len(qr), len(lstsq)) == (1, 0)
+
+
+def test_one_cost_table_per_spline_profile(rng, monkeypatch):
+    s = SCHEMES["free-knot-spline"]
+    x = rng.standard_normal(s.space.shape)
+    calls = _count(monkeypatch, solve, "_spline_cost_table_l2")
+    error_profile(s.space, x, s, s.n_max)
+    assert len(calls) == 1
+
+
+def test_one_greedy_run_per_nterm_profile(rng, monkeypatch):
+    s = SCHEMES["haar-wavelet-nterm"]  # 1023 atoms: level 1 exhaustive, 2..6 greedy
+    x = rng.standard_normal(s.space.shape)
+    runs = _count(monkeypatch, solve, "_nterm_greedy")
+    picks = _count(monkeypatch, solve, "_inner_products")
+    error_profile(s.space, x, s, s.n_max)
+    assert len(runs) == 1
+    # one correlation per pick: GREEDY_RESTARTS runs to the top level, plus
+    # the screen's A^T W x at level 1
+    assert len(picks) == GREEDY_RESTARTS * s.n_max + 1
+
+
+def test_greedy_fits_do_not_revalidate(rng, monkeypatch):
+    s = SCHEMES["haar-wavelet-nterm"]
+    x = rng.standard_normal(s.space.shape)
+    counts = []
+    for n in (3, 6):
+        checks = _count(monkeypatch, Space, "check")
+        res = best_approx(s.space, x, s, n)
+        assert res.info["solver"] == "greedy-omp"
+        counts.append(len(checks))
+        monkeypatch.undo()
+    assert counts == [1, 1]  # the element itself, not one check per fit
