@@ -9,7 +9,6 @@ past the window.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -109,10 +108,6 @@ class NullSequence:
     @classmethod
     def from_json(cls, d: dict) -> "NullSequence":
         return cls(np.asarray(d["values"], dtype=float), TailModel.from_json(d["tail"]))
-
-    def dump_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json(), fh)
 
     def dump_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:

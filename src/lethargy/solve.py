@@ -37,12 +37,14 @@ from .space import Space, SpaceError, _norm_unchecked, norm
 
 LP_TOL = 1e-10
 EXCHANGE_MAX_ITER = 100
+EXCHANGE_ROUNDING = 1e-13  # a closed exchange bracket this narrow (relative) is rounding
 IRLS_MAX_ITER = 500
 IRLS_REL_TOL = 1e-10
 IRLS_WEIGHT_FLOOR = 1e-12
 EXHAUSTIVE_SUBSET_LIMIT = 100_000
 GREEDY_RESTARTS = 8
 SCREEN_CHUNK = 4096  # subsets per batched eigensolve of the L2 n-term screen
+SPLINE_CELL_BLOCK = 1 << 13  # cells per block of the L2 spline cost table
 
 
 class NoSolverError(NotImplementedError):
@@ -110,16 +112,19 @@ def _sup_fit(cols: np.ndarray, x: np.ndarray):
 
     and lower = |h| / ||lam||_1 is a lower bound on the best error (de la
     Vallee Poussin); it equals |h| when the columns form a Haar system.  The
-    loop stops once the re-measured max |x - cols c| is within
-    LP_TOL * max(1, ||x||_inf) of the best lower bound seen.  A singular
-    system, a stalled reference or the iteration cap sends the fit to the
-    LP, which runs at HiGHS default tolerances (LP_TOL is not passed to it).
+    bracket closes once the re-measured max |x - cols c| is within
+    tol = LP_TOL * max(1, ||x||_inf) of the best lower bound seen; unless
+    lower <= tol, the exchange goes on while it lowers the value, down to a
+    gap of EXCHANGE_ROUNDING * max(1, ||x||_inf).  A singular system, a
+    stalled reference or the iteration cap before the bracket closes sends
+    the fit to the LP, which runs at HiGHS default tolerances.
 
     Returns (value, approx, info); info holds solver, iterations and lower.
     """
     n, d = cols.shape
-    tol = LP_TOL * max(1.0, float(np.max(np.abs(x))))
-    lower, it = 0.0, 0
+    scale = max(1.0, float(np.max(np.abs(x))))
+    tol = LP_TOL * scale
+    lower, it, best = 0.0, 0, None
     if n <= d:  # no reference of d+1 points: interpolate, bracket [0, value]
         coef, *_ = np.linalg.lstsq(cols, x, rcond=None)
         approx = cols @ coef
@@ -143,13 +148,18 @@ def _sup_fit(cols: np.ndarray, x: np.ndarray):
             peak = int(absr.argmax())
             value = float(absr[peak])
             lower = max(lower, abs(float(sol[d])) / float(np.abs(inv[d]).sum()))
+            if best is not None and value >= best[0]:
+                break
             if value - lower <= tol:
-                return value, approx, {"solver": "exchange", "iterations": it, "lower": lower,
-                                       "tol": LP_TOL}
+                best = value, approx
+                if lower <= tol or value - lower <= EXCHANGE_ROUNDING * scale:
+                    break
             new = _exchange_reference(ref, resid < 0, absr, peak)
             if np.array_equal(new, ref):  # stalled: not a Haar system on this reference
                 break
             ref = new
+        if best is not None:
+            return *best, {"solver": "exchange", "iterations": it, "lower": lower, "tol": LP_TOL}
     value, _, approx = _sup_fit_lp(cols, x)
     return value, approx, {"solver": "lp", "iterations": it, "lower": lower, "tol": LP_TOL}
 
@@ -203,23 +213,24 @@ def l1_fit_lp(cols: np.ndarray, x: np.ndarray, weights: np.ndarray):
     return float(np.sum(weights * np.abs(x - approx))), coef, approx
 
 
-def _lp_power_error(space: Space, resid: np.ndarray, p: float) -> float:
-    if space.carrier == "grid":
-        return float(np.sum(space.grid.weights * np.abs(resid) ** p))
-    return float(np.sum(np.abs(resid) ** p))
-
-
-def _irls_fit(space: Space, cols: np.ndarray, x: np.ndarray, p: float):
-    """Iteratively reweighted least squares for 1 <= p < infinity.
+def _irls_fit(cols: np.ndarray, x: np.ndarray, quad: np.ndarray, p: float):
+    """Iteratively reweighted least squares for 1 <= p < infinity in the norm
+    (sum_i quad_i |r_i|^p)^(1/p), with quadrature weights `quad`.
 
     Returns an achieved (upper-bound) value with a convergence certificate.
     """
+    def power_norm(resid: np.ndarray) -> float:
+        return float(np.sum(quad * np.abs(resid) ** p)) ** (1.0 / p)
+
     if cols.shape[1] == 0:
-        return _norm_unchecked(space, x), np.zeros(0), np.zeros_like(x, dtype=float), {"converged": True, "iterations": 0}
-    quad = space.grid.weights if space.carrier == "grid" else np.ones(x.size)
-    _, coef, approx = _weighted_l2_fit(space, cols, x)
+        return power_norm(x), np.zeros(0), np.zeros_like(x, dtype=float), {"converged": True, "iterations": 0}
+    u = np.sqrt(quad)
+    coef, *_ = np.linalg.lstsq(cols * u[:, None], x * u, rcond=None)
+    approx = cols @ coef
     resid = x - approx
-    value = _lp_power_error(space, resid, p) ** (1.0 / p)
+    value = power_norm(resid)
+    if p == 2.0:  # the weighted projection
+        return value, coef, approx, {"converged": True, "iterations": 0}
     info = {"converged": False, "iterations": 0, "last_rel_change": math.inf}
     scale = max(float(np.max(np.abs(x))), 1.0)
     for it in range(1, IRLS_MAX_ITER + 1):
@@ -228,7 +239,7 @@ def _irls_fit(space: Space, cols: np.ndarray, x: np.ndarray, p: float):
         coef, *_ = np.linalg.lstsq(cols * u[:, None], x * u, rcond=None)
         approx = cols @ coef
         resid = x - approx
-        new_value = _lp_power_error(space, resid, p) ** (1.0 / p)
+        new_value = power_norm(resid)
         change = abs(new_value - value) / max(new_value, 1e-300)
         info.update(iterations=it, last_rel_change=change)
         value = new_value
@@ -256,7 +267,8 @@ def _fit_in_span(space: Space, cols: np.ndarray, x: np.ndarray):
                 "best approximation from a linear span with p < 1 is non-convex; "
                 "only quantizer, rank, and interleaved-c0 kinds support p < 1"
             )
-        value, _, approx, info = _irls_fit(space, cols, x, space.p)
+        quad = space.grid.weights if space.carrier == "grid" else np.ones(x.size)
+        value, _, approx, info = _irls_fit(cols, x, quad, space.p)
         info["solver"] = "irls"
         status = "upper-bound"
         return value, approx, status, info
@@ -602,75 +614,83 @@ def _nterm_levels(space: Space, atoms: np.ndarray, x: np.ndarray, levels: list, 
 # -- free-knot splines ----------------------------------------------------------
 
 
+def _hankel_quad(mom: np.ndarray, rhs: np.ndarray):
+    """b^T A^-1 b and the least pivot of A = L D L^T for stacked d x d Hankel
+    systems A[a, c] = mom[a + c] with right-hand sides b = rhs, by an LDL^T
+    without pivoting, unrolled over a and c and vectorized over the stack."""
+    d = len(rhs)
+    ld, low, z = {}, {}, []  # ld[i, k] = L[i, k] * D[k]
+    for j in range(d):
+        for i in range(j, d):
+            e = mom[i + j]
+            for k in range(j):
+                e = e - ld[i, k] * low[j, k]
+            ld[i, j] = e
+            if i > j:
+                low[i, j] = e / ld[j, j]
+        zj = rhs[j]
+        for k in range(j):
+            zj = zj - low[j, k] * z[k]
+        z.append(zj)
+    pivots = [ld[j, j] for j in range(d)]
+    return sum(zj * zj / pj for zj, pj in zip(z, pivots)), np.minimum.reduce(pivots)
+
+
 def _spline_cost_table_l2(space: Space, x: np.ndarray, degree: int) -> np.ndarray:
     """cost[i, j] = squared L2 error of the best degree-<degree> fit on nodes [i, j).
 
-    Cells with at most `degree` nodes are interpolated exactly (cost 0); the
-    rest are solved in one batched normal-equation pass per row, using moment
-    cumsums in powers of (t - t_i).
+    Cells of at most `degree` nodes are interpolated (cost 0).  Row i solves
+    the normal equations in the powers of (t - t_i) / (t_N - t_i), its own
+    shift and scale: in raw powers the short cells' Hankel moment matrices
+    are singular to working precision.  A block of about SPLINE_CELL_BLOCK
+    cells [i, j), j - 1 from its first row on (earlier columns weigh 0),
+    takes one cumsum and one `_hankel_quad` for x^T W x - b^T A^-1 b, so the
+    working set stays near 2 MB at degree 4.  A cell whose least pivot is
+    not positive, or whose error is not finite, is re-solved by
+    `_spline_cost_entry`: no NaN reaches the table.
     """
-    g = space.grid
-    t, w = g.nodes, g.weights
-    npts = t.size
-    d = degree  # number of coefficients
-    hankel_idx = np.add.outer(np.arange(d), np.arange(d))
+    t, w = space.grid.nodes, space.grid.weights
+    npts, d = t.size, degree  # d coefficients, moments of the powers 0 .. 2d-2
     cost = np.full((npts + 1, npts + 1), math.inf)
-    for i in range(npts):
-        span = npts - i
-        dt = (t[i:] - t[i]) / max(float(t[-1] - t[i]), 1e-300)
-        pows = np.vander(dt, 2 * d - 1, increasing=True)  # powers 0 .. 2d-2
-        ws = w[i:]
-        mom = np.cumsum(ws[:, None] * pows, axis=0)          # sum w * dt^a
-        rhs_all = np.cumsum(ws[:, None] * pows[:, :d] * x[i:, None], axis=0)
-        xx = np.cumsum(ws * x[i:] ** 2)
-        small = min(d, span)
-        cost[i, i + 1:i + small + 1] = 0.0  # interpolating fits
-        if span > d:
-            lens = np.arange(d + 1, span + 1)
-            a_stack = mom[lens - 1][:, hankel_idx]           # (L, d, d)
-            b_stack = rhs_all[lens - 1]                      # (L, d)
-            coef = np.linalg.solve(a_stack, b_stack[..., None])[..., 0]
-            sq = xx[lens - 1] - np.einsum("ld,ld->l", coef, b_stack)
-            cost[i, i + d + 1:npts + 1] = np.maximum(sq, 0.0)
+    for size in range(1, d + 1):  # interpolated cells
+        cost[np.arange(npts + 1 - size), np.arange(size, npts + 1)] = 0.0
+    i0 = 0
+    while i0 < npts - d:
+        rows = min(max(1, SPLINE_CELL_BLOCK // (npts - i0)), npts - d - i0)
+        start = np.arange(i0, i0 + rows)[:, None]
+        ahead = np.arange(i0, npts) - start  # cell [i, j) sits at ahead = j - 1 - i
+        dt = (t[i0:] - t[start]) / (t[-1] - t[start])
+        sums = np.empty((3 * d, rows, npts - i0))
+        sums[0] = np.where(ahead >= 0, w[i0:], 0.0)
+        power = dt
+        for a in range(1, 2 * d - 1):
+            np.multiply(sums[0], power, out=sums[a])
+            power = power * dt
+        np.multiply(sums[:d], x[i0:], out=sums[2 * d - 1:-1])
+        sums[-1] = np.where(ahead >= 0, w[i0:] * x[i0:] ** 2, 0.0)
+        np.cumsum(sums, axis=2, out=sums)
+        with np.errstate(all="ignore"):  # cells of at most d nodes are singular
+            quad, pivot = _hankel_quad(sums[:2 * d - 1], sums[2 * d - 1:-1])
+            sq = sums[-1] - quad
+        fit = ahead >= d
+        np.copyto(cost[i0:i0 + rows, i0 + 1:], np.maximum(sq, 0.0), where=fit)
+        for r, c in zip(*np.nonzero(fit & ~((pivot > 0) & np.isfinite(sq)))):
+            i, j = i0 + int(r), i0 + int(c) + 1
+            cost[i, j] = _spline_cost_entry(space, x, degree, i, j)[0]
+        i0 += rows
     return cost
 
 
 def _spline_cost_entry(space: Space, x: np.ndarray, degree: int, i: int, j: int):
     """p-power error, fit and status of the best degree-<degree> L_p fit on nodes [i, j)."""
-    g = space.grid
-    cols = _spline_columns(g.nodes[i:j], degree)
-    quad = g.weights[i:j]
-    if space.p == 2.0:
-        u = np.sqrt(quad)
-        coef, *_ = np.linalg.lstsq(cols * u[:, None], x[i:j] * u, rcond=None)
-        approx = cols @ coef
-        return float(np.sum(quad * (x[i:j] - approx) ** 2)), approx, "exact"
-    value_p, coef, approx, info = _irls_on_slice(cols, x[i:j], quad, space.p)
-    return value_p, approx, "upper-bound"
+    quad = space.grid.weights[i:j]
+    approx = _irls_fit(_spline_columns(space.grid.nodes[i:j], degree), x[i:j], quad, space.p)[2]
+    status = "exact" if space.p == 2.0 else "upper-bound"
+    return float(np.sum(quad * np.abs(x[i:j] - approx) ** space.p)), approx, status
 
 
 def _spline_columns(t: np.ndarray, degree: int) -> np.ndarray:
     return np.vander((t - t.mean()) / max(float(np.ptp(t)), 1e-300), degree, increasing=True)
-
-
-def _irls_on_slice(cols: np.ndarray, y: np.ndarray, quad: np.ndarray, p: float):
-    u = np.sqrt(quad)
-    coef, *_ = np.linalg.lstsq(cols * u[:, None], y * u, rcond=None)
-    approx = cols @ coef
-    scale = max(float(np.max(np.abs(y))), 1.0)
-    value = float(np.sum(quad * np.abs(y - approx) ** p))
-    info = {}
-    for it in range(60):
-        r = np.maximum(np.abs(y - approx), IRLS_WEIGHT_FLOOR * scale)
-        uu = np.sqrt(quad * r ** (p - 2.0))
-        coef, *_ = np.linalg.lstsq(cols * uu[:, None], y * uu, rcond=None)
-        approx = cols @ coef
-        new_value = float(np.sum(quad * np.abs(y - approx) ** p))
-        if abs(new_value - value) < IRLS_REL_TOL * max(new_value, 1e-300):
-            value = new_value
-            break
-        value = new_value
-    return value, coef, approx, info
 
 
 def _spline_sup(space: Space, x: np.ndarray, degree: int, pieces: int):
@@ -720,6 +740,8 @@ def _spline_lp(space: Space, x: np.ndarray, degree: int, knots: list) -> list:
 
     The cost table and the DP rows do not depend on the largest knot count,
     so one table and one DP to max(knots) + 1 pieces serve every count.
+    Only the DP's choice of cuts reads the table: each chosen cell is refitted
+    by `_spline_cost_entry`, and the value is re-measured on x - approx.
     """
     g = space.grid
     npts = g.size
@@ -743,8 +765,8 @@ def _spline_lp(space: Space, x: np.ndarray, degree: int, knots: list) -> list:
     dp[0, 0] = 0.0
     for k in range(1, top + 1):
         total = dp[k - 1][:, None] + cost
-        dp[k] = np.min(total, axis=0)
         arg[k] = np.argmin(total, axis=0)
+        dp[k] = np.take_along_axis(total, arg[k][None], axis=0)[0]
     fits = []
     for count in knots:
         cuts = [npts]
@@ -906,20 +928,24 @@ def thread_budget() -> int:
         return 1
 
 
-def _whole_profile(space: Space, x: np.ndarray, s: Scheme, n_max: int, seed: int) -> Optional[list]:
-    """Profile entries for n = 0..n_max from one factorization of x, or None
-    when the kind and norm are solved level by level.
+def _whole_profile(space: Space, x: np.ndarray, s: Scheme, n_max: int, seed: int) -> Optional[tuple]:
+    """(entries, element norm or None) for n = 0..n_max from one factorization
+    of x, or None when the kind and norm are solved level by level.
 
-    Rank: one SVD.  L2 chains: one QR.  L_p splines: one cost table and one
-    DP.  L2 n-term: one coefficient sort, or exhaustive levels plus one
-    greedy run shared by the greedy levels.  The values are those of
+    Rank: one SVD, whose top singular value is the operator norm.  L2
+    chains: one QR.  L_p splines: one cost table and one DP.  L2 n-term: one
+    coefficient sort, or exhaustive levels plus one greedy run shared by the
+    greedy levels.  The values are those of
     `best_approx` at each level (bit-identical for splines and n-term).
     """
     levels = list(range(n_max + 1))
     l2 = _is_l2(space)
+    element_norm = None
     if s.kind == "rank":
         sv = np.linalg.svd(x, compute_uv=False)
         fits = [(_rank_value(space, sv, n), "exact") for n in levels]
+        if space.norm_kind == "operator":
+            element_norm = float(sv[0]) if sv.size else 0.0
     elif s.kind == "chain" and l2:
         fits = [(value, "exact") for value in _chain_l2_values(space, s, x, n_max)]
     elif s.kind == "spline" and space.norm_kind == "lp":
@@ -929,7 +955,7 @@ def _whole_profile(space: Space, x: np.ndarray, s: Scheme, n_max: int, seed: int
         fits = [(by_level[n][0], by_level[n][2]) for n in levels]
     else:
         return None
-    return [ProfileEntry(n, value, status) for n, (value, status) in zip(levels, fits)]
+    return [ProfileEntry(n, value, status) for n, (value, status) in zip(levels, fits)], element_norm
 
 
 def error_profile(space: Space, x: np.ndarray, s: Scheme, n_max: int, seed: int = 0) -> ErrorProfile:
@@ -953,9 +979,10 @@ def error_profile(space: Space, x: np.ndarray, s: Scheme, n_max: int, seed: int 
             return ProfileEntry(n, math.nan, "error", str(exc))
 
     try:
-        entries = _whole_profile(space, x, s, n_max, seed) if levels else []
+        whole = _whole_profile(space, x, s, n_max, seed) if levels else ([], None)
     except documented as exc:
-        entries = [ProfileEntry(n, math.nan, "error", str(exc)) for n in levels]
+        whole = [ProfileEntry(n, math.nan, "error", str(exc)) for n in levels], None
+    entries, element_norm = whole or (None, None)
     if entries is None:
         workers = min(thread_budget(), len(levels))
         if workers > 1:
@@ -976,4 +1003,4 @@ def error_profile(space: Space, x: np.ndarray, s: Scheme, n_max: int, seed: int 
             e = ProfileEntry(e.n, best_so_far, e.status, "tightened by level monotonicity")
         best_so_far = min(best_so_far, e.value)
         out.append(e)
-    return ErrorProfile(out, s.label, norm(space, x))
+    return ErrorProfile(out, s.label, norm(space, x) if element_norm is None else element_norm)

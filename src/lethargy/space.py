@@ -87,12 +87,6 @@ class Grid:
         nodes = TWO_PI * np.arange(n) / n
         return cls(nodes, np.full(n, TWO_PI / n), "torus", 0.0, TWO_PI)
 
-    def sample(self, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-        return np.asarray(f(self.nodes))
-
-    def integrate(self, values: np.ndarray) -> float:
-        return float(np.real(np.sum(self.weights * values)))
-
     def total_variation(self, values: np.ndarray) -> float:
         return float(np.sum(np.abs(np.diff(values))))
 

@@ -301,8 +301,7 @@ def witness_haar_bumps(n: int, p: float, family: str = "poly",
             record("exact-l1-lp", 0, approx1)
             coef0 = coef1
         elif p != 2.0:
-            sub = Space.lp_grid(grid, p)
-            value, coefp, approxp, info = solve._irls_fit(sub, cols, h, p)
+            value, coefp, approxp, info = solve._irls_fit(cols, h, grid.weights, p)
             record("irls-local-minimum", 0, approxp)
             coef0 = coefp
         scale = max(float(np.max(np.abs(coef0))), 1.0)

@@ -61,7 +61,7 @@ class TestChainSolvers:
         assert exact.status == "exact"
         from lethargy.solve import _irls_fit
 
-        value, _, _, info = _irls_fit(s2.space, s2.basis[:, :4], x, 2.0)
+        value, _, _, info = _irls_fit(s2.basis[:, :4], x, s2.space.grid.weights, 2.0)
         assert value == pytest.approx(exact.value, abs=1e-8)
 
     def test_irls_general_p_reports_upper_bound(self):

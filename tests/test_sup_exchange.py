@@ -99,3 +99,12 @@ def test_generic_elements_use_the_exchange():
             _, _, info = _sup_fit(cols, rng.standard_normal(cols.shape[0]))
             assert info["solver"] == "exchange"
             assert 1 <= info["iterations"]
+
+
+def test_closed_bracket_goes_on_to_the_best_error():
+    # the reference {3, 2} closes the bracket within LP_TOL at 1 + 5e-11;
+    # one more exchange step reaches the best error, 1
+    cols, x = np.ones((4, 1)), np.array([1.0, 0.0, 2.0, 1e-10])
+    value, approx, info = _sup_fit(cols, x)
+    assert (value, info["lower"], info["solver"]) == (1.0, 1.0, "exchange")
+    assert_bracket_against_lp(cols, x)
