@@ -16,7 +16,7 @@ from .seq import (
     lethargy_majorant,
     nonincreasing_rearrangement,
 )
-from .space import Grid, Space, SpaceError, norm, set_distance
+from .space import Grid, Space, SpaceError, norm
 from .scheme import (
     Dictionary,
     Scheme,

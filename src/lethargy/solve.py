@@ -38,6 +38,7 @@ from .space import Space, SpaceError, _norm_unchecked, norm
 LP_TOL = 1e-10
 EXCHANGE_MAX_ITER = 100
 EXCHANGE_ROUNDING = 1e-13  # a closed exchange bracket this narrow (relative) is rounding
+EXCHANGE_MAX_COND = 1e12  # a reference system with ||A||_inf ||A^-1||_inf above this is singular
 IRLS_MAX_ITER = 500
 IRLS_REL_TOL = 1e-10
 IRLS_WEIGHT_FLOOR = 1e-12
@@ -117,14 +118,17 @@ def _sup_fit(cols: np.ndarray, x: np.ndarray):
     lower <= tol, the exchange goes on while it lowers the value, down to a
     gap of EXCHANGE_ROUNDING * max(1, ||x||_inf).  A singular system, a
     stalled reference or the iteration cap before the bracket closes sends
-    the fit to the LP, which runs at HiGHS default tolerances.
+    the fit to the LP, which runs at HiGHS default tolerances.  So does a
+    closed bracket whose system, or the one behind `lower`, is singular to
+    working precision (||system||_inf ||inv||_inf > EXCHANGE_MAX_COND; `inv`
+    need not raise, e.g. on a repeated column), checked once per fit.
 
     Returns (value, approx, info); info holds solver, iterations and lower.
     """
     n, d = cols.shape
     scale = max(1.0, float(np.max(np.abs(x))))
     tol = LP_TOL * scale
-    lower, it, best = 0.0, 0, None
+    lower, it, best, lower_system = 0.0, 0, None, None
     if n <= d:  # no reference of d+1 points: interpolate, bracket [0, value]
         coef, *_ = np.linalg.lstsq(cols, x, rcond=None)
         approx = cols @ coef
@@ -147,21 +151,31 @@ def _sup_fit(cols: np.ndarray, x: np.ndarray):
             absr = np.abs(resid)
             peak = int(absr.argmax())
             value = float(absr[peak])
-            lower = max(lower, abs(float(sol[d])) / float(np.abs(inv[d]).sum()))
+            current = ref, inv
+            bound = abs(float(sol[d])) / float(np.abs(inv[d]).sum())
+            if bound > lower:
+                lower, lower_system = bound, current
             if best is not None and value >= best[0]:
                 break
             if value - lower <= tol:
-                best = value, approx
+                best = value, approx, current
                 if lower <= tol or value - lower <= EXCHANGE_ROUNDING * scale:
                     break
             new = _exchange_reference(ref, resid < 0, absr, peak)
             if np.array_equal(new, ref):  # stalled: not a Haar system on this reference
                 break
             ref = new
-        if best is not None:
-            return *best, {"solver": "exchange", "iterations": it, "lower": lower, "tol": LP_TOL}
+        if best is not None and _reference_cond(cols, *best[2]) <= EXCHANGE_MAX_COND and (
+                lower_system is None or lower_system is best[2]
+                or _reference_cond(cols, *lower_system) <= EXCHANGE_MAX_COND):
+            return *best[:2], {"solver": "exchange", "iterations": it, "lower": lower, "tol": LP_TOL}
     value, _, approx = _sup_fit_lp(cols, x)
     return value, approx, {"solver": "lp", "iterations": it, "lower": lower, "tol": LP_TOL}
+
+
+def _reference_cond(cols: np.ndarray, ref: np.ndarray, inv: np.ndarray) -> float:
+    """||[cols[ref], s]||_inf ||inv||_inf; the +-1 column s adds 1 to every row sum."""
+    return (linalg.lapack.dlange("I", cols[ref]) + 1.0) * linalg.lapack.dlange("I", inv)
 
 
 def _exchange_reference(ref: np.ndarray, neg: np.ndarray, absr: np.ndarray, peak: int) -> np.ndarray:
@@ -889,12 +903,6 @@ class ErrorProfile:
 
     def values(self) -> np.ndarray:
         return np.array([e.value for e in self.entries if e.status != "error"])
-
-    def value_at(self, n: int) -> float:
-        for e in self.entries:
-            if e.n == n:
-                return e.value
-        raise KeyError(n)
 
     def to_json(self) -> dict:
         return {

@@ -7,11 +7,9 @@ plain numpy arrays; the space object validates shape and evaluates the norm.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -219,45 +217,3 @@ def _norm_unchecked(space: Space, x: np.ndarray) -> float:
         return float(np.linalg.norm(x, "fro"))
     sv = np.linalg.svd(x, compute_uv=False)
     return float(sv[0]) if sv.size else 0.0
-
-
-def set_distance(space: Space, elements: Iterable[np.ndarray], dist: Callable[[np.ndarray], float]) -> float:
-    """sup over the finite set of the oracle distance E(b, A)."""
-    best = None
-    for b in elements:
-        d = float(dist(space.check(b)))
-        best = d if best is None else max(best, d)
-    if best is None:
-        raise SpaceError("set distance over an empty set")
-    return best
-
-
-# -- serialization helpers --------------------------------------------------
-
-
-def grid_function_to_csv(grid: Grid, values: np.ndarray, path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["node", "value"])
-        for t, v in zip(grid.nodes, values):
-            w.writerow([repr(float(t)), repr(float(np.real(v)))])
-
-
-def grid_function_to_json(grid: Grid, values: np.ndarray) -> dict:
-    vals = np.asarray(values)
-    payload = {
-        "grid": grid.to_json(),
-        "values": [float(v) for v in np.real(vals)],
-    }
-    if np.iscomplexobj(vals):
-        payload["values_imag"] = [float(v) for v in np.imag(vals)]
-    return payload
-
-
-def matrix_to_json(x: np.ndarray) -> dict:
-    x = np.asarray(x, dtype=float)
-    return {"shape": list(x.shape), "entries": [float(v) for v in x.ravel()]}
-
-
-def matrix_from_json(d: dict) -> np.ndarray:
-    return np.asarray(d["entries"], dtype=float).reshape(d["shape"])

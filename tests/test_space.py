@@ -9,12 +9,7 @@ from lethargy.space import (
     Grid,
     Space,
     SpaceError,
-    grid_function_to_csv,
-    grid_function_to_json,
-    matrix_from_json,
-    matrix_to_json,
     norm,
-    set_distance,
 )
 
 
@@ -136,41 +131,3 @@ class TestGridRefinement:
         a = norm(Space.lp_grid(coarse, p), f(coarse.nodes))
         b = norm(Space.lp_grid(fine, p), f(fine.nodes))
         assert abs(a - b) / b < 1e-3
-
-
-class TestSetDistance:
-    def test_member_distance_zero(self):
-        sp = Space.coords(3, 2.0)
-        assert set_distance(sp, [np.zeros(3)], lambda b: float(norm(sp, b))) == 0.0
-
-    def test_orthonormal_pair(self):
-        sp = Space.coords(2, 2.0)
-        e1, e2 = np.eye(2)
-        # distance to span of e1 is the magnitude of the second coordinate
-        dist = lambda b: abs(b[1])
-        assert set_distance(sp, [e1, e2], dist) == 1.0
-
-    def test_random_pool_matches_bruteforce(self, rng):
-        sp = Space.sup_coords(10)
-        pool = [v / norm(sp, v) for v in rng.standard_normal((50, 10))]
-        dist = lambda b: float(np.max(np.abs(b[1:])))  # sup distance to span(e_1)
-        assert set_distance(sp, pool, dist) == max(dist(b) for b in pool)
-
-    def test_empty_rejected(self):
-        with pytest.raises(SpaceError):
-            set_distance(Space.coords(2, 2.0), [], lambda b: 0.0)
-
-
-class TestSerialization:
-    def test_grid_function_csv_json(self, tmp_path):
-        g = Grid.interval(0, 1, 5)
-        vals = np.arange(5.0)
-        path = tmp_path / "f.csv"
-        grid_function_to_csv(g, vals, path)
-        assert len(path.read_text().strip().splitlines()) == 6
-        d = grid_function_to_json(g, vals)
-        assert d["values"] == [0.0, 1.0, 2.0, 3.0, 4.0]
-
-    def test_matrix_roundtrip(self):
-        m = np.arange(9.0).reshape(3, 3)
-        assert np.array_equal(matrix_from_json(matrix_to_json(m)), m)

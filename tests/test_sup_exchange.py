@@ -92,6 +92,14 @@ def test_repeated_column_falls_back_to_lp(data):
     assert value == _sup_fit_lp(cols, x)[0]
 
 
+def test_repeated_column_on_zero_element_falls_back_to_lp():
+    # inv does not raise on these singular reference systems (condition number ~1e17)
+    cols = poly_columns(7, 5)
+    cols = np.column_stack([cols, cols[:, -1]])
+    value, _, info = _sup_fit(cols, np.zeros(7))
+    assert (value, info["solver"]) == (0.0, "lp")
+
+
 def test_generic_elements_use_the_exchange():
     rng = np.random.default_rng(3)
     for cols in (poly_columns(65, 9), trig_columns(64, 6)):
