@@ -217,7 +217,7 @@ def property_P_check(s: Scheme, a: float, b: float, n_list: Iterable[int],
 
 
 def default_pairing(s: Scheme) -> Callable[[int, int], Optional[int]]:
-    if s.kind in ("nterm", "wavelet-haar", "rank", "spline"):
+    if s.kind in ("nterm", "rank", "spline"):
         return lambda m, n: m + n
     if s.kind == "quantizer":
         def pair(m, n):
@@ -271,7 +271,7 @@ def density_profile_check(s: Scheme, n_max: Optional[int] = None,
                                 "certified_lower": lhs, "upper_product": rhs,
                                 "upper_status": [upper_status[m], upper_status[n]]})
     decay = []
-    if s.kind in ("nterm", "wavelet-haar"):
+    if s.kind == "nterm":
         for m in range(1, n_max + 1):
             um = uppers[m]
             if um < 1.0 - tol:

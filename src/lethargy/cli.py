@@ -1,17 +1,20 @@
 """Command-line front end: materialize schemes from JSON configs, run witness
 constructions and analyses, and emit machine-readable reports.
 
-Exit codes: 0 success, 1 usage/configuration error, 2 verification failure
-(a claimed bound did not reproduce).  All randomness flows from the single
-64-bit seed recorded in the report; LETHARGY_THREADS caps level parallelism.
+Replay re-runs a report's task and compares every field except `timestamp`,
+floats at 1e-9 relative; the config is checked by its hash, and replay writes
+no side files.  Exit codes: 0 success, 1 usage/configuration error, 2
+verification failure (a report did not reproduce).  All randomness flows from
+the single 64-bit seed recorded in the report; LETHARGY_THREADS caps level
+parallelism.
 """
 
 from __future__ import annotations
 
 import argparse
-import copy
 import hashlib
 import json
+import math
 import sys
 import time
 from typing import Optional
@@ -19,13 +22,16 @@ from typing import Optional
 import numpy as np
 
 from . import analyze, witness as wit
-from .scheme import Scheme, SchemeError, build_scheme, list_schemes, validate_scheme
+from .scheme import SchemeError, build_scheme, list_schemes, named_probes, validate_scheme
 from .seq import NullSequence
 from .solve import error_profile
-from .space import SpaceError, norm
+from .space import SpaceError
 
 REPORT_VERSION = "1.0"
 TASKS = ("validate", "profile", "witness", "density", "shapiro", "audit", "slowdecay")
+REL_TOL = 1e-9  # replay tolerance for floats, relative to max(1, |fresh value|)
+# report fields that are not claims; the config is covered by its hash
+NOT_CLAIMS = ("timestamp", "config", "config_hash")
 
 
 class UsageError(ValueError):
@@ -56,31 +62,13 @@ def make_element(space, desc, rng: np.random.Generator) -> np.ndarray:
     if isinstance(desc, dict) and "values" in desc:
         return np.asarray(desc["values"], dtype=float).reshape(space.shape)
     name = desc["probe"] if isinstance(desc, dict) else desc
-    if space.carrier == "grid":
-        g = space.grid
-        t = (g.nodes - g.a) / (g.b - g.a)
-        if name == "abs-kink":
-            return np.abs(t - 0.5)
-        if name == "runge":
-            return 1.0 / (1.0 + 25.0 * (2.0 * t - 1.0) ** 2)
-        if name == "smooth-mix":
-            return np.sin(3.0 * t) + t * t
-        if name == "random":
-            return rng.standard_normal(space.shape)
-        raise UsageError(f"unknown grid probe {name!r}")
-    if space.carrier == "coords":
-        if name == "decay":
-            return 1.0 / (np.arange(space.dim) + 1.0)
-        if name == "flat":
-            return np.ones(space.dim)
-        if name == "random":
-            return rng.standard_normal(space.shape)
-        raise UsageError(f"unknown coordinate probe {name!r}")
-    if name == "identity":
-        return np.eye(space.dim) / space.dim
     if name == "random":
         return rng.standard_normal(space.shape)
-    raise UsageError(f"unknown matrix probe {name!r}")
+    probes = named_probes(space)
+    if name not in probes:
+        raise UsageError(f"unknown {space.carrier} probe {name!r}; expected random or one of "
+                         f"{', '.join(probes)}")
+    return probes[name]
 
 
 def witness_from_config(op: str, params: dict, seed: int) -> wit.Witness:
@@ -224,66 +212,41 @@ def run_task(config: dict) -> dict:
             "payload": payload, "verified": verified}
 
 
+def _real(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _same(a, b) -> bool:
+    """Deep equality of report content, `b` the fresh value.  Floats match
+    within REL_TOL relative, NaN matches NaN and an infinity only itself;
+    integers, strings, booleans, None, list lengths and key sets match exactly."""
+    if type(a) is type(b) and a == b:
+        return True
+    if isinstance(a, dict) and isinstance(b, dict):
+        return a.keys() == b.keys() and all(_same(a[k], b[k]) for k in a)
+    if isinstance(a, (list, tuple)) and isinstance(b, (list, tuple)):
+        return len(a) == len(b) and all(_same(u, v) for u, v in zip(a, b))
+    if _real(a) and _real(b) and (isinstance(a, float) or isinstance(b, float)):
+        if math.isnan(a) or math.isnan(b):
+            return math.isnan(a) and math.isnan(b)
+        if math.isinf(a) or math.isinf(b):
+            return a == b
+        return abs(a - b) <= REL_TOL * max(1.0, abs(b))
+    return False
+
+
 def replay_report(report: dict) -> bool:
-    """Re-execute the verification backing a report; True iff it reproduces."""
+    """Re-run the task behind a report; True iff every field but NOT_CLAIMS
+    reproduces.  Side files (`csv`, `plot_data`) are not written again."""
     version = report.get("version")
     if version != REPORT_VERSION:
         raise UsageError(f"report version {version!r} is incompatible with {REPORT_VERSION}")
-    config = report["config"]
+    config = report.get("config")
     if config_hash(config) != report.get("config_hash"):
         raise UsageError("config hash mismatch; report was edited")
-    task = report["task"]
-    payload = report["payload"]
-    seed = int(report["seed"])
-
-    if task in ("witness", "slowdecay"):
-        ctor = payload.get("constructor")
-        if not ctor:
-            raise UsageError("witness report lacks constructor metadata")
-        if task == "witness":
-            w = witness_from_config(ctor["op"], ctor["params"], seed)
-            ok = wit.verify_witness(w, seed=seed)
-        else:
-            s = build_scheme(config["scheme"])
-            eps_vals = ctor["params"].get("eps")
-            eps = (NullSequence(np.asarray(eps_vals, dtype=float)) if eps_vals
-                   else NullSequence.harmonic(int(ctor["params"].get("i_max", 8)) + 4))
-            w = wit.construct_slow_decay(s, eps, int(ctor["params"].get("i_max", 8)),
-                                         rng_seed=seed)
-            ok = wit.verify_slow_decay(w, seed=seed)
-        stored = payload.get("claims", [])
-        fresh = [c.to_json() for c in w.claims]
-        if canonical_json(stored) != canonical_json(fresh):
-            return False
-        # an unverified report reproduces when the verification fails again
-        return ok == bool(report["verified"]) and bool(payload.get("verifications"))
-
-    rerun = run_task(copy.deepcopy(config))
-    if task == "profile":
-        old = payload["entries"]
-        new = rerun["payload"]["entries"]
-        if len(old) != len(new):
-            return False
-        for a, b in zip(old, new):
-            if a["status"] != b["status"]:
-                return False
-            if a["status"] != "error" and abs(a["value"] - b["value"]) > 1e-9 * max(1.0, abs(b["value"])):
-                return False
-        return True
-    if task == "density":
-        old = payload["certificates"]
-        new = rerun["payload"]["certificates"]
-        return all(abs(a["solver_value"] - b["solver_value"]) <= 1e-9 * max(1.0, abs(b["solver_value"]))
-                   and a["status"] == b["status"] for a, b in zip(old, new))
-    if task == "shapiro":
-        return payload["verdict"] == rerun["payload"]["verdict"]
-    if task == "validate":
-        return payload["passed"] == rerun["payload"]["passed"] and \
-            rerun["verified"] == bool(report["verified"])
-    if task == "audit":
-        return canonical_json(payload.get("violations", [])) == \
-            canonical_json(rerun["payload"].get("violations", []))
-    raise UsageError(f"replay does not support task {task!r}")
+    fresh = run_task({k: v for k, v in config.items() if k not in ("csv", "plot_data")})
+    return _same({k: v for k, v in report.items() if k not in NOT_CLAIMS},
+                 {k: v for k, v in fresh.items() if k not in NOT_CLAIMS})
 
 
 def main(argv: Optional[list] = None) -> int:

@@ -72,7 +72,7 @@ class Scheme:
     descriptor: dict = field(compare=False)
     basis: Optional[np.ndarray] = None           # chain
     level_dims: Optional[np.ndarray] = None      # chain: dim of A_n
-    dictionary: Optional[Dictionary] = None      # nterm / wavelet-haar
+    dictionary: Optional[Dictionary] = None      # nterm
     value_budget: Optional[np.ndarray] = None    # quantizer m(n)
     cap: int = 0                                 # interleaved-c0 dimension cap
     degree: int = 0                              # spline polynomial degree bound
@@ -299,7 +299,8 @@ def build_scheme(descriptor) -> Scheme:
         dictionary = _build_dictionary(dict_desc, space)
         n_max = int(desc.get("n_max", 8))
         gap = 2 * np.arange(n_max + 1)
-        return Scheme(kind, space, n_max, label, desc, dictionary=dictionary, gap=gap)
+        # the wavelet descriptor builds an n-term scheme over the Haar scaling atoms
+        return Scheme("nterm", space, n_max, label, desc, dictionary=dictionary, gap=gap)
 
     raise SchemeError(f"unhandled kind {kind!r}")
 
@@ -337,7 +338,7 @@ def sample_element(s: Scheme, n: int, rng: np.random.Generator) -> np.ndarray:
     if s.kind == "chain":
         d = s.chain_dim(n)
         return s.basis[:, :d] @ rng.standard_normal(d)
-    if s.kind in ("nterm", "wavelet-haar"):
+    if s.kind == "nterm":
         if n == 0:
             return s.space.zero()
         k = min(n, s.dictionary.size)
@@ -422,7 +423,7 @@ def gap_candidates(s: Scheme, n: int, rng: np.random.Generator, count: int = 4) 
         for _ in range(count):
             out.append(sample_element(s, n + 1, rng))
     else:
-        if s.kind in ("nterm", "wavelet-haar") and s.dictionary is not None:
+        if s.kind == "nterm" and s.dictionary is not None:
             out.append(np.array(s.dictionary.atoms[:, rng.integers(s.dictionary.size)]))
         for _ in range(count):
             out.append(sample_element(s, n + 1, rng))
@@ -462,7 +463,7 @@ def density_candidates(s: Scheme, n: int, rng: np.random.Generator, count: int =
         out.append(ramp)
     elif s.kind == "rank":
         out.append(np.eye(s.space.dim))
-    elif s.kind in ("nterm", "wavelet-haar"):
+    elif s.kind == "nterm":
         dim = s.space.shape[0]
         out.append(np.ones(dim))
         alt = np.ones(dim)
@@ -479,22 +480,22 @@ def density_candidates(s: Scheme, n: int, rng: np.random.Generator, count: int =
     return cands
 
 
+def named_probes(space: Space) -> dict:
+    """The carrier's named ambient probes, unnormalized, in probe order."""
+    if space.carrier == "grid":
+        g = space.grid
+        t = (g.nodes - g.a) / (g.b - g.a)
+        return {"smooth-mix": np.sin(3.0 * t) + t * t,
+                "runge": 1.0 / (1.0 + 25.0 * (2.0 * t - 1.0) ** 2),
+                "abs-kink": np.abs(t - 0.5)}
+    if space.carrier == "coords":
+        return {"flat": np.ones(space.dim), "decay": 1.0 / (np.arange(space.dim) + 1.0)}
+    return {"identity": np.eye(space.dim) / space.dim}
+
+
 def probe_elements(s: Scheme, rng: np.random.Generator, count: int = 4) -> list:
     """Generic ambient probes for density-proxy and envelope checks."""
-    out = []
-    if s.space.carrier == "grid":
-        g = s.space.grid
-        t = (g.nodes - g.a) / (g.b - g.a)
-        out.append(np.sin(3.0 * t) + t * t)
-        out.append(1.0 / (1.0 + 25.0 * (2.0 * t - 1.0) ** 2))
-        out.append(np.abs(t - 0.5))
-    elif s.space.carrier == "coords":
-        out.append(np.ones(s.space.dim))
-        decay = 1.0 / (np.arange(s.space.dim) + 1.0)
-        out.append(decay)
-    else:
-        d = s.space.dim
-        out.append(np.eye(d) / d)
+    out = list(named_probes(s.space).values())
     for _ in range(count):
         out.append(rng.standard_normal(s.space.shape))
     return [x / max(norm(s.space, x), 1e-30) for x in out]
@@ -554,7 +555,7 @@ def validate_scheme(s: Scheme, trials: int = 1000, rng_seed: int = 0,
         return value <= MEMBERSHIP_TOL * max(1.0, norm(s.space, x))
 
     def _draw(n):
-        if s.kind in ("nterm", "wavelet-haar"):
+        if s.kind == "nterm":
             k = min(n, s.dictionary.size)
             idx = rng.choice(s.dictionary.size, size=k, replace=False) if k else np.array([], dtype=int)
             x = s.dictionary.atoms[:, idx] @ rng.standard_normal(k) if k else s.space.zero()
@@ -591,7 +592,7 @@ def validate_scheme(s: Scheme, trials: int = 1000, rng_seed: int = 0,
                     saturated += 1
                 if not ok:
                     fails += 1
-            elif s.kind in ("nterm", "wavelet-haar"):
+            elif s.kind == "nterm":
                 # membership of a sum is certified on the union of the two
                 # drawn atom subsets, which exhibits a concrete A_K(n) member
                 a, idx_a = _draw(n)
@@ -649,7 +650,7 @@ def _proxy_probes(s: Scheme, rng: np.random.Generator) -> list:
         else:
             out.append(np.sin(3.0 * t) + t * t)
             out.append(np.exp(t) * np.cos(2.0 * t))
-        if s.kind in ("quantizer", "spline", "wavelet-haar", "nterm"):
+        if s.kind in ("quantizer", "spline", "nterm"):
             out.append(np.abs(t - 0.5))
     elif s.space.carrier == "coords":
         out.append(2.0 ** (-np.arange(s.space.dim, dtype=float)))

@@ -875,7 +875,7 @@ def best_approx(space: Space, x: np.ndarray, s: Scheme, n: int, seed: int = 0) -
     if s.kind == "rank":
         value, approx, status, info = _rank_error(space, x, n)
         return BestApprox(value, approx, status, info)
-    if s.kind in ("nterm", "wavelet-haar"):
+    if s.kind == "nterm":
         value, approx, status, info = _nterm_levels(space, s.dictionary.atoms, x, [n], seed)[n]
         return BestApprox(value, approx, status, info)
     if s.kind == "spline":
@@ -958,7 +958,7 @@ def _whole_profile(space: Space, x: np.ndarray, s: Scheme, n_max: int, seed: int
         fits = [(value, "exact") for value in _chain_l2_values(space, s, x, n_max)]
     elif s.kind == "spline" and space.norm_kind == "lp":
         fits = [(value, status) for value, _, status, _ in _spline_lp(space, x, s.degree, levels)]
-    elif s.kind in ("nterm", "wavelet-haar") and l2:
+    elif s.kind == "nterm" and l2:
         by_level = _nterm_levels(space, s.dictionary.atoms, x, levels, seed)
         fits = [(by_level[n][0], by_level[n][2]) for n in levels]
     else:

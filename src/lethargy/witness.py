@@ -93,7 +93,7 @@ class Witness:
         elem = np.asarray(self.element)
         payload = {
             "label": self.label,
-            "element": [float(v) for v in np.real(elem).ravel()],
+            "element": np.real(elem).astype(float).ravel().tolist(),
             "element_shape": list(elem.shape),
             "element_norm": self.element_norm,
             "space": self.space.to_json(),
@@ -106,7 +106,7 @@ class Witness:
             "verifications": [v.to_json() for v in self.verifications],
         }
         if np.iscomplexobj(elem):
-            payload["element_imag"] = [float(v) for v in np.imag(elem).ravel()]
+            payload["element_imag"] = np.imag(elem).astype(float).ravel().tolist()
         if self.scheme is not None:
             payload["scheme"] = self.scheme.to_json()
         return payload

@@ -1,9 +1,19 @@
+import copy
+import functools
 import json
+import math
+import operator
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lethargy.cli import main, run_task, replay_report, config_hash
+from lethargy import cli
+from lethargy.cli import (REL_TOL, TASKS, UsageError, config_hash, main, make_element,
+                          replay_report, run_task)
+from lethargy.scheme import build_scheme, named_probes
 
 
 def write_config(tmp_path, cfg, name="cfg.json"):
@@ -14,6 +24,27 @@ def write_config(tmp_path, cfg, name="cfg.json"):
 
 C0_CONFIG = {"task": "witness", "seed": 7,
              "params": {"op": "c0", "eps": [1.0, 0.5, 0.25, 0.125]}}
+
+# one small config per task, each run in a few milliseconds
+SMALL = {
+    "validate": {"task": "validate", "seed": 4, "scheme": "interleaved-c0",
+                 "params": {"trials": 20}},
+    "profile": {"task": "profile", "seed": 2, "scheme": "interleaved-c0",
+                "params": {"n_max": 5, "element": "decay"}},
+    "witness": {"task": "witness", "seed": 11, "params": {"op": "orthonormal", "n": 3, "dim": 8}},
+    "density": {"task": "density", "seed": 5, "scheme": "interleaved-c0",
+                "params": {"levels": [0, 2]}},
+    "shapiro": {"task": "shapiro", "seed": 3, "params": {"probes": 2},
+                "scheme": {"kind": "quantizer", "m": [1, 1, 2, 3, 4],
+                           "space": {"carrier": "grid", "domain": "interval",
+                                     "nodes": 65, "norm": "sup"}}},
+    "audit": {"task": "audit", "seed": 6,
+              "params": {"audit": "dolzhenko", "samples": 20, "max_degree": 3}},
+    "slowdecay": {"task": "slowdecay", "seed": 8, "params": {"i_max": 3},
+                  "scheme": {"kind": "chain", "family": "monomial", "n_max": 6,
+                             "space": {"carrier": "grid", "domain": "interval",
+                                       "nodes": 65, "norm": "sup"}}},
+}
 
 
 class TestRun:
@@ -108,6 +139,41 @@ class TestRun:
         assert report["payload"]["meta"]["ladder"]
 
 
+    @pytest.mark.parametrize("name", ["monomial-chain", "interleaved-c0", "rank-8-hs"])
+    def test_make_element_looks_up_the_probe_table(self, name):
+        space = build_scheme(name).space
+        rng = np.random.default_rng(0)
+        for probe, x in named_probes(space).items():
+            assert np.array_equal(make_element(space, probe, rng), x)
+            assert np.array_equal(make_element(space, {"probe": probe}, rng), x)
+        assert np.array_equal(make_element(space, "random", np.random.default_rng(1)),
+                              np.random.default_rng(1).standard_normal(space.shape))
+        with pytest.raises(UsageError):
+            make_element(space, "no-such-probe", rng)
+
+    def test_make_element_probe_values(self):
+        space = build_scheme({"kind": "chain", "family": "monomial", "n_max": 2,
+                              "space": {"carrier": "grid", "domain": "interval",
+                                        "a": -1.0, "b": 1.0, "nodes": 5, "norm": "sup"}}).space
+        t = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
+        assert np.allclose(make_element(space, "runge", None),
+                           1.0 / (1.0 + 25.0 * (2.0 * t - 1.0) ** 2), rtol=0, atol=1e-15)
+        assert np.allclose(make_element(space, "abs-kink", None), np.abs(t - 0.5),
+                           rtol=0, atol=1e-15)
+        coords = build_scheme("interleaved-c0").space
+        assert np.array_equal(make_element(coords, "decay", None), 1.0 / np.arange(1, 21))
+        assert np.array_equal(make_element(coords, "flat", None), np.ones(20))
+        matrix = build_scheme("rank-8-hs").space
+        assert np.array_equal(make_element(matrix, "identity", None), np.eye(8) / 8)
+
+    @pytest.mark.parametrize("task", TASKS)
+    def test_run_task_leaves_config_unchanged(self, task):
+        config = copy.deepcopy(SMALL[task])
+        snapshot = copy.deepcopy(config)
+        run_task(config)
+        assert config == snapshot
+
+
 class TestReplay:
     def test_fresh_report_replays_clean(self, tmp_path):
         report = run_task(dict(C0_CONFIG))
@@ -180,6 +246,128 @@ class TestReplay:
         assert replay_report(json.loads(json.dumps(report)))
         report["verified"] = True
         assert not replay_report(json.loads(json.dumps(report)))
+
+
+    @pytest.mark.parametrize("task", TASKS)
+    def test_honest_report_replays(self, task):
+        report = run_task(copy.deepcopy(SMALL[task]))
+        assert replay_report(report)
+        assert replay_report(json.loads(json.dumps(report, indent=2, sort_keys=True)))
+
+    def test_replay_writes_no_side_files(self, tmp_path):
+        csv_path = tmp_path / "prof.csv"
+        plot_path = tmp_path / "prof.dat"
+        report = run_task({"task": "profile", "seed": 2, "scheme": "interleaved-c0",
+                           "params": {"n_max": 6, "element": "decay"},
+                           "csv": str(csv_path), "plot_data": str(plot_path)})
+        csv_path.write_text("edited by hand\n")
+        plot_path.unlink()
+        assert replay_report(json.loads(json.dumps(report)))
+        assert csv_path.read_text() == "edited by hand\n"
+        assert not plot_path.exists()
+
+
+def _raise_bound(payload):
+    payload["certificates"][1]["bound"] *= 10.0
+
+
+def _scale_observed(payload):
+    for v in payload["verifications"]:
+        v["observed"] *= 100.0
+
+
+TAMPERS = {
+    "density-bound-raised": ("density", _raise_bound),
+    "density-certificates-emptied": ("density", lambda p: p.update(certificates=[])),
+    "density-certificate-relabelled": ("density", lambda p: p["certificates"][1].update(level=1)),
+    "witness-element-zeroed": ("witness", lambda p: p.update(element=[0.0] * len(p["element"]))),
+    "witness-observed-scaled": ("witness", _scale_observed),
+    "shapiro-constant-and-certificates": (
+        "shapiro", lambda p: p.update(weak_gap_constant=0.5, certificates=[])),
+}
+
+
+def _leaves(node, path=()):
+    """Paths of every leaf of a JSON tree: a scalar or an empty container."""
+    if isinstance(node, dict) and node:
+        return [p for k, v in node.items() for p in _leaves(v, path + (k,))]
+    if isinstance(node, list) and node:
+        return [p for i, v in enumerate(node) for p in _leaves(v, path + (i,))]
+    return [path]
+
+
+def _changed(value, data):
+    """`value` flipped, edited or moved by more than the replay tolerance."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, (int, float)):
+        if not math.isfinite(value):
+            return 0.0
+        factor = data.draw(st.floats(2.0, 1e6)) * data.draw(st.sampled_from((-1.0, 1.0)))
+        return value + factor * REL_TOL * max(1.0, abs(value))
+    if isinstance(value, str):
+        return value + "~"
+    return "tampered"  # None or an empty container
+
+
+@functools.lru_cache(maxsize=None)
+def _honest(task):
+    """An honest report as JSON text, and a separate re-run of its config."""
+    config = SMALL[task]
+    return json.dumps(run_task(copy.deepcopy(config))), run_task(copy.deepcopy(config))
+
+
+class TestReplayTamper:
+    @pytest.mark.parametrize("case", sorted(TAMPERS))
+    def test_tampered_report_does_not_replay(self, case):
+        task, edit = TAMPERS[case]
+        report = json.loads(json.dumps(run_task(copy.deepcopy(SMALL[task]))))
+        honest = copy.deepcopy(report)
+        edit(report["payload"])
+        assert report != honest
+        assert replay_report(honest)
+        assert not replay_report(report)
+
+    def test_comparison_rules(self):
+        nan, inf = float("nan"), float("inf")
+        assert cli._same([nan, inf, -inf, None], (nan, inf, -inf, None))
+        assert cli._same({"v": 1.0 + 5e-10, "n": 3}, {"v": 1.0, "n": 3.0})
+        assert not cli._same(1.0 + 2e-9, 1.0)
+        assert not cli._same(nan, 0.0)
+        assert not cli._same(0.0, nan)
+        assert not cli._same(inf, -inf)
+        assert not cli._same(1e308, inf)
+        assert not cli._same(True, 1)
+        assert not cli._same(0, False)
+        assert not cli._same("1.0", 1.0)
+        assert not cli._same(None, 0.0)
+        assert not cli._same([1.0], [1.0, 1.0])
+        assert not cli._same({"a": 1}, {"a": 1, "b": 2})
+
+    def test_integer_fields_compare_exactly(self):
+        # 1e-9 of a 2**40 seed is about 1100, so a relative tolerance would pass seed + 1
+        report = json.loads(json.dumps(run_task(dict(C0_CONFIG, seed=2**40))))
+        assert replay_report(report)
+        report["seed"] += 1
+        assert not replay_report(report)
+
+    @settings(max_examples=300, deadline=None)
+    @given(task=st.sampled_from(TASKS), data=st.data())
+    def test_any_tampered_leaf_fails_replay(self, task, data):
+        text, rerun = _honest(task)
+        report = json.loads(text)
+        path = data.draw(st.sampled_from([p for p in _leaves(report) if p != ("timestamp",)]))
+        *head, key = path
+        parent = functools.reduce(operator.getitem, head, report)
+        if data.draw(st.booleans()):
+            del parent[key]
+        else:
+            parent[key] = _changed(parent[key], data)
+        with mock.patch.object(cli, "run_task", lambda config: copy.deepcopy(rerun)):
+            try:
+                assert not replay_report(report)
+            except UsageError:
+                pass
 
 
 class TestWitnessOps:

@@ -12,6 +12,8 @@ from lethargy.scheme import (
     list_schemes,
     make_dictionary,
     membership,
+    named_probes,
+    probe_elements,
     registry_descriptor,
     sample_element,
     validate_scheme,
@@ -89,6 +91,34 @@ class TestBuild:
             assert s.n_max >= 1
         with pytest.raises(SchemeError):
             registry_descriptor("no-such-scheme")
+
+
+    def test_wavelet_descriptor_builds_an_nterm_scheme(self):
+        s = build_scheme("haar-wavelet-nterm")
+        assert s.kind == "nterm"
+        assert s.label == "haar-wavelet-nterm"
+        assert s.dictionary.label == "haar-scaling"
+        assert s.descriptor["kind"] == "wavelet-haar"
+        assert build_scheme({"kind": "wavelet-haar", "level": 4, "n_max": 3}).label == "wavelet-haar"
+
+
+class TestProbes:
+    @pytest.mark.parametrize("name", ["monomial-chain", "interleaved-c0", "rank-8-hs"])
+    def test_probe_elements_are_the_named_probes_then_draws(self, name):
+        s = build_scheme(name)
+        out = probe_elements(s, np.random.default_rng(3), count=2)
+        rng = np.random.default_rng(3)
+        named = list(named_probes(s.space).values())
+        draws = [rng.standard_normal(s.space.shape) for _ in range(2)]
+        assert len(out) == len(named) + 2
+        for got, x in zip(out, named + draws):
+            assert np.array_equal(got, x / max(norm(s.space, x), 1e-30))
+
+    def test_named_probe_order_per_carrier(self):
+        assert list(named_probes(build_scheme("monomial-chain").space)) == \
+            ["smooth-mix", "runge", "abs-kink"]
+        assert list(named_probes(build_scheme("interleaved-c0").space)) == ["flat", "decay"]
+        assert list(named_probes(build_scheme("rank-8-hs").space)) == ["identity"]
 
 
 class TestDictionary:
