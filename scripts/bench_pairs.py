@@ -1,0 +1,132 @@
+#!/usr/bin/env python3
+"""Compare two checkouts on the benchmark in alternating pairs of runs.
+
+    python3 scripts/bench_pairs.py --parent ../parent --change . --pr N \\
+        profile-l2:301 certify-sup:201 verify-members:101 \\
+        --pairs 10 --seconds 15 --claim profile-l2:wall_s
+
+Each WORKLOAD:FIRST_SEED runs `python3 perfbench/run.py` in both checkouts,
+pair k (k = 0, 1, ...) with seed FIRST_SEED + k in both.  Pairs alternate the
+order: odd pairs (the 1st, 3rd, ...) run the parent first.  The summary gives,
+per end-to-end metric of the change's BENCHMARK.json, the quartiles of each
+side, the number of pairs the change won, the relative change of the median
+and the parent's interquartile range.  It is rewritten after each workload.
+"""
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+
+def parse_args(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--parent", required=True, type=Path, help="parent checkout")
+    ap.add_argument("--change", required=True, type=Path, help="change checkout")
+    ap.add_argument("--pr", required=True, type=int)
+    ap.add_argument("runs", nargs="+", metavar="WORKLOAD:FIRST_SEED")
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--seconds", type=float, default=15.0)
+    ap.add_argument("--claim", default=None, metavar="WORKLOAD:METRIC",
+                    help="the metric the change claims to improve")
+    return ap.parse_args(argv)
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    """The JSON summary line of one perfbench run in `checkout`."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
+           "--seed", str(seed), "--seconds", f"{seconds:g}"]
+    out = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True)
+    return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+def quartiles(values: list) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"q1": round(q1, 6), "median": round(median, 6), "q3": round(q3, 6)}
+
+
+def summarize(seeds: list, results: dict, metrics: list) -> dict:
+    """`results[side]` holds one perfbench summary per pair."""
+    runs = {side: {"correct": all(r["correct"] for r in rs),
+                   "attempted": sum(r["attempted"] for r in rs),
+                   "failed": sum(r["failed"] for r in rs)}
+            for side, rs in results.items()}
+    out = {}
+    for m in metrics:
+        name, sign = m["name"], 1.0 if m["better"] == "lower" else -1.0
+        vals = {side: [r["metrics"][name]["value"] for r in rs] for side, rs in results.items()}
+        par, chg = quartiles(vals["parent"]), quartiles(vals["change"])
+        out[name] = {
+            "unit": m["unit"], "parent": par, "change": chg,
+            "change_wins": sum(sign * (c - p) < 0 for p, c in zip(vals["parent"], vals["change"])),
+            "median_change_rel": round(chg["median"] / par["median"] - 1.0, 4),
+            "parent_iqr": round(par["q3"] - par["q1"], 6),
+        }
+    return {"seeds": seeds, "runs": runs, "metrics": out}
+
+
+def detect_host() -> str:
+    model = platform.machine()
+    try:
+        for line in Path("/proc/cpuinfo").read_text().splitlines():
+            if line.startswith("model name"):
+                model = line.split(":", 1)[1].strip()
+                break
+    except OSError:
+        pass
+    versions = subprocess.run(
+        [sys.executable, "-c", "import numpy, scipy; print(numpy.__version__, scipy.__version__)"],
+        capture_output=True, text=True, check=True).stdout.split()
+    return (f"{os.cpu_count()}-CPU {model} {platform.system()} host; "
+            f"Python {platform.python_version()}, numpy {versions[0]}, scipy {versions[1]}")
+
+
+def git_rev(checkout: Path):
+    out = subprocess.run(["git", "-C", str(checkout), "rev-parse", "--short", "HEAD"],
+                         capture_output=True, text=True)
+    return out.stdout.strip() or None
+
+
+def main(argv=None) -> int:
+    args = parse_args(argv)
+    bench = json.loads((args.change / "BENCHMARK.json").read_text())
+    claim = None
+    if args.claim:
+        workload, metric = args.claim.split(":")
+        better = next(m["better"] for m in bench["end_to_end"] if m["name"] == metric)
+        claim = {"workload": workload, "metric": metric, "better": better}
+    summary = {
+        "pr": args.pr, "parent": git_rev(args.parent),
+        "command": f"python3 perfbench/run.py --workload W --seed S --seconds {args.seconds:g}",
+        "seconds": int(args.seconds) if args.seconds.is_integer() else args.seconds,
+        "pairs": args.pairs,
+        "order": "alternating; odd pairs run the parent first",
+        "host": detect_host(),
+        "units": "end-to-end times in reference seconds (perfbench/refspeed.py), memory in MB",
+        "claim": claim, "workloads": {},
+    }
+    out_path = Path(f"BENCH_{args.pr}.json")
+    checkouts = {"parent": args.parent, "change": args.change}
+    for item in args.runs:
+        workload, first = item.split(":")
+        seeds = [int(first) + k for k in range(args.pairs)]
+        results = {"parent": [], "change": []}
+        for k, seed in enumerate(seeds):
+            order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
+            for side in order:
+                r = run_once(checkouts[side], workload, seed, args.seconds)
+                results[side].append(r)
+                print(f"{workload} pair {k + 1} seed {seed} {side}: correct={r['correct']} "
+                      f"failed={r['failed']} wall_s={r['metrics']['wall_s']['value']:.4f}",
+                      file=sys.stderr, flush=True)
+        summary["workloads"][workload] = summarize(seeds, results, bench["end_to_end"])
+        out_path.write_text(json.dumps(summary, indent=2) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,17 +1,24 @@
 """Command-line front end: materialize schemes from JSON configs, run witness
 constructions and analyses, and emit machine-readable reports.
 
-Replay re-runs a report's task and compares every field except `timestamp`,
-floats at 1e-9 relative; the config is checked by its hash, and replay writes
-no side files.  Exit codes: 0 success, 1 usage/configuration error, 2
-verification failure (a report did not reproduce).  All randomness flows from
-the single 64-bit seed recorded in the report; LETHARGY_THREADS caps level
-parallelism.
+A profile element is given as `{"values": [...]}`, as
+`{"f64": <base64 of little-endian float64 bytes>, "shape": [...]}`, as a probe
+name or as "random".  Reports are version 1.1: their config stores a `values`
+element in the exact, compact `f64` form, and the config hash covers that form.
+
+Replay reads versions 1.0 and 1.1.  It re-runs a report's task and compares
+every field except `timestamp` and `version`, floats at 1e-9 relative; the
+config is checked by its hash, and replay writes no side files.  Exit codes: 0
+success, 1 usage/configuration error, 2 verification failure (a report did not
+reproduce).  All randomness flows from the single 64-bit seed recorded in the
+report; LETHARGY_THREADS caps level parallelism.
 """
 
 from __future__ import annotations
 
 import argparse
+import base64
+import copy
 import hashlib
 import json
 import math
@@ -27,11 +34,13 @@ from .seq import NullSequence
 from .solve import error_profile
 from .space import SpaceError
 
-REPORT_VERSION = "1.0"
+REPORT_VERSION = "1.1"
+READS_VERSIONS = ("1.0", "1.1")  # 1.0 reports keep a profile element as plain values
 TASKS = ("validate", "profile", "witness", "density", "shapiro", "audit", "slowdecay")
 REL_TOL = 1e-9  # replay tolerance for floats, relative to max(1, |fresh value|)
-# report fields that are not claims; the config is covered by its hash
-NOT_CLAIMS = ("timestamp", "config", "config_hash")
+# report fields that are not claims; the config is covered by its hash, and
+# the version is checked against READS_VERSIONS before the re-run
+NOT_CLAIMS = ("timestamp", "version", "config", "config_hash")
 
 
 class UsageError(ValueError):
@@ -42,8 +51,13 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+def hash_text(text: str) -> str:
+    """The hash of a config's canonical JSON text."""
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def config_hash(config: dict) -> str:
-    return hashlib.sha256(canonical_json(config).encode()).hexdigest()
+    return hash_text(canonical_json(config))
 
 
 def _apply_override(config: dict, key: str, raw: str) -> None:
@@ -52,15 +66,48 @@ def _apply_override(config: dict, key: str, raw: str) -> None:
     except json.JSONDecodeError:
         value = raw
     node = config
-    parts = key.split(".")
-    for part in parts[:-1]:
+    *path, last = key.split(".")
+    for part in path:
+        if not isinstance(node, dict):
+            break
         node = node.setdefault(part, {})
-    node[parts[-1]] = value
+    if not isinstance(node, dict):
+        raise UsageError(f"--set {key}: the path does not lead into a JSON object")
+    node[last] = value
+
+
+def encode_element(x: np.ndarray) -> dict:
+    """The exact, compact form of an element: base64 of its little-endian
+    float64 bytes, with its shape."""
+    raw = np.ascontiguousarray(x, dtype="<f8").tobytes()
+    return {"f64": base64.b64encode(raw).decode("ascii"), "shape": list(x.shape)}
 
 
 def make_element(space, desc, rng: np.random.Generator) -> np.ndarray:
+    """An element from `{"values": [...]}`, `{"f64": ..., "shape": [...]}`
+    (see encode_element), a probe name (bare or as `{"probe": name}`) or
+    `"random"`."""
+    size = math.prod(space.shape)
+    where = f"element for shape {list(space.shape)}"
     if isinstance(desc, dict) and "values" in desc:
-        return np.asarray(desc["values"], dtype=float).reshape(space.shape)
+        try:
+            x = np.asarray(desc["values"], dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise UsageError(f"{where}: values are not numbers: {exc}") from None
+        if x.size != size:
+            raise UsageError(f"{where}: {x.size} values, expected {size}")
+        return x.reshape(space.shape)
+    if isinstance(desc, dict) and "f64" in desc:
+        shape = desc.get("shape")
+        if not isinstance(shape, (list, tuple)) or list(shape) != list(space.shape):
+            raise UsageError(f"{where}: f64 has shape {shape!r}")
+        try:
+            raw = base64.b64decode(desc["f64"], validate=True)
+        except (TypeError, ValueError) as exc:  # binascii.Error is a ValueError
+            raise UsageError(f"{where}: f64 is not valid base64: {exc}") from None
+        if len(raw) != 8 * size:
+            raise UsageError(f"{where}: f64 holds {len(raw)} bytes, expected {8 * size}")
+        return np.frombuffer(raw, dtype="<f8").astype(float).reshape(space.shape)
     name = desc["probe"] if isinstance(desc, dict) else desc
     if name == "random":
         return rng.standard_normal(space.shape)
@@ -111,11 +158,23 @@ def _witness_payload(w: wit.Witness, op: str, params: dict) -> dict:
 
 
 def run_task(config: dict) -> dict:
+    """Run one task.  The report owns its `config`, a copy in which a profile
+    element given as `values` is stored as `f64` (see encode_element), and
+    shares no list or dict with the caller's config."""
+    if not isinstance(config, dict):
+        raise UsageError(f"config must be a JSON object, not {type(config).__name__}")
+    if not isinstance(config.get("params", {}), dict):
+        raise UsageError("config params must be a JSON object")
+    # payloads carry parts of the config, so they get a private copy; a
+    # profile element is only read by make_element and is not copied
+    element = config.get("params", {}).get("element")
+    memo = {id(element): element} if config.get("task") == "profile" else None
+    config = copy.deepcopy(config, memo)
     task = config.get("task")
     if task not in TASKS:
         raise UsageError(f"unknown task {task!r}; expected one of {', '.join(TASKS)}")
     seed = int(config.get("seed", 0))
-    params = dict(config.get("params", {}))
+    params = config.get("params", {})
     rng = np.random.default_rng(seed)
     payload: dict
     verified = True
@@ -130,7 +189,10 @@ def run_task(config: dict) -> dict:
         s = build_scheme(config["scheme"])
         if "n_max" not in params:
             raise UsageError("profile task needs params.n_max")
-        x = make_element(s.space, params.get("element", "random"), rng)
+        desc = params.get("element", "random")
+        x = make_element(s.space, desc, rng)
+        if isinstance(desc, dict) and "values" in desc:
+            params["element"] = encode_element(x)
         profile = error_profile(s.space, x, s, int(params["n_max"]), seed=seed)
         payload = profile.to_json()
         vals = profile.values()
@@ -206,8 +268,9 @@ def run_task(config: dict) -> dict:
         verified = wit.verify_slow_decay(w, seed=seed)
         payload = _witness_payload(w, "slowdecay", params)
 
-    return {"version": REPORT_VERSION, "task": task, "config": config,
-            "config_hash": config_hash(config), "seed": seed,
+    text = canonical_json(config)
+    return {"version": REPORT_VERSION, "task": task, "config": json.loads(text),
+            "config_hash": hash_text(text), "seed": seed,
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
             "payload": payload, "verified": verified}
 
@@ -238,10 +301,15 @@ def _same(a, b) -> bool:
 def replay_report(report: dict) -> bool:
     """Re-run the task behind a report; True iff every field but NOT_CLAIMS
     reproduces.  Side files (`csv`, `plot_data`) are not written again."""
+    if not isinstance(report, dict):
+        raise UsageError(f"report must be a JSON object, not {type(report).__name__}")
     version = report.get("version")
-    if version != REPORT_VERSION:
-        raise UsageError(f"report version {version!r} is incompatible with {REPORT_VERSION}")
+    if version not in READS_VERSIONS:
+        raise UsageError(f"report version {version!r} is incompatible with "
+                         f"{', '.join(READS_VERSIONS)}")
     config = report.get("config")
+    if not isinstance(config, dict):
+        raise UsageError(f"report config must be a JSON object, not {type(config).__name__}")
     if config_hash(config) != report.get("config_hash"):
         raise UsageError("config hash mismatch; report was edited")
     fresh = run_task({k: v for k, v in config.items() if k not in ("csv", "plot_data")})

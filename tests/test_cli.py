@@ -1,3 +1,4 @@
+import base64
 import copy
 import functools
 import json
@@ -11,9 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lethargy import cli
-from lethargy.cli import (REL_TOL, TASKS, UsageError, config_hash, main, make_element,
-                          replay_report, run_task)
+from lethargy.cli import (REL_TOL, TASKS, UsageError, canonical_json, config_hash,
+                          encode_element, main, make_element, replay_report, run_task)
 from lethargy.scheme import build_scheme, named_probes
+from lethargy.space import SpaceError
 
 
 def write_config(tmp_path, cfg, name="cfg.json"):
@@ -54,7 +56,7 @@ class TestRun:
         assert main(["run", "--config", cfg, "--out", str(out)]) == 0
         report = json.loads(out.read_text())
         assert report["verified"]
-        assert report["version"] == "1.0"
+        assert report["version"] == cli.REPORT_VERSION
         assert report["seed"] == 7
         assert report["config_hash"] == config_hash(report["config"])
         assert report["payload"]["verifications"]
@@ -78,6 +80,12 @@ class TestRun:
 
     def test_missing_config_file(self, capsys):
         assert main(["run", "--config", "/nonexistent/cfg.json"]) == 1
+
+    def test_config_that_is_not_an_object(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, [1, 2])
+        assert main(["run", "--config", cfg]) == 1
+        assert "JSON object" in capsys.readouterr().err
+        assert main(["run", "--config", cfg, "--set", "params.n_max=3"]) == 1
 
     def test_set_overrides(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"task": "profile", "seed": 1,
@@ -196,6 +204,16 @@ class TestReplay:
         path.write_text(json.dumps(report))
         assert main(["replay", str(path)]) == 1
         assert "incompatible" in capsys.readouterr().err
+
+    def test_report_or_config_that_is_not_an_object(self, tmp_path, capsys):
+        report = run_task(dict(C0_CONFIG))
+        report.update(config=None, config_hash=config_hash(None))
+        path = tmp_path / "null.json"
+        path.write_text(json.dumps(report))
+        assert main(["replay", str(path)]) == 1
+        path.write_text("[1, 2]")
+        assert main(["replay", str(path)]) == 1
+        assert "JSON object" in capsys.readouterr().err
 
     def test_edited_config_detected(self, tmp_path):
         report = run_task(dict(C0_CONFIG))
@@ -368,6 +386,128 @@ class TestReplayTamper:
                 assert not replay_report(report)
             except UsageError:
                 pass
+
+
+def _f64(values) -> str:
+    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
+
+
+def _values_profile(values, scheme="interleaved-c0", n_max=3) -> dict:
+    return {"task": "profile", "seed": 2, "scheme": scheme,
+            "params": {"n_max": n_max, "element": {"values": list(values)}}}
+
+
+# one small profile scheme per carrier
+CARRIER_SCHEMES = {
+    "grid": {"kind": "chain", "family": "monomial", "n_max": 3,
+             "space": {"carrier": "grid", "domain": "interval", "nodes": 9,
+                       "norm": "lp", "p": 2.0}},
+    "coords": {"kind": "nterm", "n_max": 3, "dictionary": {"family": "orthonormal"},
+               "space": {"carrier": "coords", "dim": 6, "norm": "lp", "p": 2.0}},
+    "matrix": {"kind": "rank", "space": {"carrier": "matrix", "side": 3, "norm": "hs"}},
+}
+# signed zeros, subnormals and magnitudes up to 1e300, all finite
+EXTREME_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e-300, -1e-300, 1e300, -1e300]),
+    st.floats(min_value=-1e300, max_value=1e300, allow_nan=False))
+
+BAD_ELEMENTS = {  # for interleaved-c0, whose elements have shape [20]
+    "values-wrong-length": {"values": [1.0] * 19},
+    "f64-wrong-byte-length": {"f64": _f64([1.0] * 19), "shape": [20]},
+    "f64-shape-differs": {"f64": _f64([1.0] * 20), "shape": [4, 5]},
+    # valid once the "!" is discarded, which b64decode does unless validating
+    "f64-invalid-base64": {"f64": "!" + _f64([1.0] * 20), "shape": [20]},
+}
+
+
+class TestElementEncoding:
+    @settings(max_examples=60, deadline=None)
+    @given(carrier=st.sampled_from(sorted(CARRIER_SCHEMES)), data=st.data())
+    def test_f64_element_is_bit_exact(self, carrier, data):
+        desc = CARRIER_SCHEMES[carrier]
+        space = build_scheme(desc).space
+        size = math.prod(space.shape)
+        x = np.array(data.draw(st.lists(EXTREME_FLOATS, min_size=size, max_size=size)),
+                     dtype=float).reshape(space.shape)
+        back = make_element(space, json.loads(json.dumps(encode_element(x))), None)
+        assert np.array_equal(back.view(np.uint64), x.view(np.uint64))
+        with np.errstate(all="ignore"):
+            from_values = run_task(_values_profile(x.ravel().tolist(), desc, n_max=2))
+            assert from_values["config"]["params"]["element"] == encode_element(x)
+            from_f64 = run_task(json.loads(json.dumps(from_values["config"])))
+        assert (json.dumps(from_f64["payload"], sort_keys=True)
+                == json.dumps(from_values["payload"], sort_keys=True))
+
+    def test_version_1_0_values_report_replays(self):
+        config = _values_profile(np.linspace(-1.0, 1.0, 20).tolist())
+        report = run_task(copy.deepcopy(config))
+        old = dict(report, version="1.0", config=config, config_hash=config_hash(config))
+        assert replay_report(old)
+        assert replay_report(json.loads(json.dumps(old, indent=2, sort_keys=True)))
+
+    def test_4096_value_config_is_compact(self):
+        x = np.random.default_rng(5).standard_normal(4096)
+        report = run_task(_values_profile(x.tolist(), "trig-chain", n_max=2))
+        assert len(canonical_json(report["config"])) < 48_000
+        assert replay_report(json.loads(json.dumps(report, indent=2, sort_keys=True)))
+
+    @pytest.mark.parametrize("where", [0, 100, -1])
+    def test_changed_base64_character_fails_replay(self, where):
+        report = run_task(_values_profile(np.linspace(-1.0, 1.0, 20).tolist()))
+        element = report["config"]["params"]["element"]
+        chars = list(element["f64"])
+        chars[where] = "B" if chars[where] == "A" else "A"
+        element["f64"] = "".join(chars)
+        with pytest.raises(UsageError, match="hash"):
+            replay_report(json.loads(json.dumps(report)))
+
+    @pytest.mark.parametrize("case", sorted(BAD_ELEMENTS))
+    def test_bad_element_is_a_usage_error(self, tmp_path, capsys, case):
+        cfg = write_config(tmp_path, {"task": "profile", "seed": 1, "scheme": "interleaved-c0",
+                                      "params": {"n_max": 3, "element": BAD_ELEMENTS[case]}})
+        assert main(["run", "--config", cfg]) == 1
+        assert "element for shape [20]" in capsys.readouterr().err
+
+    def test_non_finite_values_reach_the_space_check(self):
+        with pytest.raises(SpaceError):
+            run_task(_values_profile([math.nan] + [1.0] * 19))
+
+
+def _containers(node):
+    """Every list and dict in a JSON tree."""
+    if isinstance(node, dict):
+        yield node
+        for v in node.values():
+            yield from _containers(v)
+    elif isinstance(node, list):
+        yield node
+        for v in node:
+            yield from _containers(v)
+
+
+class TestReportOwnership:
+    @pytest.mark.parametrize("name", [*TASKS, "profile-values", "witness-c0",
+                                      "witness-element"])
+    def test_report_shares_nothing_with_its_config(self, name):
+        extra = {"profile-values": _values_profile(np.linspace(0.0, 1.0, 20).tolist()),
+                 "witness-c0": C0_CONFIG,
+                 "witness-element": {"task": "witness", "params": {
+                     "op": "quantizer", "m": 8, "element": {"values": [1.0]}}}}
+        config = copy.deepcopy(SMALL.get(name) or extra[name])
+        snapshot = copy.deepcopy(config)
+        report = run_task(config)
+        for node in list(_containers(report)):
+            if isinstance(node, dict):
+                node["edited"] = True
+            else:
+                node.append("edited")
+        assert config == snapshot
+
+    def test_edited_constructor_param_fails_replay(self):
+        report = run_task(copy.deepcopy(C0_CONFIG))
+        report["payload"]["constructor"]["params"]["eps"][0] = 2.0
+        assert report["config"] == C0_CONFIG
+        assert replay_report(report) is False
 
 
 class TestWitnessOps:
