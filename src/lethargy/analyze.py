@@ -87,10 +87,11 @@ def density_lower_bound(s: Scheme, n: int, candidates: Optional[Iterable] = None
 
 def density_upper_estimate(s: Scheme, n: int, rng_seed: int = 0,
                            probes: int = 12) -> DensityCertificate:
-    """Probe-sweep max of E/||.||; certified only for the quantizer kind."""
-    if s.kind == "quantizer":
-        bound = 1.0 / s.m_of(n)
-        return DensityCertificate(n, bound, None, bound, "upper", "certified",
+    """Probe-sweep max of E/||.||; certified where the kind proves an envelope
+    (the quantizer's midpoint quantization)."""
+    envelope = s.envelope([n])
+    if envelope is not None:
+        return DensityCertificate(n, envelope[0], None, envelope[0], "upper", "certified",
                                   "midpoint quantization of the value range")
     rng = np.random.default_rng(rng_seed)
     worst = 0.0
@@ -176,8 +177,8 @@ def shapiro_check(s: Scheme, probe_budget: int = 16, rng_seed: int = 0,
         return ShapiroVerdict("consistent-with-Shapiro", constant, certs, gamma,
                               probes_checked=0)
 
-    if s.kind == "quantizer":
-        env = [1.0 / s.m_of(n) for n in levels]
+    env = s.envelope(levels)
+    if env is not None:
         checked = 0
         ok = True
         for x in probe_elements(s, rng, count=probe_budget):
@@ -216,20 +217,6 @@ def property_P_check(s: Scheme, a: float, b: float, n_list: Iterable[int],
 # -- submultiplicativity -----------------------------------------------------------
 
 
-def default_pairing(s: Scheme) -> Callable[[int, int], Optional[int]]:
-    if s.kind in ("nterm", "rank", "spline"):
-        return lambda m, n: m + n
-    if s.kind == "quantizer":
-        def pair(m, n):
-            need = s.m_of(m) * s.m_of(n)
-            for j in range(max(m, n), s.n_max + 1):
-                if s.m_of(j) >= need:
-                    return j
-            return None
-        return pair
-    return lambda m, n: s.K(max(m, n))
-
-
 def density_profile_check(s: Scheme, n_max: Optional[int] = None,
                           pairing: Optional[Callable] = None,
                           rng_seed: int = 0, tol: float = 1e-3) -> dict:
@@ -244,7 +231,7 @@ def density_profile_check(s: Scheme, n_max: Optional[int] = None,
     if n_max is None:
         n_max = s.n_max
     n_max = min(n_max, s.n_max)
-    pair = pairing or default_pairing(s)
+    pair = pairing or s.pairing
     lowers = {}
     uppers = {}
     upper_status = {}
@@ -271,7 +258,7 @@ def density_profile_check(s: Scheme, n_max: Optional[int] = None,
                                 "certified_lower": lhs, "upper_product": rhs,
                                 "upper_status": [upper_status[m], upper_status[n]]})
     decay = []
-    if s.kind == "nterm":
+    if s.power_decay:
         for m in range(1, n_max + 1):
             um = uppers[m]
             if um < 1.0 - tol:

@@ -11,7 +11,7 @@ every field except `timestamp` and `version`, floats at 1e-9 relative; the
 config is checked by its hash, and replay writes no side files.  Exit codes: 0
 success, 1 usage/configuration error, 2 verification failure (a report did not
 reproduce).  All randomness flows from the single 64-bit seed recorded in the
-report; LETHARGY_THREADS caps level parallelism.
+report.
 """
 
 from __future__ import annotations

@@ -1,26 +1,30 @@
 """Approximation schemes: indexed families A_n with a gap map K.
 
-A scheme couples an ambient space with a kind-specific description of the
-sets A_n (subspace chain, n-term dictionary, quantizer, interleaved-c0,
-free-knot splines, matrix rank, truncated Haar dictionary).  Schemes are
-immutable after build; membership tests and samplers are re-entrant.
+A scheme couples an ambient space with one kind of sets A_n, and each kind is
+one subclass of `Scheme`: subspace chains (`Chain`), n-term dictionaries
+(`NTerm`, also over the truncated Haar dictionary), value-budget quantizers
+(`Quantizer`), the interleaved-c0 family (`InterleavedC0`), free-knot
+splines (`Spline`) and matrix rank (`Rank`).  A kind carries its own solver,
+sampler, candidate rules and proved envelope.  Schemes are immutable after
+build; membership tests and samplers are re-entrant.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import ClassVar, Optional
 
 import numpy as np
 
+from .solve import (BestApprox, NoSolverError, SolverError, _chain_l2_values, _fit_in_span,
+                    _interleaved_error, _is_l2, _nterm_levels, _rank_error, _rank_value,
+                    _spline_lp, _spline_sup, _weighted_l2_fit, best_approx, quantizer_error)
 from .space import Grid, Space, norm
 
 MEMBERSHIP_TOL = 1e-9
 RANK_SV_CUTOFF = 1e-10
 VALUE_MERGE_TOL = 1e-12
-
-KINDS = ("chain", "nterm", "quantizer", "interleaved-c0", "spline", "rank", "wavelet-haar")
 
 
 class SchemeError(ValueError):
@@ -62,38 +66,6 @@ def make_dictionary(space: Space, atoms: np.ndarray, label: str, normalize: bool
         a = np.column_stack(cols)
     return Dictionary(a, label, normalized=normalize)
 
-
-@dataclass(frozen=True)
-class Scheme:
-    kind: str
-    space: Space
-    n_max: int
-    label: str
-    descriptor: dict = field(compare=False)
-    basis: Optional[np.ndarray] = None           # chain
-    level_dims: Optional[np.ndarray] = None      # chain: dim of A_n
-    dictionary: Optional[Dictionary] = None      # nterm
-    value_budget: Optional[np.ndarray] = None    # quantizer m(n)
-    cap: int = 0                                 # interleaved-c0 dimension cap
-    degree: int = 0                              # spline polynomial degree bound
-    gap: Optional[np.ndarray] = None             # K(n), -1 = beyond window
-
-    def K(self, n: int) -> Optional[int]:
-        """Gap map value, or None when it falls beyond the window (quantizer)."""
-        k = int(self.gap[n])
-        return None if k < 0 else k
-
-    def gap_values(self) -> list:
-        return [self.K(n) for n in range(self.n_max + 1)]
-
-    def chain_dim(self, n: int) -> int:
-        return int(self.level_dims[n])
-
-    def m_of(self, n: int) -> int:
-        return int(self.value_budget[n])
-
-    def to_json(self) -> dict:
-        return dict(self.descriptor)
 
 
 # -- basis families ----------------------------------------------------------
@@ -198,17 +170,94 @@ def _build_dictionary(desc: dict, space: Space) -> Dictionary:
     raise SchemeError(f"unknown dictionary family {family!r}")
 
 
-def build_scheme(descriptor) -> Scheme:
-    """Materialize a scheme from a declarative descriptor (dict or registry name)."""
-    if isinstance(descriptor, str):
-        descriptor = registry_descriptor(descriptor)
-    desc = dict(descriptor)
-    kind = desc.get("kind")
-    if kind not in KINDS:
-        raise SchemeError(f"unknown scheme kind {kind!r}")
-    label = desc.get("label", kind)
+# -- the scheme kinds -----------------------------------------------------------
 
-    if kind == "chain":
+
+@dataclass(frozen=True)
+class Scheme:
+    """The sets A_n, n = 0..n_max, of one kind over `space`, with gap map K.
+
+    A kind is a subclass: it declares its own fields, builds itself from its
+    descriptor (`build`), implements `solve` and `sample`, and overrides the
+    defaults below where it knows more.  The module-level entry points (here
+    and `solve.best_approx`, `solve.error_profile`) check their input and
+    call these methods.
+    """
+
+    kind: ClassVar[str]
+    kink_probe: ClassVar[bool] = False   # the density proxy also probes |t - 1/2|
+    power_decay: ClassVar[bool] = False  # density_profile_check tests d(km) <= d(m)^k
+    space: Space
+    n_max: int
+    label: str
+    descriptor: dict = field(compare=False)
+    gap: np.ndarray  # K(n), -1 = beyond window
+
+    def K(self, n: int) -> Optional[int]:
+        """Gap map value, or None when it falls beyond the window (quantizer)."""
+        k = int(self.gap[n])
+        return None if k < 0 else k
+
+    def gap_values(self) -> list:
+        return [self.K(n) for n in range(self.n_max + 1)]
+
+    def to_json(self) -> dict:
+        return dict(self.descriptor)
+
+    def profile(self, space: Space, x: np.ndarray, n_max: int, seed: int) -> Optional[tuple]:
+        """([(value, status)] for n = 0..n_max, element norm or None) from one
+        factorization of x, or None when the levels are solved one by one."""
+        return None
+
+    def member(self, x: np.ndarray, n: int, tol: float) -> bool:
+        """x in A_n, by its distance to A_n."""
+        return best_approx(self.space, x, self, n).value <= tol * max(1.0, norm(self.space, x))
+
+    def draw(self, n: int, rng: np.random.Generator) -> tuple:
+        """A member of A_n and the atom support it exhibits (None: no support)."""
+        return sample_element(self, n, rng), None
+
+    def certified_member(self, x: np.ndarray, n: int, support) -> bool:
+        """x in A_n, where `support` is what `draw` exhibited for x."""
+        return membership(self, x, n)
+
+    def additive(self, n: int, rng: np.random.Generator) -> bool:
+        """One additivity trial: is the sum of two members of A_n in A_K(n)?"""
+        a = sample_element(self, n, rng)
+        b = sample_element(self, n, rng)
+        return membership(self, a + b, self.K(n))
+
+    def gap_candidates(self, n: int, rng: np.random.Generator, count: int) -> list:
+        """Elements of A_{n+1} expected to be far from A_n, not normalized."""
+        return [sample_element(self, n + 1, rng) for _ in range(count)]
+
+    def density_candidates(self, n: int) -> list:
+        """Extremal ambient elements expected to be far from A_n, not normalized."""
+        return []
+
+    def density_threshold(self) -> float:
+        """The largest probe error at n_max that the density proxy accepts."""
+        return 0.5
+
+    def envelope(self, levels: list) -> Optional[list]:
+        """A proved bound on E(x, A_n) / ||x|| at each of `levels`, or None."""
+        return None
+
+    def pairing(self, m: int, n: int) -> Optional[int]:
+        """A level holding A_m + A_n."""
+        return self.K(max(m, n))
+
+
+@dataclass(frozen=True)
+class Chain(Scheme):
+    """Nested subspaces: A_n is the span of the first dim(n) basis columns; K(n) = n."""
+
+    kind = "chain"
+    basis: np.ndarray
+    level_dims: np.ndarray  # dim of A_n
+
+    @classmethod
+    def build(cls, desc: dict, label: str) -> "Chain":
         space = build_space(desc["space"])
         n_max = int(desc["n_max"])
         family = desc.get("family", "monomial")
@@ -227,20 +276,161 @@ def build_scheme(descriptor) -> Scheme:
             basis = np.eye(space.dim)[:, : n_max + 1]
         else:
             raise SchemeError(f"unknown chain family {family!r}")
-        gap = np.arange(n_max + 1)
-        return Scheme(kind, space, n_max, label, desc, basis=basis,
-                      level_dims=level_dims, gap=gap)
+        return cls(space, n_max, label, desc, np.arange(n_max + 1), basis=basis,
+                   level_dims=level_dims)
 
-    if kind == "nterm":
+    def chain_dim(self, n: int) -> int:
+        return int(self.level_dims[n])
+
+    def solve(self, space: Space, x: np.ndarray, n: int, seed: int) -> BestApprox:
+        return BestApprox(*_fit_in_span(space, self.basis[:, : self.chain_dim(min(n, self.n_max))], x))
+
+    def profile(self, space, x, n_max, seed):
+        """L2 chains: one QR."""
+        if not _is_l2(space):
+            return None
+        dims = [self.chain_dim(n) for n in range(n_max + 1)]
+        return [(value, "exact") for value in _chain_l2_values(space, self.basis, dims, x)], None
+
+    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        d = self.chain_dim(n)
+        return self.basis[:, :d] @ rng.standard_normal(d)
+
+    def _tail_column(self, d: int, col: np.ndarray) -> np.ndarray:
+        """`col` orthonormalized against the first d basis columns (L2 grids)."""
+        w = np.sqrt(self.space.grid.weights)
+        q, _ = np.linalg.qr(np.column_stack([self.basis[:, :d], col]) * w[:, None])
+        col = q[:, d] / w
+        return col / norm(self.space, col)
+
+    def gap_candidates(self, n, rng, count):
+        d = self.chain_dim(n)
+        d_next = self.chain_dim(n + 1)
+        sp, family = self.space, self.descriptor.get("family")
+        out = []
+        if sp.norm_kind == "sup" and family in ("monomial", "trig"):
+            out.append(self.basis[:, d])  # Chebyshev column of the next degree, or cos((n+1)t)
+        elif _is_l2(sp) and sp.carrier == "grid":
+            out.append(self._tail_column(d, self.basis[:, d]))
+        for _ in range(count):
+            c = rng.standard_normal(d_next - d)
+            out.append(self.basis[:, d:d_next] @ c)
+        return out
+
+    def density_candidates(self, n):
+        sp, family = self.space, self.descriptor.get("family")
+        out = []
+        if family == "monomial" and sp.carrier == "grid":
+            deg = self.chain_dim(n)
+            out.append(_chebyshev_columns(sp.grid, deg + 1)[:, deg])
+        elif family == "trig":
+            out.append(np.cos((n + 1) * sp.grid.nodes))
+        elif family == "coordinate":
+            e = np.zeros(sp.dim)
+            e[min(self.chain_dim(n), sp.dim - 1)] = 1.0
+            out.append(e)
+        if _is_l2(sp) and sp.carrier == "grid":
+            # the family candidate above, so the top level needs no column past the basis
+            out.append(self._tail_column(self.chain_dim(n), out[-1]))
+        return out
+
+    def density_threshold(self):
+        return 1e-3 if self.descriptor.get("family") == "monomial" and self.n_max >= 10 else 0.5
+
+
+@dataclass(frozen=True)
+class NTerm(Scheme):
+    """A_n: combinations of at most n dictionary atoms; K(n) = 2n."""
+
+    kind = "nterm"
+    kink_probe = True
+    power_decay = True
+    dictionary: Dictionary
+
+    @classmethod
+    def build(cls, desc: dict, label: str) -> "NTerm":
         space = build_space(desc["space"])
         dictionary = _build_dictionary(desc["dictionary"], space)
         n_max = int(desc.get("n_max", dictionary.size))
         if n_max < 1:
             raise SchemeError("n-term scheme needs n_max >= 1 (strict inclusion axiom)")
-        gap = 2 * np.arange(n_max + 1)
-        return Scheme(kind, space, n_max, label, desc, dictionary=dictionary, gap=gap)
+        return cls(space, n_max, label, desc, 2 * np.arange(n_max + 1), dictionary=dictionary)
 
-    if kind == "quantizer":
+    @classmethod
+    def build_haar(cls, desc: dict, label: str) -> "NTerm":
+        """The "wavelet-haar" descriptor: n-term over the Haar scaling atoms of L2[0, 1)."""
+        level = int(desc.get("level", 8))
+        space = Space.lp_grid(Grid.interval_cells(0.0, 1.0, 2**level), 2.0)
+        dict_desc = {"family": "haar-scaling", "max_level": int(desc.get("max_level", level)),
+                     "budget": desc.get("budget")}
+        n_max = int(desc.get("n_max", 8))
+        return cls(space, n_max, label, desc, 2 * np.arange(n_max + 1),
+                   dictionary=_build_dictionary(dict_desc, space))
+
+    def solve(self, space, x, n, seed):
+        return BestApprox(*_nterm_levels(space, self.dictionary.atoms, x, [n], seed)[n])
+
+    def profile(self, space, x, n_max, seed):
+        """L2: one coefficient sort, or exhaustive levels plus one greedy run
+        shared by the greedy levels."""
+        if not _is_l2(space):
+            return None
+        levels = list(range(n_max + 1))
+        by_level = _nterm_levels(space, self.dictionary.atoms, x, levels, seed)
+        return [(by_level[n][0], by_level[n][2]) for n in levels], None
+
+    def draw(self, n, rng):
+        k = min(n, self.dictionary.size)
+        if k == 0:
+            return self.space.zero(), np.array([], dtype=int)
+        idx = rng.choice(self.dictionary.size, size=k, replace=False)
+        return self.dictionary.atoms[:, idx] @ rng.standard_normal(k), idx
+
+    def sample(self, n, rng):
+        return self.draw(n, rng)[0]
+
+    def certified_member(self, x, n, support):
+        """Membership certified by a fit on the exhibited atoms when they fit in A_n."""
+        if len(support) > min(n, self.dictionary.size):
+            return membership(self, x, n)
+        if len(support) == 0:
+            return bool(norm(self.space, x) <= MEMBERSHIP_TOL)
+        value = _weighted_l2_fit(self.space, self.dictionary.atoms[:, list(support)], x)[0]
+        return value <= MEMBERSHIP_TOL * max(1.0, norm(self.space, x))
+
+    def additive(self, n, rng):
+        # the sum is certified on the union of the two drawn atom subsets,
+        # which exhibits a concrete A_K(n) member
+        a, idx_a = self.draw(n, rng)
+        b, idx_b = self.draw(n, rng)
+        union = np.union1d(idx_a, idx_b)
+        kn = self.K(n)
+        return union.size <= kn and self.certified_member(a + b, kn, union)
+
+    def gap_candidates(self, n, rng, count):
+        atom = np.array(self.dictionary.atoms[:, rng.integers(self.dictionary.size)])
+        return [atom, *super().gap_candidates(n, rng, count)]
+
+    def density_candidates(self, n):
+        alt = np.ones(self.space.shape[0])
+        alt[1::2] = -1.0
+        return [np.ones(self.space.shape[0]), alt]
+
+    def pairing(self, m, n):
+        return m + n
+
+
+@dataclass(frozen=True)
+class Quantizer(Scheme):
+    """A_n: functions taking at most m(n) values, in the sup norm; K(n) is the
+    first level whose budget covers m(n)^2."""
+
+    kind = "quantizer"
+    kink_probe = True
+    value_budget: np.ndarray  # m(n)
+
+    @classmethod
+    def build(cls, desc: dict, label: str) -> "Quantizer":
         space = build_space(desc.get("space", {"carrier": "grid", "norm": "sup"}))
         if space.norm_kind != "sup":
             raise SchemeError("quantizer scheme is defined over a sup-norm carrier")
@@ -250,62 +440,238 @@ def build_scheme(descriptor) -> Scheme:
             raise SchemeError("value budget must be >= 1 (non-empty A_n)")
         if np.any(np.diff(m) < 0):
             raise SchemeError("value budget must be non-decreasing (nesting axiom)")
-        # K(n) = first level whose budget covers m(n)^2 (sum of two m-valued
-        # functions takes at most m^2 values); -1 when beyond the window.
+        # the sum of two m-valued functions takes at most m^2 values; -1 when
+        # no level of the window covers that
         gap = np.full(n_max + 1, -1, dtype=np.int64)
         for n in range(n_max + 1):
-            need = int(m[n]) ** 2
-            hits = np.nonzero(m >= need)[0]
+            hits = np.nonzero(m >= int(m[n]) ** 2)[0]
             hits = hits[hits >= n]
             if hits.size:
                 gap[n] = int(hits[0])
-        return Scheme(kind, space, n_max, label, desc, value_budget=m, gap=gap)
+        return cls(space, n_max, label, desc, gap, value_budget=m)
 
-    if kind == "interleaved-c0":
+    def m_of(self, n: int) -> int:
+        return int(self.value_budget[n])
+
+    def solve(self, space, x, n, seed):
+        if n > self.n_max:
+            raise SolverError("quantizer level beyond the window has no declared budget")
+        res = quantizer_error(space, x, self.m_of(n))
+        return BestApprox(res.value, res.minimizer, "exact", res.info)
+
+    def member(self, x, n, tol):
+        return distinct_value_count(x) <= self.m_of(n)
+
+    def sample(self, n, rng):
+        m = self.m_of(n)
+        vals = rng.standard_normal(m)
+        return vals[rng.integers(0, m, self.space.shape[0])]
+
+    def additive(self, n, rng):
+        a = sample_element(self, n, rng)
+        b = sample_element(self, n, rng)
+        # the m(n)^2 value-count bound is checkable even when K(n) falls
+        # beyond the window
+        kn = self.K(n)
+        return distinct_value_count(a + b) <= self.m_of(n) ** 2 and (
+            kn is None or membership(self, a + b, kn))
+
+    def density_candidates(self, n):
+        g = self.space.grid
+        return [2.0 * (g.nodes - g.a) / (g.b - g.a) - 1.0]
+
+    def density_threshold(self):
+        return 1.2 / self.m_of(self.n_max)
+
+    def envelope(self, levels):
+        """Midpoint quantization of the value range: E(x, A_n) <= ||x|| / m(n)."""
+        return [1.0 / self.m_of(n) for n in levels]
+
+    def pairing(self, m, n):
+        need = self.m_of(m) * self.m_of(n)
+        for j in range(max(m, n), self.n_max + 1):
+            if self.m_of(j) >= need:
+                return j
+        return None
+
+
+@dataclass(frozen=True)
+class InterleavedC0(Scheme):
+    """Sup-norm coordinates of dimension `cap`: odd levels are coordinate
+    spans, even levels add one coordinate bounded by the leading ones; K(n) = n + 1."""
+
+    kind = "interleaved-c0"
+    cap: int  # dimension
+
+    @classmethod
+    def build(cls, desc: dict, label: str) -> "InterleavedC0":
         cap = int(desc["cap"])
         if cap < 2:
             raise SchemeError("interleaved-c0 needs dimension cap >= 2 (strict inclusions)")
         n_max = int(desc.get("n_max", 2 * cap - 2))
         if n_max > 2 * cap - 1:
             raise SchemeError("levels beyond 2*cap-1 coincide with the whole space")
-        space = Space.sup_coords(cap)
-        gap = np.arange(n_max + 1) + 1
-        return Scheme(kind, space, n_max, label, desc, cap=cap, gap=gap)
+        return cls(Space.sup_coords(cap), n_max, label, desc, np.arange(n_max + 1) + 1, cap=cap)
 
-    if kind == "spline":
+    def solve(self, space, x, n, seed):
+        if space.norm_kind != "sup":
+            raise NoSolverError("interleaved-c0 solver is defined for the sup norm")
+        value, y = _interleaved_error(self.cap, np.asarray(x, dtype=float), n)
+        return BestApprox(value, y, "exact", {"solver": "coordinate-closed-form"})
+
+    def sample(self, n, rng):
+        x = np.zeros(self.cap)
+        if n == 0:
+            return x
+        if n % 2 == 1:  # span of the first (n+1)/2 coordinates
+            k = (n + 1) // 2
+            x[:k] = rng.standard_normal(k)
+            return x
+        k = n // 2  # constrained set on k+1 coordinates
+        x[:k] = rng.standard_normal(k)
+        bound = np.max(np.abs(x[:k])) / (k + 1) if k else 0.0
+        x[k] = rng.uniform(-bound, bound)
+        return x
+
+    def gap_candidates(self, n, rng, count):
+        x = np.zeros(self.cap)
+        if n % 2 == 1:  # A_{n+1} is a constrained set on k+1 coordinates
+            k = (n + 1) // 2
+            x[:k] = 1.0
+            x[k] = 1.0 / (k + 1)
+        else:  # A_{n+1} is the span of the first k+1 coordinates
+            x[n // 2] = 1.0
+        return [x, *super().gap_candidates(n, rng, count)]
+
+    def density_candidates(self, n):
+        used = (n + 1) // 2 if n % 2 == 1 else n // 2 + 1
+        e = np.zeros(self.cap)
+        e[min(used, self.cap - 1)] = 1.0
+        return [e]
+
+    def density_threshold(self):
+        return 1e-9 if self.n_max >= 2 * self.cap - 1 else 1.5
+
+
+@dataclass(frozen=True)
+class Spline(Scheme):
+    """Free-knot splines: A_n holds the piecewise polynomials of degree below
+    `degree` with at most n knots at grid nodes; K(n) = 2n."""
+
+    kind = "spline"
+    kink_probe = True
+    degree: int  # polynomial degree bound
+
+    @classmethod
+    def build(cls, desc: dict, label: str) -> "Spline":
         space = build_space(desc["space"])
         degree = int(desc.get("degree", 2))
         if not 1 <= degree <= 4:
             raise SchemeError("spline degree bound must lie in 1..4")
         n_max = int(desc["n_max"])
         gap = np.minimum(2 * np.arange(n_max + 1), space.grid.size - 2)
-        return Scheme(kind, space, n_max, label, desc, degree=degree, gap=gap)
+        return cls(space, n_max, label, desc, gap, degree=degree)
 
-    if kind == "rank":
+    def solve(self, space, x, n, seed):
+        """Sup norm: greedy segmentation; L_p: dynamic program over grid-node breakpoints."""
+        if space.norm_kind == "sup":
+            return BestApprox(*_spline_sup(space, x, self.degree, n + 1))
+        return BestApprox(*_spline_lp(space, x, self.degree, [n])[0])
+
+    def profile(self, space, x, n_max, seed):
+        """L_p: one cost table and one DP."""
+        if space.norm_kind != "lp":
+            return None
+        fits = _spline_lp(space, x, self.degree, list(range(n_max + 1)))
+        return [(value, status) for value, _, status, _ in fits], None
+
+    def sample(self, n, rng):
+        g = self.space.grid
+        if n == 0:
+            breaks = []
+        else:
+            breaks = np.sort(rng.choice(np.arange(1, g.size - 1), size=min(n, g.size - 2), replace=False))
+        edges = [0, *[int(b) for b in breaks], g.size]
+        out = np.empty(g.size)
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            t = g.nodes[lo:hi]
+            tc = (t - t.mean()) if hi - lo > 1 else t * 0.0
+            coeffs = rng.standard_normal(self.degree)
+            out[lo:hi] = sum(c * tc**k for k, c in enumerate(coeffs))
+        return out
+
+    def density_threshold(self):
+        return 0.2
+
+    def pairing(self, m, n):
+        return m + n
+
+
+@dataclass(frozen=True)
+class Rank(Scheme):
+    """Square matrices of rank at most n; K(n) = 2n."""
+
+    kind = "rank"
+
+    @classmethod
+    def build(cls, desc: dict, label: str) -> "Rank":
         space = build_space(desc["space"])
         if space.carrier != "matrix":
             raise SchemeError("rank scheme needs a matrix space")
         n_max = int(desc.get("n_max", space.dim))
-        gap = np.minimum(2 * np.arange(n_max + 1), space.dim)
-        return Scheme(kind, space, n_max, label, desc, gap=gap)
+        return cls(space, n_max, label, desc, np.minimum(2 * np.arange(n_max + 1), space.dim))
 
-    if kind == "wavelet-haar":
-        level = int(desc.get("level", 8))
-        cells = 2**level
-        g = Grid.interval_cells(0.0, 1.0, cells)
-        space = Space.lp_grid(g, 2.0)
-        dict_desc = {"family": "haar-scaling", "max_level": int(desc.get("max_level", level)),
-                     "budget": desc.get("budget")}
-        dictionary = _build_dictionary(dict_desc, space)
-        n_max = int(desc.get("n_max", 8))
-        gap = 2 * np.arange(n_max + 1)
-        # the wavelet descriptor builds an n-term scheme over the Haar scaling atoms
-        return Scheme("nterm", space, n_max, label, desc, dictionary=dictionary, gap=gap)
+    def solve(self, space, x, n, seed):
+        return BestApprox(*_rank_error(space, x, n))
 
-    raise SchemeError(f"unhandled kind {kind!r}")
+    def profile(self, space, x, n_max, seed):
+        """One SVD, whose top singular value is the operator norm."""
+        sv = np.linalg.svd(x, compute_uv=False)
+        fits = [(_rank_value(space, sv, n), "exact") for n in range(n_max + 1)]
+        if space.norm_kind != "operator":
+            return fits, None
+        return fits, float(sv[0]) if sv.size else 0.0
+
+    def member(self, x, n, tol):
+        sv = np.linalg.svd(x, compute_uv=False)
+        cutoff = RANK_SV_CUTOFF * (sv[0] if sv.size and sv[0] > 0 else 1.0)
+        return int(np.sum(sv > cutoff)) <= n
+
+    def sample(self, n, rng):
+        d = self.space.dim
+        if n == 0:
+            return np.zeros((d, d))
+        k = min(n, d)
+        return rng.standard_normal((d, k)) @ rng.standard_normal((k, d))
+
+    def density_candidates(self, n):
+        return [np.eye(self.space.dim)]
+
+    def density_threshold(self):
+        return 1e-9 if self.n_max >= self.space.dim else 1.5
+
+    def pairing(self, m, n):
+        return m + n
 
 
-# -- membership --------------------------------------------------------------
+# descriptor kind -> builder; "wavelet-haar" builds an n-term scheme
+KINDS = {"chain": Chain.build, "nterm": NTerm.build, "quantizer": Quantizer.build,
+         "interleaved-c0": InterleavedC0.build, "spline": Spline.build, "rank": Rank.build,
+         "wavelet-haar": NTerm.build_haar}
+
+
+def build_scheme(descriptor) -> Scheme:
+    """Materialize a scheme from a declarative descriptor (dict or registry name)."""
+    if isinstance(descriptor, str):
+        descriptor = registry_descriptor(descriptor)
+    desc = dict(descriptor)
+    kind = desc.get("kind")
+    if kind not in KINDS:
+        raise SchemeError(f"unknown scheme kind {kind!r}")
+    return KINDS[kind](desc, desc.get("label", kind))
+
+
+# -- membership, samplers and candidates ----------------------------------------
 
 
 def distinct_value_count(x: np.ndarray, tol: float = VALUE_MERGE_TOL) -> int:
@@ -318,166 +684,40 @@ def distinct_value_count(x: np.ndarray, tol: float = VALUE_MERGE_TOL) -> int:
 
 def membership(s: Scheme, x: np.ndarray, n: int, tol: float = MEMBERSHIP_TOL) -> bool:
     """x in A_n, decided exactly for rank/quantizer and by distance elsewhere."""
-    x = s.space.check(x)
-    if s.kind == "rank":
-        sv = np.linalg.svd(x, compute_uv=False)
-        cutoff = RANK_SV_CUTOFF * (sv[0] if sv.size and sv[0] > 0 else 1.0)
-        return int(np.sum(sv > cutoff)) <= n
-    if s.kind == "quantizer":
-        return distinct_value_count(x) <= s.m_of(n)
-    from . import solve  # deferred: solve depends on scheme structure
-
-    return solve.best_approx(s.space, x, s, n).value <= tol * max(1.0, norm(s.space, x))
-
-
-# -- samplers and extremal candidates ----------------------------------------
+    return s.member(s.space.check(x), n, tol)
 
 
 def sample_element(s: Scheme, n: int, rng: np.random.Generator) -> np.ndarray:
     """Draw a generic member of A_n."""
-    if s.kind == "chain":
-        d = s.chain_dim(n)
-        return s.basis[:, :d] @ rng.standard_normal(d)
-    if s.kind == "nterm":
-        if n == 0:
-            return s.space.zero()
-        k = min(n, s.dictionary.size)
-        cols = rng.choice(s.dictionary.size, size=k, replace=False)
-        return s.dictionary.atoms[:, cols] @ rng.standard_normal(k)
-    if s.kind == "quantizer":
-        m = s.m_of(n)
-        vals = rng.standard_normal(m)
-        labels = rng.integers(0, m, s.space.shape[0])
-        return vals[labels]
-    if s.kind == "interleaved-c0":
-        x = np.zeros(s.cap)
-        if n == 0:
-            return x
-        if n % 2 == 1:  # span of the first (n+1)/2 coordinates
-            k = (n + 1) // 2
-            x[:k] = rng.standard_normal(k)
-            return x
-        k = n // 2  # constrained set on k+1 coordinates
-        x[:k] = rng.standard_normal(k)
-        bound = np.max(np.abs(x[:k])) / (k + 1) if k else 0.0
-        x[k] = rng.uniform(-bound, bound)
-        return x
-    if s.kind == "spline":
-        g = s.space.grid
-        if n == 0:
-            breaks = []
-        else:
-            breaks = np.sort(rng.choice(np.arange(1, g.size - 1), size=min(n, g.size - 2), replace=False))
-        edges = [0, *[int(b) for b in breaks], g.size]
-        out = np.empty(g.size)
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            t = g.nodes[lo:hi]
-            tc = (t - t.mean()) if hi - lo > 1 else t * 0.0
-            coeffs = rng.standard_normal(s.degree)
-            out[lo:hi] = sum(c * tc**k for k, c in enumerate(coeffs))
-        return out
-    if s.kind == "rank":
-        d = s.space.dim
-        if n == 0:
-            return np.zeros((d, d))
-        k = min(n, d)
-        return rng.standard_normal((d, k)) @ rng.standard_normal((k, d))
-    raise SchemeError(f"no sampler for kind {s.kind!r}")
+    if not 0 <= n <= s.n_max:
+        raise SchemeError(f"level {n} outside the window 0..{s.n_max}")
+    return s.sample(n, rng)
 
 
-def _orthonormal_tail_column(s: Scheme, d: int, col: np.ndarray) -> np.ndarray:
-    """`col` orthonormalized against the first d basis columns (L2 grids)."""
-    w = np.sqrt(s.space.grid.weights)
-    q, _ = np.linalg.qr(np.column_stack([s.basis[:, :d], col]) * w[:, None])
-    col = q[:, d] / w
-    return col / norm(s.space, col)
+def _units(space: Space, elements: list) -> list:
+    """The elements of norm above 1e-12, normalized."""
+    out = []
+    for x in elements:
+        nx = norm(space, x)
+        if nx > 1e-12:
+            out.append(x / nx)
+    return out
 
 
 def gap_candidates(s: Scheme, n: int, rng: np.random.Generator, count: int = 4) -> list:
     """Unit elements of A_{n+1} expected to be far from A_n."""
-    out = []
-    if s.kind == "chain":
-        d = s.chain_dim(n)
-        d_next = s.chain_dim(n + 1)
-        if s.space.norm_kind == "sup" and s.descriptor.get("family") == "monomial":
-            out.append(s.basis[:, d])  # Chebyshev column of the next degree
-        elif s.space.norm_kind == "sup" and s.descriptor.get("family") == "trig":
-            out.append(np.cos((n + 1) * s.space.grid.nodes))
-        elif s.space.norm_kind == "lp" and s.space.p == 2.0 and s.space.carrier == "grid":
-            out.append(_orthonormal_tail_column(s, d, s.basis[:, d]))
-        for _ in range(count):
-            c = rng.standard_normal(d_next - d)
-            out.append(s.basis[:, d:d_next] @ c)
-    elif s.kind == "interleaved-c0":
-        if n % 2 == 1:  # A_{n+1} is a constrained set on k+1 coordinates
-            k = (n + 1) // 2
-            x = np.zeros(s.cap)
-            x[:k] = 1.0
-            x[k] = 1.0 / (k + 1)
-            out.append(x)
-        else:  # A_{n+1} is the span of the first k+1 coordinates
-            k = n // 2
-            x = np.zeros(s.cap)
-            x[k] = 1.0
-            out.append(x)
-        for _ in range(count):
-            out.append(sample_element(s, n + 1, rng))
-    else:
-        if s.kind == "nterm" and s.dictionary is not None:
-            out.append(np.array(s.dictionary.atoms[:, rng.integers(s.dictionary.size)]))
-        for _ in range(count):
-            out.append(sample_element(s, n + 1, rng))
-    cands = []
-    for x in out:
-        nx = norm(s.space, x)
-        if nx > 1e-12:
-            cands.append(x / nx)
-    return cands
+    if not 0 <= n < s.n_max:
+        raise SchemeError(f"level {n} has no successor in the window 0..{s.n_max}")
+    return _units(s.space, s.gap_candidates(n, rng, count))
 
 
 def density_candidates(s: Scheme, n: int, rng: np.random.Generator, count: int = 6) -> list:
-    """Unit elements of the ambient space expected to be far from A_n."""
-    out = []
-    if s.kind == "chain":
-        family = s.descriptor.get("family")
-        if family == "monomial" and s.space.carrier == "grid":
-            deg = s.chain_dim(n)
-            out.append(_chebyshev_columns(s.space.grid, deg + 1)[:, deg])
-        elif family == "trig":
-            out.append(np.cos((n + 1) * s.space.grid.nodes))
-        elif family == "coordinate":
-            e = np.zeros(s.space.dim)
-            e[min(s.chain_dim(n), s.space.dim - 1)] = 1.0
-            out.append(e)
-        if s.space.norm_kind == "lp" and s.space.p == 2.0 and s.space.carrier == "grid":
-            # the family candidate above, so the top level needs no column past the basis
-            out.append(_orthonormal_tail_column(s, s.chain_dim(n), out[-1]))
-    elif s.kind == "interleaved-c0":
-        used = (n + 1) // 2 if n % 2 == 1 else n // 2 + 1
-        e = np.zeros(s.cap)
-        e[min(used, s.cap - 1)] = 1.0
-        out.append(e)
-    elif s.kind == "quantizer":
-        g = s.space.grid
-        ramp = 2.0 * (g.nodes - g.a) / (g.b - g.a) - 1.0
-        out.append(ramp)
-    elif s.kind == "rank":
-        out.append(np.eye(s.space.dim))
-    elif s.kind == "nterm":
-        dim = s.space.shape[0]
-        out.append(np.ones(dim))
-        alt = np.ones(dim)
-        alt[1::2] = -1.0
-        out.append(alt)
-    for _ in range(count):
-        shape = s.space.shape
-        out.append(rng.standard_normal(shape))
-    cands = []
-    for x in out:
-        nx = norm(s.space, x)
-        if nx > 1e-12:
-            cands.append(x / nx)
-    return cands
+    """Unit elements of the ambient space expected to be far from A_n: the
+    kind's extremal candidates, then `count` Gaussian draws."""
+    if not 0 <= n <= s.n_max:
+        raise SchemeError(f"level {n} outside the window 0..{s.n_max}")
+    draws = [rng.standard_normal(s.space.shape) for _ in range(count)]
+    return _units(s.space, s.density_candidates(n) + draws)
 
 
 def named_probes(space: Space) -> dict:
@@ -541,34 +781,13 @@ def validate_scheme(s: Scheme, trials: int = 1000, rng_seed: int = 0,
     per_level = max(1, trials // max(1, len(levels)))
     checks = []
 
-    def _certified_member(x, level, support) -> bool:
-        """Membership with an optional exhibited atom support (dictionary kinds)."""
-        if support is None or s.dictionary is None:
-            return membership(s, x, level)
-        if len(support) > min(level, s.dictionary.size):
-            return membership(s, x, level)
-        if len(support) == 0:
-            return bool(norm(s.space, x) <= MEMBERSHIP_TOL)
-        from . import solve
-
-        value, *_ = solve._weighted_l2_fit(s.space, s.dictionary.atoms[:, list(support)], x)
-        return value <= MEMBERSHIP_TOL * max(1.0, norm(s.space, x))
-
-    def _draw(n):
-        if s.kind == "nterm":
-            k = min(n, s.dictionary.size)
-            idx = rng.choice(s.dictionary.size, size=k, replace=False) if k else np.array([], dtype=int)
-            x = s.dictionary.atoms[:, idx] @ rng.standard_normal(k) if k else s.space.zero()
-            return x, idx
-        return sample_element(s, n, rng), None
-
     fails = 0
     done = 0
     for n in levels:
         for _ in range(per_level):
-            a, support = _draw(n)
+            a, support = s.draw(n, rng)
             lam = float(rng.standard_normal() * 3.0)
-            if not _certified_member(lam * a, n, support):
+            if not s.certified_member(lam * a, n, support):
                 fails += 1
             done += 1
     checks.append(AxiomCheck("homogeneity", fails == 0, done, fails))
@@ -577,34 +796,11 @@ def validate_scheme(s: Scheme, trials: int = 1000, rng_seed: int = 0,
     done = 0
     saturated = 0
     for n in levels:
-        kn = s.K(n)
         for _ in range(per_level):
             done += 1
-            if s.kind == "quantizer":
-                a = sample_element(s, n, rng)
-                b = sample_element(s, n, rng)
-                # the m(n)^2 value-count bound is checkable even when K(n)
-                # falls beyond the window
-                ok = distinct_value_count(a + b) <= s.m_of(n) ** 2
-                if kn is not None:
-                    ok = ok and membership(s, a + b, kn)
-                else:
-                    saturated += 1
-                if not ok:
-                    fails += 1
-            elif s.kind == "nterm":
-                # membership of a sum is certified on the union of the two
-                # drawn atom subsets, which exhibits a concrete A_K(n) member
-                a, idx_a = _draw(n)
-                b, idx_b = _draw(n)
-                union = np.union1d(idx_a, idx_b)
-                if union.size > kn or not _certified_member(a + b, kn, union):
-                    fails += 1
-            else:
-                a = sample_element(s, n, rng)
-                b = sample_element(s, n, rng)
-                if not membership(s, a + b, kn):
-                    fails += 1
+            saturated += s.K(n) is None
+            if not s.additive(n, rng):
+                fails += 1
     note = f"{saturated} additions checked by value count only (K beyond window)" if saturated else ""
     checks.append(AxiomCheck("additivity", fails == 0, done, fails, note))
 
@@ -614,21 +810,19 @@ def validate_scheme(s: Scheme, trials: int = 1000, rng_seed: int = 0,
         if n + 1 > s.n_max:
             continue
         for _ in range(max(1, per_level // 2)):
-            a, support = _draw(n)
+            a, support = s.draw(n, rng)
             done += 1
-            if not _certified_member(a, n + 1, support):
+            if not s.certified_member(a, n + 1, support):
                 fails += 1
     checks.append(AxiomCheck("nesting", fails == 0, done, fails))
 
-    from . import solve
-
     if density_threshold is None:
-        density_threshold = _default_density_threshold(s)
+        density_threshold = s.density_threshold()
     worst = 0.0
     for x in _proxy_probes(s, rng):
         try:
-            worst = max(worst, solve.best_approx(s.space, x, s, s.n_max).value)
-        except solve.NoSolverError:
+            worst = max(worst, best_approx(s.space, x, s, s.n_max).value)
+        except NoSolverError:
             worst = math.inf
             break
     checks.append(AxiomCheck("density-proxy", worst < density_threshold, 1, 0,
@@ -650,7 +844,7 @@ def _proxy_probes(s: Scheme, rng: np.random.Generator) -> list:
         else:
             out.append(np.sin(3.0 * t) + t * t)
             out.append(np.exp(t) * np.cos(2.0 * t))
-        if s.kind in ("quantizer", "spline", "nterm"):
+        if s.kink_probe:
             out.append(np.abs(t - 0.5))
     elif s.space.carrier == "coords":
         out.append(2.0 ** (-np.arange(s.space.dim, dtype=float)))
@@ -659,20 +853,6 @@ def _proxy_probes(s: Scheme, rng: np.random.Generator) -> list:
         k = min(s.n_max, d)
         out.append(rng.standard_normal((d, k)) @ rng.standard_normal((k, d)))
     return [x / max(norm(s.space, x), 1e-30) for x in out]
-
-
-def _default_density_threshold(s: Scheme) -> float:
-    if s.kind == "quantizer":
-        return 1.2 / s.m_of(s.n_max)
-    if s.kind == "interleaved-c0":
-        return 1e-9 if s.n_max >= 2 * s.cap - 1 else 1.5
-    if s.kind in ("rank",):
-        return 1e-9 if s.n_max >= s.space.dim else 1.5
-    if s.kind == "chain" and s.descriptor.get("family") == "monomial" and s.n_max >= 10:
-        return 1e-3
-    if s.kind == "spline":
-        return 0.2
-    return 0.5
 
 
 # -- registry -----------------------------------------------------------------

@@ -22,8 +22,6 @@ from __future__ import annotations
 import bisect
 import csv
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import chain, combinations
 from typing import Optional
@@ -32,8 +30,7 @@ import numpy as np
 from scipy import linalg
 from scipy.optimize import linprog
 
-from .scheme import Scheme, SchemeError
-from .space import Space, SpaceError, _norm_unchecked, norm
+from .space import POWER_SUM_FLOOR, Space, SpaceError, _norm_unchecked, _unit_scaled, norm
 
 LP_TOL = 1e-10
 EXCHANGE_MAX_ITER = 100
@@ -46,6 +43,7 @@ EXHAUSTIVE_SUBSET_LIMIT = 100_000
 GREEDY_RESTARTS = 8
 SCREEN_CHUNK = 4096  # subsets per batched eigensolve of the L2 n-term screen
 SPLINE_CELL_BLOCK = 1 << 13  # cells per block of the L2 spline cost table
+NOT_FINITE = "the error is not finite (the element's scale overflows)"
 
 
 class NoSolverError(NotImplementedError):
@@ -596,8 +594,11 @@ def _nterm_levels(space: Space, atoms: np.ndarray, x: np.ndarray, levels: list, 
 
     An orthonormal dictionary takes the top coefficients of one sort; other
     levels search every subset when they number at most
-    EXHAUSTIVE_SUBSET_LIMIT, and the rest share one greedy run.
+    EXHAUSTIVE_SUBSET_LIMIT, and the rest share one greedy run.  The search
+    runs on x scaled by a power of two (`_unit_scaled`), so no Gram sum
+    overflows and the fits scale exactly with x.
     """
+    x, e = _unit_scaled(x)
     n_atoms = atoms.shape[1]
     out: dict = {}
     greedy = []
@@ -622,7 +623,8 @@ def _nterm_levels(space: Space, atoms: np.ndarray, x: np.ndarray, levels: list, 
             greedy.append(level)  # level < n_atoms here, since comb(n_atoms, n_atoms) = 1
     if greedy:
         out.update(_nterm_greedy(space, atoms, x, greedy, seed))
-    return out
+    return {n: (float(np.ldexp(value, e)), np.ldexp(approx, e), status, info)
+            for n, (value, approx, status, info) in out.items()}
 
 
 # -- free-knot splines ----------------------------------------------------------
@@ -755,8 +757,11 @@ def _spline_lp(space: Space, x: np.ndarray, degree: int, knots: list) -> list:
     The cost table and the DP rows do not depend on the largest knot count,
     so one table and one DP to max(knots) + 1 pieces serve every count.
     Only the DP's choice of cuts reads the table: each chosen cell is refitted
-    by `_spline_cost_entry`, and the value is re-measured on x - approx.
+    by `_spline_cost_entry`, and the value is re-measured on x - approx.  All
+    of it runs on x scaled by a power of two (`_unit_scaled`), so the table
+    neither overflows nor underflows and the fits scale exactly with x.
     """
+    x, e = _unit_scaled(x)
     g = space.grid
     npts = g.size
     if npts > 2049:
@@ -792,28 +797,27 @@ def _spline_lp(space: Space, x: np.ndarray, degree: int, knots: list) -> list:
             if j <= i:
                 continue
             approx[i:j] = _spline_cost_entry(space, x, degree, i, j)[1]
-        fits.append((_norm_unchecked(space, x - approx), approx, status,
-                     {"solver": "breakpoint-dp", "knot_nodes": cuts[1:-1]}))
+        fits.append((float(np.ldexp(_norm_unchecked(space, x - approx), e)), np.ldexp(approx, e),
+                     status, {"solver": "breakpoint-dp", "knot_nodes": cuts[1:-1]}))
     return fits
-
-
-def _spline_error(space: Space, x: np.ndarray, degree: int, knots: int):
-    """Sup norm: greedy segmentation; L_p: dynamic program over grid-node breakpoints."""
-    if space.norm_kind == "sup":
-        return _spline_sup(space, x, degree, knots + 1)
-    return _spline_lp(space, x, degree, [knots])[0]
 
 
 # -- rank -----------------------------------------------------------------------
 
 
 def _rank_value(space: Space, sv: np.ndarray, n: int) -> float:
-    """Eckart-Young: the error of the best rank-n approximation, from the singular values."""
+    """Eckart-Young: the error of the best rank-n approximation, from the
+    singular values; an HS sum of squares outside [POWER_SUM_FLOOR, inf) is
+    formed again on sv scaled by a power of two."""
     if n >= sv.size:
         return 0.0
-    if space.norm_kind == "hs":
-        return float(np.sqrt(np.sum(sv[n:] ** 2)))
-    return float(sv[n])
+    if space.norm_kind != "hs":
+        return float(sv[n])
+    total = np.sum(sv[n:] ** 2)
+    if POWER_SUM_FLOOR <= total < math.inf:
+        return float(np.sqrt(total))
+    scaled, e = _unit_scaled(sv[n:])
+    return float(np.ldexp(np.sqrt(np.sum(scaled**2)), e))
 
 
 def _rank_error(space: Space, x: np.ndarray, n: int):
@@ -828,60 +832,47 @@ def _rank_error(space: Space, x: np.ndarray, n: int):
 # -- L2 chains ------------------------------------------------------------------
 
 
-def _chain_l2_values(space: Space, s: Scheme, x: np.ndarray, n_max: int) -> list:
-    """E(x, A_n), n = 0..n_max, of a chain in L2 (or ell_2) from one QR of [a | b].
+def _chain_l2_values(space: Space, basis: np.ndarray, dims: list, x: np.ndarray) -> list:
+    """E(x, A_n) of a chain in L2 (or ell_2), A_n the span of the first dims[n]
+    columns of `basis`, from one QR of [a | b].
 
     a is the weighted basis up to the top level's dimension and b the weighted
     element, factored in place (neither Q nor a copy of [a | b] is formed).
     R[i, -1] is b's coordinate on the i-th orthonormal column of a,
     so the residual at dimension d is sqrt(sum_{i >= d} |R[i, -1]|^2), a sum
-    of non-negative terms (no cancellation for members).
+    of non-negative terms (no cancellation for members).  When the whole sum
+    lies outside [POWER_SUM_FLOOR, inf), the sums are formed again on R[:, -1]
+    scaled by a power of two.
     """
-    dims = [s.chain_dim(n) for n in range(n_max + 1)]
     top = dims[-1]
-    ab = np.empty((x.size, top + 1), dtype=np.result_type(s.basis, x), order="F")
-    ab[:, :top] = s.basis[:, :top]
+    ab = np.empty((x.size, top + 1), dtype=np.result_type(basis, x), order="F")
+    ab[:, :top] = basis[:, :top]
     ab[:, top] = x
     if space.carrier == "grid":
         ab *= np.sqrt(space.grid.weights)[:, None]
     _, r = linalg.qr(ab, overwrite_a=True, mode="raw", check_finite=False)
-    tails = np.cumsum((np.abs(r[:, -1]) ** 2)[::-1])[::-1]
-    return [float(np.sqrt(tails[d])) if d < tails.size else 0.0 for d in dims]
+    coords, e = np.abs(r[:, -1]), 0
+    tails = np.cumsum((coords**2)[::-1])[::-1]
+    if not POWER_SUM_FLOOR <= tails[0] < math.inf:
+        coords, e = _unit_scaled(coords)
+        tails = np.cumsum((coords**2)[::-1])[::-1]
+    roots = np.ldexp(np.sqrt(tails), e)
+    return [float(roots[d]) if d < roots.size else 0.0 for d in dims]
 
 
-# -- public dispatch --------------------------------------------------------------
+# -- entry point --------------------------------------------------------------------
 
 
-def best_approx(space: Space, x: np.ndarray, s: Scheme, n: int, seed: int = 0) -> BestApprox:
-    """E(x, A_n) with minimizer and exactness status."""
+def best_approx(space: Space, x: np.ndarray, s, n: int, seed: int = 0) -> BestApprox:
+    """E(x, A_n) with minimizer and exactness status from the solver of the
+    scheme `s`; a value that is not finite raises SolverError."""
     x = space.check(x)
     if n < 0:
         raise SolverError("level n must be >= 0")
-    if s.kind == "chain":
-        level = min(n, s.n_max)
-        cols = s.basis[:, : s.chain_dim(level)]
-        value, approx, status, info = _fit_in_span(space, cols, x)
-        return BestApprox(value, approx, status, info)
-    if s.kind == "quantizer":
-        if n > s.n_max:
-            raise SolverError("quantizer level beyond the window has no declared budget")
-        res = quantizer_error(space, x, s.m_of(n))
-        return BestApprox(res.value, res.minimizer, "exact", res.info)
-    if s.kind == "interleaved-c0":
-        if space.norm_kind != "sup":
-            raise NoSolverError("interleaved-c0 solver is defined for the sup norm")
-        value, y = _interleaved_error(s.cap, np.asarray(x, dtype=float), n)
-        return BestApprox(value, y, "exact", {"solver": "coordinate-closed-form"})
-    if s.kind == "rank":
-        value, approx, status, info = _rank_error(space, x, n)
-        return BestApprox(value, approx, status, info)
-    if s.kind == "nterm":
-        value, approx, status, info = _nterm_levels(space, s.dictionary.atoms, x, [n], seed)[n]
-        return BestApprox(value, approx, status, info)
-    if s.kind == "spline":
-        value, approx, status, info = _spline_error(space, x, s.degree, n)
-        return BestApprox(value, approx, status, info)
-    raise NoSolverError(f"no solver for scheme kind {s.kind!r}")
+    res = s.solve(space, x, n, seed)
+    if not math.isfinite(res.value):
+        raise SolverError(NOT_FINITE)
+    return res
 
 
 # -- profiles -----------------------------------------------------------------
@@ -928,55 +919,17 @@ class ErrorProfile:
                     fh.write(f"{e.n} {e.value!r}\n")
 
 
-def thread_budget() -> int:
-    raw = os.environ.get("LETHARGY_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _whole_profile(space: Space, x: np.ndarray, s: Scheme, n_max: int, seed: int) -> Optional[tuple]:
-    """(entries, element norm or None) for n = 0..n_max from one factorization
-    of x, or None when the kind and norm are solved level by level.
-
-    Rank: one SVD, whose top singular value is the operator norm.  L2
-    chains: one QR.  L_p splines: one cost table and one DP.  L2 n-term: one
-    coefficient sort, or exhaustive levels plus one greedy run shared by the
-    greedy levels.  The values are those of
-    `best_approx` at each level (bit-identical for splines and n-term).
-    """
-    levels = list(range(n_max + 1))
-    l2 = _is_l2(space)
-    element_norm = None
-    if s.kind == "rank":
-        sv = np.linalg.svd(x, compute_uv=False)
-        fits = [(_rank_value(space, sv, n), "exact") for n in levels]
-        if space.norm_kind == "operator":
-            element_norm = float(sv[0]) if sv.size else 0.0
-    elif s.kind == "chain" and l2:
-        fits = [(value, "exact") for value in _chain_l2_values(space, s, x, n_max)]
-    elif s.kind == "spline" and space.norm_kind == "lp":
-        fits = [(value, status) for value, _, status, _ in _spline_lp(space, x, s.degree, levels)]
-    elif s.kind == "nterm" and l2:
-        by_level = _nterm_levels(space, s.dictionary.atoms, x, levels, seed)
-        fits = [(by_level[n][0], by_level[n][2]) for n in levels]
-    else:
-        return None
-    return [ProfileEntry(n, value, status) for n, (value, status) in zip(levels, fits)], element_norm
-
-
-def error_profile(space: Space, x: np.ndarray, s: Scheme, n_max: int, seed: int = 0) -> ErrorProfile:
+def error_profile(space: Space, x: np.ndarray, s, n_max: int, seed: int = 0) -> ErrorProfile:
     """Tabulate E(x, A_n), n = 0..n_max; solver errors become entries, not raises.
 
-    Kinds with a whole-profile solve (`_whole_profile`) factor x once, and an
-    error there becomes an entry at every level.  The other kinds are solved
-    level by level, on up to LETHARGY_THREADS threads.
+    A kind with a whole-profile solve (`s.profile`) factors x once, and an
+    error there becomes an entry at every level; the other kinds are solved
+    level by level.  A value that is not finite becomes an error entry.
     """
     x = space.check(x)
     if n_max > s.n_max:
         raise SolverError(f"n_max {n_max} beyond the scheme window {s.n_max}")
-    documented = (NoSolverError, SolverError, SpaceError, SchemeError)
+    documented = (NoSolverError, SolverError, SpaceError)
     levels = list(range(n_max + 1))
 
     def one(n: int) -> ProfileEntry:
@@ -986,18 +939,19 @@ def error_profile(space: Space, x: np.ndarray, s: Scheme, n_max: int, seed: int 
         except documented as exc:
             return ProfileEntry(n, math.nan, "error", str(exc))
 
+    element_norm = None
     try:
-        whole = _whole_profile(space, x, s, n_max, seed) if levels else ([], None)
+        whole = s.profile(space, x, n_max, seed) if levels else ([], None)
     except documented as exc:
-        whole = [ProfileEntry(n, math.nan, "error", str(exc)) for n in levels], None
-    entries, element_norm = whole or (None, None)
-    if entries is None:
-        workers = min(thread_budget(), len(levels))
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                entries = list(pool.map(one, levels))
-        else:
+        entries = [ProfileEntry(n, math.nan, "error", str(exc)) for n in levels]
+    else:
+        if whole is None:
             entries = [one(n) for n in levels]
+        else:
+            fits, element_norm = whole
+            entries = [ProfileEntry(n, value, status) if math.isfinite(value)
+                       else ProfileEntry(n, math.nan, "error", NOT_FINITE)
+                       for n, (value, status) in enumerate(fits)]
 
     # nesting makes any achieved value at level n feasible at n+1, so an
     # upper-bound entry may be tightened by its predecessors

@@ -15,6 +15,10 @@ import numpy as np
 
 TWO_PI = 2.0 * math.pi
 WEIGHT_SUM_RTOL = 1e-10
+# a sum of p-th powers below this may have lost terms to underflow (the least
+# normal double is 2^-1022); norms outside [floor, inf) are formed again on
+# the element scaled by a power of two
+POWER_SUM_FLOOR = 2.0 ** -900
 
 
 class SpaceError(ValueError):
@@ -202,18 +206,39 @@ def norm(space: Space, x: np.ndarray) -> float:
     return _norm_unchecked(space, space.check(x))
 
 
+def _unit_scaled(a: np.ndarray) -> tuple:
+    """(a / 2^e, e) with max |a / 2^e| in [1/2, 1) (e = 0 for a zero array):
+    dividing by a power of two is exact."""
+    e = math.frexp(float(np.max(np.abs(a))))[1] if a.size else 0
+    return np.ldexp(a, -e), e
+
+
 def _norm_unchecked(space: Space, x: np.ndarray) -> float:
-    """The norm of an array the caller has built from checked elements (no validation)."""
+    """The norm of an array the caller has built from checked elements (no validation).
+
+    An lp or hs sum of powers that overflows, or falls below POWER_SUM_FLOOR
+    where its terms may have underflowed, is formed again on |x| scaled by a
+    power of two (`_unit_scaled`); the common path makes one pass over x.  An
+    L2 or HS root is a correctly rounded square root, so these norms scale
+    exactly with powers of two.
+    """
     kind = space.norm_kind
     if kind == "sup":
         return float(np.max(np.abs(x))) if x.size else 0.0
+    if kind == "hs":
+        value = float(np.linalg.norm(x, "fro"))
+        if math.sqrt(POWER_SUM_FLOOR) <= value < math.inf:
+            return value
+        scaled, e = _unit_scaled(np.abs(x))
+        return float(np.ldexp(np.linalg.norm(scaled, "fro"), e))
     if kind == "lp":
         p = space.p
         a = np.abs(np.asarray(x, dtype=complex if np.iscomplexobj(x) else float))
-        if space.carrier == "grid":
-            return float(np.sum(space.grid.weights * a**p) ** (1.0 / p))
-        return float(np.sum(a**p) ** (1.0 / p))
-    if kind == "hs":
-        return float(np.linalg.norm(x, "fro"))
+        total = np.sum(space.grid.weights * a**p) if space.carrier == "grid" else np.sum(a**p)
+        if not POWER_SUM_FLOOR <= total < math.inf:
+            scaled, e = _unit_scaled(a)
+            if e != 0:  # else a is zero or already scaled
+                return float(np.ldexp(_norm_unchecked(space, scaled), e))
+        return math.sqrt(total) if p == 2.0 else float(total ** (1.0 / p))
     sv = np.linalg.svd(x, compute_uv=False)
     return float(sv[0]) if sv.size else 0.0

@@ -359,11 +359,3 @@ class TestErrorProfile:
         plot_path = tmp_path / "p.dat"
         prof.dump_plot_data(plot_path)
         assert len(plot_path.read_text().strip().splitlines()) == 7
-
-    def test_thread_budget_equivalence(self, small_interleaved, rng, monkeypatch):
-        s = small_interleaved
-        x = rng.standard_normal(s.cap)
-        seq = error_profile(s.space, x, s, 8)
-        monkeypatch.setenv("LETHARGY_THREADS", "4")
-        par = error_profile(s.space, x, s, 8)
-        assert [e.value for e in seq.entries] == [e.value for e in par.entries]
