@@ -20,7 +20,7 @@ import numpy as np
 from .solve import (BestApprox, NoSolverError, SolverError, _chain_l2_values, _fit_in_span,
                     _interleaved_error, _is_l2, _nterm_levels, _rank_error, _rank_value,
                     _spline_lp, _spline_sup, _weighted_l2_fit, best_approx, quantizer_error)
-from .space import Grid, Space, norm
+from .space import Grid, Space, column_norms, norm
 
 MEMBERSHIP_TOL = 1e-9
 RANK_SV_CUTOFF = 1e-10
@@ -43,8 +43,7 @@ class Dictionary:
         a = np.ascontiguousarray(np.asarray(self.atoms, dtype=float))
         if a.ndim != 2 or a.shape[1] == 0:
             raise SchemeError("dictionary must have at least one atom column")
-        col_sup = np.max(np.abs(a), axis=0)
-        if np.any(col_sup == 0):
+        if not np.all(np.any(a, axis=0)):
             raise SchemeError("dictionary contains a zero atom (homogeneity axiom degenerates)")
         a.setflags(write=False)
         object.__setattr__(self, "atoms", a)
@@ -57,15 +56,12 @@ class Dictionary:
 def make_dictionary(space: Space, atoms: np.ndarray, label: str, normalize: bool = True) -> Dictionary:
     a = np.asarray(atoms, dtype=float)
     if normalize:
-        cols = []
-        for j in range(a.shape[1]):
-            nj = norm(space, a[:, j])
-            if nj == 0:
-                raise SchemeError(f"atom {j} of {label!r} has zero norm")
-            cols.append(a[:, j] / nj)
-        a = np.column_stack(cols)
+        norms = column_norms(space, a)
+        zero = np.flatnonzero(norms == 0)
+        if zero.size:
+            raise SchemeError(f"atom {zero[0]} of {label!r} has zero norm")
+        a = a / norms
     return Dictionary(a, label, normalized=normalize)
-
 
 
 # -- basis families ----------------------------------------------------------
@@ -105,11 +101,29 @@ def haar_scaling_atoms(level_cells: int, max_level: int, budget: Optional[int] =
     return idx
 
 
-def haar_atom_column(level_cells: int, k: int, j: int) -> np.ndarray:
-    col = np.zeros(level_cells)
-    width = level_cells >> k
-    col[j * width:(j + 1) * width] = 2.0 ** (k / 2.0)
-    return col
+def _haar_columns(cells: int, idx: list) -> np.ndarray:
+    """The atoms `idx` of `haar_scaling_atoms` on `cells` cells: atom (k, j) is
+    2^(k/2) on cells [j w, (j + 1) w), w = cells >> k, one scatter per level."""
+    cols = np.zeros((cells, len(idx)))
+    rows = np.arange(cells)
+    levels = [k for k, _ in idx]
+    for k in dict.fromkeys(levels):  # a level's atoms are j = 0, 1, ... in order
+        j = rows // (cells >> k)
+        hit = j < levels.count(k)
+        cols[rows[hit], levels.index(k) + j[hit]] = 2.0 ** (k / 2.0)
+    return cols
+
+
+def _char_columns(grid: Grid, depth: int) -> np.ndarray:
+    """Indicators of [a + (b - a) j / 2^k, a + (b - a) (j + 1) / 2^k), k = 0..depth,
+    coarse to fine: each node lies in at most one interval per level."""
+    cols = np.zeros((grid.size, 2 ** (depth + 1) - 1))
+    for k in range(depth + 1):
+        edges = grid.a + (grid.b - grid.a) * np.arange(2**k + 1) / 2**k
+        j = np.searchsorted(edges, grid.nodes, side="right") - 1
+        inside = np.flatnonzero((j >= 0) & (j < 2**k))
+        cols[inside, 2**k - 1 + j[inside]] = 1.0
+    return cols
 
 
 # -- space / scheme descriptors ---------------------------------------------
@@ -144,15 +158,8 @@ def _build_dictionary(desc: dict, space: Space) -> Dictionary:
         d = space.dim
         return Dictionary(np.eye(d), "orthonormal-basis")
     if family == "char-binary-intervals":
-        depth = int(desc.get("depth", 6))
-        g = space.grid
-        atoms = []
-        for k in range(depth + 1):
-            for j in range(2**k):
-                lo = g.a + (g.b - g.a) * j / 2**k
-                hi = g.a + (g.b - g.a) * (j + 1) / 2**k
-                atoms.append(((g.nodes >= lo) & (g.nodes < hi)).astype(float))
-        return make_dictionary(space, np.column_stack(atoms), "char-binary-intervals")
+        columns = _char_columns(space.grid, int(desc.get("depth", 6)))
+        return make_dictionary(space, columns, "char-binary-intervals")
     if family == "trig":
         n_levels = int(desc.get("levels", 8))
         return make_dictionary(space, _trig_columns(space.grid, n_levels), "trig-atoms")
@@ -162,7 +169,7 @@ def _build_dictionary(desc: dict, space: Space) -> Dictionary:
     if family == "haar-scaling":
         cells = space.grid.size
         idx = haar_scaling_atoms(cells, int(desc.get("max_level", 8)), desc.get("budget"))
-        cols = np.column_stack([haar_atom_column(cells, k, j) for k, j in idx])
+        cols = _haar_columns(cells, idx)
         # columns are unit in L2 of [0,1) by construction
         return Dictionary(cols, "haar-scaling")
     if family == "explicit":
@@ -255,6 +262,7 @@ class Chain(Scheme):
     kind = "chain"
     basis: np.ndarray
     level_dims: np.ndarray  # dim of A_n
+    family: str  # "monomial" (the descriptor's default), "trig" or "coordinate"
 
     @classmethod
     def build(cls, desc: dict, label: str) -> "Chain":
@@ -277,7 +285,7 @@ class Chain(Scheme):
         else:
             raise SchemeError(f"unknown chain family {family!r}")
         return cls(space, n_max, label, desc, np.arange(n_max + 1), basis=basis,
-                   level_dims=level_dims)
+                   level_dims=level_dims, family=family)
 
     def chain_dim(self, n: int) -> int:
         return int(self.level_dims[n])
@@ -306,7 +314,7 @@ class Chain(Scheme):
     def gap_candidates(self, n, rng, count):
         d = self.chain_dim(n)
         d_next = self.chain_dim(n + 1)
-        sp, family = self.space, self.descriptor.get("family")
+        sp, family = self.space, self.family
         out = []
         if sp.norm_kind == "sup" and family in ("monomial", "trig"):
             out.append(self.basis[:, d])  # Chebyshev column of the next degree, or cos((n+1)t)
@@ -318,7 +326,7 @@ class Chain(Scheme):
         return out
 
     def density_candidates(self, n):
-        sp, family = self.space, self.descriptor.get("family")
+        sp, family = self.space, self.family
         out = []
         if family == "monomial" and sp.carrier == "grid":
             deg = self.chain_dim(n)
@@ -335,7 +343,7 @@ class Chain(Scheme):
         return out
 
     def density_threshold(self):
-        return 1e-3 if self.descriptor.get("family") == "monomial" and self.n_max >= 10 else 0.5
+        return 1e-3 if self.family == "monomial" and self.n_max >= 10 else 0.5
 
 
 @dataclass(frozen=True)

@@ -461,8 +461,9 @@ def _interleaved_error(cap: int, x: np.ndarray, level: int):
 
 
 def _inner_products(space: Space, cols: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """<col, x> for every column; x is one element or a column per element."""
     if space.carrier == "grid":
-        return cols.T @ (space.grid.weights * x)
+        return cols.T @ (space.grid.weights * x.T).T
     return cols.T @ x
 
 
@@ -553,40 +554,73 @@ def _nterm_exhaustive(space: Space, atoms: np.ndarray, x: np.ndarray, n: int):
 
 
 def _nterm_greedy(space: Space, atoms: np.ndarray, x: np.ndarray, levels: list, seed: int) -> dict:
-    """Orthogonal matching pursuit with restarts, fitted at each of `levels`.
+    """Orthogonal matching pursuit with GREEDY_RESTARTS restarts in lockstep,
+    fitted at each of `levels`.
+
+    Restart 0 starts from the atom best correlated with x, and restart r > 0
+    from one of the 16 best, drawn from `seed` in restart order; every later
+    pick is the best-correlated atom the restart has not chosen.  Step 0's
+    correlations are shared, and each later step correlates all residuals in
+    one product.  Each restart keeps a W-orthonormal basis of its picks,
+    extended by classical Gram-Schmidt applied twice (CGS2), and updates its
+    residual, the L2 projection error, in O(N k) with no least-squares solve
+    (batch OMP: Rubinstein, Zibulevsky and Elad, 2008).  A pick whose new
+    direction is below eps * max(N, k) of its norm adds no rank, as for
+    `lstsq` with rcond=None, and leaves basis and residual as they are.  An
+    L2 level's value is the measured norm of the residual; other norms fit
+    the level's picks by `_fit_in_span`.
 
     A restart's picks do not depend on how far it runs, so level n's picks
-    are the first n picks of one run to max(levels).  Returns
-    {n: (value, approx, "upper-bound", info)}, the least value over restarts.
+    are its first n picks.  Returns {n: (value, approx, "upper-bound", info)},
+    the least value over restarts (the first restart on ties).
+
+    Correlations that tie in exact arithmetic are decided by rounding.  In a
+    dyadic dictionary, once a parent is chosen its two children tie; either
+    gives the same span and value.  Other ties, such as mirror-image atoms
+    for a symmetric x, can lead to different values.
     """
     rng = np.random.default_rng(seed)
-    n_atoms = atoms.shape[1]
+    n_rows, n_atoms = atoms.shape
     top = max(levels)
     l2 = _is_l2(space)
+    runs = np.arange(GREEDY_RESTARTS)
+    w = space.grid.weights if space.carrier == "grid" else np.ones(n_rows)
     col_scale = np.sqrt(np.maximum(_diag_gram(space, atoms), 1e-300))
-    best = {n: (math.inf, None, {}) for n in levels}
-    for restart in range(GREEDY_RESTARTS):
-        chosen: list = []
-        resid = x.astype(float)
-        for step in range(top):
-            corr = np.abs(_inner_products(space, atoms, resid)) / col_scale
-            corr[chosen] = -math.inf
-            if restart > 0 and step == 0:
-                pick = int(rng.choice(np.argsort(corr)[-min(16, n_atoms):]))
-            else:
-                pick = int(np.argmax(corr))
-            chosen.append(pick)
-            cols = atoms[:, chosen]
-            fit = _fit_in_span(space, cols, x) if step + 1 in best else None
-            if fit is not None and fit[0] < best[step + 1][0]:
-                best[step + 1] = (fit[0], fit[1], {"subset": sorted(chosen)})
-            if step + 1 < top:
-                # in L2 the level's fit is the pursuit's own projection
-                approx = fit[1] if fit is not None and l2 else _weighted_l2_fit(space, cols, x)[2]
-                resid = x - approx
-    return {n: (value, approx, "upper-bound", {**info, "solver": "greedy-omp",
-                                               "restarts": GREEDY_RESTARTS})
-            for n, (value, approx, info) in best.items()}
+    picks = np.zeros((GREEDY_RESTARTS, top), dtype=np.intp)
+    basis = np.zeros((GREEDY_RESTARTS, top, n_rows))  # W-orthonormal rows, 0 where skipped
+    resid = np.tile(x.astype(float), (GREEDY_RESTARTS, 1))
+    best = {}
+    for step in range(top):
+        if step == 0:
+            corr = np.abs(_inner_products(space, atoms, x)) / col_scale
+            first = np.argsort(corr)[-min(16, n_atoms):]
+            picks[:, 0] = [np.argmax(corr), *(rng.choice(first) for _ in runs[1:])]
+        else:
+            corr = np.abs(_inner_products(space, atoms, resid.T)) / col_scale[:, None]
+            corr[picks[:, :step].T, runs] = -math.inf
+            picks[:, step] = np.argmax(corr, axis=0)
+        done, v = basis[:, :step], atoms[:, picks[:, step]].T[:, :, None]
+        for _ in range(2):  # CGS2
+            v = v - done.transpose(0, 2, 1) @ (done @ (w[:, None] * v))
+        length = np.sqrt(np.sum(w[:, None] * v * v, axis=1))
+        rank_tol = np.finfo(float).eps * max(n_rows, step + 1) * col_scale[picks[:, step]]
+        grows = length[:, 0] > rank_tol
+        basis[grows, step] = v[grows, :, 0] / length[grows]
+        q = basis[:, step]
+        resid -= q * np.sum(q * w * resid, axis=1)[:, None]
+        n = step + 1
+        if n not in levels:
+            continue
+        if l2:
+            values = [_norm_unchecked(space, r) for r in resid]
+        else:
+            fits = [_fit_in_span(space, atoms[:, chosen], x) for chosen in picks[:, :n]]
+            values = [fit[0] for fit in fits]
+        r = int(np.argmin(values))  # the first restart on ties
+        best[n] = (values[r], x - resid[r] if l2 else fits[r][1], "upper-bound",
+                   {"subset": sorted(int(i) for i in picks[r, :n]), "solver": "greedy-omp",
+                    "restarts": GREEDY_RESTARTS})
+    return best
 
 
 def _nterm_levels(space: Space, atoms: np.ndarray, x: np.ndarray, levels: list, seed: int) -> dict:
@@ -594,9 +628,14 @@ def _nterm_levels(space: Space, atoms: np.ndarray, x: np.ndarray, levels: list, 
 
     An orthonormal dictionary takes the top coefficients of one sort; other
     levels search every subset when they number at most
-    EXHAUSTIVE_SUBSET_LIMIT, and the rest share one greedy run.  The search
-    runs on x scaled by a power of two (`_unit_scaled`), so no Gram sum
-    overflows and the fits scale exactly with x.
+    EXHAUSTIVE_SUBSET_LIMIT, and the rest share one greedy pursuit
+    (`_nterm_greedy`).  Its restarts run in lockstep on incremental CGS2
+    bases that skip picks adding no rank, so an L2 level needs no
+    least-squares solve; its values follow a per-restart `lstsq` pursuit to
+    rounding, except where rounding decides a tie (a chosen parent's two
+    children tie, with the same span and value).  The search runs on x
+    scaled by a power of two (`_unit_scaled`), so no Gram sum overflows and
+    the fits scale exactly with x.
     """
     x, e = _unit_scaled(x)
     n_atoms = atoms.shape[1]

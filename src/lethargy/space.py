@@ -206,6 +206,26 @@ def norm(space: Space, x: np.ndarray) -> float:
     return _norm_unchecked(space, space.check(x))
 
 
+def column_norms(space: Space, cols: np.ndarray) -> np.ndarray:
+    """`norm` of each column of `cols`, bit for bit.
+
+    On lp grids and coordinates the sums of powers of all columns are formed
+    in one pass over the transposed array: a row sum is the same pairwise sum
+    as `norm`'s over one column.  Other norms, columns `norm` would refuse,
+    and sums outside [POWER_SUM_FLOOR, inf) take `norm` column by column.
+    """
+    cols = np.asarray(cols, dtype=float)
+    if (space.norm_kind != "lp" or len(space.shape) != 1 or cols.ndim != 2
+            or cols.shape[0] != space.shape[0] or not np.isfinite(cols).all()):
+        return np.array([norm(space, cols[:, j]) for j in range(cols.shape[1])])
+    p = space.p
+    a = np.abs(np.ascontiguousarray(cols.T))
+    totals = np.sum(space.grid.weights * a**p if space.carrier == "grid" else a**p, axis=1)
+    return np.array([norm(space, cols[:, j]) if not POWER_SUM_FLOOR <= t < math.inf
+                     else math.sqrt(t) if p == 2.0 else float(t ** (1.0 / p))
+                     for j, t in enumerate(totals)])
+
+
 def _unit_scaled(a: np.ndarray) -> tuple:
     """(a / 2^e, e) with max |a / 2^e| in [1/2, 1) (e = 0 for a zero array):
     dividing by a power of two is exact."""

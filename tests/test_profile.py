@@ -1,5 +1,6 @@
 """Whole-profile solves in `error_profile` against the per-level `best_approx`,
-the batched L2 n-term screen against the former fit of every subset, and work
+the batched L2 n-term screen against the former fit of every subset, the
+lockstep greedy pursuit against the former per-restart `lstsq` loop, and work
 counts that keep each profile to one factorization."""
 
 import math
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lethargy.solve as solve
-from lethargy.scheme import build_scheme, sample_element
+from lethargy.scheme import build_scheme, make_dictionary, sample_element
 from lethargy.solve import (
     GREEDY_RESTARTS,
     NoSolverError,
@@ -147,6 +148,88 @@ def test_screen_matches_fitting_every_subset(dim, n_atoms, n, seed, shape, delta
     assert np.array_equal(approx, want_approx)
 
 
+# -- the lockstep pursuit against the former per-restart loop ----------------------------
+
+
+def loop_greedy(space, atoms, x, levels, seed):
+    """The former pursuit: the restarts one after another, each pick's
+    residual from a weighted `lstsq` fit on the atoms chosen so far."""
+    rng = np.random.default_rng(seed)
+    n_atoms = atoms.shape[1]
+    top = max(levels)
+    l2 = solve._is_l2(space)
+    col_scale = np.sqrt(np.maximum(solve._diag_gram(space, atoms), 1e-300))
+    best = {n: (math.inf, None, {}) for n in levels}
+    for restart in range(GREEDY_RESTARTS):
+        chosen: list = []
+        resid = x.astype(float)
+        for step in range(top):
+            corr = np.abs(solve._inner_products(space, atoms, resid)) / col_scale
+            corr[chosen] = -math.inf
+            if restart > 0 and step == 0:
+                pick = int(rng.choice(np.argsort(corr)[-min(16, n_atoms):]))
+            else:
+                pick = int(np.argmax(corr))
+            chosen.append(pick)
+            cols = atoms[:, chosen]
+            fit = _fit_in_span(space, cols, x) if step + 1 in best else None
+            if fit is not None and fit[0] < best[step + 1][0]:
+                best[step + 1] = (fit[0], fit[1], {"subset": sorted(chosen)})
+            if step + 1 < top:
+                approx = fit[1] if fit is not None and l2 else solve._weighted_l2_fit(space, cols, x)[2]
+                resid = x - approx
+    return {n: (value, approx, "upper-bound", {**info, "solver": "greedy-omp",
+                                               "restarts": GREEDY_RESTARTS})
+            for n, (value, approx, info) in best.items()}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 24), st.integers(2, 21), st.integers(0, 2**32 - 1),
+       st.sampled_from(["l2-coords", "l2-grid", "l1.5-coords"]),
+       st.sampled_from(["random", "repeated-atom", "in-span"]), st.data())
+def test_lockstep_pursuit_matches_the_restart_loop(dim, n_atoms, seed, where, shape, data):
+    # Gaussian entries: two correlations tie only by the span (a repeated
+    # atom), never by the rounding of the two residual updates
+    rng = np.random.default_rng(seed)
+    space = {"l2-coords": Space.coords(dim, 2.0), "l1.5-coords": Space.coords(dim, 1.5),
+             "l2-grid": Space.lp_grid(Grid.interval(0.0, 1.0, dim), 2.0)}[where]
+    atoms = rng.standard_normal((dim, n_atoms))
+    if shape == "repeated-atom":
+        atoms[:, -1] = atoms[:, 0]
+    atoms = make_dictionary(space, atoms, "random").atoms
+    x = rng.standard_normal(dim)
+    if shape == "in-span":
+        k = int(rng.integers(1, min(dim, n_atoms) + 1))
+        x = atoms[:, rng.choice(n_atoms, size=k, replace=False)] @ rng.standard_normal(k)
+    levels = data.draw(st.lists(st.integers(1, n_atoms), min_size=1, max_size=5, unique=True))
+    got = solve._nterm_greedy(space, atoms, x, levels, seed % 1000)
+    want = loop_greedy(space, atoms, x, levels, seed % 1000)
+    assert sorted(got) == sorted(want) == sorted(levels)
+    tol = 1e-12 * max(1.0, norm(space, x))
+    for n in levels:
+        assert got[n][2] == want[n][2]
+        assert abs(got[n][0] - want[n][0]) <= tol, (n, got[n][0], want[n][0])
+        assert norm(space, x - got[n][1]) == pytest.approx(got[n][0], rel=1e-9, abs=tol)
+
+
+@pytest.mark.parametrize("name", ["char-binary-intervals", "haar-wavelet-nterm"])
+@pytest.mark.parametrize("element", ["random", "positive", "near-member"])
+def test_lockstep_pursuit_matches_the_restart_loop_on_dyadic_dictionaries(name, element, rng):
+    # once a parent is chosen its two children tie, and rounding may pick
+    # either: the values must agree, the subsets need not
+    s = SCHEMES[name]
+    x = rng.standard_normal(s.space.shape)
+    if element == "positive":
+        x = np.abs(x)
+    elif element == "near-member":
+        x = sample_element(s, 4, rng) + 1e-9 * x
+    levels = list(range(3, s.n_max + 1))
+    got = solve._nterm_greedy(s.space, s.dictionary.atoms, x, levels, 5)
+    want = loop_greedy(s.space, s.dictionary.atoms, x, levels, 5)
+    tol = 1e-12 * max(1.0, norm(s.space, x))
+    assert all(abs(got[n][0] - want[n][0]) <= tol for n in levels)
+
+
 # -- work counts ---------------------------------------------------------------------
 
 
@@ -195,12 +278,16 @@ def test_one_greedy_run_per_nterm_profile(rng, monkeypatch):
     s = SCHEMES["haar-wavelet-nterm"]  # 1023 atoms: level 1 exhaustive, 2..6 greedy
     x = rng.standard_normal(s.space.shape)
     runs = _count(monkeypatch, solve, "_nterm_greedy")
-    picks = _count(monkeypatch, solve, "_inner_products")
+    steps = _count(monkeypatch, solve, "_inner_products")
     error_profile(s.space, x, s, s.n_max)
     assert len(runs) == 1
-    # one correlation per pick: GREEDY_RESTARTS runs to the top level, plus
-    # the screen's A^T W x at level 1
-    assert len(picks) == GREEDY_RESTARTS * s.n_max + 1
+    # one correlation per pursuit step for all GREEDY_RESTARTS restarts in
+    # lockstep, plus the screen's A^T W x at level 1
+    assert len(steps) == s.n_max + 1
+    monkeypatch.undo()
+    lstsq = _count(monkeypatch, np.linalg, "lstsq")
+    solve._nterm_greedy(s.space, s.dictionary.atoms, x, list(range(2, s.n_max + 1)), 0)
+    assert lstsq == []
 
 
 def test_greedy_fits_do_not_revalidate(rng, monkeypatch):

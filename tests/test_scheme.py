@@ -3,12 +3,16 @@ import dataclasses
 import numpy as np
 import pytest
 
+from lethargy.analyze import density_lower_bound
 from lethargy.scheme import (
     Dictionary,
     SchemeError,
     build_scheme,
+    build_space,
+    density_candidates,
     distinct_value_count,
     gap_candidates,
+    haar_scaling_atoms,
     list_schemes,
     make_dictionary,
     membership,
@@ -93,6 +97,24 @@ class TestBuild:
             registry_descriptor("no-such-scheme")
 
 
+    @pytest.mark.parametrize("norm_kind", ["lp", "sup"])
+    def test_chain_family_defaults_to_monomial(self, norm_kind):
+        # a chain without "family" is the monomial chain for every candidate
+        # rule, threshold and certificate, not only for its basis
+        space = {"carrier": "grid", "domain": "interval", "nodes": 65, "norm": norm_kind, "p": 2.0}
+        bare = build_scheme({"kind": "chain", "n_max": 10, "space": space})
+        named = build_scheme({"kind": "chain", "family": "monomial", "n_max": 10, "space": space})
+        assert bare.family == named.family == "monomial"
+        assert bare.density_threshold() == named.density_threshold() == 1e-3
+        for n in (3, 9):
+            for pick in (gap_candidates, density_candidates):
+                got = pick(bare, n, np.random.default_rng(n))
+                want = pick(named, n, np.random.default_rng(n))
+                assert len(got) == len(want)
+                assert all(np.array_equal(a, b) for a, b in zip(got, want))
+            cert, ref = density_lower_bound(bare, n), density_lower_bound(named, n)
+            assert cert.to_json(with_element=True) == ref.to_json(with_element=True)
+
     def test_wavelet_descriptor_builds_an_nterm_scheme(self):
         s = build_scheme("haar-wavelet-nterm")
         assert s.kind == "nterm"
@@ -132,6 +154,74 @@ class TestDictionary:
         sp = Space.coords(3, 2.0)
         d = make_dictionary(sp, np.column_stack([3.0 * np.eye(3)[:, 0], np.eye(3)[:, 1]]), "t")
         assert norm(sp, d.atoms[:, 0]) == pytest.approx(1.0)
+
+
+def _char_loop(space, depth):
+    """The former char-binary-intervals build: one indicator and one `norm` per
+    interval; None where an interval holds no node (the build refuses it)."""
+    g = space.grid
+    cols = []
+    for k in range(depth + 1):
+        for j in range(2**k):
+            lo = g.a + (g.b - g.a) * j / 2**k
+            hi = g.a + (g.b - g.a) * (j + 1) / 2**k
+            atom = ((g.nodes >= lo) & (g.nodes < hi)).astype(float)
+            nj = norm(space, atom)
+            if nj == 0:
+                return None
+            cols.append(atom / nj)
+    return np.column_stack(cols)
+
+
+def _haar_loop(cells, idx):
+    """The former haar-scaling build: one column per atom (k, j)."""
+    cols = []
+    for k, j in idx:
+        col = np.zeros(cells)
+        width = cells >> k
+        col[j * width:(j + 1) * width] = 2.0 ** (k / 2.0)
+        cols.append(col)
+    return np.column_stack(cols)
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestDyadicBuilds:
+    """The one-scatter-per-level dyadic builds against the per-atom loops, bit for bit."""
+
+    @pytest.mark.parametrize("domain", ["interval", "interval-cells"])
+    @pytest.mark.parametrize("nodes", [100, 1024, 2049])
+    def test_char_intervals_match_the_loop(self, domain, nodes):
+        for p in (2.0, 1.5):
+            for depth in range(8):
+                s_desc = {"carrier": "grid", "domain": domain, "nodes": nodes, "norm": "lp", "p": p}
+                desc = {"kind": "nterm", "n_max": 2, "space": s_desc,
+                        "dictionary": {"family": "char-binary-intervals", "depth": depth}}
+                expected = _char_loop(build_space(s_desc), depth)
+                if expected is None:
+                    with pytest.raises(SchemeError, match="zero norm"):
+                        build_scheme(desc)
+                else:
+                    assert _same_bits(build_scheme(desc).dictionary.atoms, expected), (p, depth)
+
+    @pytest.mark.parametrize("level,max_level,budget", [
+        (9, 9, None), (6, 6, 40), (6, 6, 1), (5, 3, None), (7, 4, 20), (4, 9, None), (3, 3, 0)])
+    def test_haar_wavelet_matches_the_loop(self, level, max_level, budget):
+        s = build_scheme({"kind": "wavelet-haar", "level": level, "max_level": max_level,
+                          "budget": budget, "n_max": 1})
+        idx = haar_scaling_atoms(2**level, max_level, budget)
+        assert _same_bits(s.dictionary.atoms, _haar_loop(2**level, idx))
+
+    @pytest.mark.parametrize("nodes,budget", [(100, None), (100, 50), (1024, 300), (2049, None)])
+    def test_haar_scaling_on_any_grid_matches_the_loop(self, nodes, budget):
+        s = build_scheme({"kind": "nterm", "n_max": 1,
+                          "dictionary": {"family": "haar-scaling", "max_level": 8, "budget": budget},
+                          "space": {"carrier": "grid", "domain": "interval-cells", "nodes": nodes,
+                                    "norm": "lp", "p": 2.0}})
+        idx = haar_scaling_atoms(nodes, 8, budget)
+        assert _same_bits(s.dictionary.atoms, _haar_loop(nodes, idx))
 
 
 class TestMembership:
