@@ -14,7 +14,6 @@ from .seq import (
     TailModel,
     convex_majorant,
     lethargy_majorant,
-    nonincreasing_rearrangement,
 )
 from .space import Grid, Space, SpaceError, norm
 from .scheme import (
@@ -40,7 +39,6 @@ from .witness import (
     Witness,
     WitnessError,
     construct_slow_decay,
-    find_jump_element,
     verify_slow_decay,
     verify_witness,
     witness_bv,
@@ -57,7 +55,6 @@ from .analyze import (
     AnalyzeError,
     DensityCertificate,
     ShapiroVerdict,
-    aqr_norm,
     bernstein_audit,
     brudnyi_gap,
     density_lower_bound,
@@ -65,9 +62,7 @@ from .analyze import (
     density_upper_estimate,
     dolzhenko_variation_audit,
     jackson_audit,
-    property_P_check,
     shapiro_check,
-    weighted_sup_norm,
 )
 
 __version__ = "0.1.0"

@@ -1,5 +1,5 @@
 """Scheme diagnostics: density certificates, Shapiro/weak-gap verdicts,
-Jackson/Bernstein audits, and approximation-space norms.
+submultiplicativity checks, and Jackson/Bernstein/Dolzhenko audits.
 
 Certificates are honest about solver status: a unit element with an exactly
 solved distance is a rigorous density lower bound; probe maxima are only
@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
 from .scheme import Scheme, density_candidates, gap_candidates, probe_elements, sample_element
-from .seq import NullSequence, TailModel
-from .solve import ErrorProfile, NoSolverError, best_approx
+from .solve import NoSolverError, best_approx
 from .space import Grid, Space, norm
 
 
@@ -85,8 +84,7 @@ def density_lower_bound(s: Scheme, n: int, candidates: Optional[Iterable] = None
                               "" if status == "exact" else "solver is upper-bound only")
 
 
-def density_upper_estimate(s: Scheme, n: int, rng_seed: int = 0,
-                           probes: int = 12) -> DensityCertificate:
+def density_upper_estimate(s: Scheme, n: int, rng_seed: int = 0) -> DensityCertificate:
     """Probe-sweep max of E/||.||; certified where the kind proves an envelope
     (the quantizer's midpoint quantization)."""
     envelope = s.envelope([n])
@@ -95,7 +93,7 @@ def density_upper_estimate(s: Scheme, n: int, rng_seed: int = 0,
                                   "midpoint quantization of the value range")
     rng = np.random.default_rng(rng_seed)
     worst = 0.0
-    for x in probe_elements(s, rng, count=probes):
+    for x in probe_elements(s, rng, count=12):
         res = best_approx(s.space, x, s, n, seed=rng_seed)
         worst = max(worst, res.value)
     return DensityCertificate(n, worst, None, worst, "upper", "empirical",
@@ -115,8 +113,7 @@ def monotone_envelope(bounds: list) -> list:
 # -- gap and verdicts -----------------------------------------------------------
 
 
-def brudnyi_gap(s: Scheme, n_max: Optional[int] = None, rng_seed: int = 0,
-                per_level: int = 4) -> dict:
+def brudnyi_gap(s: Scheme, n_max: Optional[int] = None, rng_seed: int = 0) -> dict:
     """min over n of the best found E(a, A_n) over unit a in A_{n+1}."""
     if n_max is None:
         n_max = s.n_max - 1
@@ -125,7 +122,7 @@ def brudnyi_gap(s: Scheme, n_max: Optional[int] = None, rng_seed: int = 0,
     per = []
     for n in range(n_max + 1):
         best = 0.0
-        for cand in gap_candidates(s, n, rng, count=per_level):
+        for cand in gap_candidates(s, n, rng, count=4):
             res = best_approx(s.space, cand, s, n, seed=rng_seed)
             if res.status == "exact":
                 best = max(best, res.value)
@@ -157,12 +154,11 @@ WEAK_GAP_THRESHOLD = 0.9
 
 
 def shapiro_check(s: Scheme, probe_budget: int = 16, rng_seed: int = 0,
-                  levels: Optional[list] = None,
-                  threshold: float = WEAK_GAP_THRESHOLD) -> ShapiroVerdict:
+                  levels: Optional[list] = None) -> ShapiroVerdict:
     """Dichotomy verdict from density certificates and proof-backed envelopes.
 
     consistent-with-Shapiro: every probed level has a rigorous unit-sphere
-    certificate of at least `threshold` (discretization forbids exactly 1).
+    certificate of at least WEAK_GAP_THRESHOLD (discretization forbids exactly 1).
     Shapiro-fails: the kind carries a proof-backed decaying envelope (the
     quantizer's reciprocal value budget) and every probe obeys it.
     """
@@ -173,7 +169,7 @@ def shapiro_check(s: Scheme, probe_budget: int = 16, rng_seed: int = 0,
     constant = min((c.bound for c in certs), default=0.0)
     gamma = brudnyi_gap(s, rng_seed=rng_seed)["gamma"]
 
-    if all(c.status == "exact" for c in certs) and constant >= threshold:
+    if all(c.status == "exact" for c in certs) and constant >= WEAK_GAP_THRESHOLD:
         return ShapiroVerdict("consistent-with-Shapiro", constant, certs, gamma,
                               probes_checked=0)
 
@@ -196,30 +192,14 @@ def shapiro_check(s: Scheme, probe_budget: int = 16, rng_seed: int = 0,
     return ShapiroVerdict("inconclusive", constant, certs, gamma)
 
 
-def property_P_check(s: Scheme, a: float, b: float, n_list: Iterable[int],
-                     rng_seed: int = 0) -> dict:
-    """Per level: is there a unit certificate with E >= 1/(a n^b)?"""
-    if a <= 0 or b <= 0:
-        raise AnalyzeError("constants a, b must be positive")
-    entries = []
-    for n in n_list:
-        if n <= 0:
-            continue
-        target = 1.0 / (a * n**b)
-        cert = density_lower_bound(s, n, rng_seed=rng_seed + n)
-        entries.append({"n": n, "target": target, "bound": cert.bound,
-                        "status": cert.status,
-                        "passed": cert.status == "exact" and cert.bound >= target})
-    return {"a": a, "b": b, "entries": entries,
-            "passed": all(e["passed"] for e in entries)}
-
-
 # -- submultiplicativity -----------------------------------------------------------
 
 
+PROFILE_CHECK_TOL = 1e-3
+
+
 def density_profile_check(s: Scheme, n_max: Optional[int] = None,
-                          pairing: Optional[Callable] = None,
-                          rng_seed: int = 0, tol: float = 1e-3) -> dict:
+                          rng_seed: int = 0) -> dict:
     """Flag (m, n) pairs whose certified lower bound at the paired level
     exceeds the product of upper estimates; entries flag estimate
     inconsistencies, never a refutation.
@@ -231,7 +211,6 @@ def density_profile_check(s: Scheme, n_max: Optional[int] = None,
     if n_max is None:
         n_max = s.n_max
     n_max = min(n_max, s.n_max)
-    pair = pairing or s.pairing
     lowers = {}
     uppers = {}
     upper_status = {}
@@ -247,13 +226,13 @@ def density_profile_check(s: Scheme, n_max: Optional[int] = None,
     checked = 0
     for m in range(n_max + 1):
         for n in range(m, n_max + 1):
-            ell = pair(m, n)
+            ell = s.pairing(m, n)
             if ell is None or ell > n_max:
                 continue
             checked += 1
             lhs = lowers[ell].bound
             rhs = uppers[m] * uppers[n]
-            if lhs > rhs + tol:
+            if lhs > rhs + PROFILE_CHECK_TOL:
                 flagged.append({"m": m, "n": n, "paired_level": ell,
                                 "certified_lower": lhs, "upper_product": rhs,
                                 "upper_status": [upper_status[m], upper_status[n]]})
@@ -261,16 +240,16 @@ def density_profile_check(s: Scheme, n_max: Optional[int] = None,
     if s.power_decay:
         for m in range(1, n_max + 1):
             um = uppers[m]
-            if um < 1.0 - tol:
+            if um < 1.0 - PROFILE_CHECK_TOL:
                 k = 2
                 while k * m <= n_max:
                     decay.append({"m": m, "k": k,
                                   "certified_lower": lowers[k * m].bound,
                                   "power_bound": um**k,
-                                  "consistent": lowers[k * m].bound <= um**k + tol})
+                                  "consistent": lowers[k * m].bound <= um**k + PROFILE_CHECK_TOL})
                     k += 1
     return {"scheme": s.label, "checked_pairs": checked, "flagged": flagged,
-            "exponential_decay": decay, "tolerance": tol,
+            "exponential_decay": decay, "tolerance": PROFILE_CHECK_TOL,
             "upper_status": upper_status,
             "passed": not flagged}
 
@@ -378,12 +357,10 @@ def sample_rational(rng: np.random.Generator, grid: Grid, max_degree: int):
 
 
 def dolzhenko_variation_audit(n_samples: int = 1000, max_degree: int = 5,
-                              grid: Optional[Grid] = None, rng_seed: int = 0,
-                              tol: float = 1e-3) -> dict:
+                              rng_seed: int = 0, tol: float = 1e-3) -> dict:
     """Grid total variation of sampled rational functions against twice the
     degree times their sup, with a discretization allowance."""
-    if grid is None:
-        grid = Grid.interval(0.0, 1.0, 2049)
+    grid = Grid.interval(0.0, 1.0, 2049)
     rng = np.random.default_rng(rng_seed)
     violations = []
     worst_margin = -math.inf
@@ -403,106 +380,3 @@ def dolzhenko_variation_audit(n_samples: int = 1000, max_degree: int = 5,
             "violations": violations, "worst_margin": worst_margin,
             "rng_seed": rng_seed, "passed": not violations}
 
-
-# -- approximation-space norms ---------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class AqrValue:
-    value: float
-    tail_contribution: float
-    flagged_divergent: bool
-
-    def to_json(self) -> dict:
-        return {"value": self.value, "tail_contribution": self.tail_contribution,
-                "flagged_divergent": self.flagged_divergent}
-
-
-def _profile_values(profile) -> np.ndarray:
-    if isinstance(profile, ErrorProfile):
-        bad = [e for e in profile.entries if e.status == "error"]
-        if bad:
-            raise AnalyzeError(f"profile has {len(bad)} error entries")
-        return np.array([e.value for e in profile.entries], dtype=float)
-    if isinstance(profile, NullSequence):
-        return profile.values
-    return np.asarray(profile, dtype=float)
-
-
-def aqr_norm(profile, x_norm: float, r: float, q: float,
-             tail: TailModel = TailModel()) -> AqrValue:
-    """Weighted ell_q norm of (n+1)^(r - 1/q) E(x, A_n).
-
-    The window part is exact; a geometric tail is summed term by term until
-    the increments fall below machine relevance (the polynomial weight is
-    eventually dominated).  The divergence flag is a dyadic-block growth
-    heuristic and is advisory only.
-    """
-    if q <= 0:
-        raise AnalyzeError("q must be positive")
-    if r <= 0:
-        raise AnalyzeError("r must be positive")
-    values = _profile_values(profile)
-    n_win = values.size
-    idx = np.arange(n_win, dtype=float)
-    if math.isinf(q):
-        weights = (idx + 1.0) ** r
-        window = float(np.max(weights * values)) if n_win else 0.0
-        tail_val = 0.0
-        if tail.kind == "geometric" and n_win:
-            v = values[-1]
-            n = n_win
-            while v > 0:
-                v *= tail.ratio
-                term = (n + 1.0) ** r * v
-                tail_val = max(tail_val, term)
-                # weights grow polynomially, the tail decays geometrically
-                if term < 1e-18 * max(window, tail_val, 1e-300):
-                    break
-                n += 1
-        return AqrValue(max(window, tail_val), tail_val, False)
-
-    weights = (idx + 1.0) ** (r - 1.0 / q)
-    terms = (weights * values) ** q
-    total = float(np.sum(terms))
-    tail_sum = 0.0
-    if tail.kind == "geometric" and n_win:
-        v = float(values[-1])
-        ratio_q = tail.ratio**q
-        n = n_win
-        while v > 0:
-            v *= tail.ratio
-            term = ((n + 1.0) ** (r - 1.0 / q) * v) ** q
-            tail_sum += term
-            if term < 1e-18 * max(total + tail_sum, 1e-300) and n > 2 * n_win + 16:
-                break
-            n += 1
-            if n > n_win + 10_000_000:
-                raise AnalyzeError("geometric tail failed to converge")
-    total += tail_sum
-
-    flagged = False
-    if n_win >= 8:
-        j_top = int(math.floor(math.log2(n_win - 1)))
-        lo, hi = 2**j_top, n_win
-        block = float(np.sum(terms[lo:hi]))
-        cumulative = float(np.sum(terms[:hi]))
-        if cumulative > 0 and block > 0.01 * cumulative and tail.kind == "zero":
-            flagged = True
-    return AqrValue(total ** (1.0 / q), tail_sum ** (1.0 / q) if tail_sum > 0 else 0.0,
-                    flagged)
-
-
-def weighted_sup_norm(profile, eps: NullSequence, m: int = 0) -> float:
-    """sup over n >= m of E(x, A_n) / eps_n on the window."""
-    values = _profile_values(profile)
-    n_win = min(values.size, len(eps))
-    if m >= n_win:
-        raise AnalyzeError("start level beyond the window")
-    ratios = []
-    for n in range(m, n_win):
-        e = eps[n]
-        if e <= 0.0:
-            raise AnalyzeError(f"eps vanishes at {n} inside the window")
-        ratios.append(values[n] / e)
-    return float(max(ratios))

@@ -9,9 +9,9 @@ element in the exact, compact `f64` form, and the config hash covers that form.
 Replay reads versions 1.0 and 1.1.  It re-runs a report's task and compares
 every field except `timestamp` and `version`, floats at 1e-9 relative; the
 config is checked by its hash, and replay writes no side files.  Exit codes: 0
-success, 1 usage/configuration error, 2 verification failure (a report did not
-reproduce).  All randomness flows from the single 64-bit seed recorded in the
-report.
+success, 1 usage, configuration or solver error, 2 verification failure (a
+report did not reproduce).  All randomness flows from the single 64-bit seed
+recorded in the report.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import numpy as np
 from . import analyze, witness as wit
 from .scheme import SchemeError, build_scheme, list_schemes, named_probes, validate_scheme
 from .seq import NullSequence
-from .solve import error_profile
+from .solve import NoSolverError, SolverError, error_profile
 from .space import SpaceError
 
 REPORT_VERSION = "1.1"
@@ -45,6 +45,11 @@ NOT_CLAIMS = ("timestamp", "version", "config", "config_hash")
 
 class UsageError(ValueError):
     pass
+
+
+# errors that `run` and `replay` report as `error: <message>` with exit code 1
+HANDLED_ERRORS = (UsageError, SchemeError, SpaceError, KeyError, OSError,
+                  json.JSONDecodeError, ValueError, SolverError, NoSolverError)
 
 
 def canonical_json(obj) -> str:
@@ -349,8 +354,7 @@ def main(argv: Optional[list] = None) -> int:
                 key, raw = item.split("=", 1)
                 _apply_override(config, key, raw)
             report = run_task(config)
-        except (UsageError, SchemeError, SpaceError, KeyError, OSError,
-                json.JSONDecodeError, ValueError) as exc:
+        except HANDLED_ERRORS as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
         text = json.dumps(report, indent=2, sort_keys=True)
@@ -369,8 +373,7 @@ def main(argv: Optional[list] = None) -> int:
             with open(args.report) as fh:
                 report = json.load(fh)
             ok = replay_report(report)
-        except (UsageError, SchemeError, SpaceError, KeyError, OSError,
-                json.JSONDecodeError, ValueError) as exc:
+        except HANDLED_ERRORS as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
         if not ok:

@@ -37,7 +37,6 @@ class Dictionary:
 
     atoms: np.ndarray  # shape (carrier_size, n_atoms)
     label: str
-    normalized: bool = True
 
     def __post_init__(self) -> None:
         a = np.ascontiguousarray(np.asarray(self.atoms, dtype=float))
@@ -53,15 +52,14 @@ class Dictionary:
         return int(self.atoms.shape[1])
 
 
-def make_dictionary(space: Space, atoms: np.ndarray, label: str, normalize: bool = True) -> Dictionary:
+def make_dictionary(space: Space, atoms: np.ndarray, label: str) -> Dictionary:
+    """A dictionary of the atoms scaled to unit norm in `space`."""
     a = np.asarray(atoms, dtype=float)
-    if normalize:
-        norms = column_norms(space, a)
-        zero = np.flatnonzero(norms == 0)
-        if zero.size:
-            raise SchemeError(f"atom {zero[0]} of {label!r} has zero norm")
-        a = a / norms
-    return Dictionary(a, label, normalized=normalize)
+    norms = column_norms(space, a)
+    zero = np.flatnonzero(norms == 0)
+    if zero.size:
+        raise SchemeError(f"atom {zero[0]} of {label!r} has zero norm")
+    return Dictionary(a / norms, label)
 
 
 # -- basis families ----------------------------------------------------------
@@ -216,9 +214,10 @@ class Scheme:
         factorization of x, or None when the levels are solved one by one."""
         return None
 
-    def member(self, x: np.ndarray, n: int, tol: float) -> bool:
+    def member(self, x: np.ndarray, n: int) -> bool:
         """x in A_n, by its distance to A_n."""
-        return best_approx(self.space, x, self, n).value <= tol * max(1.0, norm(self.space, x))
+        value = best_approx(self.space, x, self, n).value
+        return value <= MEMBERSHIP_TOL * max(1.0, norm(self.space, x))
 
     def draw(self, n: int, rng: np.random.Generator) -> tuple:
         """A member of A_n and the atom support it exhibits (None: no support)."""
@@ -467,7 +466,7 @@ class Quantizer(Scheme):
         res = quantizer_error(space, x, self.m_of(n))
         return BestApprox(res.value, res.minimizer, "exact", res.info)
 
-    def member(self, x, n, tol):
+    def member(self, x, n):
         return distinct_value_count(x) <= self.m_of(n)
 
     def sample(self, n, rng):
@@ -640,7 +639,7 @@ class Rank(Scheme):
             return fits, None
         return fits, float(sv[0]) if sv.size else 0.0
 
-    def member(self, x, n, tol):
+    def member(self, x, n):
         sv = np.linalg.svd(x, compute_uv=False)
         cutoff = RANK_SV_CUTOFF * (sv[0] if sv.size and sv[0] > 0 else 1.0)
         return int(np.sum(sv > cutoff)) <= n
@@ -682,17 +681,17 @@ def build_scheme(descriptor) -> Scheme:
 # -- membership, samplers and candidates ----------------------------------------
 
 
-def distinct_value_count(x: np.ndarray, tol: float = VALUE_MERGE_TOL) -> int:
+def distinct_value_count(x: np.ndarray) -> int:
     v = np.sort(np.asarray(x, dtype=float).ravel())
     if v.size == 0:
         return 0
     scale = max(1.0, float(np.max(np.abs(v))))
-    return 1 + int(np.sum(np.diff(v) > tol * scale))
+    return 1 + int(np.sum(np.diff(v) > VALUE_MERGE_TOL * scale))
 
 
-def membership(s: Scheme, x: np.ndarray, n: int, tol: float = MEMBERSHIP_TOL) -> bool:
+def membership(s: Scheme, x: np.ndarray, n: int) -> bool:
     """x in A_n, decided exactly for rank/quantizer and by distance elsewhere."""
-    return s.member(s.space.check(x), n, tol)
+    return s.member(s.space.check(x), n)
 
 
 def sample_element(s: Scheme, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -778,14 +777,11 @@ class ValidationReport:
                 "checks": [c.to_json() for c in self.checks]}
 
 
-def validate_scheme(s: Scheme, trials: int = 1000, rng_seed: int = 0,
-                    density_threshold: Optional[float] = None,
-                    levels: Optional[list] = None) -> ValidationReport:
+def validate_scheme(s: Scheme, trials: int = 1000, rng_seed: int = 0) -> ValidationReport:
     """Sampled audit of the scheme axioms; failures are report entries, not errors."""
     rng = np.random.default_rng(rng_seed)
-    if levels is None:
-        levels = sorted({0, 1, s.n_max // 2, max(s.n_max - 1, 0)})
-    levels = [n for n in levels if 0 <= n <= s.n_max]
+    # at n_max = 0 the set holds level 1, which lies outside the window
+    levels = [n for n in sorted({0, 1, s.n_max // 2, max(s.n_max - 1, 0)}) if n <= s.n_max]
     per_level = max(1, trials // max(1, len(levels)))
     checks = []
 
@@ -824,8 +820,7 @@ def validate_scheme(s: Scheme, trials: int = 1000, rng_seed: int = 0,
                 fails += 1
     checks.append(AxiomCheck("nesting", fails == 0, done, fails))
 
-    if density_threshold is None:
-        density_threshold = s.density_threshold()
+    density_threshold = s.density_threshold()
     worst = 0.0
     for x in _proxy_probes(s, rng):
         try:

@@ -8,9 +8,7 @@ past the window.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -37,16 +35,6 @@ class TailModel:
             raise SequenceError(f"unknown tail model {self.kind!r}")
         if self.kind == "geometric" and not 0.0 < self.ratio < 1.0:
             raise SequenceError("geometric tail ratio must lie in (0, 1)")
-
-    def to_json(self) -> dict:
-        d = {"kind": self.kind}
-        if self.kind == "geometric":
-            d["ratio"] = self.ratio
-        return d
-
-    @classmethod
-    def from_json(cls, d: dict) -> "TailModel":
-        return cls(kind=d["kind"], ratio=d.get("ratio", 0.0))
 
 
 def _require_nonincreasing(v: np.ndarray, what: str) -> None:
@@ -94,27 +82,13 @@ class NullSequence:
         return float(self.values[-1] * self.tail.ratio ** (n - len(self) + 1))
 
     @classmethod
-    def geometric(cls, ratio: float, n: int, first: float = 1.0) -> "NullSequence":
-        vals = first * ratio ** np.arange(n, dtype=float)
+    def geometric(cls, ratio: float, n: int) -> "NullSequence":
+        vals = ratio ** np.arange(n, dtype=float)
         return cls(vals, TailModel("geometric", ratio))
 
     @classmethod
     def harmonic(cls, n: int) -> "NullSequence":
         return cls(1.0 / (np.arange(n, dtype=float) + 1.0))
-
-    def to_json(self) -> dict:
-        return {"values": [float(x) for x in self.values], "tail": self.tail.to_json()}
-
-    @classmethod
-    def from_json(cls, d: dict) -> "NullSequence":
-        return cls(np.asarray(d["values"], dtype=float), TailModel.from_json(d["tail"]))
-
-    def dump_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["n", "value"])
-            for n, x in enumerate(self.values):
-                w.writerow([n, repr(float(x))])
 
 
 @dataclass(frozen=True)
@@ -212,17 +186,3 @@ def convex_majorant(eps: NullSequence) -> NullSequence:
         out[j] = max(float(floor_j), 2.0 * out[j + 1] - out[j + 2])
     return NullSequence(out[:n_win], TailModel())
 
-
-def nonincreasing_rearrangement(values: Sequence[float]) -> NullSequence:
-    """Sort a finite non-negative list into non-increasing order.
-
-    Ties are broken stably by original index.
-    """
-    v = np.asarray(values, dtype=float)
-    if v.ndim != 1 or v.size == 0:
-        raise SequenceError("input must be a non-empty 1-d array")
-    if np.any(v < 0):
-        i = int(np.argmax(v < 0))
-        raise SequenceError(f"negative entry {v[i]!r} at index {i}")
-    order = np.lexsort((np.arange(v.size), -v))
-    return NullSequence(v[order], TailModel())

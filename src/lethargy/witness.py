@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -24,6 +24,12 @@ from .solve import best_approx, l1_fit_lp
 
 GRID_WITNESS_TOL = 1e-3
 COORD_WITNESS_TOL = 1e-9
+# step cap of the ridge coefficient fit `_complex_l1_fit`.  At n = 3 about a
+# third of the fits stop at the cap, where a rounding-level difference has grown
+# about 3x per step, so any change to the step's arithmetic moves the recorded
+# attempt values (by up to 3e-6 relative).  With a 200-step cap, a Gram-solve
+# step and the `lstsq` step agree to 4e-12.
+COMPLEX_L1_ITERS = 40
 
 
 class WitnessError(ValueError):
@@ -132,11 +138,9 @@ def verify_witness(w: Witness, seed: int = 0) -> bool:
         if w.scheme is not None:
             res = best_approx(w.space, w.element, w.scheme, claim.level, seed=seed)
             observed, mode, status = res.value, "solver", res.status
-            ok_lower = observed >= claim.lower - w.tol * scale
-            if status != "exact":
-                # an achieved distance can overshoot the infimum, so it cannot
-                # certify a lower bound on its own
-                ok_lower = ok_lower and False
+            # an achieved distance can overshoot the infimum, so it cannot
+            # certify a lower bound on its own
+            ok_lower = status == "exact" and observed >= claim.lower - w.tol * scale
             ok_upper = True
             if claim.upper is not None:
                 ok_upper = observed <= claim.upper + w.tol * scale
@@ -183,12 +187,11 @@ def witness_c0(eps: NullSequence, cap: Optional[int] = None) -> Witness:
 # -- quantizer ramp witness -----------------------------------------------------
 
 
-def witness_quantizer(m: int, grid: Optional[Grid] = None) -> Witness:
+def witness_quantizer(m: int) -> Witness:
     """The odd ramp 2t-1: its m-value quantization error is pinched at 1/m."""
     if m < 1:
         raise WitnessError("value budget m must be >= 1")
-    if grid is None:
-        grid = Grid.interval(0.0, 1.0, 2049)
+    grid = Grid.interval(0.0, 1.0, 2049)
     s = build_scheme({"kind": "quantizer", "m": [m],
                       "space": {"carrier": "grid", "domain": "interval",
                                 "a": grid.a, "b": grid.b, "nodes": grid.size, "norm": "sup"},
@@ -235,11 +238,12 @@ class HaarLikeFamily:
         return Grid.interval(0.0, 1.0, 2049) if self.name == "poly" else Grid.torus(4096)
 
 
-def _bump_profile(grid: Grid, lo: float, hi: float, ramp_frac: float = 0.1) -> np.ndarray:
-    """Continuous trapezoid in [0,1], supported on (lo, hi), plateau 1."""
+def _bump_profile(grid: Grid, lo: float, hi: float) -> np.ndarray:
+    """Continuous trapezoid in [0,1], supported on (lo, hi), plateau 1, with
+    ramps of a tenth of the width."""
     t = grid.nodes
     width = hi - lo
-    ramp = ramp_frac * width
+    ramp = 0.1 * width
     up = np.clip((t - lo) / ramp, 0.0, 1.0)
     down = np.clip((hi - t) / ramp, 0.0, 1.0)
     prof = np.minimum(up, down)
@@ -292,10 +296,8 @@ def witness_haar_bumps(n: int, p: float, family: str = "poly",
     coef0 = np.zeros(cols.shape[1])
     if cols.shape[1]:
         # exact best approximations in the weighted L2 / L1 senses
-        u = np.sqrt(mu)
-        coef2, *_ = np.linalg.lstsq(cols * u[:, None], h * u, rcond=None)
-        record("exact-l2-projection", 0, cols @ coef2)
-        coef0 = coef2
+        _, coef0, approx2, _ = solve._irls_fit(cols, h, mu, 2.0)
+        record("exact-l2-projection", 0, approx2)
         if p == 1.0:
             _, coef1, approx1 = l1_fit_lp(cols, h, mu)
             record("exact-l1-lp", 0, approx1)
@@ -330,8 +332,8 @@ def witness_haar_bumps(n: int, p: float, family: str = "poly",
 # -- bounded-variation witness ----------------------------------------------------
 
 
-def witness_bv(n: int, grid: Optional[Grid] = None, dict_degree: int = 6,
-               n_attempts: int = 100, seed: int = 0) -> Witness:
+def witness_bv(n: int, grid: Optional[Grid] = None, n_attempts: int = 100,
+               seed: int = 0) -> Witness:
     """Oscillation profile with unit total variation that n-term smooth
     combinations cannot track in the variation norm."""
     psi = max(n, 1)
@@ -347,8 +349,8 @@ def witness_bv(n: int, grid: Optional[Grid] = None, dict_degree: int = 6,
     f = (1.0 - np.cos(big_n * t)) / (4.0 * big_n)
     f_var = grid.total_variation(np.append(f, f[0]))  # periodic closure
 
-    # dictionary atoms vanishing at t = 0, unit variation
-    atoms = np.column_stack([(t / (2 * math.pi)) ** k for k in range(1, dict_degree + 1)])
+    # dictionary atoms vanishing at t = 0, unit variation: the powers 1..6
+    atoms = np.column_stack([(t / (2 * math.pi)) ** k for k in range(1, 7)])
     atom_var = np.array([grid.total_variation(atoms[:, j]) for j in range(atoms.shape[1])])
     atoms = atoms / atom_var
 
@@ -394,10 +396,10 @@ def _exp_cols(t: np.ndarray, freqs: np.ndarray) -> np.ndarray:
     return np.exp(1j * np.outer(t, freqs))
 
 
-def _complex_l1_fit(mu: np.ndarray, cols: np.ndarray, x: np.ndarray, iters: int = 40) -> float:
+def _complex_l1_fit(mu: np.ndarray, cols: np.ndarray, x: np.ndarray) -> float:
     """min over coef of sum mu |x - cols coef|, by an L2 seed plus complex
-    IRLS (weights mu / max(|resid|, 1e-12), at most `iters` steps, stop at a
-    relative change under 1e-12); returns the smallest value seen.
+    IRLS (weights mu / max(|resid|, 1e-12), at most COMPLEX_L1_ITERS steps,
+    stop at a relative change under 1e-12); returns the smallest value seen.
 
     One exponential column c has |c| = 1, so a step has the closed form
     coef = c^H (w x) / sum w, and |x - c coef| = |conj(c) x - coef|: one
@@ -418,7 +420,7 @@ def _complex_l1_fit(mu: np.ndarray, cols: np.ndarray, x: np.ndarray, iters: int 
 
     a = np.abs(resid(mu))
     best = float(mu @ a)
-    for _ in range(iters):
+    for _ in range(COMPLEX_L1_ITERS):
         a = np.abs(resid(mu / np.maximum(a, 1e-12)))  # |resid| feeds the value and the next weights
         val = float(mu @ a)
         if abs(val - best) < 1e-12 * max(best, 1e-300):
@@ -528,19 +530,19 @@ def _scaling_gram(k1: int, j1: int, k2: int, j2: int) -> float:
     return 0.0
 
 
-def pick_separation_level(n: int, target: float, probes: int = 200, seed: int = 0,
-                          max_level: int = 24) -> tuple:
+def pick_separation_level(n: int, target: float, seed: int = 0) -> tuple:
     """Smallest scale offset N with measured coarse-projection leakage <= target.
 
     The leakage of an n-term combination of scaling atoms at scales >= N
     through the level-0 averaging projection is measured on aligned worst-case
-    stacks and random samples; sqrt(n 2^-N) is the analytic envelope.
+    stacks and 200 random samples per level, for N up to 24; sqrt(n 2^-N) is
+    the analytic envelope.
     """
     rng = np.random.default_rng(seed)
-    for big_n in range(1, max_level + 1):
+    for big_n in range(1, 25):
         worst = math.sqrt(n) * 2.0 ** (-big_n / 2.0)  # aligned same-sign stack
         measured = worst
-        for _ in range(probes):
+        for _ in range(200):
             ks = rng.integers(big_n, big_n + 3, size=n)
             # disjoint or nested positions inside the unit cell
             coefs = rng.standard_normal(n)
@@ -555,10 +557,13 @@ def pick_separation_level(n: int, target: float, probes: int = 200, seed: int = 
     raise WitnessError("no separation level reaches the target leakage")
 
 
-def witness_wavelet(n: int, seed: int = 0, n_attempts: int = 100,
-                    dict_budget: int = 1024) -> Witness:
+WAVELET_DICT_ATOMS = 1024
+
+
+def witness_wavelet(n: int, seed: int = 0, n_attempts: int = 100) -> Witness:
     """Stacked Haar wavelets at well-separated scales; no n scaling atoms
-    capture more than a 1 - c^2 share of the energy."""
+    capture more than a 1 - c^2 share of the energy.  The searched dictionary
+    is the first WAVELET_DICT_ATOMS scaling atoms, coarsest first."""
     if n < 0:
         raise WitnessError("level n must be >= 0")
     c = 1.0 / (8.0 * math.sqrt(n + 1))
@@ -582,9 +587,9 @@ def witness_wavelet(n: int, seed: int = 0, n_attempts: int = 100,
     for k in range(0, max_level + 1):
         for j in range(2**k):
             atom_idx.append((k, j))
-            if len(atom_idx) >= dict_budget:
+            if len(atom_idx) >= WAVELET_DICT_ATOMS:
                 break
-        if len(atom_idx) >= dict_budget:
+        if len(atom_idx) >= WAVELET_DICT_ATOMS:
             break
     inner = np.array([_dyadic_inner(x, prefix, cells, k, j) for k, j in atom_idx])
 
@@ -626,15 +631,15 @@ def witness_wavelet(n: int, seed: int = 0, n_attempts: int = 100,
 # -- compactly supported translates witness ---------------------------------------
 
 
-def witness_translates(n: int, m: int, p: float, cells_per_unit: int = 64,
-                       n_trials: int = 1000, seed: int = 0) -> Witness:
+def witness_translates(n: int, m: int, p: float, n_trials: int = 1000,
+                       seed: int = 0) -> Witness:
     """Spread unit blocks; n translates of a short atom must miss m - n of them."""
     if m <= n:
         raise WitnessError("block count m must exceed the level n")
     support = 1.0  # mother atom chi_[0, 1]
     a = support + 2.0
     length = a * m + 2.0
-    cells = int(round(length * cells_per_unit))
+    cells = int(round(length * 64))  # 64 cells per unit length
     grid = Grid.interval_cells(0.0, length, cells)
     space = Space.lp_grid(grid, p)
     t = grid.nodes
@@ -662,9 +667,7 @@ def witness_translates(n: int, m: int, p: float, cells_per_unit: int = 64,
         min_untouched = min(min_untouched, untouched)
         # an L2 coefficient fit is an attempt for every p; translate supports
         # barely overlap, so it is near-optimal there as well
-        u = np.sqrt(grid.weights)
-        coef, *_ = np.linalg.lstsq(cols * u[:, None], f * u, rcond=None)
-        g = cols @ coef
+        _, _, g, _ = solve._irls_fit(cols, f, grid.weights, 2.0)
         attempts.append(Attempt("random-translates", trial, norm(space, f - g)))
 
     w = Witness(f, space, [ClaimedBound(n, bound, "untouched block mass")],
@@ -736,8 +739,7 @@ def _ladder_direction(s: Scheme, level: int, rng: np.random.Generator):
     return best
 
 
-def construct_slow_decay(s: Scheme, eps: NullSequence, i_max: int, rng_seed: int = 0,
-                         direction_provider: Optional[Callable] = None) -> Witness:
+def construct_slow_decay(s: Scheme, eps: NullSequence, i_max: int, rng_seed: int = 0) -> Witness:
     """Greedy fast-decay construction: an element whose errors stay positive
     but below the prescribed envelope on the verified range.
 
@@ -745,7 +747,6 @@ def construct_slow_decay(s: Scheme, eps: NullSequence, i_max: int, rng_seed: int
     verification re-solves every level up to i_max.
     """
     rng = np.random.default_rng(rng_seed)
-    provider = direction_provider or (lambda level: _ladder_direction(s, level, rng))
     ladder: list = []
     halted = ""
 
@@ -766,7 +767,7 @@ def construct_slow_decay(s: Scheme, eps: NullSequence, i_max: int, rng_seed: int
         if k_prev is None or k_prev > s.n_max:
             halted = f"gap map leaves the window at level {prev}"
             break
-        found = provider(k_prev)
+        found = _ladder_direction(s, k_prev, rng)
         if found is None:
             halted = f"no certified direction for level {k_prev}"
             break
@@ -826,43 +827,3 @@ def verify_slow_decay(w: Witness, seed: int = 0) -> bool:
     w.verifications = records
     return w.verified
 
-
-# -- jump-element search ---------------------------------------------------------------
-
-
-@dataclass
-class JumpSearch:
-    element: Optional[np.ndarray]
-    ratio: float
-    level: int
-    accepted: bool
-    note: str = ""
-
-
-def find_jump_element(s: Scheme, n: int, c: float, pool: Iterable[np.ndarray],
-                      seed: int = 0) -> JumpSearch:
-    """Search a candidate pool for x outside closure(A_n) with
-    E(x, A_n) <= c E(x, A_K(n))."""
-    if c <= 0:
-        raise WitnessError("constant c must be positive")
-    kn = s.K(n)
-    if kn is None:
-        raise WitnessError("gap map leaves the window at this level")
-    best_ratio = math.inf
-    best_x = None
-    for x in pool:
-        e_n = best_approx(s.space, x, s, n, seed=seed)
-        scale = max(norm(s.space, x), 1e-300)
-        if e_n.value <= 1e-9 * scale:
-            continue  # inside the closure of A_n
-        e_k = best_approx(s.space, x, s, kn, seed=seed)
-        if e_k.value <= 0.0:
-            continue
-        ratio = e_n.value / e_k.value
-        if ratio < best_ratio:
-            best_ratio = ratio
-            best_x = x
-        if ratio <= c:
-            return JumpSearch(x, ratio, n, True)
-    return JumpSearch(best_x, best_ratio, n, False,
-                      "no candidate met the ratio; best ratio recorded")

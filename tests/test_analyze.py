@@ -2,12 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from lethargy.analyze import (
     AnalyzeError,
-    aqr_norm,
     bernstein_audit,
     brudnyi_gap,
     density_lower_bound,
@@ -16,18 +13,13 @@ from lethargy.analyze import (
     dolzhenko_variation_audit,
     jackson_audit,
     monotone_envelope,
-    property_P_check,
     sample_rational,
     seminorm,
     shapiro_check,
-    weighted_sup_norm,
 )
 from lethargy.scheme import build_scheme, density_candidates
-from lethargy.seq import NullSequence, TailModel
-from lethargy.solve import best_approx, error_profile
+from lethargy.solve import best_approx
 from lethargy.space import Grid, Space, norm
-
-from conftest import random_nonincreasing
 
 
 @pytest.fixture(scope="module")
@@ -127,26 +119,6 @@ class TestShapiro:
         assert "envelope" in d
 
 
-class TestPropertyP:
-    def test_orthonormal_passes(self):
-        s = build_scheme("orthonormal-nterm")
-        rep = property_P_check(s, 2.0, 1.0, [1, 2, 4], rng_seed=1)
-        assert rep["passed"]
-
-    def test_fast_quantizer_fails_polynomial_bound(self):
-        s = build_scheme({"kind": "quantizer", "m": [2**n for n in range(9)],
-                          "space": {"carrier": "grid", "domain": "interval",
-                                    "nodes": 513, "norm": "sup"}})
-        rep = property_P_check(s, 2.0, 1.0, [4, 6, 8], rng_seed=1)
-        assert not rep["passed"]  # exponential decay beats every polynomial floor
-
-    def test_rank_identity_certificate(self):
-        s = build_scheme({"kind": "rank", "n_max": 5,
-                          "space": {"carrier": "matrix", "side": 5, "norm": "operator"}})
-        rep = property_P_check(s, 1.0, 2.0, [2, 4], rng_seed=1)
-        assert rep["passed"]
-
-
 class TestSubmultiplicativity:
     def test_quantizer_exact(self, quantizer_linear_small):
         rep = density_profile_check(quantizer_linear_small, rng_seed=1)
@@ -229,85 +201,6 @@ class TestDolzhenko:
             f, deg = sample_rational(rng, g, 5)
             assert deg <= 5
             assert np.all(np.isfinite(f))
-
-
-class TestAqrNorm:
-    def test_zero_profile(self):
-        r = aqr_norm(np.zeros(16), 1.0, 1.0, 2.0)
-        assert r.value == 0.0
-
-    def test_exact_cancellation_sup(self):
-        vals = (np.arange(32) + 1.0) ** -1.5
-        r = aqr_norm(vals, 1.0, 1.5, np.inf)
-        assert r.value == pytest.approx(1.0, abs=1e-12)
-
-    def test_geometric_tail_against_direct_sum(self):
-        window = 2.0 ** -np.arange(20)
-        r = aqr_norm(window, 1.0, 1.0, 2.0, tail=TailModel("geometric", 0.5))
-        direct = math.sqrt(sum(((n + 1) ** 0.5 * 2.0**-n) ** 2 for n in range(400)))
-        assert r.value == pytest.approx(direct, rel=1e-12)
-        assert r.tail_contribution > 0
-
-    def test_monotone_in_r(self):
-        vals = (np.arange(24) + 1.0) ** -2.0
-        v1 = aqr_norm(vals, 1.0, 0.5, 2.0).value
-        v2 = aqr_norm(vals, 1.0, 1.0, 2.0).value
-        assert v2 >= v1
-
-    @settings(max_examples=30, deadline=None)
-    @given(st.integers(0, 2**31 - 1))
-    def test_lattice_property(self, seed):
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(4, 40))
-        lo = random_nonincreasing(rng, n)
-        hi = lo * rng.uniform(1.0, 2.0)
-        r, q = float(rng.uniform(0.2, 2.0)), float(rng.uniform(0.5, 3.0))
-        assert aqr_norm(lo, 1.0, r, q).value <= aqr_norm(hi, 1.0, r, q).value + 1e-12
-
-    def test_divergence_flag_advisory(self):
-        flat = np.ones(64)
-        r = aqr_norm(flat, 1.0, 1.0, 1.0)
-        assert r.flagged_divergent
-        decaying = 2.0 ** -np.arange(64)
-        assert not aqr_norm(decaying, 1.0, 1.0, 1.0).flagged_divergent
-
-    def test_bad_exponents(self):
-        with pytest.raises(AnalyzeError):
-            aqr_norm(np.ones(4), 1.0, 1.0, 0.0)
-        with pytest.raises(AnalyzeError):
-            aqr_norm(np.ones(4), 1.0, -1.0, 2.0)
-
-    def test_profile_input(self, small_interleaved, rng):
-        x = rng.standard_normal(small_interleaved.cap)
-        prof = error_profile(small_interleaved.space, x, small_interleaved, 6)
-        r = aqr_norm(prof, norm(small_interleaved.space, x), 1.0, 2.0)
-        assert r.value > 0
-
-
-class TestWeightedSup:
-    def test_ratio_one_when_equal(self):
-        eps = NullSequence.geometric(0.5, 12)
-        for m in (0, 3, 7):
-            assert weighted_sup_norm(eps.values, eps, m) == pytest.approx(1.0)
-
-    def test_zero_profile(self):
-        eps = NullSequence.harmonic(8)
-        assert weighted_sup_norm(np.zeros(8), eps, 0) == 0.0
-
-    def test_matches_exhaustive_scan(self, small_monomial_chain, rng):
-        s = small_monomial_chain
-        x = np.abs(s.space.grid.nodes - 0.5)
-        prof = error_profile(s.space, x, s, 8)
-        eps = NullSequence.harmonic(9)
-        got = weighted_sup_norm(prof, eps, 2)
-        vals = [e.value for e in prof.entries]
-        want = max(vals[n] / eps[n] for n in range(2, 9))
-        assert got == pytest.approx(want)
-
-    def test_zero_eps_rejected(self):
-        eps = NullSequence(np.array([1.0, 0.0]))
-        with pytest.raises(AnalyzeError):
-            weighted_sup_norm(np.ones(2), eps, 0)
 
 
 class TestSeminorms:

@@ -15,6 +15,7 @@ from lethargy import cli
 from lethargy.cli import (REL_TOL, TASKS, UsageError, canonical_json, config_hash,
                           encode_element, main, make_element, replay_report, run_task)
 from lethargy.scheme import build_scheme, named_probes
+from lethargy.solve import NoSolverError, SolverError
 from lethargy.space import SpaceError
 
 
@@ -73,6 +74,29 @@ class TestRun:
                                       "scheme": "interleaved-c0", "params": {}})
         assert main(["run", "--config", cfg]) == 1
         assert "n_max" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("config", [
+        # SolverError: the profile asks for a level beyond the scheme window
+        {"task": "profile", "scheme": "monomial-chain", "params": {"n_max": 13}},
+        # NoSolverError: a linear chain in L_p with p < 1 has no solver
+        {"task": "slowdecay", "seed": 1, "params": {"i_max": 2},
+         "scheme": {"kind": "chain", "family": "monomial", "n_max": 4,
+                    "space": {"carrier": "grid", "domain": "interval", "nodes": 33,
+                              "norm": "lp", "p": 0.5}}},
+    ], ids=["solver-error", "no-solver-error"])
+    def test_solver_errors_exit_1_without_traceback(self, tmp_path, capsys, config):
+        with pytest.raises((SolverError, NoSolverError)) as raised:
+            run_task(copy.deepcopy(config))
+        message = str(raised.value)
+        cfg = write_config(tmp_path, config)
+        assert main(["run", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {message}\n" and "Traceback" not in err
+        report = tmp_path / "report.json"
+        report.write_text(json.dumps({"version": cli.REPORT_VERSION, "config": config,
+                                      "config_hash": config_hash(config)}))
+        assert main(["replay", str(report)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_unknown_task(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"task": "dance", "seed": 1})

@@ -1,0 +1,73 @@
+"""Every public function and class of the package is reached from outside its
+own definition: by the package, a script or the benchmark.
+
+Tests do not count as callers, and neither do the re-exports of
+`lethargy/__init__.py`.  A use is a name, an attribute or a string naming it
+(perfbench wraps functions by their names).  A public name that nothing
+reaches computes numbers that no report carries, so it gets a caller or goes.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "lethargy"
+
+# name -> why it stays without a caller
+ALLOWED = {
+    "lethargy_majorant": "ROADMAP item 5: target sequence of the slow-decay ladder",
+    "convex_majorant": "ROADMAP item 4: majorant of the nonlinear lethargy witness",
+}
+
+
+def _names(node) -> set:
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            out.add(sub.value)
+    return out
+
+
+def _caller_files() -> list:
+    files = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
+    return files + sorted((ROOT / "scripts").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+
+
+def _public_definitions() -> dict:
+    """name -> defining module, over the top level of every package module."""
+    out = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                out[node.name] = path.name
+    return out
+
+
+def _uses() -> set:
+    """Names used anywhere in the caller files, except inside the top-level
+    definition of the same name."""
+    used = set()
+    for path in _caller_files():
+        for node in ast.parse(path.read_text()).body:
+            names = _names(node)
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names.discard(node.name)
+            used |= names
+    return used
+
+
+def test_every_public_definition_has_a_caller():
+    used = _uses()
+    unreached = sorted(f"{module}:{name}" for name, module in _public_definitions().items()
+                       if name not in used and name not in ALLOWED)
+    assert not unreached, f"public names that no package module, script or benchmark uses: {unreached}"
+
+
+def test_allowlist_holds_only_unreached_definitions():
+    defined = _public_definitions()
+    used = _uses()
+    assert all(name in defined and name not in used for name in ALLOWED)

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +11,6 @@ from lethargy.seq import (
     TailModel,
     convex_majorant,
     lethargy_majorant,
-    nonincreasing_rearrangement,
 )
 
 from conftest import random_nonincreasing
@@ -124,34 +121,6 @@ class TestConvexMajorant:
             assert pinned_by_input or pinned_by_chain
 
 
-class TestRearrangement:
-    def test_basic(self):
-        out = nonincreasing_rearrangement([0.5, 1.0, 0.25])
-        assert np.array_equal(out.values, [1.0, 0.5, 0.25])
-
-    def test_idempotent_on_sorted(self):
-        vals = np.array([3.0, 2.0, 2.0, 0.5])
-        out = nonincreasing_rearrangement(vals)
-        assert np.array_equal(out.values, vals)
-
-    def test_random_against_independent_sort(self, rng):
-        vals = rng.uniform(0, 10, size=100)
-        out = nonincreasing_rearrangement(vals)
-        assert np.array_equal(out.values, np.sort(vals)[::-1])
-        assert sorted(out.values) == sorted(vals)
-
-    def test_negative_rejected(self):
-        with pytest.raises(SequenceError):
-            nonincreasing_rearrangement([1.0, -0.5])
-
-    @settings(max_examples=50, deadline=None)
-    @given(st.lists(st.floats(0, 1e6, allow_nan=False), min_size=1, max_size=40))
-    def test_multiset_bijection(self, vals):
-        out = nonincreasing_rearrangement(vals)
-        assert sorted(out.values) == sorted(vals)
-        assert np.all(np.diff(out.values) <= 0)
-
-
 class TestNullSequence:
     def test_monotonicity_enforced(self):
         with pytest.raises(SequenceError):
@@ -175,20 +144,6 @@ class TestNullSequence:
             TailModel("geometric", 1.5)
         with pytest.raises(SequenceError):
             TailModel("weird")
-
-    def test_json_roundtrip(self):
-        s = NullSequence(np.array([1.0, 0.25]), TailModel("geometric", 0.3))
-        back = NullSequence.from_json(json.loads(json.dumps(s.to_json())))
-        assert np.array_equal(back.values, s.values)
-        assert back.tail == s.tail
-
-    def test_csv_export(self, tmp_path):
-        s = NullSequence(np.array([1.0, 0.5, 0.25]))
-        path = tmp_path / "seq.csv"
-        s.dump_csv(path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "n,value"
-        assert len(lines) == 4
 
 
 class TestIndexMap:

@@ -1,18 +1,16 @@
-import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from lethargy.scheme import build_scheme, density_candidates
+from lethargy.scheme import build_scheme
 from lethargy.seq import NullSequence
-from lethargy.solve import best_approx, _nterm_exhaustive
-from lethargy.space import Grid, Space, norm
+from lethargy.solve import _nterm_exhaustive
+from lethargy.space import Grid, norm
 from lethargy.witness import (
     ClaimedBound,
     WitnessError,
     construct_slow_decay,
-    find_jump_element,
     pick_separation_level,
     verify_slow_decay,
     verify_witness,
@@ -286,31 +284,3 @@ class TestSlowDecay:
     def test_short_eps_window_reports_partial(self, small_interleaved):
         w = construct_slow_decay(small_interleaved, NullSequence.harmonic(3), 8, rng_seed=1)
         assert w.meta["halted"]
-
-
-class TestJumpSearch:
-    def test_linear_chain_ratio_one(self):
-        # K(n) = n makes every non-member a ratio-1 jump element
-        s = build_scheme({"kind": "chain", "family": "coordinate", "n_max": 8,
-                          "space": {"carrier": "coords", "dim": 16, "norm": "lp", "p": 2.0}})
-        x = np.zeros(16)
-        x[10:16] = 1.0  # orthogonal to every chain level in the window
-        res = find_jump_element(s, 2, 1.0, [x])
-        assert res.accepted
-        assert res.ratio <= 1.0 + 1e-12
-
-    def test_fast_budget_quantizer_fails_small_c(self):
-        s = build_scheme({"kind": "quantizer", "m": [1, 2, 4, 16, 256],
-                          "space": {"carrier": "grid", "domain": "interval",
-                                    "nodes": 513, "norm": "sup"}})
-        g = s.space.grid
-        pool = [2 * g.nodes - 1, np.sin(7 * g.nodes)]
-        res = find_jump_element(s, 1, 1.5, pool)
-        assert not res.accepted
-        assert res.ratio > 1.5
-
-    def test_bump_candidates_on_chain(self, small_monomial_chain, rng):
-        s = small_monomial_chain
-        pool = density_candidates(s, s.K(2), rng, count=2)
-        res = find_jump_element(s, 2, 1.05, pool)
-        assert res.accepted  # chain errors plateau: K(n) = n gives ratio 1
