@@ -1,30 +1,33 @@
-"""Command-line front end: materialize schemes from JSON configs, run witness
-constructions and analyses, and emit machine-readable reports.
+"""Command-line front end: run tasks from JSON configs into machine-readable
+reports, and replay reports.
 
-A profile element is given as `{"values": [...]}`, as
-`{"f64": <base64 of little-endian float64 bytes>, "shape": [...]}`, as a probe
-name or as "random".  Reports are version 1.1: their config stores a `values`
-element in the exact, compact `f64` form, and the config hash covers that form.
-
-Replay reads versions 1.0 and 1.1.  It re-runs a report's task and compares
-every field except `timestamp` and `version`, floats at 1e-9 relative; the
-config is checked by its hash, and replay writes no side files.  Exit codes: 0
-success, 1 usage, configuration or solver error, 2 verification failure (a
-report did not reproduce).  All randomness flows from the single 64-bit seed
-recorded in the report.
+Every task, witness op and audit is one TABLE entry whose runner declares its
+params; a key the task does not read, a missing required key or a value of the
+wrong JSON type is a usage error.  A profile element is `{"values": [...]}`,
+`{"f64": <base64 of little-endian float64 bytes>, "shape": [...]}`, a probe name
+or "random"; a report (version 1.1) stores a `values` element as `f64`, and the
+config hash covers that form.  Replay reads versions 1.0 and 1.1: it checks the
+config hash, re-runs the task and compares every field but `timestamp` and
+`version`, floats at 1e-9 relative, and writes no side files.  Exit codes: 0
+success, 1 usage, configuration or solver error, 2 verification failure (a report
+did not reproduce).  All randomness flows from the 64-bit seed in the report.
 """
 
 from __future__ import annotations
 
 import argparse
 import base64
+import contextlib
 import copy
+import functools
 import hashlib
+import inspect
 import json
 import math
 import sys
 import time
-from typing import Optional
+from types import SimpleNamespace
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -36,7 +39,6 @@ from .space import SpaceError
 
 REPORT_VERSION = "1.1"
 READS_VERSIONS = ("1.0", "1.1")  # 1.0 reports keep a profile element as plain values
-TASKS = ("validate", "profile", "witness", "density", "shapiro", "audit", "slowdecay")
 REL_TOL = 1e-9  # replay tolerance for floats, relative to max(1, |fresh value|)
 # report fields that are not claims; the config is covered by its hash, and
 # the version is checked against READS_VERSIONS before the re-run
@@ -65,17 +67,18 @@ def config_hash(config: dict) -> str:
     return hash_text(canonical_json(config))
 
 
-def _apply_override(config: dict, key: str, raw: str) -> None:
+def _apply_override(config: dict, item: str) -> None:
+    key, eq, raw = item.partition("=")
+    if not eq:
+        raise UsageError(f"--set needs KEY=VALUE, got {item!r}")
     try:
         value = json.loads(raw)
     except json.JSONDecodeError:
         value = raw
-    node = config
     *path, last = key.split(".")
+    node = config
     for part in path:
-        if not isinstance(node, dict):
-            break
-        node = node.setdefault(part, {})
+        node = node.setdefault(part, {}) if isinstance(node, dict) else None
     if not isinstance(node, dict):
         raise UsageError(f"--set {key}: the path does not lead into a JSON object")
     node[last] = value
@@ -123,165 +126,194 @@ def make_element(space, desc, rng: np.random.Generator) -> np.ndarray:
     return probes[name]
 
 
-def witness_from_config(op: str, params: dict, seed: int) -> wit.Witness:
-    if op == "c0":
-        eps = NullSequence(np.asarray(params["eps"], dtype=float))
-        return wit.witness_c0(eps, cap=params.get("cap"))
-    if op == "quantizer":
-        return wit.witness_quantizer(int(params["m"]))
-    if op == "haar-bumps":
-        return wit.witness_haar_bumps(int(params["n"]), float(params.get("p", 1.0)),
-                                      family=params.get("family", "poly"),
-                                      n_attempts=int(params.get("attempts", 100)),
-                                      seed=seed)
-    if op == "bv":
-        return wit.witness_bv(int(params["n"]), seed=seed,
-                              n_attempts=int(params.get("attempts", 100)))
-    if op == "ridge":
-        return wit.witness_ridge(int(params["n"]), seed=seed,
-                                 n_starts=int(params.get("starts", 100)))
-    if op == "orthonormal":
-        return wit.witness_orthonormal_nterm(int(params["n"]), int(params.get("dim", 12)))
-    if op == "wavelet":
-        return wit.witness_wavelet(int(params["n"]), seed=seed,
-                                   n_attempts=int(params.get("attempts", 100)))
-    if op == "translates":
-        return wit.witness_translates(int(params["n"]), int(params["m"]),
-                                      float(params.get("p", 1.0)), seed=seed,
-                                      n_trials=int(params.get("trials", 1000)))
-    if op == "tensor":
-        return wit.witness_tensor(int(params["n"]), params.get("norm", "hs"))
-    raise UsageError(f"unknown witness op {op!r}")
+# -- the task table, and the one check of a config -------------------------------
 
 
-def _witness_payload(w: wit.Witness, op: str, params: dict) -> dict:
-    payload = w.to_json()
-    payload["constructor"] = {"op": op, "params": params}
-    if len(payload.get("element", [])) > 100_000:
-        payload["element"] = "omitted (rebuild via constructor)"
-    return payload
+def _real(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+INTEGER = ("an integer", lambda v: _real(v) and isinstance(v, int))
+NUMBER = ("a number", _real)  # an integer is a number, and is passed on as a float
+# the JSON type of every config and params key; a key means the same in every task
+KEY_TYPES = {
+    **dict.fromkeys("seed n m n_max trials attempts starts dim cap i_max probes samples "
+                    "max_degree budget".split(), INTEGER),
+    **dict.fromkeys("task family norm csv plot_data".split(),
+                    ("a string", lambda v: isinstance(v, str))),
+    **dict.fromkeys(("scheme", "element"),
+                    ("a string or an object", lambda v: isinstance(v, (str, dict)))),
+    **dict.fromkeys(("params", "seminorm"), ("an object", lambda v: isinstance(v, dict))),
+    "p": NUMBER,
+    "levels": ("a list of integers", lambda v: isinstance(v, list) and all(map(INTEGER[1], v))),
+    "eps": ("a list of numbers", lambda v: isinstance(v, list) and all(map(_real, v))),
+}
+REQUIRED = inspect.Parameter.empty
+# the param that picks the entry of a task with several, and its default
+SELECTORS = {"witness": ("op", None), "audit": ("audit", "dolzhenko")}
+
+
+class Entry:
+    """`run(r, **params)` returns (payload, verified); its keyword-only parameters
+    are the params, required unless they have a default.  `keys` are the other
+    top-level keys it reads: "scheme", required and built into `r.s`, and the side
+    files it writes.  `r` holds all checked top-level keys, `r.params` as given."""
+    def __init__(self, run: Callable, keys: tuple = ()):
+        self.run, self.keys = run, keys
+        self.params = {p.name: p.default for p in inspect.signature(run).parameters.values()
+                       if p.kind is p.KEYWORD_ONLY}  # name -> default, or REQUIRED
+
+
+def _checked(where: str, given: dict, spec: dict) -> dict:
+    """`given` checked against `spec` (key -> default or REQUIRED) and
+    KEY_TYPES, with copies of the defaults filled in."""
+    out = {}
+    for key, value in given.items():
+        if key not in spec:
+            raise UsageError(f"{where}: unknown key {key!r}; allowed keys: {', '.join(spec)}")
+        kind, test = KEY_TYPES[key]
+        if not test(value):
+            raise UsageError(f"{where}: {key} must be {kind}, not {value!r}")
+        out[key] = float(value) if KEY_TYPES[key] is NUMBER else value
+    missing = [key for key, default in spec.items() if default is REQUIRED and key not in out]
+    if missing:
+        raise UsageError(f"{where}: missing required key {missing[0]!r}")
+    return {**{key: copy.deepcopy(d) for key, d in spec.items() if key not in out}, **out}
+
+
+def check_config(config) -> tuple:
+    """(entry, config, top, params): a config's table entry, a private copy of
+    it (payloads carry parts of it; a profile element, read only by make_element,
+    is not copied), and its checked top-level keys and params, defaults filled in."""
+    if not isinstance(config, dict):
+        raise UsageError(f"config must be a JSON object, not {type(config).__name__}")
+    given = config.get("params", {})
+    if not isinstance(given, dict):
+        raise UsageError("config params must be a JSON object")
+    element = given.get("element")
+    config = copy.deepcopy(config, {id(element): element})
+    task = config.get("task")
+    if task not in TASKS:
+        raise UsageError(f"unknown task {task!r}; expected one of {', '.join(TASKS)}")
+    selector, default = SELECTORS.get(task, (None, None))
+    name = f"{task} {given.get(selector, default)}" if selector else task
+    if name not in TABLE:
+        choices = [key.split()[1] for key in TABLE if key.startswith(task + " ")]
+        raise UsageError(f"{task} task: params.{selector} must be one of "
+                         f"{', '.join(choices)}, not {given.get(selector)!r}")
+    entry = TABLE[name]
+    top = _checked("config", config, {"task": REQUIRED, "seed": 0, "params": {}, **{
+        key: REQUIRED if key == "scheme" else None for key in entry.keys}})
+    given = {key: value for key, value in top["params"].items() if key != selector}
+    return entry, config, top, _checked(f"params of {name}", given, entry.params)
+
+
+def _witness(op: str, build, verify: str = "verify_witness"):
+    """The runner of `build(r, **params) -> Witness`: it checks the witness
+    with `witness.<verify>`, then reports it with its constructor."""
+    @functools.wraps(build)  # so the runner's params are build's
+    def run(r, **params):
+        w = build(r, **params)
+        verified = getattr(wit, verify)(w, seed=r.seed)
+        payload = {**w.to_json(), "constructor": {"op": op, "params": r.params}}
+        if len(payload.get("element", [])) > 100_000:
+            payload["element"] = "omitted (rebuild via constructor)"
+        return payload, verified
+    return run
+
+
+def _validate(r, *, trials=200):
+    report = validate_scheme(r.s, trials=trials, rng_seed=r.seed)
+    return report.to_json(), report.passed
+
+
+def _profile(r, *, n_max, element="random"):
+    x = make_element(r.s.space, element, np.random.default_rng(r.seed))
+    if isinstance(element, dict) and "values" in element:
+        r.params.update(element=encode_element(x))
+    profile = error_profile(r.s.space, x, r.s, n_max, seed=r.seed)
+    if r.csv:
+        profile.dump_csv(r.csv)
+    if r.plot_data:
+        profile.dump_plot_data(r.plot_data)
+    return profile.to_json(), bool(np.all(np.diff(profile.values()) <= 1e-9))
+
+
+def _density(r, *, levels=None):
+    levels = levels or list(range(r.s.n_max + 1))
+    certs = [analyze.density_lower_bound(r.s, n, rng_seed=r.seed + 17 * n) for n in levels]
+    if r.csv:
+        with open(r.csv, "w") as fh:
+            fh.write("n,bound,status\n")
+            fh.writelines(f"{c.level},{c.bound!r},{c.status}\n" for c in certs)
+    certificates = [c.to_json(with_element=r.s.space.carrier != "grid") for c in certs]
+    return ({"schema": analyze.REPORT_SCHEMA, "scheme": r.s.label, "levels": levels,
+             "certificates": certificates}, all(c.solver_value >= c.bound - 1e-9 for c in certs))
+
+
+def _shapiro(r, *, probes=8, levels=None):
+    verdict = analyze.shapiro_check(r.s, probe_budget=probes, rng_seed=r.seed, levels=levels)
+    env = verdict.envelope
+    if r.csv and env:
+        with open(r.csv, "w") as fh:
+            fh.write("n,envelope\n")
+            fh.writelines(f"{n},{v!r}\n" for n, v in zip(env["levels"], env["values"]))
+    return verdict.to_json(), verdict.verdict != "inconclusive"
+
+
+def _ladder(r, *, eps=None, i_max=8):
+    eps = NullSequence.harmonic(i_max + 4) if eps is None else NullSequence(np.asarray(eps, float))
+    return wit.construct_slow_decay(r.s, eps, i_max, rng_seed=r.seed)
+
+
+def _dolzhenko(r, *, samples=1000, max_degree=5):
+    payload = analyze.dolzhenko_variation_audit(samples, max_degree, rng_seed=r.seed)
+    return payload, payload["passed"]
+
+
+WITNESS_OPS = {
+    "c0": lambda r, *, eps, cap=None: wit.witness_c0(NullSequence(np.asarray(eps, float)), cap),
+    "quantizer": lambda r, *, m: wit.witness_quantizer(m),
+    "haar-bumps": lambda r, *, n, p=1.0, family="poly", attempts=100: wit.witness_haar_bumps(
+        n, p, family=family, n_attempts=attempts, seed=r.seed),
+    "bv": lambda r, *, n, attempts=100: wit.witness_bv(n, seed=r.seed, n_attempts=attempts),
+    "ridge": lambda r, *, n, starts=100: wit.witness_ridge(n, seed=r.seed, n_starts=starts),
+    "orthonormal": lambda r, *, n, dim=12: wit.witness_orthonormal_nterm(n, dim),
+    "wavelet": lambda r, *, n, attempts=100: wit.witness_wavelet(n, r.seed, n_attempts=attempts),
+    "translates": lambda r, *, n, m, p=1.0, trials=1000: wit.witness_translates(
+        n, m, p, seed=r.seed, n_trials=trials),
+    "tensor": lambda r, *, n, norm="hs": wit.witness_tensor(n, norm),
+}
+# a task, or "witness <op>" and "audit <audit>" -> Entry.  Runners look library functions
+# up when they run, so wrappers put on module attributes (perfbench's tracer) see the calls.
+TABLE = {
+    "validate": Entry(_validate, ("scheme",)),
+    "profile": Entry(_profile, ("scheme", "csv", "plot_data")),
+    **{f"witness {op}": Entry(_witness(op, build)) for op, build in WITNESS_OPS.items()},
+    "density": Entry(_density, ("scheme", "csv")),
+    "shapiro": Entry(_shapiro, ("scheme", "csv")),
+    "audit dolzhenko": Entry(_dolzhenko),
+    "audit jackson": Entry(lambda r, *, seminorm={"kind": "lipschitz"}: (
+        analyze.jackson_audit(r.s, seminorm, rng_seed=r.seed), True), ("scheme",)),
+    "audit bernstein": Entry(lambda r, *, seminorm={"kind": "deriv-sup"}, budget=200: (
+        analyze.bernstein_audit(r.s, seminorm, budget=budget, rng_seed=r.seed), True), ("scheme",)),
+    "slowdecay": Entry(_witness("slowdecay", _ladder, "verify_slow_decay"), ("scheme",)),
+}
+TASKS = tuple(dict.fromkeys(name.split()[0] for name in TABLE))
 
 
 def run_task(config: dict) -> dict:
     """Run one task.  The report owns its `config`, a copy in which a profile
     element given as `values` is stored as `f64` (see encode_element), and
     shares no list or dict with the caller's config."""
-    if not isinstance(config, dict):
-        raise UsageError(f"config must be a JSON object, not {type(config).__name__}")
-    if not isinstance(config.get("params", {}), dict):
-        raise UsageError("config params must be a JSON object")
-    # payloads carry parts of the config, so they get a private copy; a
-    # profile element is only read by make_element and is not copied
-    element = config.get("params", {}).get("element")
-    memo = {id(element): element} if config.get("task") == "profile" else None
-    config = copy.deepcopy(config, memo)
-    task = config.get("task")
-    if task not in TASKS:
-        raise UsageError(f"unknown task {task!r}; expected one of {', '.join(TASKS)}")
-    seed = int(config.get("seed", 0))
-    params = config.get("params", {})
-    rng = np.random.default_rng(seed)
-    payload: dict
-    verified = True
-
-    if task == "validate":
-        s = build_scheme(config["scheme"])
-        report = validate_scheme(s, trials=int(params.get("trials", 200)), rng_seed=seed)
-        payload = report.to_json()
-        verified = report.passed
-
-    elif task == "profile":
-        s = build_scheme(config["scheme"])
-        if "n_max" not in params:
-            raise UsageError("profile task needs params.n_max")
-        desc = params.get("element", "random")
-        x = make_element(s.space, desc, rng)
-        if isinstance(desc, dict) and "values" in desc:
-            params["element"] = encode_element(x)
-        profile = error_profile(s.space, x, s, int(params["n_max"]), seed=seed)
-        payload = profile.to_json()
-        vals = profile.values()
-        verified = bool(np.all(np.diff(vals) <= 1e-9)) if vals.size else True
-        if config.get("csv"):
-            profile.dump_csv(config["csv"])
-        if config.get("plot_data"):
-            profile.dump_plot_data(config["plot_data"])
-
-    elif task == "witness":
-        op = params.get("op")
-        if not op:
-            raise UsageError("witness task needs params.op")
-        w = witness_from_config(op, params, seed)
-        verified = wit.verify_witness(w, seed=seed)
-        payload = _witness_payload(w, op, params)
-
-    elif task == "density":
-        s = build_scheme(config["scheme"])
-        levels = params.get("levels") or list(range(s.n_max + 1))
-        certs = [analyze.density_lower_bound(s, int(n), rng_seed=seed + 17 * int(n))
-                 for n in levels]
-        payload = {"schema": analyze.REPORT_SCHEMA, "scheme": s.label, "levels": levels,
-                   "certificates": [c.to_json(with_element=s.space.carrier != "grid")
-                                    for c in certs]}
-        verified = all(c.solver_value >= c.bound - 1e-9 for c in certs)
-        if config.get("csv"):
-            with open(config["csv"], "w") as fh:
-                fh.write("n,bound,status\n")
-                for c in certs:
-                    fh.write(f"{c.level},{c.bound!r},{c.status}\n")
-
-    elif task == "shapiro":
-        s = build_scheme(config["scheme"])
-        verdict = analyze.shapiro_check(s, probe_budget=int(params.get("probes", 8)),
-                                        rng_seed=seed, levels=params.get("levels"))
-        payload = verdict.to_json()
-        verified = verdict.verdict != "inconclusive"
-        if config.get("csv") and verdict.envelope:
-            with open(config["csv"], "w") as fh:
-                fh.write("n,envelope\n")
-                for n, v in zip(verdict.envelope["levels"], verdict.envelope["values"]):
-                    fh.write(f"{n},{v!r}\n")
-
-    elif task == "audit":
-        which = params.get("audit", "dolzhenko")
-        if which == "dolzhenko":
-            payload = analyze.dolzhenko_variation_audit(
-                n_samples=int(params.get("samples", 1000)),
-                max_degree=int(params.get("max_degree", 5)), rng_seed=seed)
-            verified = payload["passed"]
-        elif which == "jackson":
-            s = build_scheme(config["scheme"])
-            payload = analyze.jackson_audit(s, params.get("seminorm", {"kind": "lipschitz"}),
-                                            rng_seed=seed)
-        elif which == "bernstein":
-            s = build_scheme(config["scheme"])
-            payload = analyze.bernstein_audit(s, params.get("seminorm", {"kind": "deriv-sup"}),
-                                              budget=int(params.get("budget", 200)),
-                                              rng_seed=seed)
-        else:
-            raise UsageError(f"unknown audit {which!r}")
-
-    elif task == "slowdecay":
-        s = build_scheme(config["scheme"])
-        eps_vals = params.get("eps")
-        if eps_vals is None:
-            window = int(params.get("i_max", 8)) + 4
-            eps = NullSequence.harmonic(window)
-        else:
-            eps = NullSequence(np.asarray(eps_vals, dtype=float))
-        w = wit.construct_slow_decay(s, eps, int(params.get("i_max", 8)), rng_seed=seed)
-        verified = wit.verify_slow_decay(w, seed=seed)
-        payload = _witness_payload(w, "slowdecay", params)
-
+    entry, config, top, params = check_config(config)
+    r = SimpleNamespace(**top, s=build_scheme(top["scheme"]) if "scheme" in top else None)
+    payload, verified = entry.run(r, **params)
     text = canonical_json(config)
-    return {"version": REPORT_VERSION, "task": task, "config": json.loads(text),
-            "config_hash": hash_text(text), "seed": seed,
+    return {"version": REPORT_VERSION, "task": r.task, "config": json.loads(text),
+            "config_hash": hash_text(text), "seed": r.seed,
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
             "payload": payload, "verified": verified}
-
-
-def _real(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
 def _same(a, b) -> bool:
@@ -323,67 +355,45 @@ def replay_report(report: dict) -> bool:
 
 
 def main(argv: Optional[list] = None) -> int:
-    parser = argparse.ArgumentParser(prog="lethargy",
-                                     description="approximation-scheme laboratory")
+    parser = argparse.ArgumentParser(prog="lethargy", description="approximation-scheme laboratory")
     sub = parser.add_subparsers(dest="command")
-
     p_run = sub.add_parser("run", help="run a task from a JSON config")
     p_run.add_argument("--config", required=True)
     p_run.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                        help="override a config entry (dot paths, JSON values)")
     p_run.add_argument("--out", default=None, help="report path (default: stdout)")
-
-    p_replay = sub.add_parser("replay", help="re-verify a report")
-    p_replay.add_argument("report")
-
+    sub.add_parser("replay", help="re-verify a report").add_argument("report")
     sub.add_parser("list-schemes", help="print registered scheme names")
 
     args = parser.parse_args(argv)
     if args.command == "list-schemes":
-        for name in list_schemes():
-            print(name)
+        print("\n".join(list_schemes()))
         return 0
-
-    if args.command == "run":
-        try:
-            with open(args.config) as fh:
-                config = json.load(fh)
-            for item in args.set:
-                if "=" not in item:
-                    raise UsageError(f"--set needs KEY=VALUE, got {item!r}")
-                key, raw = item.split("=", 1)
-                _apply_override(config, key, raw)
-            report = run_task(config)
-        except HANDLED_ERRORS as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        text = json.dumps(report, indent=2, sort_keys=True)
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text + "\n")
+    if args.command is None:
+        parser.print_help()
+        return 1
+    try:
+        with open(args.report if args.command == "replay" else args.config) as fh:
+            doc = json.load(fh)
+        if args.command == "replay":
+            ok = replay_report(doc)
         else:
-            print(text)
-        if not report["verified"]:
-            print("verification failure", file=sys.stderr)
-            return 2
-        return 0
-
+            for item in args.set:
+                _apply_override(doc, item)
+            report = run_task(doc)
+    except HANDLED_ERRORS as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     if args.command == "replay":
-        try:
-            with open(args.report) as fh:
-                report = json.load(fh)
-            ok = replay_report(report)
-        except HANDLED_ERRORS as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        if not ok:
-            print("replay: verification did not reproduce", file=sys.stderr)
-            return 2
-        print("replay: all claims reproduced")
-        return 0
-
-    parser.print_help()
-    return 1
+        print("replay: all claims reproduced" if ok else "replay: verification did not reproduce",
+              file=sys.stdout if ok else sys.stderr)
+        return 0 if ok else 2
+    with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as fh:
+        fh.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    if not report["verified"]:
+        print("verification failure", file=sys.stderr)
+        return 2
+    return 0
 
 
 if __name__ == "__main__":

@@ -463,8 +463,7 @@ class Quantizer(Scheme):
     def solve(self, space, x, n, seed):
         if n > self.n_max:
             raise SolverError("quantizer level beyond the window has no declared budget")
-        res = quantizer_error(space, x, self.m_of(n))
-        return BestApprox(res.value, res.minimizer, "exact", res.info)
+        return quantizer_error(space, x, self.m_of(n))
 
     def member(self, x, n):
         return distinct_value_count(x) <= self.m_of(n)

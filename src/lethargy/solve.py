@@ -290,14 +290,6 @@ def _fit_in_span(space: Space, cols: np.ndarray, x: np.ndarray):
 # -- quantizer ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class QuantizerResult:
-    value: float
-    minimizer: np.ndarray
-    labels: np.ndarray
-    info: dict = field(default_factory=dict, compare=False)
-
-
 def _min_max_cells(n: int, k: int, cell_end, cell_cost, tol: float):
     """Partition range(n) into at most k contiguous cells with the least largest cell cost.
 
@@ -405,14 +397,12 @@ def best_m_value_sup(values: np.ndarray, m: int):
                                       "lower": lower}
 
 
-def quantizer_error(space: Space, x: np.ndarray, m: int) -> QuantizerResult:
+def quantizer_error(space: Space, x: np.ndarray, m: int) -> BestApprox:
     """Best sup-norm approximation by functions taking at most m values."""
     if space.norm_kind != "sup":
         raise NoSolverError("the quantizer solver is defined for sup-norm carriers")
-    if m < 1:
-        raise SolverError("value budget m must be >= 1")
-    x = space.check(x)
-    return QuantizerResult(*best_m_value_sup(np.asarray(x, dtype=float), m))
+    value, minimizer, _, info = best_m_value_sup(np.asarray(space.check(x), dtype=float), m)
+    return BestApprox(value, minimizer, "exact", info)
 
 
 def midpoint_quantizer(x: np.ndarray, m: int, radius: Optional[float] = None) -> np.ndarray:

@@ -17,12 +17,11 @@ from typing import Optional
 import numpy as np
 
 from . import solve
-from .scheme import Scheme, build_scheme
+from .scheme import Scheme, build_scheme, haar_scaling_atoms
 from .seq import NullSequence
 from .space import Grid, Space, norm
 from .solve import best_approx, l1_fit_lp
 
-GRID_WITNESS_TOL = 1e-3
 COORD_WITNESS_TOL = 1e-9
 # step cap of the ridge coefficient fit `_complex_l1_fit`.  At n = 3 about a
 # third of the fits stop at the cap, where a rounding-level difference has grown
@@ -582,15 +581,7 @@ def witness_wavelet(n: int, seed: int = 0, n_attempts: int = 100) -> Witness:
     x_norm = norm(space, x)
 
     prefix = np.concatenate([[0.0], np.cumsum(x)])
-    max_level = depth
-    atom_idx = []
-    for k in range(0, max_level + 1):
-        for j in range(2**k):
-            atom_idx.append((k, j))
-            if len(atom_idx) >= WAVELET_DICT_ATOMS:
-                break
-        if len(atom_idx) >= WAVELET_DICT_ATOMS:
-            break
+    atom_idx = haar_scaling_atoms(cells, depth, WAVELET_DICT_ATOMS)
     inner = np.array([_dyadic_inner(x, prefix, cells, k, j) for k, j in atom_idx])
 
     attempts = [Attempt("zero-member", 0, x_norm)]

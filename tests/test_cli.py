@@ -1,9 +1,12 @@
 import base64
 import copy
 import functools
+import importlib.util
 import json
 import math
 import operator
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -12,8 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lethargy import cli
-from lethargy.cli import (REL_TOL, TASKS, UsageError, canonical_json, config_hash,
-                          encode_element, main, make_element, replay_report, run_task)
+from lethargy.cli import (REL_TOL, TABLE, TASKS, UsageError, canonical_json, check_config,
+                          config_hash, encode_element, main, make_element, replay_report,
+                          run_task)
 from lethargy.scheme import build_scheme, named_probes
 from lethargy.solve import NoSolverError, SolverError
 from lethargy.space import SpaceError
@@ -28,6 +32,8 @@ def write_config(tmp_path, cfg, name="cfg.json"):
 C0_CONFIG = {"task": "witness", "seed": 7,
              "params": {"op": "c0", "eps": [1.0, 0.5, 0.25, 0.125]}}
 
+SMALL_CHAIN = {"kind": "chain", "family": "monomial", "n_max": 6,
+               "space": {"carrier": "grid", "domain": "interval", "nodes": 65, "norm": "sup"}}
 # one small config per task, each run in a few milliseconds
 SMALL = {
     "validate": {"task": "validate", "seed": 4, "scheme": "interleaved-c0",
@@ -43,10 +49,7 @@ SMALL = {
                                      "nodes": 65, "norm": "sup"}}},
     "audit": {"task": "audit", "seed": 6,
               "params": {"audit": "dolzhenko", "samples": 20, "max_degree": 3}},
-    "slowdecay": {"task": "slowdecay", "seed": 8, "params": {"i_max": 3},
-                  "scheme": {"kind": "chain", "family": "monomial", "n_max": 6,
-                             "space": {"carrier": "grid", "domain": "interval",
-                                       "nodes": 65, "norm": "sup"}}},
+    "slowdecay": {"task": "slowdecay", "seed": 8, "params": {"i_max": 3}, "scheme": SMALL_CHAIN},
 }
 
 
@@ -511,15 +514,27 @@ def _containers(node):
 
 class TestReportOwnership:
     @pytest.mark.parametrize("name", [*TASKS, "profile-values", "witness-c0",
-                                      "witness-element"])
+                                      "witness-element", "audit-jackson"])
     def test_report_shares_nothing_with_its_config(self, name):
         extra = {"profile-values": _values_profile(np.linspace(0.0, 1.0, 20).tolist()),
                  "witness-c0": C0_CONFIG,
+                 # the quantizer op reads no element, so the key is refused
                  "witness-element": {"task": "witness", "params": {
-                     "op": "quantizer", "m": 8, "element": {"values": [1.0]}}}}
+                     "op": "quantizer", "m": 8, "element": {"values": [1.0]}}},
+                 # the payload echoes the given seminorm dict
+                 "audit-jackson": {"task": "audit", "seed": 6, "scheme": SMALL_CHAIN,
+                                   "params": {"audit": "jackson",
+                                              "seminorm": {"kind": "lipschitz"}}}}
         config = copy.deepcopy(SMALL.get(name) or extra[name])
         snapshot = copy.deepcopy(config)
+        if name == "witness-element":
+            with pytest.raises(UsageError, match=r"unknown key 'element'; allowed keys: m$"):
+                run_task(config)
+            assert config == snapshot
+            return
         report = run_task(config)
+        if name == "audit-jackson":
+            assert report["payload"]["seminorm"] == {"kind": "lipschitz"}
         for node in list(_containers(report)):
             if isinstance(node, dict):
                 node["edited"] = True
@@ -549,6 +564,135 @@ class TestWitnessOps:
         report = run_task({"task": "witness", "seed": 11, "params": params})
         assert report["verified"], params
         assert replay_report(json.loads(json.dumps(report)))
+
+
+# a valid and an ill-typed value for each JSON type of cli.KEY_TYPES
+VALID = {"an integer": 3, "a number": 1.5, "a string": "x", "an object": {},
+         "a string or an object": "x", "a list of integers": [1], "a list of numbers": [1.0]}
+ILL_TYPED = {"an integer": 5.7, "a number": "1", "a string": 3, "an object": [],
+             "a string or an object": 3, "a list of integers": "12", "a list of numbers": ["x"]}
+
+
+def _required(name) -> list:
+    """The keys a config for the table entry `name` cannot do without: its
+    scheme, if it needs one, and its required params."""
+    entry = TABLE[name]
+    return ["scheme"] * ("scheme" in entry.keys) + [
+        key for key, default in entry.params.items() if default is cli.REQUIRED]
+
+
+def _minimal(name) -> dict:
+    """The smallest config the checker accepts for the table entry `name`."""
+    task, *choice = name.split()
+    config = {"task": task, "params": {}}
+    if choice:
+        config["params"][cli.SELECTORS[task][0]] = choice[0]
+    for key in _required(name):
+        if key == "scheme":
+            config["scheme"] = "interleaved-c0"
+        else:
+            config["params"][key] = VALID[cli.KEY_TYPES[key][0]]
+    return config
+
+
+def _refused(tmp_path, capsys, config) -> str:
+    """The one error line `main` prints for a config it refuses with exit 1."""
+    assert main(["run", "--config", write_config(tmp_path, config)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    return captured.err
+
+
+def _load_workloads():
+    """perfbench/workloads.py, loaded by path without importing perfbench."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up while it loads
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
+
+
+KEYS = [(name, key) for name, entry in TABLE.items() for key in entry.params]
+REQUIRED_KEYS = [(name, key) for name in TABLE for key in _required(name)]
+
+
+class TestConfigCheck:
+    def test_every_key_has_a_json_type(self):
+        assert all(key in cli.KEY_TYPES for _, key in KEYS)
+
+    @pytest.mark.parametrize("name", sorted(TABLE))
+    def test_minimal_config_passes(self, name):
+        entry, _, _, params = check_config(_minimal(name))
+        assert entry is TABLE[name]
+        assert params.keys() == entry.params.keys()
+
+    @pytest.mark.parametrize("name", sorted(TABLE))
+    def test_unknown_key_is_refused(self, tmp_path, capsys, name):
+        config = _minimal(name)
+        config["params"]["bogus"] = 1
+        err = _refused(tmp_path, capsys, config)
+        assert "unknown key 'bogus'" in err
+        assert all(key in err for key in TABLE[name].params)
+
+    @pytest.mark.parametrize("name,key", REQUIRED_KEYS, ids=[f"{n}-{k}" for n, k in REQUIRED_KEYS])
+    def test_missing_required_key_is_refused(self, tmp_path, capsys, name, key):
+        config = _minimal(name)
+        (config if key == "scheme" else config["params"]).pop(key)
+        assert f"missing required key {key!r}" in _refused(tmp_path, capsys, config)
+
+    @pytest.mark.parametrize("name,key", KEYS, ids=[f"{n}-{k}" for n, k in KEYS])
+    def test_ill_typed_value_is_refused(self, tmp_path, capsys, name, key):
+        config = _minimal(name)
+        config["params"][key] = ILL_TYPED[cli.KEY_TYPES[key][0]]
+        assert f"{key} must be {cli.KEY_TYPES[key][0]}" in _refused(tmp_path, capsys, config)
+
+    @pytest.mark.parametrize("config,message", [
+        ({"task": "witness", "params": {"op": "quantizer", "m": 5.7}},
+         "params of witness quantizer: m must be an integer, not 5.7"),
+        ({"task": "density", "scheme": "interleaved-c0", "params": {"levels": "12"}},
+         "params of density: levels must be a list of integers, not '12'"),
+        ({"task": "shapiro", "scheme": "interleaved-c0", "params": {"levels": "12"}},
+         "params of shapiro: levels must be a list of integers, not '12'"),
+        ({"task": "profile", "scheme": "interleaved-c0", "params": {"n_max": True}},
+         "params of profile: n_max must be an integer, not True"),
+        ({"task": "validate", "scheme": "interleaved-c0", "seed": "7"},
+         "config: seed must be an integer, not '7'"),
+        ({"task": "validate", "scheme": "interleaved-c0", "params": {"trails": 20}},
+         "params of validate: unknown key 'trails'; allowed keys: trials"),
+        ({"task": "witness", "params": {"op": "quantizer"}},
+         "params of witness quantizer: missing required key 'm'"),
+        ({"task": "witness", "scheme": "interleaved-c0", "params": {"op": "c0", "eps": [1.0]}},
+         "config: unknown key 'scheme'; allowed keys: task, seed, params"),
+        ({"task": "validate", "scheme": "interleaved-c0", "csv": "out.csv"},
+         "config: unknown key 'csv'; allowed keys: task, seed, params, scheme"),
+        ({"task": "witness", "params": {"op": "dance"}},
+         "witness task: params.op must be one of c0, quantizer, haar-bumps, bv, ridge, "
+         "orthonormal, wavelet, translates, tensor, not 'dance'"),
+        ({"task": "witness", "params": {}}, "witness task: params.op must be one of c0,"),
+    ], ids=["m-float", "density-levels-string", "shapiro-levels-string", "n_max-bool",
+            "seed-string", "misspelled-trials", "missing-m", "scheme-on-witness",
+            "csv-on-validate", "unknown-op", "missing-op"])
+    def test_config_the_task_would_misread_is_refused(self, tmp_path, capsys, config, message):
+        assert _refused(tmp_path, capsys, config).startswith(f"error: {message}")
+
+    def test_defaults_fill_in_but_the_stored_config_keeps_the_params_as_given(self):
+        config = {"task": "witness", "params": {"op": "orthonormal", "n": 3}}
+        _, _, _, params = check_config(copy.deepcopy(config))
+        assert params == {"n": 3, "dim": 12}
+        report = run_task(copy.deepcopy(config))
+        assert report["config"] == config
+        assert report["payload"]["constructor"]["params"] == config["params"]
+
+    def test_every_workload_config_passes(self):
+        workloads = _load_workloads()
+        for name in workloads.ROUNDS:
+            for op in workloads.round_ops(name, np.random.default_rng(0)):
+                check_config(op.config)
 
 
 class TestListSchemes:

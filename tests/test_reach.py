@@ -1,10 +1,12 @@
-"""Every public function and class of the package is reached from outside its
-own definition: by the package, a script or the benchmark.
+"""Every public function and class of the package, and every module-level
+UPPER_CASE constant, is reached from outside its own definition: by the
+package, a script or the benchmark.
 
 Tests do not count as callers, and neither do the re-exports of
 `lethargy/__init__.py`.  A use is a name, an attribute or a string naming it
 (perfbench wraps functions by their names).  A public name that nothing
-reaches computes numbers that no report carries, so it gets a caller or goes.
+reaches computes numbers that no report carries, and a constant that nothing
+reads sets nothing, so either gets a reader or goes.
 """
 
 import ast
@@ -47,15 +49,31 @@ def _public_definitions() -> dict:
     return out
 
 
+def _assigned(node) -> list:
+    """The names a top-level assignment binds."""
+    targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+    return [t.id for t in targets if isinstance(t, ast.Name)]
+
+
+def _constants() -> dict:
+    """name -> defining module, over the module-level UPPER_CASE assignments."""
+    out = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            out.update((name, path.name) for name in _assigned(node) if name.isupper())
+    return out
+
+
 def _uses() -> set:
     """Names used anywhere in the caller files, except inside the top-level
-    definition of the same name."""
+    definition or assignment of the same name."""
     used = set()
     for path in _caller_files():
         for node in ast.parse(path.read_text()).body:
             names = _names(node)
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 names.discard(node.name)
+            names.difference_update(_assigned(node))
             used |= names
     return used
 
@@ -65,6 +83,12 @@ def test_every_public_definition_has_a_caller():
     unreached = sorted(f"{module}:{name}" for name, module in _public_definitions().items()
                        if name not in used and name not in ALLOWED)
     assert not unreached, f"public names that no package module, script or benchmark uses: {unreached}"
+
+
+def test_every_constant_is_read():
+    used = _uses()
+    unread = sorted(f"{module}:{name}" for name, module in _constants().items() if name not in used)
+    assert not unread, f"module constants that no package module, script or benchmark reads: {unread}"
 
 
 def test_allowlist_holds_only_unreached_definitions():
