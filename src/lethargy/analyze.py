@@ -14,7 +14,8 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .scheme import Scheme, density_candidates, gap_candidates, probe_elements, sample_element
+from .scheme import (Scheme, _pick, declared_keys, density_candidates, gap_candidates,
+                     probe_elements, sample_element)
 from .solve import NoSolverError, best_approx
 from .space import Grid, Space, norm
 
@@ -263,26 +264,32 @@ def _spectral_derivative(grid: Grid, x: np.ndarray) -> np.ndarray:
     return np.real(np.fft.ifft(1j * freqs * np.fft.fft(x)))
 
 
+def _slope(space: Space, x: np.ndarray) -> float:
+    return float(np.max(np.abs(np.diff(x) / np.diff(space.grid.nodes))))
+
+
+# seminorm kind -> its value at x; keyword-only parameters are the kind's keys
+SEMINORMS = {
+    "lipschitz": _slope,
+    "bv": lambda space, x: float(np.sum(np.abs(np.diff(
+        np.append(x, x[0]) if space.grid.domain == "torus" else x)))),
+    "deriv-sup": lambda space, x: _slope(space, x) if space.grid.domain != "torus" else float(
+        np.max(np.abs(_spectral_derivative(space.grid, x)))),
+    "coord-weighted": lambda space, x, *, weights: float(np.max(
+        np.asarray(weights, dtype=float) * np.abs(x))),
+    "same-norm": norm,
+}
+SEMINORM_KEYS = {kind: declared_keys(value) for kind, value in SEMINORMS.items()}
+
+
 def seminorm(space: Space, desc: dict, x: np.ndarray) -> float:
-    kind = desc["kind"]
-    if kind == "lipschitz":
-        g = space.grid
-        return float(np.max(np.abs(np.diff(x) / np.diff(g.nodes))))
-    if kind == "bv":
-        g = space.grid
-        closed = np.append(x, x[0]) if g.domain == "torus" else x
-        return float(np.sum(np.abs(np.diff(closed))))
-    if kind == "deriv-sup":
-        g = space.grid
-        if g.domain == "torus":
-            return float(np.max(np.abs(_spectral_derivative(g, x))))
-        return float(np.max(np.abs(np.diff(x) / np.diff(g.nodes))))
-    if kind == "coord-weighted":
-        wts = np.asarray(desc["weights"], dtype=float)
-        return float(np.max(wts * np.abs(x)))
-    if kind == "same-norm":
-        return norm(space, x)
-    raise AnalyzeError(f"unsupported seminorm {kind!r}")
+    kind, keys = _pick("seminorm", SEMINORM_KEYS, desc, "kind", error=AnalyzeError)
+    if kind in ("lipschitz", "bv", "deriv-sup") and space.grid is None:
+        raise AnalyzeError(f"{kind} seminorm needs a grid space, not {space.carrier}")
+    if "weights" in keys and len(keys["weights"]) != math.prod(space.shape):
+        raise AnalyzeError(f"{kind} seminorm: {len(keys['weights'])} weights for a space of "
+                           f"dimension {math.prod(space.shape)}")
+    return SEMINORMS[kind](space, x, **keys)
 
 
 def jackson_audit(s: Scheme, y_desc: dict, samples: Optional[list] = None,

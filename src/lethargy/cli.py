@@ -21,7 +21,6 @@ import contextlib
 import copy
 import functools
 import hashlib
-import inspect
 import json
 import math
 import sys
@@ -32,7 +31,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import analyze, witness as wit
-from .scheme import SchemeError, build_scheme, list_schemes, named_probes, validate_scheme
+from .scheme import (INTEGER, INTEGERS, NUMBER, NUMBERS, OBJECT, REQUIRED, STRING, SchemeError,
+                     _checked, _real, build_scheme, declared_keys, list_schemes, named_probes,
+                     validate_scheme)
 from .seq import NullSequence
 from .solve import NoSolverError, SolverError, error_profile
 from .space import SpaceError
@@ -97,6 +98,10 @@ def make_element(space, desc, rng: np.random.Generator) -> np.ndarray:
     `"random"`."""
     size = math.prod(space.shape)
     where = f"element for shape {list(space.shape)}"
+    if isinstance(desc, dict) and sorted(desc) not in (["values"], ["f64"], ["f64", "shape"],
+                                                       ["probe"]):
+        raise UsageError(f"{where}: an element object holds values, f64 with shape, or probe, "
+                         f"not the keys {sorted(desc)}")
     if isinstance(desc, dict) and "values" in desc:
         try:
             x = np.asarray(desc["values"], dtype=float)
@@ -129,26 +134,17 @@ def make_element(space, desc, rng: np.random.Generator) -> np.ndarray:
 # -- the task table, and the one check of a config -------------------------------
 
 
-def _real(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
-INTEGER = ("an integer", lambda v: _real(v) and isinstance(v, int))
-NUMBER = ("a number", _real)  # an integer is a number, and is passed on as a float
-# the JSON type of every config and params key; a key means the same in every task
+# the JSON type of every config and params key; a key means the same in every
+# task (descriptors have their own table, scheme.DESC_TYPES)
 KEY_TYPES = {
     **dict.fromkeys("seed n m n_max trials attempts starts dim cap i_max probes samples "
                     "max_degree budget".split(), INTEGER),
-    **dict.fromkeys("task family norm csv plot_data".split(),
-                    ("a string", lambda v: isinstance(v, str))),
+    **dict.fromkeys("task family norm csv plot_data".split(), STRING),
     **dict.fromkeys(("scheme", "element"),
                     ("a string or an object", lambda v: isinstance(v, (str, dict)))),
-    **dict.fromkeys(("params", "seminorm"), ("an object", lambda v: isinstance(v, dict))),
-    "p": NUMBER,
-    "levels": ("a list of integers", lambda v: isinstance(v, list) and all(map(INTEGER[1], v))),
-    "eps": ("a list of numbers", lambda v: isinstance(v, list) and all(map(_real, v))),
+    **dict.fromkeys(("params", "seminorm"), OBJECT),
+    "p": NUMBER, "levels": INTEGERS, "eps": NUMBERS,
 }
-REQUIRED = inspect.Parameter.empty
 # the param that picks the entry of a task with several, and its default
 SELECTORS = {"witness": ("op", None), "audit": ("audit", "dolzhenko")}
 
@@ -160,25 +156,7 @@ class Entry:
     files it writes.  `r` holds all checked top-level keys, `r.params` as given."""
     def __init__(self, run: Callable, keys: tuple = ()):
         self.run, self.keys = run, keys
-        self.params = {p.name: p.default for p in inspect.signature(run).parameters.values()
-                       if p.kind is p.KEYWORD_ONLY}  # name -> default, or REQUIRED
-
-
-def _checked(where: str, given: dict, spec: dict) -> dict:
-    """`given` checked against `spec` (key -> default or REQUIRED) and
-    KEY_TYPES, with copies of the defaults filled in."""
-    out = {}
-    for key, value in given.items():
-        if key not in spec:
-            raise UsageError(f"{where}: unknown key {key!r}; allowed keys: {', '.join(spec)}")
-        kind, test = KEY_TYPES[key]
-        if not test(value):
-            raise UsageError(f"{where}: {key} must be {kind}, not {value!r}")
-        out[key] = float(value) if KEY_TYPES[key] is NUMBER else value
-    missing = [key for key, default in spec.items() if default is REQUIRED and key not in out]
-    if missing:
-        raise UsageError(f"{where}: missing required key {missing[0]!r}")
-    return {**{key: copy.deepcopy(d) for key, d in spec.items() if key not in out}, **out}
+        self.params = declared_keys(run)  # name -> default, or REQUIRED
 
 
 def check_config(config) -> tuple:
@@ -203,9 +181,10 @@ def check_config(config) -> tuple:
                          f"{', '.join(choices)}, not {given.get(selector)!r}")
     entry = TABLE[name]
     top = _checked("config", config, {"task": REQUIRED, "seed": 0, "params": {}, **{
-        key: REQUIRED if key == "scheme" else None for key in entry.keys}})
+        key: REQUIRED if key == "scheme" else None for key in entry.keys}}, KEY_TYPES, UsageError)
     given = {key: value for key, value in top["params"].items() if key != selector}
-    return entry, config, top, _checked(f"params of {name}", given, entry.params)
+    return entry, config, top, _checked(f"params of {name}", given, entry.params, KEY_TYPES,
+                                        UsageError)
 
 
 def _witness(op: str, build, verify: str = "verify_witness"):

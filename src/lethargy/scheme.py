@@ -7,13 +7,20 @@ one subclass of `Scheme`: subspace chains (`Chain`), n-term dictionaries
 splines (`Spline`) and matrix rank (`Rank`).  A kind carries its own solver,
 sampler, candidate rules and proved envelope.  Schemes are immutable after
 build; membership tests and samplers are re-entrant.
+
+A descriptor's `kind` picks a builder (`KINDS`), as a space's `carrier` and a
+dictionary's `family` do (`CARRIERS`, `FAMILIES`); the builder's keyword-only
+parameters are its keys, required unless they have a default.  `_checked`
+refuses any other key, a missing one and an ill-typed value (`DESC_TYPES`).
 """
 
 from __future__ import annotations
 
+import copy
+import inspect
 import math
 from dataclasses import dataclass, field
-from typing import ClassVar, Optional
+from typing import Callable, ClassVar, Optional
 
 import numpy as np
 
@@ -29,6 +36,70 @@ VALUE_MERGE_TOL = 1e-12
 
 class SchemeError(ValueError):
     """Invalid scheme descriptor; the message names the violated axiom."""
+
+
+# -- declared keys: the one check of descriptors and task configs ----------------
+
+REQUIRED = inspect.Parameter.empty
+
+
+def declared_keys(build: Callable) -> dict:
+    """The keys `build` reads: its keyword-only parameters, name -> default, or
+    REQUIRED where it has none."""
+    return {p.name: p.default for p in inspect.signature(build).parameters.values()
+            if p.kind is p.KEYWORD_ONLY}
+
+
+def _real(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+INTEGER = ("an integer", lambda v: _real(v) and isinstance(v, int))
+NUMBER = ("a number", _real)  # an integer is a number, and is passed on as a float
+STRING = ("a string", lambda v: isinstance(v, str))
+OBJECT = ("an object", lambda v: isinstance(v, dict))
+INTEGERS = ("a list of integers", lambda v: isinstance(v, list) and all(map(INTEGER[1], v)))
+NUMBERS = ("a list of numbers", lambda v: isinstance(v, list) and all(map(_real, v)))
+# the JSON type of every descriptor key.  Task configs have their own table
+# (cli.KEY_TYPES): `m` and `levels` mean other things there.
+DESC_TYPES = {
+    **dict.fromkeys("n_max nodes dim side cap degree level max_level depth levels count budget"
+                    .split(), INTEGER),
+    **dict.fromkeys(("a", "b", "p"), NUMBER),
+    **dict.fromkeys(("label", "family", "norm"), STRING),
+    **dict.fromkeys(("space", "dictionary"), OBJECT),
+    "domain": ("one of interval, interval-cells, torus",
+               lambda v: v in ("interval", "interval-cells", "torus")),
+    "m": INTEGERS,
+    "weights": NUMBERS,
+}
+
+
+def _checked(where: str, given: dict, spec: dict, types: dict, error=SchemeError) -> dict:
+    """`given` checked against `spec` (key -> default or REQUIRED) and `types`,
+    with copies of the defaults filled in; null stands for a default of None."""
+    out = {}
+    for key, value in given.items():
+        if key not in spec:
+            raise error(f"{where}: unknown key {key!r}; allowed keys: {', '.join(spec) or 'none'}")
+        kind, test = types[key]
+        if not (test(value) or value is None and spec[key] is None):
+            raise error(f"{where}: {key} must be {kind}, not {value!r}")
+        out[key] = float(value) if types[key] is NUMBER and value is not None else value
+    missing = [key for key, default in spec.items() if default is REQUIRED and key not in out]
+    if missing:
+        raise error(f"{where}: missing required key {missing[0]!r}")
+    return {**{key: copy.deepcopy(d) for key, d in spec.items() if key not in out}, **out}
+
+
+def _pick(what: str, specs: dict, desc: dict, key: str, default=None, error=SchemeError) -> tuple:
+    """(name, keys): the name `desc[key]` (or `default`) picks in `specs`, and
+    desc's other keys checked against its spec and DESC_TYPES."""
+    name = desc.get(key, default)
+    if not isinstance(name, str) or name not in specs:
+        raise error(f"{what} {key} must be one of {', '.join(specs)}, not {name!r}")
+    given = {k: value for k, value in desc.items() if k != key}
+    return name, _checked(f"{name} {what}", given, specs[name], DESC_TYPES, error)
 
 
 @dataclass(frozen=True)
@@ -127,52 +198,51 @@ def _char_columns(grid: Grid, depth: int) -> np.ndarray:
 # -- space / scheme descriptors ---------------------------------------------
 
 
+def _exponent(where: str, norm: str, p: Optional[float]) -> float:
+    """p of norm "lp", which requires it, or infinity for "sup", which refuses it."""
+    if (norm, p is None) not in (("sup", True), ("lp", False)):
+        raise SchemeError(f"{where}: norm must be sup (no p) or lp (with p), not {norm!r}, p {p!r}")
+    return math.inf if p is None else p
+
+
+def _grid_space(*, domain="interval", nodes=None, a=None, b=None, norm="sup", p=None) -> Space:
+    """`nodes` defaults to 2049 on the interval and 4096 on its cells or the
+    torus; [a, b] to [0, 1], and the torus, [0, 2 pi), takes neither."""
+    n = (2049 if domain == "interval" else 4096) if nodes is None else nodes
+    if domain == "torus" and (a, b) != (None, None):
+        raise SchemeError("grid space: the torus takes no a or b")
+    make = {"interval": Grid.interval, "interval-cells": Grid.interval_cells}.get(domain)
+    g = make(0.0 if a is None else a, 1.0 if b is None else b, n) if make else Grid.torus(n)
+    return Space.lp_grid(g, _exponent("grid space", norm, p))
+
+
+# space carrier -> builder
+CARRIERS = {"grid": _grid_space,
+            "coords": lambda *, dim, norm="sup", p=None: Space.coords(
+                dim, _exponent("coords space", norm, p)),
+            "matrix": lambda *, side, norm="hs": Space.matrix(side, norm)}
+CARRIER_KEYS = {carrier: declared_keys(build) for carrier, build in CARRIERS.items()}
+
+
 def build_space(desc: dict) -> Space:
-    carrier = desc.get("carrier", "grid")
-    if carrier == "grid":
-        domain = desc.get("domain", "interval")
-        n = int(desc.get("nodes", 2049 if domain == "interval" else 4096))
-        if domain == "interval":
-            g = Grid.interval(float(desc.get("a", 0.0)), float(desc.get("b", 1.0)), n)
-        elif domain == "interval-cells":
-            g = Grid.interval_cells(float(desc.get("a", 0.0)), float(desc.get("b", 1.0)), n)
-        else:
-            g = Grid.torus(n)
-        if desc.get("norm", "sup") == "sup":
-            return Space.sup_grid(g, complex_ok=bool(desc.get("complex", False)))
-        return Space.lp_grid(g, float(desc["p"]), complex_ok=bool(desc.get("complex", False)))
-    if carrier == "coords":
-        if desc.get("norm", "sup") == "sup":
-            return Space.sup_coords(int(desc["dim"]))
-        return Space.coords(int(desc["dim"]), float(desc["p"]))
-    if carrier == "matrix":
-        return Space.matrix(int(desc["side"]), desc.get("norm", "hs"))
-    raise SchemeError(f"unknown carrier {carrier!r}")
+    carrier, keys = _pick("space", CARRIER_KEYS, desc, "carrier", "grid")
+    return CARRIERS[carrier](**keys)
 
 
-def _build_dictionary(desc: dict, space: Space) -> Dictionary:
-    family = desc["family"]
-    if family == "orthonormal":
-        d = space.dim
-        return Dictionary(np.eye(d), "orthonormal-basis")
-    if family == "char-binary-intervals":
-        columns = _char_columns(space.grid, int(desc.get("depth", 6)))
-        return make_dictionary(space, columns, "char-binary-intervals")
-    if family == "trig":
-        n_levels = int(desc.get("levels", 8))
-        return make_dictionary(space, _trig_columns(space.grid, n_levels), "trig-atoms")
-    if family == "monomial":
-        count = int(desc.get("count", 9))
-        return make_dictionary(space, _chebyshev_columns(space.grid, count), "poly-atoms")
-    if family == "haar-scaling":
-        cells = space.grid.size
-        idx = haar_scaling_atoms(cells, int(desc.get("max_level", 8)), desc.get("budget"))
-        cols = _haar_columns(cells, idx)
-        # columns are unit in L2 of [0,1) by construction
-        return Dictionary(cols, "haar-scaling")
-    if family == "explicit":
-        return make_dictionary(space, np.asarray(desc["atoms"], dtype=float), desc.get("label", "explicit"))
-    raise SchemeError(f"unknown dictionary family {family!r}")
+# dictionary family -> builder of its atoms in `space`
+FAMILIES = {
+    "orthonormal": lambda space: Dictionary(np.eye(space.dim), "orthonormal-basis"),
+    "char-binary-intervals": lambda space, *, depth=6: make_dictionary(
+        space, _char_columns(space.grid, depth), "char-binary-intervals"),
+    "trig": lambda space, *, levels=8: make_dictionary(
+        space, _trig_columns(space.grid, levels), "trig-atoms"),
+    "monomial": lambda space, *, count=9: make_dictionary(
+        space, _chebyshev_columns(space.grid, count), "poly-atoms"),
+    # unit in L2 of [0, 1) by construction
+    "haar-scaling": lambda space, *, max_level=8, budget=None: Dictionary(_haar_columns(
+        space.grid.size, haar_scaling_atoms(space.grid.size, max_level, budget)), "haar-scaling"),
+}
+FAMILY_KEYS = {family: declared_keys(build) for family, build in FAMILIES.items()}
 
 
 # -- the scheme kinds -----------------------------------------------------------
@@ -264,10 +334,8 @@ class Chain(Scheme):
     family: str  # "monomial" (the descriptor's default), "trig" or "coordinate"
 
     @classmethod
-    def build(cls, desc: dict, label: str) -> "Chain":
-        space = build_space(desc["space"])
-        n_max = int(desc["n_max"])
-        family = desc.get("family", "monomial")
+    def build(cls, desc: dict, label: str, *, space, n_max, family="monomial") -> "Chain":
+        space = build_space(space)
         if family == "monomial":
             level_dims = np.arange(1, n_max + 2)
             basis = _chebyshev_columns(space.grid, n_max + 1)
@@ -355,24 +423,25 @@ class NTerm(Scheme):
     dictionary: Dictionary
 
     @classmethod
-    def build(cls, desc: dict, label: str) -> "NTerm":
-        space = build_space(desc["space"])
-        dictionary = _build_dictionary(desc["dictionary"], space)
-        n_max = int(desc.get("n_max", dictionary.size))
+    def build(cls, desc: dict, label: str, *, space, dictionary, n_max=None) -> "NTerm":
+        space = build_space(space)
+        family, keys = _pick("dictionary", FAMILY_KEYS, dictionary, "family")
+        if space.grid is None and family != "orthonormal":
+            raise SchemeError(f"{family} dictionary needs a grid space, not {space.carrier}")
+        dictionary = FAMILIES[family](space, **keys)
+        n_max = dictionary.size if n_max is None else n_max
         if n_max < 1:
             raise SchemeError("n-term scheme needs n_max >= 1 (strict inclusion axiom)")
         return cls(space, n_max, label, desc, 2 * np.arange(n_max + 1), dictionary=dictionary)
 
     @classmethod
-    def build_haar(cls, desc: dict, label: str) -> "NTerm":
+    def build_haar(cls, desc: dict, label: str, *, level=8, max_level=None, budget=None,
+                   n_max=8) -> "NTerm":
         """The "wavelet-haar" descriptor: n-term over the Haar scaling atoms of L2[0, 1)."""
-        level = int(desc.get("level", 8))
         space = Space.lp_grid(Grid.interval_cells(0.0, 1.0, 2**level), 2.0)
-        dict_desc = {"family": "haar-scaling", "max_level": int(desc.get("max_level", level)),
-                     "budget": desc.get("budget")}
-        n_max = int(desc.get("n_max", 8))
-        return cls(space, n_max, label, desc, 2 * np.arange(n_max + 1),
-                   dictionary=_build_dictionary(dict_desc, space))
+        dictionary = FAMILIES["haar-scaling"](
+            space, max_level=level if max_level is None else max_level, budget=budget)
+        return cls(space, n_max, label, desc, 2 * np.arange(n_max + 1), dictionary=dictionary)
 
     def solve(self, space, x, n, seed):
         return BestApprox(*_nterm_levels(space, self.dictionary.atoms, x, [n], seed)[n])
@@ -437,11 +506,11 @@ class Quantizer(Scheme):
     value_budget: np.ndarray  # m(n)
 
     @classmethod
-    def build(cls, desc: dict, label: str) -> "Quantizer":
-        space = build_space(desc.get("space", {"carrier": "grid", "norm": "sup"}))
+    def build(cls, desc: dict, label: str, *, m, space={"carrier": "grid"}) -> "Quantizer":
+        space = build_space(space)
         if space.norm_kind != "sup":
             raise SchemeError("quantizer scheme is defined over a sup-norm carrier")
-        m = np.asarray(desc["m"], dtype=np.int64)
+        m = np.asarray(m, dtype=np.int64)
         n_max = m.size - 1
         if np.any(m < 1):
             raise SchemeError("value budget must be >= 1 (non-empty A_n)")
@@ -510,11 +579,10 @@ class InterleavedC0(Scheme):
     cap: int  # dimension
 
     @classmethod
-    def build(cls, desc: dict, label: str) -> "InterleavedC0":
-        cap = int(desc["cap"])
+    def build(cls, desc: dict, label: str, *, cap, n_max=None) -> "InterleavedC0":
         if cap < 2:
             raise SchemeError("interleaved-c0 needs dimension cap >= 2 (strict inclusions)")
-        n_max = int(desc.get("n_max", 2 * cap - 2))
+        n_max = 2 * cap - 2 if n_max is None else n_max
         if n_max > 2 * cap - 1:
             raise SchemeError("levels beyond 2*cap-1 coincide with the whole space")
         return cls(Space.sup_coords(cap), n_max, label, desc, np.arange(n_max + 1) + 1, cap=cap)
@@ -569,12 +637,10 @@ class Spline(Scheme):
     degree: int  # polynomial degree bound
 
     @classmethod
-    def build(cls, desc: dict, label: str) -> "Spline":
-        space = build_space(desc["space"])
-        degree = int(desc.get("degree", 2))
+    def build(cls, desc: dict, label: str, *, space, n_max, degree=2) -> "Spline":
+        space = build_space(space)
         if not 1 <= degree <= 4:
             raise SchemeError("spline degree bound must lie in 1..4")
-        n_max = int(desc["n_max"])
         gap = np.minimum(2 * np.arange(n_max + 1), space.grid.size - 2)
         return cls(space, n_max, label, desc, gap, degree=degree)
 
@@ -620,11 +686,11 @@ class Rank(Scheme):
     kind = "rank"
 
     @classmethod
-    def build(cls, desc: dict, label: str) -> "Rank":
-        space = build_space(desc["space"])
+    def build(cls, desc: dict, label: str, *, space, n_max=None) -> "Rank":
+        space = build_space(space)
         if space.carrier != "matrix":
             raise SchemeError("rank scheme needs a matrix space")
-        n_max = int(desc.get("n_max", space.dim))
+        n_max = space.dim if n_max is None else n_max
         return cls(space, n_max, label, desc, np.minimum(2 * np.arange(n_max + 1), space.dim))
 
     def solve(self, space, x, n, seed):
@@ -664,17 +730,17 @@ class Rank(Scheme):
 KINDS = {"chain": Chain.build, "nterm": NTerm.build, "quantizer": Quantizer.build,
          "interleaved-c0": InterleavedC0.build, "spline": Spline.build, "rank": Rank.build,
          "wavelet-haar": NTerm.build_haar}
+# every kind also takes a `label`, by default the kind
+KIND_KEYS = {kind: {**declared_keys(build), "label": kind} for kind, build in KINDS.items()}
 
 
 def build_scheme(descriptor) -> Scheme:
-    """Materialize a scheme from a declarative descriptor (dict or registry name)."""
+    """Materialize a scheme from a declarative descriptor (dict or registry name).
+    The scheme keeps the descriptor as given, defaults not filled in."""
     if isinstance(descriptor, str):
         descriptor = registry_descriptor(descriptor)
-    desc = dict(descriptor)
-    kind = desc.get("kind")
-    if kind not in KINDS:
-        raise SchemeError(f"unknown scheme kind {kind!r}")
-    return KINDS[kind](desc, desc.get("label", kind))
+    kind, keys = _pick("scheme", KIND_KEYS, descriptor, "kind")
+    return KINDS[kind](dict(descriptor), keys.pop("label"), **keys)
 
 
 # -- membership, samplers and candidates ----------------------------------------

@@ -130,8 +130,8 @@ class Space:
             raise SpaceError("only the grid carrier takes a grid")
         if self.carrier in ("coords", "matrix") and self.dim <= 0:
             raise SpaceError("coordinate/matrix spaces need a positive dimension")
-        if self.norm_kind in ("hs", "operator") and self.carrier != "matrix":
-            raise SpaceError("HS/operator norms apply to the matrix carrier")
+        if (self.norm_kind in ("hs", "operator")) != (self.carrier == "matrix"):
+            raise SpaceError("the matrix carrier takes the HS and operator norms, and only it")
 
     # -- constructors ------------------------------------------------------
 

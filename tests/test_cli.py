@@ -14,11 +14,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lethargy import cli
+from lethargy import analyze, cli, scheme
+from lethargy import witness as wit
 from lethargy.cli import (REL_TOL, TABLE, TASKS, UsageError, canonical_json, check_config,
                           config_hash, encode_element, main, make_element, replay_report,
                           run_task)
-from lethargy.scheme import build_scheme, named_probes
+from lethargy.scheme import build_scheme, build_space, list_schemes, named_probes
+from lethargy.seq import NullSequence
 from lethargy.solve import NoSolverError, SolverError
 from lethargy.space import SpaceError
 
@@ -566,11 +568,13 @@ class TestWitnessOps:
         assert replay_report(json.loads(json.dumps(report)))
 
 
-# a valid and an ill-typed value for each JSON type of cli.KEY_TYPES
+# a valid and an ill-typed value for each JSON type of cli.KEY_TYPES, and an
+# ill-typed value for each of scheme.DESC_TYPES
 VALID = {"an integer": 3, "a number": 1.5, "a string": "x", "an object": {},
          "a string or an object": "x", "a list of integers": [1], "a list of numbers": [1.0]}
 ILL_TYPED = {"an integer": 5.7, "a number": "1", "a string": 3, "an object": [],
-             "a string or an object": 3, "a list of integers": "12", "a list of numbers": ["x"]}
+             "a string or an object": 3, "a list of integers": "12", "a list of numbers": ["x"],
+             "one of interval, interval-cells, torus": "interval_cells"}
 
 
 def _required(name) -> list:
@@ -606,8 +610,14 @@ def _refused(tmp_path, capsys, config) -> str:
 
 def _load_workloads():
     """perfbench/workloads.py, loaded by path without importing perfbench."""
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("_perfbench_workloads", path)
+    return _load_by_path("perfbench/workloads.py")
+
+
+def _load_by_path(relative: str):
+    """A file of the repository, loaded as a module by its path: its package is
+    not imported, and nothing under a `__main__` check runs."""
+    path = Path(__file__).resolve().parent.parent / relative
+    spec = importlib.util.spec_from_file_location("_loaded_" + path.stem, path)
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # dataclasses look their module up while it loads
     try:
@@ -693,6 +703,191 @@ class TestConfigCheck:
         for name in workloads.ROUNDS:
             for op in workloads.round_ops(name, np.random.default_rng(0)):
                 check_config(op.config)
+
+
+GRID_9 = {"carrier": "grid", "nodes": 9}
+L2_CELLS = {"carrier": "grid", "domain": "interval-cells", "nodes": 64, "norm": "lp", "p": 2.0}
+COORDS_4 = {"carrier": "coords", "dim": 4}
+# the smallest descriptor of every scheme kind, space carrier, dictionary family
+# and seminorm kind, each with the config that `main` runs it in
+SMALLEST = {
+    "scheme": {
+        "chain": {"kind": "chain", "space": GRID_9, "n_max": 2},
+        "nterm": {"kind": "nterm", "space": COORDS_4, "dictionary": {"family": "orthonormal"}},
+        "quantizer": {"kind": "quantizer", "m": [1, 2]},
+        "interleaved-c0": {"kind": "interleaved-c0", "cap": 3},
+        "spline": {"kind": "spline", "space": GRID_9, "n_max": 2},
+        "rank": {"kind": "rank", "space": {"carrier": "matrix", "side": 3}},
+        "wavelet-haar": {"kind": "wavelet-haar"},
+    },
+    "space": {"grid": {"carrier": "grid"}, "coords": {"carrier": "coords", "dim": 3},
+              "matrix": {"carrier": "matrix", "side": 3}},
+    "dictionary": {family: {"family": family} for family in scheme.FAMILIES},
+    "seminorm": {"lipschitz": {"kind": "lipschitz"}, "bv": {"kind": "bv"},
+                 "deriv-sup": {"kind": "deriv-sup"}, "same-norm": {"kind": "same-norm"},
+                 "coord-weighted": {"kind": "coord-weighted", "weights": [1.0, 2.0, 3.0, 4.0]}},
+}
+SPECS = {"scheme": scheme.KIND_KEYS, "space": scheme.CARRIER_KEYS,
+         "dictionary": scheme.FAMILY_KEYS, "seminorm": analyze.SEMINORM_KEYS}
+DICTIONARY_SPACES = {"orthonormal": COORDS_4, "char-binary-intervals": L2_CELLS,
+                     "trig": {"carrier": "grid", "domain": "torus", "nodes": 32},
+                     "monomial": GRID_9, "haar-scaling": L2_CELLS}
+SEMINORM_SCHEMES = {"coord-weighted": SMALLEST["scheme"]["nterm"]}
+
+
+def _hosted(table: str, name: str, desc: dict) -> dict:
+    """The config that builds the descriptor `desc` of `name` in `table`."""
+    if table == "seminorm":
+        return {"task": "audit", "scheme": SEMINORM_SCHEMES.get(name, SMALL_CHAIN),
+                "params": {"audit": "jackson", "seminorm": desc}}
+    host = {"scheme": desc,
+            "space": {"kind": "chain", "n_max": 1, "space": desc},
+            "dictionary": {"kind": "nterm", "space": DICTIONARY_SPACES.get(name), "dictionary": desc}}
+    return {"task": "validate", "scheme": host[table]}
+
+
+DESCRIPTORS = [(table, name) for table, specs in SPECS.items() for name in specs]
+DESC_KEYS = [(table, name, key) for table, name in DESCRIPTORS for key in SPECS[table][name]]
+DESC_REQUIRED = [(table, name, key) for table, name, key in DESC_KEYS
+                 if SPECS[table][name][key] is scheme.REQUIRED]
+
+
+class TestDescriptorCheck:
+    def test_every_name_has_a_smallest_descriptor(self):
+        assert {table: set(names) for table, names in SMALLEST.items()} == \
+            {table: set(specs) for table, specs in SPECS.items()}
+
+    def test_every_key_has_a_json_type(self):
+        assert all(key in scheme.DESC_TYPES for _, _, key in DESC_KEYS)
+
+    @pytest.mark.parametrize("table,name", DESCRIPTORS, ids=[f"{t}-{n}" for t, n in DESCRIPTORS])
+    def test_smallest_descriptor_passes(self, table, name):
+        desc = copy.deepcopy(SMALLEST[table][name])
+        if table == "seminorm":
+            space = build_scheme(SEMINORM_SCHEMES.get(name, SMALL_CHAIN)).space
+            assert math.isfinite(analyze.seminorm(space, desc, np.ones(space.shape)))
+        elif table == "space":
+            build_space(desc)
+        else:
+            build_scheme(_hosted(table, name, desc)["scheme"])
+
+    @pytest.mark.parametrize("table,name", DESCRIPTORS, ids=[f"{t}-{n}" for t, n in DESCRIPTORS])
+    def test_unknown_key_is_refused(self, tmp_path, capsys, table, name):
+        desc = {**SMALLEST[table][name], "bogus": 1}
+        err = _refused(tmp_path, capsys, _hosted(table, name, desc))
+        assert f"{name} {table}: unknown key 'bogus'; allowed keys: " in err
+        assert all(key in err for key in SPECS[table][name])
+
+    @pytest.mark.parametrize("table,name,key", DESC_REQUIRED,
+                             ids=["-".join(case) for case in DESC_REQUIRED])
+    def test_missing_required_key_is_refused(self, tmp_path, capsys, table, name, key):
+        desc = {k: v for k, v in SMALLEST[table][name].items() if k != key}
+        err = _refused(tmp_path, capsys, _hosted(table, name, desc))
+        assert err == f"error: {name} {table}: missing required key {key!r}\n"
+
+    @pytest.mark.parametrize("table,name,key", DESC_KEYS, ids=["-".join(case) for case in DESC_KEYS])
+    def test_ill_typed_value_is_refused(self, tmp_path, capsys, table, name, key):
+        kind = scheme.DESC_TYPES[key][0]
+        desc = {**SMALLEST[table][name], key: ILL_TYPED[kind]}
+        err = _refused(tmp_path, capsys, _hosted(table, name, desc))
+        assert err == f"error: {name} {table}: {key} must be {kind}, not {ILL_TYPED[kind]!r}\n"
+
+    @pytest.mark.parametrize("config,message", [
+        ({"task": "validate", "scheme": {"kind": "chain", "famliy": "trig", "n_max": 3,
+                                         "space": GRID_9}},
+         "chain scheme: unknown key 'famliy'; allowed keys: space, n_max, family, label"),
+        ({"task": "validate", "scheme": {"kind": "chain", "n_max": 3,
+                                         "space": {**GRID_9, "domain": "interval_cells"}}},
+         "grid space: domain must be one of interval, interval-cells, torus, not 'interval_cells'"),
+        ({"task": "validate", "scheme": {"kind": "nterm", "dictionary": {"family": "trig", "level": 3},
+                                         "space": DICTIONARY_SPACES["trig"]}},
+         "trig dictionary: unknown key 'level'; allowed keys: levels"),
+        ({"task": "validate", "scheme": {"kind": "spline", "degre": 3, "n_max": 2,
+                                         "space": GRID_9}},
+         "spline scheme: unknown key 'degre'; allowed keys: space, n_max, degree, label"),
+        ({"task": "validate", "scheme": {"kind": "quantizer", "m": [1, 2], "n_max": 9}},
+         "quantizer scheme: unknown key 'n_max'; allowed keys: m, space, label"),
+        ({"task": "validate", "scheme": {"kind": "chain", "n_max": 3,
+                                         "space": {**GRID_9, "nodes": 65.7}}},
+         "grid space: nodes must be an integer, not 65.7"),
+        ({"task": "validate", "scheme": {"kind": "chain", "n_max": "3", "space": GRID_9}},
+         "chain scheme: n_max must be an integer, not '3'"),
+        ({"task": "validate", "scheme": {"kind": "chain", "n_max": 3,
+                                         "space": {**GRID_9, "norm": "Sup"}}},
+         "grid space: norm must be sup (no p) or lp (with p), not 'Sup', p None"),
+        ({"task": "validate", "scheme": {"kind": "chain", "n_max": 3,
+                                         "space": {**GRID_9, "norm": "lp"}}},
+         "grid space: norm must be sup (no p) or lp (with p), not 'lp', p None"),
+        ({"task": "validate", "scheme": {"kind": "chain", "n_max": 3,
+                                         "space": {**GRID_9, "p": 2.0}}},
+         "grid space: norm must be sup (no p) or lp (with p), not 'sup', p 2.0"),
+        ({"task": "validate", "scheme": {"kind": "chain", "n_max": 3,
+                                         "space": {**GRID_9, "complex": True}}},
+         "grid space: unknown key 'complex'; allowed keys: domain, nodes, a, b, norm, p"),
+        ({"task": "validate", "scheme": {"kind": "chain", "family": "trig", "n_max": 3, "space": {
+            "carrier": "grid", "domain": "torus", "nodes": 32, "a": 0.0}}},
+         "grid space: the torus takes no a or b"),
+        ({"task": "validate", "scheme": {"kind": "rank", "space": {
+            "carrier": "matrix", "side": 3, "norm": "sup"}}},
+         "the matrix carrier takes the HS and operator norms, and only it"),
+        ({"task": "validate", "scheme": {"kind": "nterm", "dictionary": {"family": "trig"},
+                                         "space": COORDS_4}},
+         "trig dictionary needs a grid space, not coords"),
+        ({"task": "validate", "scheme": {"knd": "chain"}},
+         "scheme kind must be one of chain, nterm, quantizer, interleaved-c0, spline, rank, "
+         "wavelet-haar, not None"),
+        ({"task": "profile", "scheme": "interleaved-c0",
+          "params": {"n_max": 3, "element": {"valuez": [1.0]}}},
+         "element for shape [20]: an element object holds values, f64 with shape, or probe, "
+         "not the keys ['valuez']"),
+        ({"task": "audit", "scheme": "rank-8-hs", "params": {"audit": "jackson"}},
+         "lipschitz seminorm needs a grid space, not matrix"),
+        ({"task": "audit", "scheme": "orthonormal-nterm", "params": {"audit": "bernstein"}},
+         "deriv-sup seminorm needs a grid space, not coords"),
+        ({"task": "audit", "scheme": SMALL_CHAIN,
+          "params": {"audit": "jackson", "seminorm": {"knd": "bv"}}},
+         "seminorm kind must be one of lipschitz, bv, deriv-sup, coord-weighted, same-norm, "
+         "not None"),
+        ({"task": "audit", "scheme": SMALL_CHAIN,
+          "params": {"audit": "jackson", "seminorm": {"kind": "bv", "weights": [1]}}},
+         "bv seminorm: unknown key 'weights'; allowed keys: none"),
+        ({"task": "audit", "scheme": "orthonormal-nterm", "params": {
+            "audit": "bernstein", "seminorm": {"kind": "coord-weighted", "weights": [1.0, 2.0]}}},
+         "coord-weighted seminorm: 2 weights for a space of dimension 64"),
+    ], ids=["misspelled-family", "unknown-domain", "misspelled-levels", "misspelled-degree",
+            "quantizer-n_max", "nodes-float", "n_max-string", "norm-capitalized", "lp-without-p",
+            "p-on-sup", "complex", "torus-with-a", "matrix-sup", "trig-on-coords", "misspelled-kind",
+            "element-misspelled", "jackson-on-matrix", "bernstein-on-coords",
+            "seminorm-misspelled-kind", "weights-on-bv", "weights-wrong-length"])
+    def test_descriptor_a_builder_would_misread_is_refused(self, tmp_path, capsys, config,
+                                                          message):
+        assert _refused(tmp_path, capsys, config) == f"error: {message}\n"
+
+    def test_null_stands_for_a_default_of_none(self):
+        bare = build_scheme({"kind": "wavelet-haar", "level": 4, "n_max": 2})
+        null = build_scheme({"kind": "wavelet-haar", "level": 4, "n_max": 2, "budget": None,
+                             "max_level": None})
+        assert np.array_equal(bare.dictionary.atoms, null.dictionary.atoms)
+        assert null.descriptor["budget"] is None
+
+    def test_every_shipped_descriptor_passes(self):
+        inline = [value for value in vars(_load_workloads()).values()
+                  if isinstance(value, dict) and "kind" in value]
+        assert len(inline) == 5
+        for desc in [*list_schemes(), *_load_by_path("scripts/golden_reports.py").INLINE, *inline]:
+            build_scheme(desc)
+
+    def test_every_witness_descriptor_passes(self):
+        built = []
+        with mock.patch.object(wit, "build_scheme",
+                               lambda desc: built.append(desc) or build_scheme(desc)):
+            wit.witness_c0(NullSequence(np.array([1.0, 0.5])))
+            wit.witness_quantizer(3)
+            wit.witness_orthonormal_nterm(2, 4)
+            for norm_kind in ("hs", "operator"):
+                wit.witness_tensor(3, norm_kind)
+        assert [desc["kind"] for desc in built] == [
+            "interleaved-c0", "quantizer", "nterm", "rank", "rank"]
 
 
 class TestListSchemes:

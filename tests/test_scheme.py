@@ -101,7 +101,8 @@ class TestBuild:
     def test_chain_family_defaults_to_monomial(self, norm_kind):
         # a chain without "family" is the monomial chain for every candidate
         # rule, threshold and certificate, not only for its basis
-        space = {"carrier": "grid", "domain": "interval", "nodes": 65, "norm": norm_kind, "p": 2.0}
+        space = {"carrier": "grid", "domain": "interval", "nodes": 65, "norm": norm_kind,
+                 **({"p": 2.0} if norm_kind == "lp" else {})}
         bare = build_scheme({"kind": "chain", "n_max": 10, "space": space})
         named = build_scheme({"kind": "chain", "family": "monomial", "n_max": 10, "space": space})
         assert bare.family == named.family == "monomial"
