@@ -26,7 +26,8 @@ import numpy as np
 
 from .solve import (BestApprox, NoSolverError, SolverError, _chain_l2_values, _fit_in_span,
                     _interleaved_error, _is_l2, _nterm_levels, _rank_error, _rank_value,
-                    _spline_lp, _spline_sup, _weighted_l2_fit, best_approx, quantizer_error)
+                    _spline_lp, _spline_on_cells, _spline_sup, _weighted_l2_fit, best_approx,
+                    quantizer_error)
 from .space import Grid, Space, column_norms, norm
 
 MEMBERSHIP_TOL = 1e-9
@@ -209,6 +210,8 @@ def _grid_space(*, domain="interval", nodes=None, a=None, b=None, norm="sup", p=
     """`nodes` defaults to 2049 on the interval and 4096 on its cells or the
     torus; [a, b] to [0, 1], and the torus, [0, 2 pi), takes neither."""
     n = (2049 if domain == "interval" else 4096) if nodes is None else nodes
+    if n < 2:
+        raise SchemeError(f"grid space: nodes must be at least 2, not {n}")
     if domain == "torus" and (a, b) != (None, None):
         raise SchemeError("grid space: the torus takes no a or b")
     make = {"interval": Grid.interval, "interval-cells": Grid.interval_cells}.get(domain)
@@ -224,8 +227,11 @@ CARRIERS = {"grid": _grid_space,
 CARRIER_KEYS = {carrier: declared_keys(build) for carrier, build in CARRIERS.items()}
 
 
-def build_space(desc: dict) -> Space:
+def build_space(desc: dict, grid_for: Optional[str] = None) -> Space:
+    """The space `desc` describes; `grid_for` names a kind that needs a grid."""
     carrier, keys = _pick("space", CARRIER_KEYS, desc, "carrier", "grid")
+    if grid_for and carrier != "grid":
+        raise SchemeError(f"{grid_for} needs a grid space, not {carrier}")
     return CARRIERS[carrier](**keys)
 
 
@@ -253,10 +259,10 @@ class Scheme:
     """The sets A_n, n = 0..n_max, of one kind over `space`, with gap map K.
 
     A kind is a subclass: it declares its own fields, builds itself from its
-    descriptor (`build`), implements `solve` and `sample`, and overrides the
-    defaults below where it knows more.  The module-level entry points (here
-    and `solve.best_approx`, `solve.error_profile`) check their input and
-    call these methods.
+    descriptor (`build`), implements `solve` and `sample` or `draw`, and
+    overrides the defaults below where it knows more.  The module-level entry
+    points (here and `solve.best_approx`, `solve.error_profile`) check their
+    input and call these methods.
     """
 
     kind: ClassVar[str]
@@ -290,18 +296,26 @@ class Scheme:
         return value <= MEMBERSHIP_TOL * max(1.0, norm(self.space, x))
 
     def draw(self, n: int, rng: np.random.Generator) -> tuple:
-        """A member of A_n and the atom support it exhibits (None: no support)."""
+        """A member of A_n and the support it was drawn with: the atom indices
+        of an n-term scheme, the cell edges of a spline (None: no support)."""
         return sample_element(self, n, rng), None
 
+    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        """A member of A_n; a kind implements this or `draw`."""
+        return self.draw(n, rng)[0]
+
     def certified_member(self, x: np.ndarray, n: int, support) -> bool:
-        """x in A_n, where `support` is what `draw` exhibited for x."""
+        """x in A_n, where `support` is what `draw` exhibited for x; n-term schemes
+        and splines certify a member by a fit on it, other kinds ask `membership`."""
         return membership(self, x, n)
 
     def additive(self, n: int, rng: np.random.Generator) -> bool:
-        """One additivity trial: is the sum of two members of A_n in A_K(n)?"""
-        a = sample_element(self, n, rng)
-        b = sample_element(self, n, rng)
-        return membership(self, a + b, self.K(n))
+        """One additivity trial: is the sum of two members of A_n in A_K(n)?
+        It is certified on the union of the two drawn supports, if any."""
+        a, support_a = self.draw(n, rng)
+        b, support_b = self.draw(n, rng)
+        support = None if support_a is None else np.union1d(support_a, support_b)
+        return self.certified_member(a + b, self.K(n), support)
 
     def gap_candidates(self, n: int, rng: np.random.Generator, count: int) -> list:
         """Elements of A_{n+1} expected to be far from A_n, not normalized."""
@@ -335,7 +349,7 @@ class Chain(Scheme):
 
     @classmethod
     def build(cls, desc: dict, label: str, *, space, n_max, family="monomial") -> "Chain":
-        space = build_space(space)
+        space = build_space(space, "monomial chain" if family == "monomial" else None)
         if family == "monomial":
             level_dims = np.arange(1, n_max + 2)
             basis = _chebyshev_columns(space.grid, n_max + 1)
@@ -462,9 +476,6 @@ class NTerm(Scheme):
         idx = rng.choice(self.dictionary.size, size=k, replace=False)
         return self.dictionary.atoms[:, idx] @ rng.standard_normal(k), idx
 
-    def sample(self, n, rng):
-        return self.draw(n, rng)[0]
-
     def certified_member(self, x, n, support):
         """Membership certified by a fit on the exhibited atoms when they fit in A_n."""
         if len(support) > min(n, self.dictionary.size):
@@ -473,15 +484,6 @@ class NTerm(Scheme):
             return bool(norm(self.space, x) <= MEMBERSHIP_TOL)
         value = _weighted_l2_fit(self.space, self.dictionary.atoms[:, list(support)], x)[0]
         return value <= MEMBERSHIP_TOL * max(1.0, norm(self.space, x))
-
-    def additive(self, n, rng):
-        # the sum is certified on the union of the two drawn atom subsets,
-        # which exhibits a concrete A_K(n) member
-        a, idx_a = self.draw(n, rng)
-        b, idx_b = self.draw(n, rng)
-        union = np.union1d(idx_a, idx_b)
-        kn = self.K(n)
-        return union.size <= kn and self.certified_member(a + b, kn, union)
 
     def gap_candidates(self, n, rng, count):
         atom = np.array(self.dictionary.atoms[:, rng.integers(self.dictionary.size)])
@@ -512,8 +514,8 @@ class Quantizer(Scheme):
             raise SchemeError("quantizer scheme is defined over a sup-norm carrier")
         m = np.asarray(m, dtype=np.int64)
         n_max = m.size - 1
-        if np.any(m < 1):
-            raise SchemeError("value budget must be >= 1 (non-empty A_n)")
+        if m.size == 0 or np.any(m < 1):
+            raise SchemeError(f"quantizer scheme: m must be one or more budgets >= 1, not {m.tolist()}")
         if np.any(np.diff(m) < 0):
             raise SchemeError("value budget must be non-decreasing (nesting axiom)")
         # the sum of two m-valued functions takes at most m^2 values; -1 when
@@ -553,6 +555,8 @@ class Quantizer(Scheme):
 
     def density_candidates(self, n):
         g = self.space.grid
+        if g is None:  # the candidate is a ramp over the nodes
+            raise SchemeError(f"quantizer density needs a grid space, not {self.space.carrier}")
         return [2.0 * (g.nodes - g.a) / (g.b - g.a) - 1.0]
 
     def density_threshold(self):
@@ -638,7 +642,7 @@ class Spline(Scheme):
 
     @classmethod
     def build(cls, desc: dict, label: str, *, space, n_max, degree=2) -> "Spline":
-        space = build_space(space)
+        space = build_space(space, "spline scheme")
         if not 1 <= degree <= 4:
             raise SchemeError("spline degree bound must lie in 1..4")
         gap = np.minimum(2 * np.arange(n_max + 1), space.grid.size - 2)
@@ -657,7 +661,7 @@ class Spline(Scheme):
         fits = _spline_lp(space, x, self.degree, list(range(n_max + 1)))
         return [(value, status) for value, _, status, _ in fits], None
 
-    def sample(self, n, rng):
+    def draw(self, n, rng):
         g = self.space.grid
         if n == 0:
             breaks = []
@@ -670,7 +674,15 @@ class Spline(Scheme):
             tc = (t - t.mean()) if hi - lo > 1 else t * 0.0
             coeffs = rng.standard_normal(self.degree)
             out[lo:hi] = sum(c * tc**k for k, c in enumerate(coeffs))
-        return out
+        return out, edges
+
+    def certified_member(self, x, n, support):
+        """Certified by the fit on at most n + 1 drawn cells, else decided by `membership`."""
+        if len(support) <= n + 2:
+            approx = _spline_on_cells(self.space, x, self.degree, support)
+            if norm(self.space, x - approx) <= MEMBERSHIP_TOL * max(1.0, norm(self.space, x)):
+                return True
+        return membership(self, x, n)
 
     def density_threshold(self):
         return 0.2
@@ -740,6 +752,8 @@ def build_scheme(descriptor) -> Scheme:
     if isinstance(descriptor, str):
         descriptor = registry_descriptor(descriptor)
     kind, keys = _pick("scheme", KIND_KEYS, descriptor, "kind")
+    if (keys.get("n_max") or 0) < 0:
+        raise SchemeError(f"{kind} scheme: n_max must be >= 0, not {keys['n_max']}")
     return KINDS[kind](dict(descriptor), keys.pop("label"), **keys)
 
 

@@ -738,6 +738,22 @@ def _spline_columns(t: np.ndarray, degree: int) -> np.ndarray:
     return np.vander((t - t.mean()) / max(float(np.ptp(t)), 1e-300), degree, increasing=True)
 
 
+def _spline_on_cells(space: Space, x: np.ndarray, degree: int, cuts) -> np.ndarray:
+    """The spline fitted on the cells [cuts[k], cuts[k + 1]) of the grid nodes,
+    each cell by its best degree-<degree> fit: `_sup_fit` in sup, else
+    `_spline_cost_entry`.  Empty cells are skipped."""
+    nodes = space.grid.nodes
+    approx = np.empty(nodes.size)
+    for i, j in zip(cuts[:-1], cuts[1:]):
+        if j <= i:
+            continue
+        if space.norm_kind == "sup":
+            approx[i:j] = _sup_fit(_spline_columns(nodes[i:j], degree), x[i:j])[1]
+        else:
+            approx[i:j] = _spline_cost_entry(space, x, degree, i, j)[1]
+    return approx
+
+
 def _spline_sup(space: Space, x: np.ndarray, degree: int, pieces: int):
     """Sup-norm free-knot spline by greedy segmentation (`_min_max_cells`).
 
@@ -770,9 +786,7 @@ def _spline_sup(space: Space, x: np.ndarray, degree: int, pieces: int):
         return good
 
     lower, bounds, passes = _min_max_cells(npts, pieces, cell_end, cell_cost, tol)
-    approx = np.empty(npts)
-    for i, j in zip(bounds[:-1], bounds[1:]):
-        approx[i:j] = _sup_fit(_spline_columns(nodes[i:j], degree), x[i:j])[1]
+    approx = _spline_on_cells(space, x, degree, bounds)
     value = _norm_unchecked(space, x - approx)
     status = "exact" if value - lower <= tol else "upper-bound"
     return value, approx, status, {"solver": "greedy-segmentation", "iterations": passes,
@@ -784,9 +798,9 @@ def _spline_lp(space: Space, x: np.ndarray, degree: int, knots: list) -> list:
     one fit (value, approx, status, info) per knot count in `knots`.
 
     The cost table and the DP rows do not depend on the largest knot count,
-    so one table and one DP to max(knots) + 1 pieces serve every count.
-    Only the DP's choice of cuts reads the table: each chosen cell is refitted
-    by `_spline_cost_entry`, and the value is re-measured on x - approx.  All
+    so one table and one DP to min(max(knots) + 1, npts) cells serve every count.
+    Only the DP's choice of cuts reads the table: the chosen cells are refitted
+    by `_spline_on_cells`, and the value is re-measured on x - approx.  All
     of it runs on x scaled by a power of two (`_unit_scaled`), so the table
     neither overflows nor underflows and the fits scale exactly with x.
     """
@@ -807,7 +821,7 @@ def _spline_lp(space: Space, x: np.ndarray, degree: int, knots: list) -> list:
             for j in range(i + 1, npts + 1):
                 cost[i, j] = _spline_cost_entry(space, x, degree, i, j)[0]
 
-    top = max(knots) + 1
+    top = min(max(knots) + 1, npts)
     dp = np.full((top + 1, npts + 1), math.inf)
     arg = np.zeros((top + 1, npts + 1), dtype=int)
     dp[0, 0] = 0.0
@@ -818,14 +832,10 @@ def _spline_lp(space: Space, x: np.ndarray, degree: int, knots: list) -> list:
     fits = []
     for count in knots:
         cuts = [npts]
-        for k in range(count + 1, 0, -1):
+        for k in range(min(count + 1, top), 0, -1):
             cuts.append(int(arg[k, cuts[-1]]))
         cuts = cuts[::-1]
-        approx = np.empty(npts)
-        for i, j in zip(cuts[:-1], cuts[1:]):
-            if j <= i:
-                continue
-            approx[i:j] = _spline_cost_entry(space, x, degree, i, j)[1]
+        approx = _spline_on_cells(space, x, degree, cuts)
         fits.append((float(np.ldexp(_norm_unchecked(space, x - approx), e)), np.ldexp(approx, e),
                      status, {"solver": "breakpoint-dp", "knot_nodes": cuts[1:-1]}))
     return fits

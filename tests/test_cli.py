@@ -854,11 +854,31 @@ class TestDescriptorCheck:
         ({"task": "audit", "scheme": "orthonormal-nterm", "params": {
             "audit": "bernstein", "seminorm": {"kind": "coord-weighted", "weights": [1.0, 2.0]}}},
          "coord-weighted seminorm: 2 weights for a space of dimension 64"),
+        ({"task": "validate", "scheme": {"kind": "chain", "n_max": 3, "space": {
+            "carrier": "coords", "dim": 8}}},
+         "monomial chain needs a grid space, not coords"),
+        ({"task": "validate", "scheme": {"kind": "spline", "n_max": 2, "space": {
+            "carrier": "matrix", "side": 3}}},
+         "spline scheme needs a grid space, not matrix"),
+        ({"task": "density", "scheme": {"kind": "quantizer", "m": [1, 2], "space": COORDS_4}},
+         "quantizer density needs a grid space, not coords"),
+        *[({"task": "validate", "scheme": {"kind": "chain", "n_max": 1,
+                                           "space": {**GRID_9, "nodes": nodes}}},
+           f"grid space: nodes must be at least 2, not {nodes}") for nodes in (1, 0, -1)],
+        ({"task": "validate", "scheme": {"kind": "chain", "n_max": -1, "space": GRID_9}},
+         "chain scheme: n_max must be >= 0, not -1"),
+        ({"task": "validate", "scheme": {"kind": "rank", "n_max": -1, "space": {
+            "carrier": "matrix", "side": 3}}},
+         "rank scheme: n_max must be >= 0, not -1"),
+        ({"task": "validate", "scheme": {"kind": "quantizer", "m": []}},
+         "quantizer scheme: m must be one or more budgets >= 1, not []"),
     ], ids=["misspelled-family", "unknown-domain", "misspelled-levels", "misspelled-degree",
             "quantizer-n_max", "nodes-float", "n_max-string", "norm-capitalized", "lp-without-p",
             "p-on-sup", "complex", "torus-with-a", "matrix-sup", "trig-on-coords", "misspelled-kind",
             "element-misspelled", "jackson-on-matrix", "bernstein-on-coords",
-            "seminorm-misspelled-kind", "weights-on-bv", "weights-wrong-length"])
+            "seminorm-misspelled-kind", "weights-on-bv", "weights-wrong-length",
+            "monomial-on-coords", "spline-on-matrix", "quantizer-density-on-coords", "nodes-1",
+            "nodes-0", "nodes-negative", "n_max-negative", "rank-n_max-negative", "m-empty"])
     def test_descriptor_a_builder_would_misread_is_refused(self, tmp_path, capsys, config,
                                                           message):
         assert _refused(tmp_path, capsys, config) == f"error: {message}\n"

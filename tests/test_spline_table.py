@@ -1,15 +1,18 @@
-"""The blocked L2 spline cost table against the former per-row solve, and the
-membership decisions and profiles that read it."""
+"""The blocked L2 spline cost table against the former per-row solve, the
+membership decisions and profiles that read it, and the certificate that
+decides drawn members without it."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import lethargy.scheme as scheme
 import lethargy.solve as solve
-from lethargy.scheme import build_scheme, sample_element, validate_scheme
+from lethargy.scheme import build_scheme, membership, sample_element, validate_scheme
 from lethargy.solve import _spline_cost_entry, _spline_cost_table_l2, error_profile
 from lethargy.space import Grid, Space, norm
 
@@ -143,21 +146,26 @@ def test_no_cell_is_resolved_on_the_test_schemes(desc, rng, monkeypatch):
 
 @pytest.mark.parametrize("seed", range(10))
 def test_membership_decisions_match_row_loop(seed, monkeypatch):
-    # 200 trials take 15 s on the row loop, so only seed 0 runs them here
+    # validate reads the table only in its density proxy, so the drawn members,
+    # a sum of two and a random element are also decided by `membership` directly
     s = build_scheme("free-knot-spline")
     trial_counts = (12, 200) if seed == 0 else (12,)
     rng = np.random.default_rng(seed)
     level = seed % s.n_max
     elements = [rng.standard_normal(s.space.shape), sample_element(s, level, rng)]
+    a, b = sample_element(s, level, rng), sample_element(s, level, rng)
+    cases = [(3.0 * a, level), (a, level + 1), (a + b, s.K(level)), (elements[0], level)]
 
     def decisions():
         reports = [validate_scheme(s, trials, rng_seed=seed).to_json() for trials in trial_counts]
-        return reports, [error_profile(s.space, x, s, s.n_max).entries for x in elements]
+        members = [membership(s, x, n) for x, n in cases]
+        return reports, members, [error_profile(s.space, x, s, s.n_max).entries for x in elements]
 
-    got, (profile, member_profile) = decisions()
+    got, members, (profile, member_profile) = decisions()
     monkeypatch.setattr(solve, "_spline_cost_table_l2", row_loop_table)
-    want, (want_profile, want_member_profile) = decisions()
+    want, want_members, (want_profile, want_member_profile) = decisions()
     assert got == want
+    assert members == want_members == [True, True, True, False]
     assert profile == want_profile
     # from the member's own level on, each value is rounding noise, and the
     # cuts between noise-level cells are a free choice of either table
@@ -166,3 +174,70 @@ def test_membership_decisions_match_row_loop(seed, monkeypatch):
     for e, w in zip(member_profile[level:], want_member_profile[level:]):
         assert e.status == w.status == "exact"
         assert max(e.value, w.value) <= noise
+
+
+# -- certified membership: the fit on the drawn cells ------------------------------
+
+SPLINE_NORMS = {"sup": {"norm": "sup"}, "l1": {"norm": "lp", "p": 1.0},
+                "l2": {"norm": "lp", "p": 2.0}}
+SMALL_SPLINES = (st.integers(4, 33), st.sampled_from(sorted(SPLINE_NORMS)), st.integers(1, 4),
+                 st.integers(0, 3), st.integers(0, 2**32 - 1))
+
+
+def small_spline(npts, norm_kind, degree):
+    return build_scheme({"kind": "spline", "degree": degree, "n_max": 3,
+                         "space": {"carrier": "grid", "nodes": npts, **SPLINE_NORMS[norm_kind]}})
+
+
+@settings(max_examples=60, deadline=None)
+@given(*SMALL_SPLINES)
+def test_certificate_agrees_with_the_dp(npts, norm_kind, degree, level, seed):
+    s = small_spline(npts, norm_kind, degree)
+    rng = np.random.default_rng(seed)
+    x, edges = s.draw(level, rng)
+    lam = float(rng.standard_normal() * 3.0)
+    assert s.certified_member(lam * x, level, edges) == membership(s, lam * x, level)
+    assert s.certified_member(x, level + 1, edges) == membership(s, x, level + 1)
+    state = rng.bit_generator.state
+    added = s.additive(level, rng)
+    rng.bit_generator.state = state
+    a, b = sample_element(s, level, rng), sample_element(s, level, rng)
+    assert added == membership(s, a + b, s.K(level))
+
+
+@settings(max_examples=40, deadline=None)
+@given(*SMALL_SPLINES)
+def test_a_moved_node_fails_the_certificate(npts, norm_kind, degree, level, seed):
+    s = small_spline(npts, norm_kind, degree)
+    rng = np.random.default_rng(seed)
+    x, edges = s.draw(level, rng)
+    fitted = [(i, j) for i, j in zip(edges, edges[1:]) if j - i > degree]  # not interpolated
+    assume(fitted)
+    i, j = fitted[rng.integers(len(fitted))]
+    y = x.copy()
+    y[rng.integers(i, j)] += 1e-3 * norm(s.space, x)
+    with mock.patch.object(scheme, "membership", wraps=membership) as decide:
+        decision = s.certified_member(y, level, edges)
+    assert decide.call_count == 1  # the certificate failed, and the DP decided
+    assert decision == membership(s, y, level)
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0])
+def test_levels_past_one_cell_per_node_fit_exactly(p, rng):
+    # n knots make n + 1 cells of at least one node each: on 4 nodes, 3 knots
+    # already fit exactly, and so does every larger count
+    s = build_scheme({"kind": "spline", "degree": 1, "n_max": 6,
+                      "space": {"carrier": "grid", "nodes": 4, "norm": "lp", "p": p}})
+    x = rng.standard_normal(4)
+    entries = error_profile(s.space, x, s, s.n_max).entries
+    assert all(e.value <= 1e-12 * norm(s.space, x) for e in entries[3:])
+
+
+@pytest.mark.parametrize("trials", [12, 200])
+def test_validate_runs_the_dp_only_on_the_density_probes(trials, monkeypatch):
+    s = build_scheme("free-knot-spline")
+    calls = []
+    spline_lp = scheme._spline_lp
+    monkeypatch.setattr(scheme, "_spline_lp", lambda *args: calls.append(args) or spline_lp(*args))
+    assert validate_scheme(s, trials, rng_seed=0).passed
+    assert len(calls) == len(scheme._proxy_probes(s, None)) == 3  # two smooth probes, one kink
