@@ -1,0 +1,69 @@
+#!/usr/bin/env python3
+"""Print a digest of every discrete-exchange sup fit of two benchmark rounds.
+
+    python3 scripts/sup_fit_digest.py > digest.jsonl
+
+Run from the root of a checkout.  It wraps `solve._sup_fit` and runs one
+round of the certify-sup and one of the verify-members workload, as
+perfbench/workloads.py lists them for benchmark seed SEED (replaying the
+reports that the workload replays).  Each call prints one JSON line: the workload,
+the operation, the call's number within it, the `repr` of the value and of
+`info["lower"]`, the solver, the iterations and the sha256 of the
+minimizer's bytes.  BLAS runs on one thread, as in the benchmark.  Diffing
+the output of two checkouts shows whether a change to the exchange moved any
+fit by a single bit.  The call count per workload goes to standard error.
+"""
+
+import hashlib
+import json
+import os
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+WORKLOADS = ("certify-sup", "verify-members")
+SEED = 5
+
+
+def main() -> int:
+    # the benchmark's BLAS threading, set before numpy loads
+    os.environ.update({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"})
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+    import numpy as np
+    import workloads
+
+    from lethargy import cli, solve
+
+    fit = solve._sup_fit
+    where = {}
+
+    def digest(cols, x):
+        value, approx, info = fit(cols, x)
+        where["call"] += 1
+        print(json.dumps({
+            "workload": where["workload"], "op": where["op"], "call": where["call"],
+            "value": repr(value), "lower": repr(info["lower"]), "solver": info["solver"],
+            "iterations": info["iterations"],
+            "approx": hashlib.sha256(np.ascontiguousarray(approx).tobytes()).hexdigest(),
+        }))
+        return value, approx, info
+
+    solve._sup_fit = digest
+    for workload in WORKLOADS:
+        calls = 0
+        for op in workloads.round_ops(workload, np.random.default_rng(SEED)):
+            where.update(workload=workload, op=op.name, call=0)
+            try:
+                report = cli.run_task(op.config)
+                if op.replay:
+                    cli.replay_report(json.loads(json.dumps(report, sort_keys=True)))
+            except Exception as exc:  # a known fault of the op is part of its digest
+                print(json.dumps({"workload": workload, "op": op.name,
+                                  "error": type(exc).__name__}))
+            calls += where["call"]
+        print(f"{workload}: {calls} sup fits", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

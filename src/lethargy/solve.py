@@ -160,7 +160,7 @@ def _sup_fit(cols: np.ndarray, x: np.ndarray):
                 if lower <= tol or value - lower <= EXCHANGE_ROUNDING * scale:
                     break
             new = _exchange_reference(ref, resid < 0, absr, peak)
-            if np.array_equal(new, ref):  # stalled: not a Haar system on this reference
+            if new.tolist() == ref.tolist():  # stalled: not a Haar system on this reference
                 break
             ref = new
         if best is not None and _reference_cond(cols, *best[2]) <= EXCHANGE_MAX_COND and (
@@ -183,17 +183,24 @@ def _exchange_reference(ref: np.ndarray, neg: np.ndarray, absr: np.ndarray, peak
     `neg` and `absr` are the residual's sign and size, `peak` its argmax.  Two
     reference indices in one run mean their signs were rounding noise (h near
     0, e.g. x vanishing on the reference); the global peak then replaces the
-    reference index nearest to it.
+    reference index nearest to it.  A run's peak is its first index of
+    largest size, so exact ties go to the lowest index.
     """
-    cuts = np.flatnonzero(neg[1:] != neg[:-1]) + 1
-    runs = np.searchsorted(cuts, ref, side="right")
-    if np.any(runs[1:] == runs[:-1]):
+    n = neg.size
+    change = np.empty(n + 1, dtype=bool)
+    change[0] = change[n] = True
+    np.not_equal(neg[1:], neg[:-1], out=change[1:n])
+    bounds = np.flatnonzero(change)  # the run starts, then n
+    runs = bounds.searchsorted(ref, side="right")  # run k is [bounds[k-1], bounds[k])
+    ks = runs.tolist()
+    if any(a == b for a, b in zip(ks, ks[1:])):
         new = ref.copy()
         new[int(np.abs(ref - peak).argmin())] = peak
         return new
-    bounds = np.concatenate(([0], cuts, [neg.size]))
-    new = np.array([a + int(absr[a:b].argmax()) for a, b in zip(bounds[runs], bounds[runs + 1])])
-    if peak in new:
+    lo, hi = bounds[runs - 1].tolist(), bounds[runs].tolist()
+    peaks = [a + int(absr[a:b].argmax()) for a, b in zip(lo, hi)]  # over plain ints, not numpy scalars
+    new = np.array(peaks)
+    if peak in peaks:
         return new
     pos = int(np.searchsorted(new, peak))
     if pos == 0:
@@ -692,8 +699,11 @@ def _spline_cost_table_l2(space: Space, x: np.ndarray, degree: int) -> np.ndarra
     takes one cumsum and one `_hankel_quad` for x^T W x - b^T A^-1 b, so the
     working set stays near 2 MB at degree 4.  A cell whose least pivot is
     not positive, or whose error is not finite, is re-solved by
-    `_spline_cost_entry`: no NaN reaches the table.
+    `_spline_cost_entry`: no NaN reaches the table.  The table is built for
+    x scaled by a power of two (`_unit_scaled`) and scaled back, so the
+    squares z_j^2 of `_hankel_quad` do not underflow on a tiny x.
     """
+    x, e = _unit_scaled(x)
     t, w = space.grid.nodes, space.grid.weights
     npts, d = t.size, degree  # d coefficients, moments of the powers 0 .. 2d-2
     cost = np.full((npts + 1, npts + 1), math.inf)
@@ -723,7 +733,7 @@ def _spline_cost_table_l2(space: Space, x: np.ndarray, degree: int) -> np.ndarra
             i, j = i0 + int(r), i0 + int(c) + 1
             cost[i, j] = _spline_cost_entry(space, x, degree, i, j)[0]
         i0 += rows
-    return cost
+    return np.ldexp(cost, 2 * e, out=cost)
 
 
 def _spline_cost_entry(space: Space, x: np.ndarray, degree: int, i: int, j: int):

@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import lethargy.scheme as scheme
@@ -77,6 +77,7 @@ def spline_element(space, degree, shape, rng):
 @settings(max_examples=120, deadline=None)
 @given(st.integers(4, 129), st.integers(1, 4), st.integers(0, 2**32 - 1),
        st.sampled_from(["random", "member", "scaled", "spiky"]))
+@example(npts=101, degree=4, seed=765433877, shape="scaled")  # max|x| 4.5e-150
 def test_blocked_table_matches_row_loop(npts, degree, seed, shape):
     space = Space.lp_grid(Grid.interval(0.0, 1.0, npts), 2.0)
     x = spline_element(space, degree, shape, np.random.default_rng(seed))

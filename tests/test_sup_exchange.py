@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from unittest import mock
+
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lethargy.solve import LP_TOL, _sup_fit, _sup_fit_lp
+import lethargy.solve as solve
+from lethargy.solve import LP_TOL, _exchange_reference, _sup_fit, _sup_fit_lp
 
 VALUES = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
 
@@ -116,3 +119,65 @@ def test_closed_bracket_goes_on_to_the_best_error():
     value, approx, info = _sup_fit(cols, x)
     assert (value, info["lower"], info["solver"]) == (1.0, 1.0, "exchange")
     assert_bracket_against_lp(cols, x)
+
+
+def oracle_exchange_reference(ref, neg, absr, peak):
+    """The reference update as first written: one `argmax` per sign run over
+    bounds from `concatenate`, kept as the oracle of `_exchange_reference`."""
+    cuts = np.flatnonzero(neg[1:] != neg[:-1]) + 1
+    runs = np.searchsorted(cuts, ref, side="right")
+    if np.any(runs[1:] == runs[:-1]):
+        new = ref.copy()
+        new[int(np.abs(ref - peak).argmin())] = peak
+        return new
+    bounds = np.concatenate(([0], cuts, [neg.size]))
+    new = np.array([a + int(absr[a:b].argmax()) for a, b in zip(bounds[runs], bounds[runs + 1])])
+    if peak in new:
+        return new
+    pos = int(np.searchsorted(new, peak))
+    if pos == 0:
+        return np.concatenate(([peak], new[1:] if neg[new[0]] == neg[peak] else new[:-1]))
+    if pos == new.size:
+        return np.concatenate((new[:-1] if neg[new[-1]] == neg[peak] else new[1:], [peak]))
+    new[pos - 1 if neg[new[pos - 1]] == neg[peak] else pos] = peak
+    return new
+
+
+@st.composite
+def exchange_states(draw):
+    """A residual of few distinct sizes (so runs hold exact ties and
+    one-node runs are common) and a sorted reference of distinct indices."""
+    size = draw(st.integers(1, 40))
+    resid = draw(st.lists(st.integers(-3, 3), min_size=size, max_size=size))
+    end = draw(st.sampled_from([None, 0, -1]))
+    if end is not None:  # the global peak at either end
+        resid[end] = draw(st.sampled_from([-4, 4]))
+    ref = draw(st.lists(st.integers(0, size - 1), min_size=1, max_size=min(size, 10), unique=True))
+    return resid, sorted(ref)
+
+
+@settings(max_examples=400, deadline=None)
+@given(exchange_states())
+@example(([1, 3, 3, -1, -2, 2], [0, 3, 5]))  # a tie inside a run: the first index wins
+@example(([1, -1, 1, -1, 1], [0, 1, 2, 3]))  # one-node runs
+@example(([-4, 1, -1, 1, -1], [1, 2, 3]))  # the global peak at the start
+@example(([1, -1, 1, -1, 4], [1, 2, 3]))  # the global peak at the end
+@example(([1, 1, 1, -1, 2], [0, 1, 3]))  # two reference indices in one run
+def test_reference_update_matches_the_oracle(state):
+    resid, ref = np.array(state[0], dtype=float), np.array(state[1], dtype=int)
+    absr = np.abs(resid)
+    args = ref, resid < 0, absr, int(absr.argmax())
+    new, want = _exchange_reference(*args), oracle_exchange_reference(*args)
+    assert new.dtype == want.dtype
+    assert new.tolist() == want.tolist()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(poly_cases(), trig_cases()))
+def test_fits_match_the_oracle_exchange(case):
+    cols, x = case
+    value, approx, info = _sup_fit(cols, x)
+    with mock.patch.object(solve, "_exchange_reference", oracle_exchange_reference):
+        want = _sup_fit(cols, x)
+    assert (value, info) == (want[0], want[2])
+    assert approx.tobytes() == want[1].tobytes()
