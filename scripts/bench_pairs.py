@@ -10,7 +10,10 @@ pair k (k = 0, 1, ...) with seed FIRST_SEED + k in both.  Pairs alternate the
 order: odd pairs (the 1st, 3rd, ...) run the parent first.  The summary gives,
 per end-to-end metric of the change's BENCHMARK.json, the quartiles of each
 side, the number of pairs the change won, the relative change of the median
-and the parent's interquartile range.  It is rewritten after each workload.
+and the parent's interquartile range.  Per operation it gives each side's
+median reference seconds over all rounds of all its runs, read from the
+`per_op_ref_s` of the run's perfbench/results/<workload>-seed<seed>-trace0.json.
+It is rewritten after each workload.
 """
 
 import argparse
@@ -36,17 +39,37 @@ def parse_args(argv=None):
     return ap.parse_args(argv)
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """The JSON summary line of one perfbench run in `checkout`."""
+def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> tuple:
+    """The JSON summary line of one perfbench run in `checkout`, and the
+    reference seconds of each of its operations, {name: [one per round]}."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", f"{seconds:g}"]
     out = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True)
-    return json.loads(out.stdout.strip().splitlines()[-1])
+    detail = checkout / "perfbench" / "results" / f"{workload}-seed{seed}-trace0.json"
+    per_op = json.loads(detail.read_text())["per_op_ref_s"]
+    return json.loads(out.stdout.strip().splitlines()[-1]), per_op
 
 
 def quartiles(values: list) -> dict:
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"q1": round(q1, 6), "median": round(median, 6), "q3": round(q3, 6)}
+
+
+def per_op_medians(per_op: dict) -> dict:
+    """{op: {parent, change, median_change_rel}}: each side's median seconds of
+    an operation over all rounds of all its runs (null where it never
+    succeeded); `per_op[side]` holds one {op: [seconds]} per run."""
+    names = dict.fromkeys(name for runs in per_op.values() for run in runs for name in run)
+    out = {}
+    for name in names:
+        med = {}
+        for side, runs in per_op.items():
+            values = [t for run in runs for t in run.get(name, [])]
+            med[side] = round(statistics.median(values), 6) if values else None
+        rel = (round(med["change"] / med["parent"] - 1.0, 4)
+               if med["parent"] and med["change"] is not None else None)
+        out[name] = {**med, "median_change_rel": rel}
+    return out
 
 
 def summarize(seeds: list, results: dict, metrics: list) -> dict:
@@ -115,15 +138,18 @@ def main(argv=None) -> int:
         workload, first = item.split(":")
         seeds = [int(first) + k for k in range(args.pairs)]
         results = {"parent": [], "change": []}
+        per_op = {"parent": [], "change": []}
         for k, seed in enumerate(seeds):
             order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
             for side in order:
-                r = run_once(checkouts[side], workload, seed, args.seconds)
+                r, ops = run_once(checkouts[side], workload, seed, args.seconds)
                 results[side].append(r)
+                per_op[side].append(ops)
                 print(f"{workload} pair {k + 1} seed {seed} {side}: correct={r['correct']} "
                       f"failed={r['failed']} wall_s={r['metrics']['wall_s']['value']:.4f}",
                       file=sys.stderr, flush=True)
-        summary["workloads"][workload] = summarize(seeds, results, bench["end_to_end"])
+        summary["workloads"][workload] = {**summarize(seeds, results, bench["end_to_end"]),
+                                          "per_op_s": per_op_medians(per_op)}
         out_path.write_text(json.dumps(summary, indent=2) + "\n")
     return 0
 

@@ -31,9 +31,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import analyze, witness as wit
-from .scheme import (INTEGER, INTEGERS, NUMBER, NUMBERS, OBJECT, REQUIRED, STRING, SchemeError,
-                     _checked, _real, build_scheme, declared_keys, list_schemes, named_probes,
-                     validate_scheme)
+from .scheme import (INTEGER, INTEGERS, NUMBER, NUMBERS, OBJECT, POSITIVE, REQUIRED, STRING,
+                     SchemeError, _checked, _real, build_scheme, declared_keys, list_schemes,
+                     named_probes, validate_scheme)
 from .seq import NullSequence
 from .solve import NoSolverError, SolverError, error_profile
 from .space import SpaceError
@@ -137,8 +137,9 @@ def make_element(space, desc, rng: np.random.Generator) -> np.ndarray:
 # the JSON type of every config and params key; a key means the same in every
 # task (descriptors have their own table, scheme.DESC_TYPES)
 KEY_TYPES = {
-    **dict.fromkeys("seed n m n_max trials attempts starts dim cap i_max probes samples "
+    **dict.fromkeys("seed n m n_max attempts dim cap i_max probes samples "
                     "max_degree budget".split(), INTEGER),
+    **dict.fromkeys(("trials", "starts"), POSITIVE),
     **dict.fromkeys("task family norm csv plot_data".split(), STRING),
     **dict.fromkeys(("scheme", "element"),
                     ("a string or an object", lambda v: isinstance(v, (str, dict)))),

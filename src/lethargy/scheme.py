@@ -26,8 +26,8 @@ import numpy as np
 
 from .solve import (BestApprox, NoSolverError, SolverError, _chain_l2_values, _fit_in_span,
                     _interleaved_error, _is_l2, _nterm_levels, _rank_error, _rank_value,
-                    _spline_lp, _spline_on_cells, _spline_sup, _weighted_l2_fit, best_approx,
-                    quantizer_error)
+                    _spline_lp, _spline_on_cells, _spline_sup, _support_fits, _weighted_l2_fit,
+                    best_approx, quantizer_error)
 from .space import Grid, Space, column_norms, norm
 
 MEMBERSHIP_TOL = 1e-9
@@ -56,6 +56,7 @@ def _real(v) -> bool:
 
 
 INTEGER = ("an integer", lambda v: _real(v) and isinstance(v, int))
+POSITIVE = ("a positive integer", lambda v: INTEGER[1](v) and v >= 1)  # a count of trials or starts
 NUMBER = ("a number", _real)  # an integer is a number, and is passed on as a float
 STRING = ("a string", lambda v: isinstance(v, str))
 OBJECT = ("an object", lambda v: isinstance(v, dict))
@@ -304,18 +305,15 @@ class Scheme:
         """A member of A_n; a kind implements this or `draw`."""
         return self.draw(n, rng)[0]
 
-    def certified_member(self, x: np.ndarray, n: int, support) -> bool:
-        """x in A_n, where `support` is what `draw` exhibited for x; n-term schemes
-        and splines certify a member by a fit on it, other kinds ask `membership`."""
-        return membership(self, x, n)
-
-    def additive(self, n: int, rng: np.random.Generator) -> bool:
-        """One additivity trial: is the sum of two members of A_n in A_K(n)?
-        It is certified on the union of the two drawn supports, if any."""
-        a, support_a = self.draw(n, rng)
-        b, support_b = self.draw(n, rng)
-        support = None if support_a is None else np.union1d(support_a, support_b)
-        return self.certified_member(a + b, self.K(n), support)
+    def certified_members(self, xs: list, n: Optional[int], supports: list,
+                          summands: Optional[int] = None) -> list:
+        """[x in A_n for x in xs], one batch of `validate_scheme`: supports[i] is
+        what `draw` exhibited for xs[i] (for a sum, the union of both draws'),
+        and `summands` is m when each x is the sum of two draws from A_m, so that
+        n = K(m).  n-term schemes and splines certify a member by a fit on its
+        support, rank decides the batch by one stacked SVD, and the other kinds
+        ask `membership` of each x."""
+        return [membership(self, x, n) for x in xs]
 
     def gap_candidates(self, n: int, rng: np.random.Generator, count: int) -> list:
         """Elements of A_{n+1} expected to be far from A_n, not normalized."""
@@ -476,14 +474,30 @@ class NTerm(Scheme):
         idx = rng.choice(self.dictionary.size, size=k, replace=False)
         return self.dictionary.atoms[:, idx] @ rng.standard_normal(k), idx
 
-    def certified_member(self, x, n, support):
-        """Membership certified by a fit on the exhibited atoms when they fit in A_n."""
-        if len(support) > min(n, self.dictionary.size):
-            return membership(self, x, n)
-        if len(support) == 0:
-            return bool(norm(self.space, x) <= MEMBERSHIP_TOL)
-        value = _weighted_l2_fit(self.space, self.dictionary.atoms[:, list(support)], x)[0]
-        return value <= MEMBERSHIP_TOL * max(1.0, norm(self.space, x))
+    def certified_members(self, xs, n, supports, summands=None):
+        """Members certified together by `_support_fits` on their drawn atoms
+        when these fit in A_n.  A residual that misses MEMBERSHIP_TOL * max(1, ||x||)
+        is decided again by the exact fit on the support (`_weighted_l2_fit`), a
+        support larger than A_n holds by `membership`, and an empty one by ||x||.
+        A non-finite x misses, and its norm refuses it."""
+        fit = [i for i, support in enumerate(supports)
+               if 0 < len(support) <= min(n, self.dictionary.size)]
+        resid = dict(zip(fit, _support_fits(
+            self.space, self.dictionary.atoms, np.stack([xs[i] for i in fit]),
+            [supports[i] for i in fit]))) if fit else {}
+        out = []
+        for i, (x, support) in enumerate(zip(xs, supports)):
+            if len(support) == 0:  # a zero x needs no norm
+                out.append(not x.any() or bool(norm(self.space, x) <= MEMBERSHIP_TOL))
+            elif i not in resid:
+                out.append(membership(self, x, n))
+            elif resid[i] <= MEMBERSHIP_TOL:  # max(1, ||x||) >= 1, so ||x|| is not needed
+                out.append(True)
+            else:
+                tol = MEMBERSHIP_TOL * max(1.0, norm(self.space, x))
+                out.append(bool(resid[i] <= tol or _weighted_l2_fit(
+                    self.space, self.dictionary.atoms[:, list(support)], x)[0] <= tol))
+        return out
 
     def gap_candidates(self, n, rng, count):
         atom = np.array(self.dictionary.atoms[:, rng.integers(self.dictionary.size)])
@@ -544,14 +558,13 @@ class Quantizer(Scheme):
         vals = rng.standard_normal(m)
         return vals[rng.integers(0, m, self.space.shape[0])]
 
-    def additive(self, n, rng):
-        a = sample_element(self, n, rng)
-        b = sample_element(self, n, rng)
-        # the m(n)^2 value-count bound is checkable even when K(n) falls
-        # beyond the window
-        kn = self.K(n)
-        return distinct_value_count(a + b) <= self.m_of(n) ** 2 and (
-            kn is None or membership(self, a + b, kn))
+    def certified_members(self, xs, n, supports, summands=None):
+        """A sum of two draws from A_m also has at most m(m)^2 values, which is
+        checkable even when n = K(m) falls beyond the window (None)."""
+        if summands is None:
+            return super().certified_members(xs, n, supports)
+        return [distinct_value_count(x) <= self.m_of(summands) ** 2
+                and (n is None or membership(self, x, n)) for x in xs]
 
     def density_candidates(self, n):
         g = self.space.grid
@@ -676,13 +689,16 @@ class Spline(Scheme):
             out[lo:hi] = sum(c * tc**k for k, c in enumerate(coeffs))
         return out, edges
 
-    def certified_member(self, x, n, support):
-        """Certified by the fit on at most n + 1 drawn cells, else decided by `membership`."""
-        if len(support) <= n + 2:
-            approx = _spline_on_cells(self.space, x, self.degree, support)
-            if norm(self.space, x - approx) <= MEMBERSHIP_TOL * max(1.0, norm(self.space, x)):
-                return True
-        return membership(self, x, n)
+    def certified_members(self, xs, n, supports, summands=None):
+        """Each certified by the fit on its at most n + 1 drawn cells, else
+        decided by `membership`."""
+        out = []
+        for x, cuts in zip(xs, supports):
+            fits = len(cuts) <= n + 2 and norm(
+                self.space, x - _spline_on_cells(self.space, x, self.degree, cuts)
+            ) <= MEMBERSHIP_TOL * max(1.0, norm(self.space, x))
+            out.append(fits or membership(self, x, n))
+        return out
 
     def density_threshold(self):
         return 0.2
@@ -717,9 +733,11 @@ class Rank(Scheme):
         return fits, float(sv[0]) if sv.size else 0.0
 
     def member(self, x, n):
-        sv = np.linalg.svd(x, compute_uv=False)
-        cutoff = RANK_SV_CUTOFF * (sv[0] if sv.size and sv[0] > 0 else 1.0)
-        return int(np.sum(sv > cutoff)) <= n
+        return bool(_numerical_ranks(x[None])[0] <= n)
+
+    def certified_members(self, xs, n, supports, summands=None):
+        """One stacked SVD; each matrix's singular values are those of its own SVD."""
+        return (_numerical_ranks(np.stack([self.space.check(x) for x in xs])) <= n).tolist()
 
     def sample(self, n, rng):
         d = self.space.dim
@@ -766,6 +784,14 @@ def distinct_value_count(x: np.ndarray) -> int:
         return 0
     scale = max(1.0, float(np.max(np.abs(v))))
     return 1 + int(np.sum(np.diff(v) > VALUE_MERGE_TOL * scale))
+
+
+def _numerical_ranks(stack: np.ndarray) -> np.ndarray:
+    """The rank of each matrix of a stack: its singular values above
+    RANK_SV_CUTOFF times the largest (times 1 where that is 0)."""
+    sv = np.linalg.svd(stack, compute_uv=False)
+    top = sv[:, :1]
+    return np.sum(sv > RANK_SV_CUTOFF * np.where(top > 0, top, 1.0), axis=1)
 
 
 def membership(s: Scheme, x: np.ndarray, n: int) -> bool:
@@ -857,47 +883,52 @@ class ValidationReport:
 
 
 def validate_scheme(s: Scheme, trials: int = 1000, rng_seed: int = 0) -> ValidationReport:
-    """Sampled audit of the scheme axioms; failures are report entries, not errors."""
+    """Sampled audit of the scheme axioms; failures are report entries, not errors.
+
+    Homogeneity, additivity and nesting each draw `trials` / (number of levels)
+    trials per level (nesting half as many), from one rng in a fixed order.
+    The draws of one level are decided together by one `certified_members`
+    call, which draws nothing, so batching leaves the rng order as it was: an
+    n-term scheme fits the whole batch at once and decides a draw it misses
+    by the exact fit on its support.  The density proxy then solves at n_max.
+    """
     rng = np.random.default_rng(rng_seed)
     # at n_max = 0 the set holds level 1, which lies outside the window
     levels = [n for n in sorted({0, 1, s.n_max // 2, max(s.n_max - 1, 0)}) if n <= s.n_max]
     per_level = max(1, trials // max(1, len(levels)))
-    checks = []
 
-    fails = 0
-    done = 0
-    for n in levels:
-        for _ in range(per_level):
-            a, support = s.draw(n, rng)
-            lam = float(rng.standard_normal() * 3.0)
-            if not s.certified_member(lam * a, n, support):
-                fails += 1
-            done += 1
-    checks.append(AxiomCheck("homogeneity", fails == 0, done, fails))
+    def decide(n: Optional[int], draws: list, summands: Optional[int] = None) -> tuple:
+        """(failures, trials) of one level's draws [(x, support)], by one batch."""
+        xs, supports = zip(*draws)
+        oks = s.certified_members(list(xs), n, list(supports), summands)
+        return len(oks) - sum(oks), len(oks)
 
-    fails = 0
-    done = 0
-    saturated = 0
-    for n in levels:
-        for _ in range(per_level):
-            done += 1
-            saturated += s.K(n) is None
-            if not s.additive(n, rng):
-                fails += 1
+    def audit(name: str, counts, note: str = "") -> AxiomCheck:
+        """counts yields `decide` of each level in turn, so that a level's draws
+        are freed before the next level's are drawn."""
+        fails = done = 0
+        for level_fails, level_done in counts:
+            fails += level_fails
+            done += level_done
+        return AxiomCheck(name, fails == 0, done, fails, note)
+
+    def scaled(n: int) -> tuple:
+        a, support = s.draw(n, rng)
+        return float(rng.standard_normal() * 3.0) * a, support
+
+    def added(n: int) -> tuple:
+        (a, support_a), (b, support_b) = s.draw(n, rng), s.draw(n, rng)
+        return a + b, None if support_a is None else np.union1d(support_a, support_b)
+
+    checks = [audit("homogeneity", (decide(n, [scaled(n) for _ in range(per_level)])
+                                    for n in levels))]
+    saturated = per_level * sum(s.K(n) is None for n in levels)
     note = f"{saturated} additions checked by value count only (K beyond window)" if saturated else ""
-    checks.append(AxiomCheck("additivity", fails == 0, done, fails, note))
-
-    fails = 0
-    done = 0
-    for n in levels:
-        if n + 1 > s.n_max:
-            continue
-        for _ in range(max(1, per_level // 2)):
-            a, support = s.draw(n, rng)
-            done += 1
-            if not s.certified_member(a, n + 1, support):
-                fails += 1
-    checks.append(AxiomCheck("nesting", fails == 0, done, fails))
+    checks.append(audit("additivity", (decide(s.K(n), [added(n) for _ in range(per_level)], n)
+                                       for n in levels), note))
+    nested = max(1, per_level // 2)
+    checks.append(audit("nesting", (decide(n + 1, [s.draw(n, rng) for _ in range(nested)])
+                                    for n in levels if n + 1 <= s.n_max)))
 
     density_threshold = s.density_threshold()
     worst = 0.0

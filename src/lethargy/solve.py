@@ -21,16 +21,18 @@ from __future__ import annotations
 
 import bisect
 import csv
+import functools
 import math
 from dataclasses import dataclass, field
 from itertools import chain, combinations
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 from scipy import linalg
 from scipy.optimize import linprog
 
-from .space import POWER_SUM_FLOOR, Space, SpaceError, _norm_unchecked, _unit_scaled, norm
+from .space import (POWER_SUM_FLOOR, Space, SpaceError, _norm_unchecked, _unit_scaled,
+                    column_norms, norm)
 
 LP_TOL = 1e-10
 EXCHANGE_MAX_ITER = 100
@@ -471,18 +473,64 @@ def _diag_gram(space: Space, atoms: np.ndarray) -> np.ndarray:
 
 
 def _gram(space: Space, atoms: np.ndarray) -> np.ndarray:
+    """A^T W A, as B^T B for B = W^(1/2) A (one symmetric rank-k update)."""
     if space.carrier == "grid":
-        return atoms.T @ (atoms * space.grid.weights[:, None])
+        atoms = atoms * np.sqrt(space.grid.weights)[:, None]
     return atoms.T @ atoms
 
 
-def _dictionary_is_orthonormal(space: Space, atoms: np.ndarray) -> bool:
+def _dictionary_is_orthonormal(space: Space, atoms: np.ndarray, gram: Callable) -> bool:
+    """`gram()` returns the atoms' Gram matrix; it is called only for an L2
+    dictionary of at most 256 atoms."""
     if atoms.shape[1] > 256 or not _is_l2(space):
         return False
-    return bool(np.allclose(_gram(space, atoms), np.eye(atoms.shape[1]), atol=1e-10))
+    return bool(np.allclose(gram(), np.eye(atoms.shape[1]), atol=1e-10))
 
 
-def _nterm_l2_candidates(space: Space, atoms: np.ndarray, x: np.ndarray, n: int) -> list:
+def _support_fits(space: Space, atoms: np.ndarray, xs: np.ndarray,
+                  supports: list) -> np.ndarray:
+    """The residual norm of each row of `xs` after a least-squares fit on the
+    atoms of its nonempty support, all fitted together.
+
+    The Gram matrix of the atoms the supports use and their inner products with
+    every row are formed once.  Each support's block, padded to the largest
+    support by an identity block that is decoupled from it, is solved by one
+    batched `eigh`, which drops the eigenvalues at or below sqrt(eps) times the
+    largest: the rounding-level ones of dependent atoms, such as a parent with
+    both children.  The residuals x - A_S c of these explicit combinations of
+    the support's atoms are formed by one product and measured in the space's
+    norm, so each value is an achieved distance and a poor solve can only
+    overstate it; an overflowing residual reads infinity.
+    """
+    used, at = np.unique(np.concatenate(supports), return_inverse=True)
+    cols = atoms[:, used]
+    sizes = np.array([len(support) for support in supports])
+    width = int(sizes.max())
+    real = np.arange(width) < sizes[:, None]
+    rows = np.full(real.shape, used.size)  # padding points at a zero row and column
+    rows[real] = at
+    batch = np.arange(len(xs))[:, None]
+    gram = np.zeros((used.size + 1, used.size + 1))
+    gram[:-1, :-1] = _gram(space, cols)
+    blocks = gram[rows[:, :, None], rows[:, None, :]]
+    blocks[:, range(width), range(width)] += ~real
+    rhs = np.zeros((used.size + 1, len(xs)))
+    rhs[:-1] = _inner_products(space, cols, xs.T)
+    lam, vec = np.linalg.eigh(blocks)
+    proj = np.einsum("bij,bi->bj", vec, rhs[rows, batch])
+    kept = lam > math.sqrt(np.finfo(float).eps) * lam[:, -1:]
+    proj = np.where(kept, proj / np.where(kept, lam, 1.0), 0.0)
+    coef = np.zeros_like(rhs)
+    coef[rows, batch] = np.einsum("bij,bj->bi", vec, proj)
+    resid = coef[:-1].T @ cols.T
+    np.subtract(xs, resid, out=resid)
+    finite = np.isfinite(resid).all(axis=1)
+    resid[~finite] = 0.0
+    return np.where(finite, column_norms(space, resid.T), math.inf)
+
+
+def _nterm_l2_candidates(space: Space, atoms: np.ndarray, x: np.ndarray, n: int,
+                         gram: Optional[Callable] = None) -> list:
     """The n-subsets, in `combinations` order, that may hold the least L2 error.
 
     Each subset S gets the estimate x^T W x - c_S^T G_SS^{-1} c_S of its squared
@@ -495,14 +543,15 @@ def _nterm_l2_candidates(space: Space, atoms: np.ndarray, x: np.ndarray, n: int)
     is kept when its estimate minus err does not exceed the least estimate
     plus its err, and always when its block is singular or k > 1/sqrt(eps).
     The kept subsets are re-measured directly, so the first least value in
-    `combinations` order is the same as fitting every subset.
+    `combinations` order is the same as fitting every subset.  `gram()` returns
+    G (by default it is built here).
     """
     n_rows, n_atoms = atoms.shape
     eps = np.finfo(float).eps
     c = _inner_products(space, atoms, x)
     xx = _norm_unchecked(space, x) ** 2
     diag = _diag_gram(space, atoms)
-    gram = _gram(space, atoms) if n > 1 else None
+    gram = (gram or functools.partial(_gram, space, atoms))() if n > 1 else None
     count = math.comb(n_atoms, n)
     subsets = np.fromiter(chain.from_iterable(combinations(range(n_atoms), n)), dtype=np.intp,
                           count=count * n).reshape(count, n)
@@ -530,11 +579,12 @@ def _nterm_l2_candidates(space: Space, atoms: np.ndarray, x: np.ndarray, n: int)
     return [tuple(row) for row in subsets[keep].tolist()]
 
 
-def _nterm_exhaustive(space: Space, atoms: np.ndarray, x: np.ndarray, n: int):
+def _nterm_exhaustive(space: Space, atoms: np.ndarray, x: np.ndarray, n: int,
+                      gram: Optional[Callable] = None):
     """Best n-term fit over every n-subset of the atoms, the first least value in
     `combinations` order.  In L2 a batched screen picks the subsets to fit."""
     if n > 0 and _is_l2(space):
-        subsets = _nterm_l2_candidates(space, atoms, x, n)
+        subsets = _nterm_l2_candidates(space, atoms, x, n, gram)
     else:
         subsets = combinations(range(atoms.shape[1]), n)
     best = (math.inf, None, "exact", {})
@@ -632,14 +682,16 @@ def _nterm_levels(space: Space, atoms: np.ndarray, x: np.ndarray, levels: list, 
     rounding, except where rounding decides a tie (a chosen parent's two
     children tie, with the same span and value).  The search runs on x
     scaled by a power of two (`_unit_scaled`), so no Gram sum overflows and
-    the fits scale exactly with x.
+    the fits scale exactly with x.  The Gram matrix is built at most once, when
+    the orthonormality test or an L2 exhaustive level above 1 first needs it.
     """
     x, e = _unit_scaled(x)
     n_atoms = atoms.shape[1]
     out: dict = {}
     greedy = []
     order = None
-    if max(levels) > 0 and _dictionary_is_orthonormal(space, atoms):
+    gram = functools.cache(functools.partial(_gram, space, atoms))
+    if max(levels) > 0 and _dictionary_is_orthonormal(space, atoms, gram):
         b = _inner_products(space, atoms, x)
         order = np.argsort(-np.abs(b))
     for level in levels:
@@ -654,7 +706,7 @@ def _nterm_levels(space: Space, atoms: np.ndarray, x: np.ndarray, levels: list, 
                           {"solver": "orthonormal-top-coefficients",
                            "subset": sorted(int(i) for i in top)})
         elif math.comb(n_atoms, n) <= EXHAUSTIVE_SUBSET_LIMIT:
-            out[level] = _nterm_exhaustive(space, atoms, x, n)
+            out[level] = _nterm_exhaustive(space, atoms, x, n, gram)
         else:
             greedy.append(level)  # level < n_atoms here, since comb(n_atoms, n_atoms) = 1
     if greedy:

@@ -211,8 +211,9 @@ def column_norms(space: Space, cols: np.ndarray) -> np.ndarray:
 
     On lp grids and coordinates the sums of powers of all columns are formed
     in one pass over the transposed array: a row sum is the same pairwise sum
-    as `norm`'s over one column.  Other norms, columns `norm` would refuse,
-    and sums outside [POWER_SUM_FLOOR, inf) take `norm` column by column.
+    as `norm`'s over one column, and a zero column's norm is 0.  Other norms,
+    columns `norm` would refuse, and the sums of nonzero columns outside
+    [POWER_SUM_FLOOR, inf) take `norm` column by column.
     """
     cols = np.asarray(cols, dtype=float)
     if (space.norm_kind != "lp" or len(space.shape) != 1 or cols.ndim != 2
@@ -220,10 +221,12 @@ def column_norms(space: Space, cols: np.ndarray) -> np.ndarray:
         return np.array([norm(space, cols[:, j]) for j in range(cols.shape[1])])
     p = space.p
     a = np.abs(np.ascontiguousarray(cols.T))
-    totals = np.sum(space.grid.weights * a**p if space.carrier == "grid" else a**p, axis=1)
-    return np.array([norm(space, cols[:, j]) if not POWER_SUM_FLOOR <= t < math.inf
-                     else math.sqrt(t) if p == 2.0 else float(t ** (1.0 / p))
-                     for j, t in enumerate(totals)])
+    a **= p  # in place, the same powers as a**p
+    if space.carrier == "grid":
+        a *= space.grid.weights
+    return np.array([math.sqrt(t) if p == 2.0 else float(t ** (1.0 / p))
+                     if POWER_SUM_FLOOR <= t < math.inf or not cols[:, j].any()
+                     else norm(space, cols[:, j]) for j, t in enumerate(np.sum(a, axis=1))])
 
 
 def _unit_scaled(a: np.ndarray) -> tuple:

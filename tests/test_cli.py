@@ -572,8 +572,8 @@ class TestWitnessOps:
 # ill-typed value for each of scheme.DESC_TYPES
 VALID = {"an integer": 3, "a number": 1.5, "a string": "x", "an object": {},
          "a string or an object": "x", "a list of integers": [1], "a list of numbers": [1.0]}
-ILL_TYPED = {"an integer": 5.7, "a number": "1", "a string": 3, "an object": [],
-             "a string or an object": 3, "a list of integers": "12", "a list of numbers": ["x"],
+ILL_TYPED = {"an integer": 5.7, "a positive integer": 0, "a number": "1", "a string": 3,
+             "an object": [], "a string or an object": 3, "a list of integers": "12", "a list of numbers": ["x"],
              "one of interval, interval-cells, torus": "interval_cells"}
 
 
@@ -684,9 +684,18 @@ class TestConfigCheck:
          "witness task: params.op must be one of c0, quantizer, haar-bumps, bv, ridge, "
          "orthonormal, wavelet, translates, tensor, not 'dance'"),
         ({"task": "witness", "params": {}}, "witness task: params.op must be one of c0,"),
+        ({"task": "validate", "scheme": "interleaved-c0", "params": {"trials": 0}},
+         "params of validate: trials must be a positive integer, not 0"),
+        ({"task": "validate", "scheme": "interleaved-c0", "params": {"trials": -3}},
+         "params of validate: trials must be a positive integer, not -3"),
+        ({"task": "witness", "params": {"op": "ridge", "n": 2, "starts": 0}},
+         "params of witness ridge: starts must be a positive integer, not 0"),
+        ({"task": "witness", "params": {"op": "translates", "n": 2, "m": 5, "trials": 0}},
+         "params of witness translates: trials must be a positive integer, not 0"),
     ], ids=["m-float", "density-levels-string", "shapiro-levels-string", "n_max-bool",
             "seed-string", "misspelled-trials", "missing-m", "scheme-on-witness",
-            "csv-on-validate", "unknown-op", "missing-op"])
+            "csv-on-validate", "unknown-op", "missing-op", "trials-zero", "trials-negative",
+            "ridge-starts-zero", "translates-trials-zero"])
     def test_config_the_task_would_misread_is_refused(self, tmp_path, capsys, config, message):
         assert _refused(tmp_path, capsys, config).startswith(f"error: {message}")
 

@@ -290,6 +290,18 @@ def test_one_greedy_run_per_nterm_profile(rng, monkeypatch):
     assert lstsq == []
 
 
+@pytest.mark.parametrize("name,grams", [("char-binary-intervals", 1),
+                                         ("haar-wavelet-nterm", 0), ("orthonormal-nterm", 1)])
+def test_one_gram_per_nterm_profile(name, grams, rng, monkeypatch):
+    # the orthonormality test and the level-2 screen share one Gram matrix; a
+    # dictionary of over 256 atoms needs neither
+    s = SCHEMES[name]
+    x = rng.standard_normal(s.space.shape)
+    calls = _count(monkeypatch, solve, "_gram")
+    error_profile(s.space, x, s, s.n_max)
+    assert len(calls) == grams
+
+
 def test_greedy_fits_do_not_revalidate(rng, monkeypatch):
     s = SCHEMES["haar-wavelet-nterm"]
     x = rng.standard_normal(s.space.shape)

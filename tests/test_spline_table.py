@@ -197,13 +197,11 @@ def test_certificate_agrees_with_the_dp(npts, norm_kind, degree, level, seed):
     rng = np.random.default_rng(seed)
     x, edges = s.draw(level, rng)
     lam = float(rng.standard_normal() * 3.0)
-    assert s.certified_member(lam * x, level, edges) == membership(s, lam * x, level)
-    assert s.certified_member(x, level + 1, edges) == membership(s, x, level + 1)
-    state = rng.bit_generator.state
-    added = s.additive(level, rng)
-    rng.bit_generator.state = state
-    a, b = sample_element(s, level, rng), sample_element(s, level, rng)
-    assert added == membership(s, a + b, s.K(level))
+    assert s.certified_members([lam * x], level, [edges]) == [membership(s, lam * x, level)]
+    assert s.certified_members([x], level + 1, [edges]) == [membership(s, x, level + 1)]
+    (a, cuts_a), (b, cuts_b) = s.draw(level, rng), s.draw(level, rng)
+    added = s.certified_members([a + b], s.K(level), [np.union1d(cuts_a, cuts_b)], level)
+    assert added == [membership(s, a + b, s.K(level))]
 
 
 @settings(max_examples=40, deadline=None)
@@ -218,7 +216,7 @@ def test_a_moved_node_fails_the_certificate(npts, norm_kind, degree, level, seed
     y = x.copy()
     y[rng.integers(i, j)] += 1e-3 * norm(s.space, x)
     with mock.patch.object(scheme, "membership", wraps=membership) as decide:
-        decision = s.certified_member(y, level, edges)
+        [decision] = s.certified_members([y], level, [edges])
     assert decide.call_count == 1  # the certificate failed, and the DP decided
     assert decision == membership(s, y, level)
 
