@@ -9,9 +9,11 @@ perfbench/workloads.py lists them for benchmark seed SEED (replaying the
 reports that the workload replays).  Each call prints one JSON line: the workload,
 the operation, the call's number within it, the `repr` of the value and of
 `info["lower"]`, the solver, the iterations and the sha256 of the
-minimizer's bytes.  BLAS runs on one thread, as in the benchmark.  Diffing
-the output of two checkouts shows whether a change to the exchange moved any
-fit by a single bit.  The call count per workload goes to standard error.
+minimizer's bytes, and `"below_incumbent": true` for a fit stopped below
+its caller's incumbent.  BLAS runs on one thread, as in the benchmark.
+Diffing the output of two checkouts shows whether a change to the exchange
+moved any fit by a single bit.  The call count per workload goes to standard
+error.
 """
 
 import hashlib
@@ -37,15 +39,18 @@ def main() -> int:
     fit = solve._sup_fit
     where = {}
 
-    def digest(cols, x):
-        value, approx, info = fit(cols, x)
+    def digest(cols, x, *incumbent):
+        value, approx, info = fit(cols, x, *incumbent)
         where["call"] += 1
-        print(json.dumps({
+        line = {
             "workload": where["workload"], "op": where["op"], "call": where["call"],
             "value": repr(value), "lower": repr(info["lower"]), "solver": info["solver"],
             "iterations": info["iterations"],
             "approx": hashlib.sha256(np.ascontiguousarray(approx).tobytes()).hexdigest(),
-        }))
+        }
+        if "below_incumbent" in info:
+            line["below_incumbent"] = True
+        print(json.dumps(line))
         return value, approx, info
 
     solve._sup_fit = digest

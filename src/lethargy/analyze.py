@@ -54,6 +54,9 @@ def density_lower_bound(s: Scheme, n: int, candidates: Optional[Iterable] = None
 
     An explicit candidate pool is used as given; by default, kind-aware
     extremal candidates plus `extra_random` normalized samples are searched.
+    Each solve gets the best exact score so far as its incumbent, so a
+    candidate that cannot beat it may stop early, as "upper-bound"; the
+    certificate is the one the full solves would give.
     """
     rng = np.random.default_rng(rng_seed)
     if candidates is not None:
@@ -69,7 +72,8 @@ def density_lower_bound(s: Scheme, n: int, candidates: Optional[Iterable] = None
             continue
         cand = cand / nx
         try:
-            res = best_approx(s.space, cand, s, n, seed=rng_seed)
+            res = best_approx(s.space, cand, s, n, seed=rng_seed,
+                              incumbent=-math.inf if best is None else best[0])
         except NoSolverError:
             continue
         rigorous = res.status == "exact"
@@ -115,7 +119,8 @@ def monotone_envelope(bounds: list) -> list:
 
 
 def brudnyi_gap(s: Scheme, n_max: Optional[int] = None, rng_seed: int = 0) -> dict:
-    """min over n of the best found E(a, A_n) over unit a in A_{n+1}."""
+    """min over n of the best found E(a, A_n) over unit a in A_{n+1}; each
+    solve gets the level's best so far as its incumbent."""
     if n_max is None:
         n_max = s.n_max - 1
     n_max = min(n_max, s.n_max - 1)
@@ -124,7 +129,7 @@ def brudnyi_gap(s: Scheme, n_max: Optional[int] = None, rng_seed: int = 0) -> di
     for n in range(n_max + 1):
         best = 0.0
         for cand in gap_candidates(s, n, rng, count=4):
-            res = best_approx(s.space, cand, s, n, seed=rng_seed)
+            res = best_approx(s.space, cand, s, n, seed=rng_seed, incumbent=best)
             if res.status == "exact":
                 best = max(best, res.value)
         per.append(best)

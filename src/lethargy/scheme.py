@@ -264,6 +264,11 @@ class Scheme:
     overrides the defaults below where it knows more.  The module-level entry
     points (here and `solve.best_approx`, `solve.error_profile`) check their
     input and call these methods.
+
+    `solve(space, x, n, seed, incumbent)` returns E(x, A_n) as a BestApprox.
+    It may stop once an achieved value proves E(x, A_n) below `incumbent`,
+    the best value of a caller's search so far, and return that value with
+    status "upper-bound"; only sup-norm chains do.
     """
 
     kind: ClassVar[str]
@@ -369,8 +374,10 @@ class Chain(Scheme):
     def chain_dim(self, n: int) -> int:
         return int(self.level_dims[n])
 
-    def solve(self, space: Space, x: np.ndarray, n: int, seed: int) -> BestApprox:
-        return BestApprox(*_fit_in_span(space, self.basis[:, : self.chain_dim(min(n, self.n_max))], x))
+    def solve(self, space: Space, x: np.ndarray, n: int, seed: int, incumbent: float) -> BestApprox:
+        if n > self.n_max:
+            raise SolverError(f"chain level {n} beyond the window 0..{self.n_max} has no basis columns")
+        return BestApprox(*_fit_in_span(space, self.basis[:, : self.chain_dim(n)], x, incumbent))
 
     def profile(self, space, x, n_max, seed):
         """L2 chains: one QR."""
@@ -455,7 +462,7 @@ class NTerm(Scheme):
             space, max_level=level if max_level is None else max_level, budget=budget)
         return cls(space, n_max, label, desc, 2 * np.arange(n_max + 1), dictionary=dictionary)
 
-    def solve(self, space, x, n, seed):
+    def solve(self, space, x, n, seed, incumbent):
         return BestApprox(*_nterm_levels(space, self.dictionary.atoms, x, [n], seed)[n])
 
     def profile(self, space, x, n_max, seed):
@@ -545,7 +552,7 @@ class Quantizer(Scheme):
     def m_of(self, n: int) -> int:
         return int(self.value_budget[n])
 
-    def solve(self, space, x, n, seed):
+    def solve(self, space, x, n, seed, incumbent):
         if n > self.n_max:
             raise SolverError("quantizer level beyond the window has no declared budget")
         return quantizer_error(space, x, self.m_of(n))
@@ -604,7 +611,7 @@ class InterleavedC0(Scheme):
             raise SchemeError("levels beyond 2*cap-1 coincide with the whole space")
         return cls(Space.sup_coords(cap), n_max, label, desc, np.arange(n_max + 1) + 1, cap=cap)
 
-    def solve(self, space, x, n, seed):
+    def solve(self, space, x, n, seed, incumbent):
         if space.norm_kind != "sup":
             raise NoSolverError("interleaved-c0 solver is defined for the sup norm")
         value, y = _interleaved_error(self.cap, np.asarray(x, dtype=float), n)
@@ -661,7 +668,7 @@ class Spline(Scheme):
         gap = np.minimum(2 * np.arange(n_max + 1), space.grid.size - 2)
         return cls(space, n_max, label, desc, gap, degree=degree)
 
-    def solve(self, space, x, n, seed):
+    def solve(self, space, x, n, seed, incumbent):
         """Sup norm: greedy segmentation; L_p: dynamic program over grid-node breakpoints."""
         if space.norm_kind == "sup":
             return BestApprox(*_spline_sup(space, x, self.degree, n + 1))
@@ -721,7 +728,7 @@ class Rank(Scheme):
         n_max = space.dim if n_max is None else n_max
         return cls(space, n_max, label, desc, np.minimum(2 * np.arange(n_max + 1), space.dim))
 
-    def solve(self, space, x, n, seed):
+    def solve(self, space, x, n, seed, incumbent):
         return BestApprox(*_rank_error(space, x, n))
 
     def profile(self, space, x, n_max, seed):

@@ -6,9 +6,17 @@ value - lower <= LP_TOL * max(1, ||x||_inf) by discrete exchange, and the
 rare LP fallback runs at HiGHS default tolerances (about 1e-7); SVD is exact
 to machine precision, closed forms to rounding.  "upper-bound" means the value
 is an achieved distance that may exceed the infimum (IRLS, greedy n-term
-selection).  A value is always achievable, so it is never below the true
-error by more than the solver tolerance.  Sup fits record in their info the
-solver ("exchange" or "lp"), its iterations and the lower bound.
+selection, and a sup fit stopped below its caller's incumbent).  A value is
+always achievable, so it is never below the true error by more than the
+solver tolerance.  Sup fits record in their info the solver ("exchange" or
+"lp"), its iterations and the lower bound.
+
+A caller that keeps the best of several candidates passes `best_approx` its
+incumbent, the best value so far.  A solver may then stop as soon as an
+achieved value proves the candidate cannot beat it, and report that value
+with status "upper-bound".  Only the sup exchange stops, at a step whose
+value + INCUMBENT_MARGIN * max(1, ||x||_inf) is below the incumbent; the fit
+run to its end could not have reached it (info "below_incumbent").
 
 The quantizer and the sup-norm free-knot spline share one min-max
 segmentation solver (`_min_max_cells`), which also brackets its value: the
@@ -38,6 +46,7 @@ LP_TOL = 1e-10
 EXCHANGE_MAX_ITER = 100
 EXCHANGE_ROUNDING = 1e-13  # a closed exchange bracket this narrow (relative) is rounding
 EXCHANGE_MAX_COND = 1e12  # a reference system with ||A||_inf ||A^-1||_inf above this is singular
+INCUMBENT_MARGIN = 1e-6  # above LP_TOL and HiGHS's 1e-7 feasibility tolerance, relative
 IRLS_MAX_ITER = 500
 IRLS_REL_TOL = 1e-10
 IRLS_WEIGHT_FLOOR = 1e-12
@@ -101,7 +110,7 @@ def _sup_fit_lp(cols: np.ndarray, x: np.ndarray):
     return float(np.max(np.abs(x - approx))), coef, approx
 
 
-def _sup_fit(cols: np.ndarray, x: np.ndarray):
+def _sup_fit(cols: np.ndarray, x: np.ndarray, incumbent: float = -math.inf):
     """Chebyshev fit over the columns by discrete exchange, LP when its bracket stays open.
 
     The exchange (Remez; Stiefel's discrete form) solves the (d+1)x(d+1)
@@ -123,7 +132,13 @@ def _sup_fit(cols: np.ndarray, x: np.ndarray):
     working precision (||system||_inf ||inv||_inf > EXCHANGE_MAX_COND; `inv`
     need not raise, e.g. on a repeated column), checked once per fit.
 
-    Returns (value, approx, info); info holds solver, iterations and lower.
+    A step whose value + INCUMBENT_MARGIN * max(1, ||x||_inf) is below
+    `incumbent` ends the fit with that value: it bounds the best error from
+    above, and the fit run to its end (at most the best error plus tol, or
+    plus the LP's tolerance) could not have reached the incumbent either.
+
+    Returns (value, approx, info); info holds solver, iterations and lower,
+    and "below_incumbent" for a fit so stopped.
     """
     n, d = cols.shape
     scale = max(1.0, float(np.max(np.abs(x))))
@@ -155,6 +170,9 @@ def _sup_fit(cols: np.ndarray, x: np.ndarray):
             bound = abs(float(sol[d])) / float(np.abs(inv[d]).sum())
             if bound > lower:
                 lower, lower_system = bound, current
+            if value + INCUMBENT_MARGIN * scale < incumbent:
+                return value, approx, {"solver": "exchange", "iterations": it, "lower": lower,
+                                       "tol": LP_TOL, "below_incumbent": True}
             if best is not None and value >= best[0]:
                 break
             if value - lower <= tol:
@@ -274,11 +292,12 @@ def _is_l2(space: Space) -> bool:
     return space.norm_kind == "lp" and space.p == 2.0
 
 
-def _fit_in_span(space: Space, cols: np.ndarray, x: np.ndarray):
-    """Dispatch a linear best-approximation by the space's norm."""
+def _fit_in_span(space: Space, cols: np.ndarray, x: np.ndarray, incumbent: float = -math.inf):
+    """Dispatch a linear best-approximation by the space's norm; only the sup
+    fit stops below `incumbent`."""
     if space.norm_kind == "sup":
-        value, approx, info = _sup_fit(cols, x)
-        return value, approx, "exact", info
+        value, approx, info = _sup_fit(cols, x, incumbent)
+        return value, approx, "upper-bound" if "below_incumbent" in info else "exact", info
     if space.norm_kind == "lp":
         if space.p == 2.0:
             value, _, approx = _weighted_l2_fit(space, cols, x)
@@ -964,13 +983,20 @@ def _chain_l2_values(space: Space, basis: np.ndarray, dims: list, x: np.ndarray)
 # -- entry point --------------------------------------------------------------------
 
 
-def best_approx(space: Space, x: np.ndarray, s, n: int, seed: int = 0) -> BestApprox:
+def best_approx(space: Space, x: np.ndarray, s, n: int, seed: int = 0,
+                incumbent: float = -math.inf) -> BestApprox:
     """E(x, A_n) with minimizer and exactness status from the solver of the
-    scheme `s`; a value that is not finite raises SolverError."""
+    scheme `s`; a value that is not finite raises SolverError.
+
+    `incumbent` is the best value a caller searching for the largest E has
+    so far.  The solver may stop once an achieved value proves E(x, A_n)
+    below it, and return that value with status "upper-bound"; an x whose
+    fit run to its end would beat or tie the incumbent is solved as without
+    one."""
     x = space.check(x)
     if n < 0:
         raise SolverError("level n must be >= 0")
-    res = s.solve(space, x, n, seed)
+    res = s.solve(space, x, n, seed, incumbent)
     if not math.isfinite(res.value):
         raise SolverError(NOT_FINITE)
     return res

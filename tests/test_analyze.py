@@ -1,8 +1,10 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
+import lethargy.solve as solve
 from lethargy.analyze import (
     AnalyzeError,
     bernstein_audit,
@@ -17,8 +19,8 @@ from lethargy.analyze import (
     seminorm,
     shapiro_check,
 )
-from lethargy.scheme import build_scheme, density_candidates
-from lethargy.solve import best_approx
+from lethargy.scheme import build_scheme, density_candidates, gap_candidates
+from lethargy.solve import NoSolverError, best_approx
 from lethargy.space import Grid, Space, norm
 
 
@@ -92,6 +94,85 @@ class TestBrudnyiGap:
     def test_monomial_chain_gap_near_one(self, small_monomial_chain):
         rep = brudnyi_gap(small_monomial_chain, n_max=4, rng_seed=2)
         assert rep["gamma"] >= 0.99
+
+
+def oracle_density_lower_bound(s, n, rng_seed):
+    """`density_lower_bound` with its default pool, as written before the
+    searches passed incumbents: every candidate solved to the end."""
+    rng = np.random.default_rng(rng_seed)
+    best = None
+    for cand in density_candidates(s, min(n, s.n_max), rng, count=6):
+        nx = norm(s.space, cand)
+        if nx < 1e-12:
+            continue
+        cand = cand / nx
+        try:
+            res = best_approx(s.space, cand, s, n, seed=rng_seed)
+        except NoSolverError:
+            continue
+        score = res.value if res.status == "exact" else -math.inf
+        if best is None or score > best[0]:
+            best = (score, cand, res)
+    _, element, res = best
+    status = "exact" if res.status == "exact" else "empirical"
+    return n, res.value if status == "exact" else 0.0, res.value, status, element.tobytes()
+
+
+def oracle_brudnyi_gap(s, rng_seed):
+    """`brudnyi_gap` over its default levels, as written before the searches
+    passed incumbents."""
+    rng = np.random.default_rng(rng_seed)
+    per = []
+    for n in range(s.n_max):
+        best = 0.0
+        for cand in gap_candidates(s, n, rng, count=4):
+            res = best_approx(s.space, cand, s, n, seed=rng_seed)
+            if res.status == "exact":
+                best = max(best, res.value)
+        per.append(best)
+    return {"gamma": min(per) if per else 0.0, "per_level": per, "levels": list(range(s.n_max))}
+
+
+def sup_fit_iterations(search, *args, **kwargs) -> int:
+    """The exchange steps of every `_sup_fit` that `search(*args, **kwargs)` runs."""
+    fit, steps = solve._sup_fit, []
+
+    def counted(*fit_args):
+        out = fit(*fit_args)
+        steps.append(out[2]["iterations"])
+        return out
+
+    with mock.patch.object(solve, "_sup_fit", counted):
+        search(*args, **kwargs)
+    return sum(steps)
+
+
+INCUMBENT_SCHEMES = ["monomial-chain", "trig-chain", "quantizer-linear", "interleaved-c0"]
+
+
+class TestIncumbentSearch:
+    """The searches stop a candidate that cannot beat their best so far, and
+    give what the full solves gave."""
+
+    @pytest.mark.parametrize("name", INCUMBENT_SCHEMES)
+    def test_certificates_equal_the_full_search(self, name):
+        s = build_scheme(name)
+        for seed in range(3):
+            for n in range(s.n_max + 1):
+                c = density_lower_bound(s, n, rng_seed=seed)
+                got = c.level, c.bound, c.solver_value, c.status, c.element.tobytes()
+                assert got == oracle_density_lower_bound(s, n, seed), (seed, n)
+
+    @pytest.mark.parametrize("name", INCUMBENT_SCHEMES)
+    def test_gap_equals_the_full_search(self, name):
+        s = build_scheme(name)
+        for seed in range(3):
+            assert brudnyi_gap(s, rng_seed=seed) == oracle_brudnyi_gap(s, seed)
+
+    def test_the_density_search_takes_fewer_exchange_steps(self):
+        s = build_scheme("monomial-chain")
+        steps = sup_fit_iterations(density_lower_bound, s, 8, rng_seed=3)
+        assert steps < sup_fit_iterations(oracle_density_lower_bound, s, 8, 3)
 
 
 class TestShapiro:

@@ -692,10 +692,15 @@ class TestConfigCheck:
          "params of witness ridge: starts must be a positive integer, not 0"),
         ({"task": "witness", "params": {"op": "translates", "n": 2, "m": 5, "trials": 0}},
          "params of witness translates: trials must be a positive integer, not 0"),
+        ({"task": "density", "scheme": "monomial-chain", "params": {"levels": [17]}},
+         "chain level 17 beyond the window 0..12 has no basis columns"),
+        ({"task": "shapiro", "scheme": "trig-chain", "params": {"levels": [14]}},
+         "chain level 14 beyond the window 0..10 has no basis columns"),
     ], ids=["m-float", "density-levels-string", "shapiro-levels-string", "n_max-bool",
             "seed-string", "misspelled-trials", "missing-m", "scheme-on-witness",
             "csv-on-validate", "unknown-op", "missing-op", "trials-zero", "trials-negative",
-            "ridge-starts-zero", "translates-trials-zero"])
+            "ridge-starts-zero", "translates-trials-zero", "density-chain-beyond-window",
+            "shapiro-chain-beyond-window"])
     def test_config_the_task_would_misread_is_refused(self, tmp_path, capsys, config, message):
         assert _refused(tmp_path, capsys, config).startswith(f"error: {message}")
 

@@ -1,5 +1,7 @@
 """The discrete exchange behind every sup-norm fit, against the HiGHS LP oracle."""
 
+import math
+
 import numpy as np
 import pytest
 from unittest import mock
@@ -8,7 +10,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lethargy.solve as solve
-from lethargy.solve import LP_TOL, _exchange_reference, _sup_fit, _sup_fit_lp
+from lethargy.solve import (INCUMBENT_MARGIN, LP_TOL, _exchange_reference, _fit_in_span, _sup_fit,
+                           _sup_fit_lp)
+from lethargy.space import Space
 
 VALUES = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
 
@@ -181,3 +185,47 @@ def test_fits_match_the_oracle_exchange(case):
         want = _sup_fit(cols, x)
     assert (value, info) == (want[0], want[2])
     assert approx.tobytes() == want[1].tobytes()
+
+
+@st.composite
+def incumbent_problems(draw):
+    """Monomial or trig columns (d = 1..9) on 33..257 nodes, one in six with a
+    repeated column (every reference singular: the LP decides); x random or
+    near a member, at scale 1 or 2^+-40."""
+    size = draw(st.integers(33, 257))
+    if draw(st.booleans()):
+        cols = poly_columns(size, draw(st.integers(1, 9)))
+    else:
+        cols = trig_columns(size, draw(st.integers(0, 4)))
+    if draw(st.integers(0, 5)) == 0:
+        cols = np.column_stack([cols, cols[:, -1]])
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.standard_normal(size)
+    if draw(st.booleans()):
+        x = cols @ rng.standard_normal(cols.shape[1]) + 1e-9 * x
+    return cols, np.ldexp(x, draw(st.sampled_from([0, 40, -40])))
+
+
+@settings(max_examples=40, deadline=None)
+@given(incumbent_problems())
+def test_a_fit_stops_only_below_its_incumbent(problem):
+    """A fit with an incumbent is the fit without one, bit for bit, unless it
+    stopped as "upper-bound" at an achieved value that, and the full fit's
+    value, lie below the incumbent."""
+    cols, x = problem
+    space = Space.sup_coords(x.size)
+    scale = max(1.0, float(np.max(np.abs(x))))
+    full_value, full_approx, full_info = _sup_fit(cols, x)
+    for incumbent in (-math.inf, 0.0, math.inf,
+                      *(full_value * (1.0 + sign * delta)
+                        for delta in (1e-3, 1e-7, 1e-12) for sign in (1, -1))):
+        value, approx, status, info = _fit_in_span(space, cols, x, incumbent)
+        if "below_incumbent" not in info:
+            assert (value, status, info) == (full_value, "exact", full_info)
+            assert approx.tobytes() == full_approx.tobytes()
+            continue
+        assert (status, info["solver"], info["below_incumbent"]) == ("upper-bound", "exchange", True)
+        assert value + INCUMBENT_MARGIN * scale < incumbent
+        assert full_value < incumbent
+        assert value == float(np.max(np.abs(x - approx)))  # an achieved distance
+        assert incumbent < math.inf or info["iterations"] == 1  # the first step stops at once
