@@ -21,8 +21,15 @@ run to its end could not have reached it (info "below_incumbent").
 The quantizer and the sup-norm free-knot spline share one min-max
 segmentation solver (`_min_max_cells`), which also brackets its value: the
 quantizer's bracket closes exactly, and a sup spline is "exact" only when its
-bracket closes within LP_TOL * max(1, ||x||_inf).  Their info records the
-solver, the number of greedy passes ("iterations") and the lower bound.
+bracket closes within LP_TOL.  Their info records the solver, the number of
+greedy passes ("iterations") and the lower bound.
+
+`best_approx` and `error_profile` are the one scaling boundary: every solve
+runs on x scaled by a power of two so that max |x| lies in (1/2, 1], and is
+scaled back.  On that path the tolerances written with max(1, ||x||_inf)
+are relative to the element.  The fits called directly keep them absolute
+below ||x||_inf = 1: `Spline.certified_members` through `_spline_on_cells`,
+and the witness fits through `_irls_fit`.
 """
 
 from __future__ import annotations
@@ -130,7 +137,9 @@ def _sup_fit(cols: np.ndarray, x: np.ndarray, incumbent: float = -math.inf):
     the fit to the LP, which runs at HiGHS default tolerances.  So does a
     closed bracket whose system, or the one behind `lower`, is singular to
     working precision (||system||_inf ||inv||_inf > EXCHANGE_MAX_COND; `inv`
-    need not raise, e.g. on a repeated column), checked once per fit.
+    need not raise, e.g. on a repeated column), checked once per fit.  On the
+    solve path ||x||_inf <= 1, so tol = LP_TOL is relative to x; a direct
+    caller with a smaller x gets an absolute bracket.
 
     A step whose value + INCUMBENT_MARGIN * max(1, ||x||_inf) is below
     `incumbent` ends the fit with that value: it bounds the best error from
@@ -256,6 +265,9 @@ def _irls_fit(cols: np.ndarray, x: np.ndarray, quad: np.ndarray, p: float):
     """Iteratively reweighted least squares for 1 <= p < infinity in the norm
     (sum_i quad_i |r_i|^p)^(1/p), with quadrature weights `quad`.
 
+    Residuals are floored at IRLS_WEIGHT_FLOOR * max(1, ||x||_inf) in the
+    weights: relative on the solve path, where ||x||_inf <= 1, and absolute
+    below ||x||_inf = 1 for the witness fits that call this directly.
     Returns an achieved (upper-bound) value with a convergence certificate.
     """
     def power_norm(resid: np.ndarray) -> float:
@@ -339,6 +351,8 @@ def _min_max_cells(n: int, k: int, cell_end, cell_cost, tol: float):
     partition at t = hi, so it depends on the data only (the best partition
     seen, should rounding in the upper values make that pass infeasible).
 
+    The callers pass tol 0 (the quantizer) or LP_TOL (the sup spline, whose
+    x arrives scaled to ||x||_inf <= 1, so that tol is relative to it).
     Returns (lo, bounds, passes): bounds are the cell starts followed by n.
     """
     def greedy(t: float) -> list:
@@ -699,12 +713,10 @@ def _nterm_levels(space: Space, atoms: np.ndarray, x: np.ndarray, levels: list, 
     bases that skip picks adding no rank, so an L2 level needs no
     least-squares solve; its values follow a per-restart `lstsq` pursuit to
     rounding, except where rounding decides a tie (a chosen parent's two
-    children tie, with the same span and value).  The search runs on x
-    scaled by a power of two (`_unit_scaled`), so no Gram sum overflows and
-    the fits scale exactly with x.  The Gram matrix is built at most once, when
-    the orthonormality test or an L2 exhaustive level above 1 first needs it.
+    children tie, with the same span and value).  The Gram matrix is built at
+    most once, when the orthonormality test or an L2 exhaustive level above 1
+    first needs it.
     """
-    x, e = _unit_scaled(x)
     n_atoms = atoms.shape[1]
     out: dict = {}
     greedy = []
@@ -730,8 +742,7 @@ def _nterm_levels(space: Space, atoms: np.ndarray, x: np.ndarray, levels: list, 
             greedy.append(level)  # level < n_atoms here, since comb(n_atoms, n_atoms) = 1
     if greedy:
         out.update(_nterm_greedy(space, atoms, x, greedy, seed))
-    return {n: (float(np.ldexp(value, e)), np.ldexp(approx, e), status, info)
-            for n, (value, approx, status, info) in out.items()}
+    return out
 
 
 # -- free-knot splines ----------------------------------------------------------
@@ -774,7 +785,7 @@ def _spline_cost_table_l2(space: Space, x: np.ndarray, degree: int) -> np.ndarra
     x scaled by a power of two (`_unit_scaled`) and scaled back, so the
     squares z_j^2 of `_hankel_quad` do not underflow on a tiny x.
     """
-    x, e = _unit_scaled(x)
+    x, e = _unit_scaled(x)  # by 2^0 on the solve path; kept for direct callers of the table
     t, w = space.grid.nodes, space.grid.weights
     npts, d = t.size, degree  # d coefficients, moments of the powers 0 .. 2d-2
     cost = np.full((npts + 1, npts + 1), math.inf)
@@ -841,11 +852,12 @@ def _spline_sup(space: Space, x: np.ndarray, degree: int, pieces: int):
     A cell's cost is the minimax error of its degree-<degree> fit (`_sup_fit`,
     which brackets it), and it never grows when the cell shrinks, so each
     greedy cell end is found by galloping then bisecting over fits.  The
-    status is exact only when the segmentation bracket closed.
+    status is exact only when the segmentation bracket closed within LP_TOL,
+    relative to x: it is reached only through `best_approx`, so ||x||_inf <= 1.
     """
     nodes = space.grid.nodes
     npts = nodes.size
-    tol = LP_TOL * max(1.0, float(np.max(np.abs(x))))
+    tol = LP_TOL
     costs: dict = {}
 
     def cell_cost(s: int, e: int):
@@ -881,11 +893,8 @@ def _spline_lp(space: Space, x: np.ndarray, degree: int, knots: list) -> list:
     The cost table and the DP rows do not depend on the largest knot count,
     so one table and one DP to min(max(knots) + 1, npts) cells serve every count.
     Only the DP's choice of cuts reads the table: the chosen cells are refitted
-    by `_spline_on_cells`, and the value is re-measured on x - approx.  All
-    of it runs on x scaled by a power of two (`_unit_scaled`), so the table
-    neither overflows nor underflows and the fits scale exactly with x.
+    by `_spline_on_cells`, and the value is re-measured on x - approx.
     """
-    x, e = _unit_scaled(x)
     g = space.grid
     npts = g.size
     if npts > 2049:
@@ -917,8 +926,8 @@ def _spline_lp(space: Space, x: np.ndarray, degree: int, knots: list) -> list:
             cuts.append(int(arg[k, cuts[-1]]))
         cuts = cuts[::-1]
         approx = _spline_on_cells(space, x, degree, cuts)
-        fits.append((float(np.ldexp(_norm_unchecked(space, x - approx), e)), np.ldexp(approx, e),
-                     status, {"solver": "breakpoint-dp", "knot_nodes": cuts[1:-1]}))
+        fits.append((_norm_unchecked(space, x - approx), approx, status,
+                     {"solver": "breakpoint-dp", "knot_nodes": cuts[1:-1]}))
     return fits
 
 
@@ -936,6 +945,7 @@ def _rank_value(space: Space, sv: np.ndarray, n: int) -> float:
     total = np.sum(sv[n:] ** 2)
     if POWER_SUM_FLOOR <= total < math.inf:
         return float(np.sqrt(total))
+    # the tail can underflow even on a unit-scaled matrix: rescale the tail itself
     scaled, e = _unit_scaled(sv[n:])
     return float(np.ldexp(np.sqrt(np.sum(scaled**2)), e))
 
@@ -960,9 +970,7 @@ def _chain_l2_values(space: Space, basis: np.ndarray, dims: list, x: np.ndarray)
     element, factored in place (neither Q nor a copy of [a | b] is formed).
     R[i, -1] is b's coordinate on the i-th orthonormal column of a,
     so the residual at dimension d is sqrt(sum_{i >= d} |R[i, -1]|^2), a sum
-    of non-negative terms (no cancellation for members).  When the whole sum
-    lies outside [POWER_SUM_FLOOR, inf), the sums are formed again on R[:, -1]
-    scaled by a power of two.
+    of non-negative terms (no cancellation for members).
     """
     top = dims[-1]
     ab = np.empty((x.size, top + 1), dtype=np.result_type(basis, x), order="F")
@@ -971,12 +979,7 @@ def _chain_l2_values(space: Space, basis: np.ndarray, dims: list, x: np.ndarray)
     if space.carrier == "grid":
         ab *= np.sqrt(space.grid.weights)[:, None]
     _, r = linalg.qr(ab, overwrite_a=True, mode="raw", check_finite=False)
-    coords, e = np.abs(r[:, -1]), 0
-    tails = np.cumsum((coords**2)[::-1])[::-1]
-    if not POWER_SUM_FLOOR <= tails[0] < math.inf:
-        coords, e = _unit_scaled(coords)
-        tails = np.cumsum((coords**2)[::-1])[::-1]
-    roots = np.ldexp(np.sqrt(tails), e)
+    roots = np.sqrt(np.cumsum((np.abs(r[:, -1]) ** 2)[::-1])[::-1])
     return [float(roots[d]) if d < roots.size else 0.0 for d in dims]
 
 
@@ -992,14 +995,27 @@ def best_approx(space: Space, x: np.ndarray, s, n: int, seed: int = 0,
     so far.  The solver may stop once an achieved value proves E(x, A_n)
     below it, and return that value with status "upper-bound"; an x whose
     fit run to its end would beat or tie the incumbent is solved as without
-    one."""
-    x = space.check(x)
+    one.  The solver runs on x / 2^e with max |x / 2^e| in (1/2, 1], which is exact as A_n is
+    homogeneous; value, minimizer and info["lower"] scale back by 2^e, `incumbent` by 2^-e."""
+    x, e = _unit_scaled(space.check(x))
     if n < 0:
         raise SolverError("level n must be >= 0")
-    res = s.solve(space, x, n, seed, incumbent)
+    res = s.solve(space, x, n, seed, _ldexp(incumbent, -e))
+    if e:
+        if "lower" in res.info:
+            res.info["lower"] = _ldexp(res.info["lower"], e)
+        res = BestApprox(_ldexp(res.value, e), np.ldexp(res.minimizer, e), res.status, res.info)
     if not math.isfinite(res.value):
         raise SolverError(NOT_FINITE)
     return res
+
+
+def _ldexp(value: float, e: int) -> float:
+    """value * 2^e, infinite where that overflows."""
+    try:
+        return math.ldexp(value, e)
+    except OverflowError:
+        return math.copysign(math.inf, value)
 
 
 # -- profiles -----------------------------------------------------------------
@@ -1051,24 +1067,32 @@ def error_profile(space: Space, x: np.ndarray, s, n_max: int, seed: int = 0) -> 
 
     A kind with a whole-profile solve (`s.profile`) factors x once, and an
     error there becomes an entry at every level; the other kinds are solved
-    level by level.  A value that is not finite becomes an error entry.
+    level by level.  A value that is not finite becomes an error entry.  The
+    solves run on x scaled by a power of two, as in `best_approx`.
     """
     x = space.check(x)
     if n_max > s.n_max:
         raise SolverError(f"n_max {n_max} beyond the scheme window {s.n_max}")
     documented = (NoSolverError, SolverError, SpaceError)
     levels = list(range(n_max + 1))
+    scaled, k = _unit_scaled(x)  # `best_approx` scales it again by 2^0
+
+    def entry(n: int, value: float, status: str) -> ProfileEntry:
+        value = _ldexp(value, k)
+        if not math.isfinite(value):
+            return ProfileEntry(n, math.nan, "error", NOT_FINITE)
+        return ProfileEntry(n, value, status)
 
     def one(n: int) -> ProfileEntry:
         try:
-            r = best_approx(space, x, s, n, seed=seed)
-            return ProfileEntry(n, r.value, r.status)
+            r = best_approx(space, scaled, s, n, seed=seed)
+            return entry(n, r.value, r.status)
         except documented as exc:
             return ProfileEntry(n, math.nan, "error", str(exc))
 
     element_norm = None
     try:
-        whole = s.profile(space, x, n_max, seed) if levels else ([], None)
+        whole = s.profile(space, scaled, n_max, seed) if levels else ([], None)
     except documented as exc:
         entries = [ProfileEntry(n, math.nan, "error", str(exc)) for n in levels]
     else:
@@ -1076,9 +1100,7 @@ def error_profile(space: Space, x: np.ndarray, s, n_max: int, seed: int = 0) -> 
             entries = [one(n) for n in levels]
         else:
             fits, element_norm = whole
-            entries = [ProfileEntry(n, value, status) if math.isfinite(value)
-                       else ProfileEntry(n, math.nan, "error", NOT_FINITE)
-                       for n, (value, status) in enumerate(fits)]
+            entries = [entry(n, value, status) for n, (value, status) in enumerate(fits)]
 
     # nesting makes any achieved value at level n feasible at n+1, so an
     # upper-bound entry may be tightened by its predecessors
@@ -1092,4 +1114,5 @@ def error_profile(space: Space, x: np.ndarray, s, n_max: int, seed: int = 0) -> 
             e = ProfileEntry(e.n, best_so_far, e.status, "tightened by level monotonicity")
         best_so_far = min(best_so_far, e.value)
         out.append(e)
-    return ErrorProfile(out, s.label, norm(space, x) if element_norm is None else element_norm)
+    element_norm = norm(space, x) if element_norm is None else _ldexp(element_norm, k)
+    return ErrorProfile(out, s.label, element_norm)

@@ -230,10 +230,11 @@ def column_norms(space: Space, cols: np.ndarray) -> np.ndarray:
 
 
 def _unit_scaled(a: np.ndarray) -> tuple:
-    """(a / 2^e, e) with max |a / 2^e| in [1/2, 1) (e = 0 for a zero array):
-    dividing by a power of two is exact."""
-    e = math.frexp(float(np.max(np.abs(a))))[1] if a.size else 0
-    return np.ldexp(a, -e), e
+    """(a / 2^e, e) with max |a / 2^e| in (1/2, 1], and (a itself, 0) for an
+    array already in that range or zero: dividing by a power of two is exact."""
+    frac, e = math.frexp(float(np.abs(a).max())) if a.size else (0.0, 0)
+    e -= frac == 0.5  # a power of two scales to 1
+    return (np.ldexp(a, -e), e) if e else (a, 0)
 
 
 def _norm_unchecked(space: Space, x: np.ndarray) -> float:
@@ -243,7 +244,8 @@ def _norm_unchecked(space: Space, x: np.ndarray) -> float:
     where its terms may have underflowed, is formed again on |x| scaled by a
     power of two (`_unit_scaled`); the common path makes one pass over x.  An
     L2 or HS root is a correctly rounded square root, so these norms scale
-    exactly with powers of two.
+    exactly with powers of two.  The scaling stays: `norm` takes elements of
+    any size, and a fit's residual can lie far below its element.
     """
     kind = space.norm_kind
     if kind == "sup":

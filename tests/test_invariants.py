@@ -1,6 +1,7 @@
 """Invariants of E(x, A_n) that hold for every scheme kind, on small instances.
 
-- power-of-two homogeneity: E(2^k x, A_n) == 2^k E(x, A_n) bit for bit;
+- power-of-two homogeneity: E(2^k x, A_n) == 2^k E(x, A_n) bit for bit, and
+  a solve with incumbent 2^k c is 2^k times the solve of x with incumbent c;
 - translation by a member on the linear kinds: E(x + a, A_n) = E(x, A_n);
 - monotonicity: E(x, A_n) does not increase with n on exact entries;
 - extreme magnitudes never give a non-finite value with a solved status.
@@ -44,9 +45,6 @@ INSTANCES = {
     "rank-operator": {"kind": "rank", "space": {"carrier": "matrix", "side": 5, "norm": "operator"}},
 }
 SCHEMES = {name: build_scheme(desc) for name, desc in INSTANCES.items()}
-# sup fits close their bracket to LP_TOL * max(1, ||x||_inf): relative above
-# ||x||_inf = 1, absolute below it
-SUP_FITS = ("chain-sup", "trig-chain-sup", "spline-sup")
 LINEAR = ("chain-sup", "chain-l2", "trig-chain-sup")
 
 
@@ -84,14 +82,29 @@ def test_power_of_two_scaling_is_exact(name, seed):
         assert scaled_profile.element_norm == np.ldexp(base_profile.element_norm, k)
         scaled = scaled_profile.entries
         assert [e.status for e in scaled] == [e.status for e in base]
-        want = [float(np.ldexp(e.value, k)) for e in base]
-        got = [e.value for e in scaled]
-        if name in SUP_FITS and k == -996:
-            # below ||x||_inf = 1 the sup bracket is absolute, so a tiny
-            # element's fit stops early; only the documented bound holds
-            assert all(abs(g - w) <= LP_TOL for g, w in zip(got, want))
-        else:
-            assert got == want
+        assert [e.value for e in scaled] == [float(np.ldexp(e.value, k)) for e in base]
+
+
+@pytest.mark.parametrize("name", ("chain-sup", "trig-chain-sup"))
+@pytest.mark.parametrize("seed", [0, 1])
+def test_incumbent_and_lower_scale_with_the_element(name, seed):
+    """best_approx(2^k x, incumbent=2^k c) is 2^k best_approx(x, incumbent=c)
+    bit for bit: value, minimizer, status, lower and the early stop."""
+    s = SCHEMES[name]
+    x = element(s, seed)
+    stopped = 0
+    for n in range(1, s.n_max + 1):
+        e = best_approx(s.space, x, s, n).value
+        for c in (-math.inf, 0.0, 0.999 * e, 1.001 * e):
+            base = best_approx(s.space, x, s, n, incumbent=c)
+            stopped += "below_incumbent" in base.info
+            for k in (-996, -1, 3, 996):
+                got = best_approx(s.space, np.ldexp(x, k), s, n, incumbent=float(np.ldexp(c, k)))
+                assert (got.value, got.status, got.info["lower"], got.info.get("below_incumbent")) == (
+                    np.ldexp(base.value, k), base.status, np.ldexp(base.info["lower"], k),
+                    base.info.get("below_incumbent"))
+                assert got.minimizer.tobytes() == np.ldexp(base.minimizer, k).tobytes()
+    assert stopped  # some incumbent above E stops a fit early
 
 
 @pytest.mark.parametrize("name", LINEAR)
@@ -123,25 +136,36 @@ def test_exact_errors_do_not_increase_with_n(name, seed):
     assert all(b <= a + rounding(s, x) for a, b in zip(exact, exact[1:]))
 
 
+def unit_inputs(s) -> list:
+    """Two elements with max |x| = 1: the +-1 pattern (-1 at every third
+    entry), and seeded normal entries divided by their largest size."""
+    pattern = np.where(np.arange(math.prod(s.space.shape)) % 3 == 0, -1.0, 1.0)
+    x = np.random.default_rng(0).standard_normal(s.space.shape)
+    return [pattern.reshape(s.space.shape), x / np.max(np.abs(x))]
+
+
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 @pytest.mark.parametrize("name", list_schemes())
 @pytest.mark.parametrize("magnitude", [1e-300, 1e300, 1.7e308])
 def test_extreme_magnitudes_claim_no_non_finite_value(name, magnitude):
     s = build_scheme(name)
     n_max = min(s.n_max, 4)
-    pattern = np.where(np.arange(math.prod(s.space.shape)) % 3 == 0, -1.0, 1.0).reshape(s.space.shape)
-    unit = error_profile(s.space, pattern, s, n_max)
-    big = error_profile(s.space, magnitude * pattern, s, n_max)
-    for level, (e, u) in enumerate(zip(big.entries, unit.entries)):
-        if e.status == "error":  # the error, or a sup solver's residual, overflows
-            assert magnitude == 1.7e308
-            with pytest.raises(SolverError):
-                best_approx(s.space, magnitude * pattern, s, level)
-            continue
-        assert math.isfinite(e.value)
-        if not (s.space.norm_kind == "sup" and s.kind == "chain" and magnitude < 1.0):
-            # (a sup chain's bracket is absolute below ||x||_inf = 1)
+    for x in unit_inputs(s):
+        unit = error_profile(s.space, x, s, n_max)
+        big = error_profile(s.space, magnitude * x, s, n_max)
+        slack = LP_TOL * big.element_norm
+        previous = math.inf
+        for level, (e, u) in enumerate(zip(big.entries, unit.entries)):
+            if e.status == "error":  # the error itself overflows
+                assert magnitude * u.value >= np.finfo(float).max * (1 - 1e-12)
+                with pytest.raises(SolverError):
+                    best_approx(s.space, magnitude * x, s, level)
+                continue
+            assert math.isfinite(e.value)
             assert e.status == u.status
             assert e.value == pytest.approx(magnitude * u.value, rel=1e-12, abs=1e-12 * magnitude)
-    if math.isfinite(magnitude * unit.element_norm):
-        assert big.element_norm == pytest.approx(magnitude * unit.element_norm, rel=1e-12)
+            if e.status == "exact":  # E(x, A_n) <= ||x|| and does not increase with n
+                assert e.value <= min(previous, big.element_norm) + slack
+                previous = e.value
+        if math.isfinite(magnitude * unit.element_norm):
+            assert big.element_norm == pytest.approx(magnitude * unit.element_norm, rel=1e-12)
