@@ -11,8 +11,6 @@ from .seq import (
     InsufficientWindowError,
     NullSequence,
     SequenceError,
-    TailModel,
-    convex_majorant,
     lethargy_majorant,
 )
 from .space import Grid, Space, SpaceError, norm

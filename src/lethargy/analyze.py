@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -48,29 +48,19 @@ class DensityCertificate:
         return d
 
 
-def density_lower_bound(s: Scheme, n: int, candidates: Optional[Iterable] = None,
-                        rng_seed: int = 0, extra_random: int = 6) -> DensityCertificate:
+def density_lower_bound(s: Scheme, n: int, rng_seed: int = 0) -> DensityCertificate:
     """Best found unit element far from A_n; rigorous iff the solver is exact.
 
-    An explicit candidate pool is used as given; by default, kind-aware
-    extremal candidates plus `extra_random` normalized samples are searched.
-    Each solve gets the best exact score so far as its incumbent, so a
-    candidate that cannot beat it may stop early, as "upper-bound"; the
-    certificate is the one the full solves would give.
+    The pool is `density_candidates`: the kind's extremal candidates and six
+    Gaussian draws, all of unit norm, each normalized again.  Each solve gets
+    the best exact score so far as its incumbent, so a candidate that cannot
+    beat it may stop early, as "upper-bound"; the certificate is the one the
+    full solves would give.
     """
     rng = np.random.default_rng(rng_seed)
-    if candidates is not None:
-        pool = list(candidates)
-    else:
-        pool = density_candidates(s, min(n, s.n_max), rng, count=extra_random)
-    if not pool:
-        raise AnalyzeError("empty candidate pool")
     best = None
-    for cand in pool:
-        nx = norm(s.space, cand)
-        if nx < 1e-12:
-            continue
-        cand = cand / nx
+    for cand in density_candidates(s, min(n, s.n_max), rng):
+        cand = cand / norm(s.space, cand)
         try:
             res = best_approx(s.space, cand, s, n, seed=rng_seed,
                               incumbent=-math.inf if best is None else best[0])
@@ -80,7 +70,7 @@ def density_lower_bound(s: Scheme, n: int, candidates: Optional[Iterable] = None
         score = res.value if rigorous else -math.inf
         if best is None or score > best[0]:
             best = (score, cand, res)
-    if best is None or best[2] is None:
+    if best is None:
         raise AnalyzeError(f"no candidate could be solved at level {n}")
     _, element, res = best
     status = "exact" if res.status == "exact" else "empirical"

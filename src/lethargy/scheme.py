@@ -260,8 +260,8 @@ class Scheme:
     """The sets A_n, n = 0..n_max, of one kind over `space`, with gap map K.
 
     A kind is a subclass: it declares its own fields, builds itself from its
-    descriptor (`build`), implements `solve` and `sample` or `draw`, and
-    overrides the defaults below where it knows more.  The module-level entry
+    descriptor (`build`), implements `solve` and `draw`, and overrides the
+    defaults below where it knows more.  The module-level entry
     points (here and `solve.best_approx`, `solve.error_profile`) check their
     input and call these methods.
 
@@ -269,6 +269,10 @@ class Scheme:
     It may stop once an achieved value proves E(x, A_n) below `incumbent`,
     the best value of a caller's search so far, and return that value with
     status "upper-bound"; only sup-norm chains do.
+
+    `draw(n, rng)` returns a member of A_n and the support it was drawn with:
+    the atom indices of an n-term scheme, the cell edges of a spline, and
+    None for the other kinds.
     """
 
     kind: ClassVar[str]
@@ -297,18 +301,10 @@ class Scheme:
         return None
 
     def member(self, x: np.ndarray, n: int) -> bool:
-        """x in A_n, by its distance to A_n."""
+        """x in A_n: its distance to A_n is at most MEMBERSHIP_TOL * ||x||, so
+        that lambda x is a member exactly when x is, as A_n is homogeneous."""
         value = best_approx(self.space, x, self, n).value
-        return value <= MEMBERSHIP_TOL * max(1.0, norm(self.space, x))
-
-    def draw(self, n: int, rng: np.random.Generator) -> tuple:
-        """A member of A_n and the support it was drawn with: the atom indices
-        of an n-term scheme, the cell edges of a spline (None: no support)."""
-        return sample_element(self, n, rng), None
-
-    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        """A member of A_n; a kind implements this or `draw`."""
-        return self.draw(n, rng)[0]
+        return value <= MEMBERSHIP_TOL * norm(self.space, x)
 
     def certified_members(self, xs: list, n: Optional[int], supports: list,
                           summands: Optional[int] = None) -> list:
@@ -386,9 +382,9 @@ class Chain(Scheme):
         dims = [self.chain_dim(n) for n in range(n_max + 1)]
         return [(value, "exact") for value in _chain_l2_values(space, self.basis, dims, x)], None
 
-    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
+    def draw(self, n, rng):
         d = self.chain_dim(n)
-        return self.basis[:, :d] @ rng.standard_normal(d)
+        return self.basis[:, :d] @ rng.standard_normal(d), None
 
     def _tail_column(self, d: int, col: np.ndarray) -> np.ndarray:
         """`col` orthonormalized against the first d basis columns (L2 grids)."""
@@ -483,27 +479,28 @@ class NTerm(Scheme):
 
     def certified_members(self, xs, n, supports, summands=None):
         """Members certified together by `_support_fits` on their drawn atoms
-        when these fit in A_n.  A residual that misses MEMBERSHIP_TOL * max(1, ||x||)
-        is decided again by the exact fit on the support (`_weighted_l2_fit`), a
-        support larger than A_n holds by `membership`, and an empty one by ||x||.
-        A non-finite x misses, and its norm refuses it."""
+        when these fit in A_n, against MEMBERSHIP_TOL * ||x|| with the batch's
+        norms from one `column_norms`.  A residual that misses is decided again
+        by the exact fit on the support (`_weighted_l2_fit`), a support larger
+        than A_n holds by `membership`, and an empty one (a draw from A_0) only
+        for x = 0.  A non-finite x is refused by its norm."""
         fit = [i for i, support in enumerate(supports)
                if 0 < len(support) <= min(n, self.dictionary.size)]
-        resid = dict(zip(fit, _support_fits(
-            self.space, self.dictionary.atoms, np.stack([xs[i] for i in fit]),
-            [supports[i] for i in fit]))) if fit else {}
+        resid, tol = {}, {}
+        if fit:
+            rows = np.stack([xs[i] for i in fit])
+            tol = dict(zip(fit, MEMBERSHIP_TOL * column_norms(self.space, rows.T)))
+            resid = dict(zip(fit, _support_fits(self.space, self.dictionary.atoms, rows,
+                                                [supports[i] for i in fit])))
         out = []
         for i, (x, support) in enumerate(zip(xs, supports)):
-            if len(support) == 0:  # a zero x needs no norm
-                out.append(not x.any() or bool(norm(self.space, x) <= MEMBERSHIP_TOL))
+            if len(support) == 0:
+                out.append(not self.space.check(x).any())
             elif i not in resid:
                 out.append(membership(self, x, n))
-            elif resid[i] <= MEMBERSHIP_TOL:  # max(1, ||x||) >= 1, so ||x|| is not needed
-                out.append(True)
             else:
-                tol = MEMBERSHIP_TOL * max(1.0, norm(self.space, x))
-                out.append(bool(resid[i] <= tol or _weighted_l2_fit(
-                    self.space, self.dictionary.atoms[:, list(support)], x)[0] <= tol))
+                out.append(bool(resid[i] <= tol[i] or _weighted_l2_fit(
+                    self.space, self.dictionary.atoms[:, list(support)], x)[0] <= tol[i]))
         return out
 
     def gap_candidates(self, n, rng, count):
@@ -560,10 +557,10 @@ class Quantizer(Scheme):
     def member(self, x, n):
         return distinct_value_count(x) <= self.m_of(n)
 
-    def sample(self, n, rng):
+    def draw(self, n, rng):
         m = self.m_of(n)
         vals = rng.standard_normal(m)
-        return vals[rng.integers(0, m, self.space.shape[0])]
+        return vals[rng.integers(0, m, self.space.shape[0])], None
 
     def certified_members(self, xs, n, supports, summands=None):
         """A sum of two draws from A_m also has at most m(m)^2 values, which is
@@ -617,19 +614,19 @@ class InterleavedC0(Scheme):
         value, y = _interleaved_error(self.cap, np.asarray(x, dtype=float), n)
         return BestApprox(value, y, "exact", {"solver": "coordinate-closed-form"})
 
-    def sample(self, n, rng):
+    def draw(self, n, rng):
         x = np.zeros(self.cap)
         if n == 0:
-            return x
+            return x, None
         if n % 2 == 1:  # span of the first (n+1)/2 coordinates
             k = (n + 1) // 2
             x[:k] = rng.standard_normal(k)
-            return x
+            return x, None
         k = n // 2  # constrained set on k+1 coordinates
         x[:k] = rng.standard_normal(k)
         bound = np.max(np.abs(x[:k])) / (k + 1) if k else 0.0
         x[k] = rng.uniform(-bound, bound)
-        return x
+        return x, None
 
     def gap_candidates(self, n, rng, count):
         x = np.zeros(self.cap)
@@ -703,7 +700,7 @@ class Spline(Scheme):
         for x, cuts in zip(xs, supports):
             fits = len(cuts) <= n + 2 and norm(
                 self.space, x - _spline_on_cells(self.space, x, self.degree, cuts)
-            ) <= MEMBERSHIP_TOL * max(1.0, norm(self.space, x))
+            ) <= MEMBERSHIP_TOL * norm(self.space, x)
             out.append(fits or membership(self, x, n))
         return out
 
@@ -746,12 +743,12 @@ class Rank(Scheme):
         """One stacked SVD; each matrix's singular values are those of its own SVD."""
         return (_numerical_ranks(np.stack([self.space.check(x) for x in xs])) <= n).tolist()
 
-    def sample(self, n, rng):
+    def draw(self, n, rng):
         d = self.space.dim
         if n == 0:
-            return np.zeros((d, d))
+            return np.zeros((d, d)), None
         k = min(n, d)
-        return rng.standard_normal((d, k)) @ rng.standard_normal((k, d))
+        return rng.standard_normal((d, k)) @ rng.standard_normal((k, d)), None
 
     def density_candidates(self, n):
         return [np.eye(self.space.dim)]
@@ -789,8 +786,7 @@ def distinct_value_count(x: np.ndarray) -> int:
     v = np.sort(np.asarray(x, dtype=float).ravel())
     if v.size == 0:
         return 0
-    scale = max(1.0, float(np.max(np.abs(v))))
-    return 1 + int(np.sum(np.diff(v) > VALUE_MERGE_TOL * scale))
+    return 1 + int(np.sum(np.diff(v) > VALUE_MERGE_TOL * float(np.max(np.abs(v)))))
 
 
 def _numerical_ranks(stack: np.ndarray) -> np.ndarray:
@@ -810,7 +806,7 @@ def sample_element(s: Scheme, n: int, rng: np.random.Generator) -> np.ndarray:
     """Draw a generic member of A_n."""
     if not 0 <= n <= s.n_max:
         raise SchemeError(f"level {n} outside the window 0..{s.n_max}")
-    return s.sample(n, rng)
+    return s.draw(n, rng)[0]
 
 
 def _units(space: Space, elements: list) -> list:

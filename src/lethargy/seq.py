@@ -1,14 +1,12 @@
 """Transformations on non-increasing null sequences.
 
-Every sequence is stored exactly on a finite window [0, N).  A tail model
-(zero extension or a geometric ratio) is carried as metadata for the few
-consumers that need limits; the window operations themselves never look
-past the window.
+Every sequence is stored exactly on a finite window [0, N), and no
+operation looks past the window.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,20 +19,6 @@ class SequenceError(ValueError):
 
 class InsufficientWindowError(SequenceError):
     """A window is too short to complete a block construction."""
-
-
-@dataclass(frozen=True)
-class TailModel:
-    """How a window extends to infinity: zero padding or a geometric decay."""
-
-    kind: str = "zero"
-    ratio: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("zero", "geometric"):
-            raise SequenceError(f"unknown tail model {self.kind!r}")
-        if self.kind == "geometric" and not 0.0 < self.ratio < 1.0:
-            raise SequenceError("geometric tail ratio must lie in (0, 1)")
 
 
 def _require_nonincreasing(v: np.ndarray, what: str) -> None:
@@ -51,10 +35,9 @@ def _require_nonincreasing(v: np.ndarray, what: str) -> None:
 
 @dataclass(frozen=True)
 class NullSequence:
-    """A non-negative, non-increasing window with a tail model."""
+    """A non-negative, non-increasing window."""
 
     values: np.ndarray
-    tail: TailModel = field(default_factory=TailModel)
 
     def __post_init__(self) -> None:
         v = np.asarray(self.values, dtype=float)
@@ -73,18 +56,9 @@ class NullSequence:
     def __getitem__(self, n: int) -> float:
         return float(self.values[n])
 
-    def extended(self, n: int) -> float:
-        """Value at index n, applying the tail model past the window."""
-        if n < len(self):
-            return float(self.values[n])
-        if self.tail.kind == "zero":
-            return 0.0
-        return float(self.values[-1] * self.tail.ratio ** (n - len(self) + 1))
-
     @classmethod
     def geometric(cls, ratio: float, n: int) -> "NullSequence":
-        vals = ratio ** np.arange(n, dtype=float)
-        return cls(vals, TailModel("geometric", ratio))
+        return cls(ratio ** np.arange(n, dtype=float))
 
     @classmethod
     def harmonic(cls, n: int) -> "NullSequence":
@@ -113,10 +87,6 @@ class IndexMap:
 
     def __call__(self, n: int) -> int:
         return int(self.values[n])
-
-    @classmethod
-    def from_callable(cls, f, n: int) -> "IndexMap":
-        return cls(np.array([f(k) for k in range(n)], dtype=np.int64))
 
     @classmethod
     def identity(cls, n: int) -> "IndexMap":
@@ -164,25 +134,5 @@ def lethargy_majorant(eps: NullSequence, h: IndexMap) -> NullSequence:
         if k > 0:
             beta = max(float(v[m_k]), beta / 2.0)
         out[m_k:min(m_next, n_win)] = beta
-    return NullSequence(out, TailModel())
-
-
-def convex_majorant(eps: NullSequence) -> NullSequence:
-    """Convex non-increasing majorant, anchored at zero at index 4 N.
-
-    A pointwise-minimal convex majorant need not exist on the integers, so a
-    canonical chain is used instead: sweeping right to left from the anchor,
-    each value is the larger of the window entry and the linear extension of
-    the two values to its right.  The result dominates eps, is convex and
-    non-increasing, reaches zero at the anchor, and is a fixed point on
-    already-convex inputs.
-    """
-    v = eps.values
-    n_win = v.size
-    anchor = 4 * n_win
-    out = np.zeros(anchor + 2, dtype=float)
-    for j in range(anchor - 1, -1, -1):
-        floor_j = v[j] if j < n_win else 0.0
-        out[j] = max(float(floor_j), 2.0 * out[j + 1] - out[j + 2])
-    return NullSequence(out[:n_win], TailModel())
+    return NullSequence(out)
 

@@ -87,14 +87,8 @@ def _weighted_l2_fit(space: Space, cols: np.ndarray, x: np.ndarray):
     """Exact least-squares fit in the space's L2 (or ell_2) inner product."""
     if cols.shape[1] == 0:
         return _norm_unchecked(space, x), np.zeros(0), np.zeros_like(x, dtype=float)
-    if space.carrier == "grid":
-        w = np.sqrt(space.grid.weights)
-        a = cols * w[:, None]
-        b = x * w
-    else:
-        a = cols
-        b = x
-    coef, *_ = np.linalg.lstsq(a, b, rcond=None)
+    w = np.sqrt(space.weights)
+    coef, *_ = np.linalg.lstsq(cols * w[:, None], x * w, rcond=None)
     approx = cols @ coef
     return _norm_unchecked(space, x - approx), coef, approx
 
@@ -319,8 +313,7 @@ def _fit_in_span(space: Space, cols: np.ndarray, x: np.ndarray, incumbent: float
                 "best approximation from a linear span with p < 1 is non-convex; "
                 "only quantizer, rank, and interleaved-c0 kinds support p < 1"
             )
-        quad = space.grid.weights if space.carrier == "grid" else np.ones(x.size)
-        value, _, approx, info = _irls_fit(cols, x, quad, space.p)
+        value, _, approx, info = _irls_fit(cols, x, space.weights, space.p)
         info["solver"] = "irls"
         status = "upper-bound"
         return value, approx, status, info
@@ -494,21 +487,16 @@ def _interleaved_error(cap: int, x: np.ndarray, level: int):
 
 def _inner_products(space: Space, cols: np.ndarray, x: np.ndarray) -> np.ndarray:
     """<col, x> for every column; x is one element or a column per element."""
-    if space.carrier == "grid":
-        return cols.T @ (space.grid.weights * x.T).T
-    return cols.T @ x
+    return cols.T @ (space.weights * x.T).T
 
 
 def _diag_gram(space: Space, atoms: np.ndarray) -> np.ndarray:
-    if space.carrier == "grid":
-        return np.einsum("ij,ij,i->j", atoms, atoms, space.grid.weights)
-    return np.einsum("ij,ij->j", atoms, atoms)
+    return np.einsum("ij,ij,i->j", atoms, atoms, space.weights)
 
 
 def _gram(space: Space, atoms: np.ndarray) -> np.ndarray:
     """A^T W A, as B^T B for B = W^(1/2) A (one symmetric rank-k update)."""
-    if space.carrier == "grid":
-        atoms = atoms * np.sqrt(space.grid.weights)[:, None]
+    atoms = atoms * np.sqrt(space.weights)[:, None]
     return atoms.T @ atoms
 
 
@@ -664,7 +652,7 @@ def _nterm_greedy(space: Space, atoms: np.ndarray, x: np.ndarray, levels: list, 
     top = max(levels)
     l2 = _is_l2(space)
     runs = np.arange(GREEDY_RESTARTS)
-    w = space.grid.weights if space.carrier == "grid" else np.ones(n_rows)
+    w = space.weights
     col_scale = np.sqrt(np.maximum(_diag_gram(space, atoms), 1e-300))
     picks = np.zeros((GREEDY_RESTARTS, top), dtype=np.intp)
     basis = np.zeros((GREEDY_RESTARTS, top, n_rows))  # W-orthonormal rows, 0 where skipped
@@ -952,7 +940,6 @@ def _rank_value(space: Space, sv: np.ndarray, n: int) -> float:
 
 def _rank_error(space: Space, x: np.ndarray, n: int):
     u, sv, vt = np.linalg.svd(x)
-    n = max(n, 0)
     if n >= sv.size:
         return 0.0, x.copy(), "exact", {"solver": "svd-truncation"}
     trunc = (u[:, :n] * sv[:n]) @ vt[:n] if n > 0 else np.zeros_like(x)
@@ -976,8 +963,7 @@ def _chain_l2_values(space: Space, basis: np.ndarray, dims: list, x: np.ndarray)
     ab = np.empty((x.size, top + 1), dtype=np.result_type(basis, x), order="F")
     ab[:, :top] = basis[:, :top]
     ab[:, top] = x
-    if space.carrier == "grid":
-        ab *= np.sqrt(space.grid.weights)[:, None]
+    ab *= np.sqrt(space.weights)[:, None]
     _, r = linalg.qr(ab, overwrite_a=True, mode="raw", check_finite=False)
     roots = np.sqrt(np.cumsum((np.abs(r[:, -1]) ** 2)[::-1])[::-1])
     return [float(roots[d]) if d < roots.size else 0.0 for d in dims]

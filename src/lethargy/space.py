@@ -111,7 +111,6 @@ class Space:
     p: float = math.inf
     grid: Optional[Grid] = None
     dim: int = 0  # coordinate dimension or matrix side
-    complex_ok: bool = False
 
     def __post_init__(self) -> None:
         if self.carrier not in ("grid", "coords", "matrix"):
@@ -124,8 +123,6 @@ class Space:
         if self.carrier == "grid":
             if self.grid is None:
                 raise SpaceError("grid carrier needs a grid")
-            if self.complex_ok and self.grid.domain != "torus":
-                raise SpaceError("complex scalars are supported only on the torus")
         elif self.grid is not None:
             raise SpaceError("only the grid carrier takes a grid")
         if self.carrier in ("coords", "matrix") and self.dim <= 0:
@@ -136,14 +133,14 @@ class Space:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def lp_grid(cls, grid: Grid, p: float, complex_ok: bool = False) -> "Space":
+    def lp_grid(cls, grid: Grid, p: float) -> "Space":
         if math.isinf(p):
-            return cls.sup_grid(grid, complex_ok=complex_ok)
-        return cls("grid", "lp", p=p, grid=grid, complex_ok=complex_ok)
+            return cls.sup_grid(grid)
+        return cls("grid", "lp", p=p, grid=grid)
 
     @classmethod
-    def sup_grid(cls, grid: Grid, complex_ok: bool = False) -> "Space":
-        return cls("grid", "sup", grid=grid, complex_ok=complex_ok)
+    def sup_grid(cls, grid: Grid) -> "Space":
+        return cls("grid", "sup", grid=grid)
 
     @classmethod
     def coords(cls, dim: int, p: float) -> "Space":
@@ -170,25 +167,22 @@ class Space:
         return (self.dim, self.dim)
 
     @property
-    def triangle_modulus(self) -> float:
-        """Constant C with ||x+y|| <= C (||x|| + ||y||)."""
-        if self.norm_kind == "lp" and self.p < 1.0:
-            return 2.0 ** (1.0 / self.p - 1.0)
-        return 1.0
+    def weights(self) -> np.ndarray:
+        """The quadrature weight of each entry: the grid's weights, else ones."""
+        return self.grid.weights if self.carrier == "grid" else np.ones(self.shape)
 
     def check(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x)
         if x.shape != self.shape:
             raise SpaceError(f"element shape {x.shape} does not match carrier {self.shape}")
-        if np.iscomplexobj(x) and not self.complex_ok:
-            raise SpaceError("complex elements are not supported on this carrier")
+        if np.iscomplexobj(x):
+            raise SpaceError("complex elements are not supported")
         if not np.isfinite(x).all():
             raise SpaceError("element has non-finite entries (NaN or infinity)")
         return x
 
     def zero(self) -> np.ndarray:
-        dtype = complex if self.complex_ok else float
-        return np.zeros(self.shape, dtype=dtype)
+        return np.zeros(self.shape)
 
     def to_json(self) -> dict:
         d = {"carrier": self.carrier, "norm": self.norm_kind}
@@ -222,8 +216,7 @@ def column_norms(space: Space, cols: np.ndarray) -> np.ndarray:
     p = space.p
     a = np.abs(np.ascontiguousarray(cols.T))
     a **= p  # in place, the same powers as a**p
-    if space.carrier == "grid":
-        a *= space.grid.weights
+    a *= space.weights
     return np.array([math.sqrt(t) if p == 2.0 else float(t ** (1.0 / p))
                      if POWER_SUM_FLOOR <= t < math.inf or not cols[:, j].any()
                      else norm(space, cols[:, j]) for j, t in enumerate(np.sum(a, axis=1))])
@@ -258,8 +251,8 @@ def _norm_unchecked(space: Space, x: np.ndarray) -> float:
         return float(np.ldexp(np.linalg.norm(scaled, "fro"), e))
     if kind == "lp":
         p = space.p
-        a = np.abs(np.asarray(x, dtype=complex if np.iscomplexobj(x) else float))
-        total = np.sum(space.grid.weights * a**p) if space.carrier == "grid" else np.sum(a**p)
+        a = np.abs(np.asarray(x, dtype=float))
+        total = np.sum(space.weights * a**p)
         if not POWER_SUM_FLOOR <= total < math.inf:
             scaled, e = _unit_scaled(a)
             if e != 0:  # else a is zero or already scaled

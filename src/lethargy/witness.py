@@ -467,7 +467,7 @@ def witness_ridge(n: int, grid: Optional[Grid] = None, n_starts: int = 100,
             res = minimize(objective, freqs0, method="Nelder-Mead",
                            options={"maxfev": 80, "xatol": 1e-3, "fatol": 1e-9})
             attempts.append(Attempt("multi-start-frequency-search", start, float(res.fun)))
-    space = Space.lp_grid(grid, 1.0, complex_ok=True)
+    space = Space.lp_grid(grid, 1.0)
     w = Witness(x, space, [ClaimedBound(m, bound, "alternating coefficient pinning")],
                 _l1_torus(mu, x), f"ridge-exponential-n{n}", scheme=None,
                 family=f"sums of {m} exponentials with arbitrary real frequencies",
@@ -699,20 +699,6 @@ def witness_tensor(n: int, norm_kind: str = "hs") -> Witness:
 # -- slow-decay constructor ------------------------------------------------------------
 
 
-@dataclass
-class LadderStep:
-    j: int
-    level: int
-    delta: float
-    direction_quality: float
-    source_level: int
-
-    def to_json(self) -> dict:
-        return {"j": self.j, "level": self.level, "delta": self.delta,
-                "direction_quality": self.direction_quality,
-                "source_level": self.source_level}
-
-
 def _ladder_direction(s: Scheme, level: int, rng: np.random.Generator):
     """Unit element of some finite A_s with a certified exact distance to A_level."""
     from .scheme import gap_candidates
@@ -744,7 +730,7 @@ def construct_slow_decay(s: Scheme, eps: NullSequence, i_max: int, rng_seed: int
     levels = [0]
     deltas = [0.0]
     qualities = [1.0]
-    x = s.space.zero().astype(float)
+    x = s.space.zero()
 
     j = 0
     while True:
@@ -780,7 +766,8 @@ def construct_slow_decay(s: Scheme, eps: NullSequence, i_max: int, rng_seed: int
             halted = f"step size vanished at rung {j}"
             break
         x = x + delta * y
-        ladder.append(LadderStep(j, new_level, delta, quality, source))
+        ladder.append({"j": j, "level": new_level, "delta": delta,
+                       "direction_quality": quality, "source_level": source})
         levels.append(new_level)
         deltas.append(delta)
         qualities.append(quality)
@@ -793,12 +780,11 @@ def construct_slow_decay(s: Scheme, eps: NullSequence, i_max: int, rng_seed: int
             jj = later[0] + 1  # first rung whose base level is >= ell
             if jj <= len(ladder):
                 lower = deltas[jj] * qualities[jj] / 3.0
-        claims.append(ClaimedBound(ell, lower, "ladder remainder bound",
-                                   eps.extended(ell)))
+        claims.append(ClaimedBound(ell, lower, "ladder remainder bound", eps[ell]))
 
     w = Witness(x, s.space, claims, norm(s.space, x), "slow-decay-ladder",
                 scheme=s, tol=1e-9, seed=rng_seed)
-    w.meta = {"ladder": [step.to_json() for step in ladder],
+    w.meta = {"ladder": ladder,
               "halted": halted, "target_range": i_max,
               "positivity_required": True}
     return w

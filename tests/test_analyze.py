@@ -69,10 +69,6 @@ class TestDensityCertificates:
         assert res.value == pytest.approx(c.solver_value, abs=1e-9)
         assert c.bound <= c.solver_value / norm(small_interleaved.space, c.element) + 1e-9
 
-    def test_empty_pool_error(self, small_interleaved):
-        with pytest.raises(AnalyzeError):
-            density_lower_bound(small_interleaved, 2, candidates=[], extra_random=0)
-
     def test_monotone_envelope(self):
         assert monotone_envelope([0.5, 0.9, 0.3]) == [0.9, 0.9, 0.3]
 

@@ -1,6 +1,7 @@
 """The batch hook of `validate_scheme`, `Scheme.certified_members`, against the
 per-element bodies it replaced: `certified_member`, the per-trial `additive`
-and the axiom loop that called them, kept here as oracles."""
+and the axiom loop that called them, kept here as oracles (with the
+membership threshold relative to ||x||, as it is now)."""
 
 import math
 from unittest import mock
@@ -25,13 +26,13 @@ def former_certified_member(s, x, n, support) -> bool:
         if len(support) > min(n, s.dictionary.size):
             return membership(s, x, n)
         if len(support) == 0:
-            return bool(norm(s.space, x) <= MEMBERSHIP_TOL)
+            return not x.any()
         value = _weighted_l2_fit(s.space, s.dictionary.atoms[:, list(support)], x)[0]
-        return value <= MEMBERSHIP_TOL * max(1.0, norm(s.space, x))
+        return value <= MEMBERSHIP_TOL * norm(s.space, x)
     if isinstance(s, Spline):
         if len(support) <= n + 2:
             approx = _spline_on_cells(s.space, x, s.degree, support)
-            if norm(s.space, x - approx) <= MEMBERSHIP_TOL * max(1.0, norm(s.space, x)):
+            if norm(s.space, x - approx) <= MEMBERSHIP_TOL * norm(s.space, x):
                 return True
     return membership(s, x, n)
 
@@ -204,7 +205,7 @@ def test_nterm_batch_refuses_a_non_finite_element():
 def test_rank_batch_matches_per_matrix_members(side, level, seed):
     s = build_scheme({"kind": "rank", "space": {"carrier": "matrix", "side": side}})
     rng = np.random.default_rng(seed)
-    xs = [s.sample(int(rng.integers(0, side + 1)), rng) for _ in range(6)]
+    xs = [s.draw(int(rng.integers(0, side + 1)), rng)[0] for _ in range(6)]
     xs += [xs[0] + xs[1], np.zeros((side, side)), 1e-300 * xs[2]]
     u, v = rng.standard_normal((2, side))
     xs.append(np.outer(u, u) + RANK_SV_CUTOFF * np.outer(v, v))  # near the cutoff

@@ -4,7 +4,8 @@
   a solve with incumbent 2^k c is 2^k times the solve of x with incumbent c;
 - translation by a member on the linear kinds: E(x + a, A_n) = E(x, A_n);
 - monotonicity: E(x, A_n) does not increase with n on exact entries;
-- extreme magnitudes never give a non-finite value with a solved status.
+- extreme magnitudes never give a non-finite value with a solved status;
+- membership is homogeneous: 2^k x lies in A_n exactly when x does.
 """
 
 import math
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lethargy.scheme import KINDS, build_scheme, list_schemes, sample_element
+from lethargy.scheme import KINDS, build_scheme, list_schemes, membership, sample_element
 from lethargy.solve import LP_TOL, SolverError, best_approx, error_profile
 from lethargy.space import norm
 
@@ -169,3 +170,24 @@ def test_extreme_magnitudes_claim_no_non_finite_value(name, magnitude):
                 previous = e.value
         if math.isfinite(magnitude * unit.element_norm):
             assert big.element_norm == pytest.approx(magnitude * unit.element_norm, rel=1e-12)
+
+
+@pytest.mark.parametrize("name", list_schemes())
+def test_membership_is_invariant_under_powers_of_two(name):
+    s = build_scheme(name)
+    rng = np.random.default_rng(7)
+    n = s.n_max // 2
+    for x, inside in ((sample_element(s, n, rng), True), (rng.standard_normal(s.space.shape), False)):
+        assert membership(s, x, n) == inside
+        for k in (-996, -40, 40, 996):
+            assert membership(s, np.ldexp(x, k), n) == inside, k
+
+
+@pytest.mark.parametrize("name, shape, n", [("monomial-chain", lambda t: np.cos(40.0 * t), 1),
+                                            ("quantizer-linear", lambda t: 2.0 * t - 1.0, 3)],
+                         ids=["monomial-chain", "quantizer-linear"])
+def test_a_small_non_member_is_no_member(name, shape, n):
+    s = build_scheme(name)
+    x = shape(s.space.grid.nodes)
+    assert not membership(s, x, n)
+    assert not membership(s, 1e-10 * x, n)

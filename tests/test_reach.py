@@ -1,6 +1,7 @@
-"""Every public function and class of the package, and every module-level
-UPPER_CASE constant, is reached from outside its own definition: by the
-package, a script or the benchmark.
+"""Every public function and class of the package, every public method and
+property of its classes, and every module-level UPPER_CASE constant, is
+reached from outside its own definition: by the package, a script or the
+benchmark.
 
 Tests do not count as callers, and neither do the re-exports of
 `lethargy/__init__.py`.  A use is a name, an attribute or a string naming it
@@ -17,8 +18,8 @@ PACKAGE = ROOT / "src" / "lethargy"
 
 # name -> why it stays without a caller
 ALLOWED = {
-    "lethargy_majorant": "ROADMAP item 5: target sequence of the slow-decay ladder",
-    "convex_majorant": "ROADMAP item 4: majorant of the nonlinear lethargy witness",
+    "lethargy_majorant": "acceptance criterion 06 and ROADMAP item 6: target sequence "
+                         "of the slow-decay ladder",
 }
 
 
@@ -64,17 +65,38 @@ def _constants() -> dict:
     return out
 
 
+def _public_methods() -> dict:
+    """Class.name -> defining module, over the public methods and properties
+    of every package class."""
+    out = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.ClassDef):
+                out.update((f"{node.name}.{sub.name}", path.name) for sub in node.body
+                           if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_"))
+    return out
+
+
+def _outside_uses(node) -> set:
+    """The names `node` uses, except each definition's own name inside its
+    body: a class's methods are visited one by one."""
+    if isinstance(node, ast.ClassDef):
+        names = set().union(*map(_outside_uses, node.body),
+                            *map(_names, node.decorator_list + node.bases + node.keywords))
+    else:
+        names = _names(node)
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        names.discard(node.name)
+    return names.difference(_assigned(node))
+
+
 def _uses() -> set:
-    """Names used anywhere in the caller files, except inside the top-level
-    definition or assignment of the same name."""
+    """Names used anywhere in the caller files, except inside the definition
+    or top-level assignment of the same name."""
     used = set()
     for path in _caller_files():
         for node in ast.parse(path.read_text()).body:
-            names = _names(node)
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                names.discard(node.name)
-            names.difference_update(_assigned(node))
-            used |= names
+            used |= _outside_uses(node)
     return used
 
 
@@ -83,6 +105,13 @@ def test_every_public_definition_has_a_caller():
     unreached = sorted(f"{module}:{name}" for name, module in _public_definitions().items()
                        if name not in used and name not in ALLOWED)
     assert not unreached, f"public names that no package module, script or benchmark uses: {unreached}"
+
+
+def test_every_public_method_has_a_caller():
+    used = _uses()
+    unreached = sorted(f"{module}:{name}" for name, module in _public_methods().items()
+                       if name.split(".")[1] not in used)
+    assert not unreached, f"public methods that no package module, script or benchmark uses: {unreached}"
 
 
 def test_every_constant_is_read():

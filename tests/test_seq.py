@@ -8,8 +8,6 @@ from lethargy.seq import (
     InsufficientWindowError,
     NullSequence,
     SequenceError,
-    TailModel,
-    convex_majorant,
     lethargy_majorant,
 )
 
@@ -38,7 +36,7 @@ class TestLethargyMajorant:
     def test_harmonic_window_1024(self):
         n = 1024
         eps = NullSequence(1.0 / (np.arange(n) + 1.0))
-        h = IndexMap.from_callable(lambda k: 2 * k + 1, n)
+        h = IndexMap(2 * np.arange(n) + 1)
         xi = lethargy_majorant(eps, h)
         check_majorant_postconditions(eps, h, xi)
 
@@ -70,57 +68,6 @@ class TestLethargyMajorant:
         check_majorant_postconditions(eps, h, xi)
 
 
-class TestConvexMajorant:
-    def test_geometric_is_fixed_point(self):
-        eps = NullSequence.geometric(0.5, 40)
-        out = convex_majorant(eps)
-        assert np.array_equal(out.values, eps.values)
-
-    def test_spike_becomes_convex_chain(self):
-        vals = np.zeros(16)
-        vals[0] = 1.0
-        out = convex_majorant(NullSequence(vals))
-        assert np.all(out.values >= vals)
-        assert np.all(np.diff(out.values, 2) >= -1e-15)
-        assert np.all(np.diff(out.values) <= 1e-15)
-
-    def test_zero(self):
-        out = convex_majorant(NullSequence(np.zeros(10)))
-        assert np.all(out.values == 0.0)
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.integers(0, 2**31 - 1))
-    def test_postconditions_random(self, seed):
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(4, 120))
-        eps = NullSequence(random_nonincreasing(rng, n))
-        out = convex_majorant(eps)
-        assert np.all(out.values >= eps.values)
-        assert np.all(np.diff(out.values) <= 1e-15)
-        if n >= 3:
-            assert np.all(np.diff(out.values, 2) >= -1e-15)
-
-    @settings(max_examples=40, deadline=None)
-    @given(st.integers(0, 2**31 - 1))
-    def test_idempotent(self, seed):
-        rng = np.random.default_rng(seed)
-        eps = NullSequence(random_nonincreasing(rng, int(rng.integers(4, 80))))
-        once = convex_majorant(eps)
-        twice = convex_majorant(once)
-        assert np.array_equal(once.values, twice.values)
-
-    def test_minimal_from_the_right(self, rng):
-        # each value is pinned by domination or by the convexity constraint
-        # with its two right neighbors; lowering any entry breaks one of them
-        eps = NullSequence(random_nonincreasing(rng, 50))
-        out = convex_majorant(eps)
-        ext = np.concatenate([out.values, np.zeros(2)])
-        for j in range(50):
-            pinned_by_input = ext[j] <= eps.values[j] + 1e-14
-            pinned_by_chain = ext[j] <= 2 * ext[j + 1] - ext[j + 2] + 1e-14
-            assert pinned_by_input or pinned_by_chain
-
-
 class TestNullSequence:
     def test_monotonicity_enforced(self):
         with pytest.raises(SequenceError):
@@ -134,17 +81,6 @@ class TestNullSequence:
         v = np.array([1.0, 1.0 + 1e-14])
         NullSequence(v)  # within the relative tolerance
 
-    def test_geometric_tail_extension(self):
-        s = NullSequence(np.array([1.0, 0.5]), TailModel("geometric", 0.5))
-        assert s.extended(1) == 0.5
-        assert s.extended(3) == 0.125
-
-    def test_tail_ratio_validation(self):
-        with pytest.raises(SequenceError):
-            TailModel("geometric", 1.5)
-        with pytest.raises(SequenceError):
-            TailModel("weird")
-
 
 class TestIndexMap:
     def test_below_diagonal_rejected(self):
@@ -152,5 +88,5 @@ class TestIndexMap:
             IndexMap(np.array([0, 0, 1]))
 
     def test_call(self):
-        h = IndexMap.from_callable(lambda n: 2 * n + 1, 4)
+        h = IndexMap(2 * np.arange(4) + 1)
         assert h(3) == 7
