@@ -2,14 +2,14 @@
 
 Every solver reports an exactness status.  "exact" means exact on the grid
 up to the documented solver tolerance: sup-norm fits close a proved bracket
-value - lower <= LP_TOL * max(1, ||x||_inf) by discrete exchange, and the
-rare LP fallback runs at HiGHS default tolerances (about 1e-7); SVD is exact
-to machine precision, closed forms to rounding.  "upper-bound" means the value
-is an achieved distance that may exceed the infimum (IRLS, greedy n-term
-selection, and a sup fit stopped below its caller's incumbent).  A value is
-always achievable, so it is never below the true error by more than the
-solver tolerance.  Sup fits record in their info the solver ("exchange" or
-"lp"), its iterations and the lower bound.
+value - lower <= LP_TOL * max(1, ||x||_inf) by discrete exchange, multi-point
+or single-point; SVD is exact to machine precision, closed forms to rounding.
+"upper-bound" means the value is an achieved distance that may exceed the
+infimum (IRLS, greedy n-term selection, a sup fit stopped below its caller's
+incumbent or at the single-point cap).  A value is always achievable, so it
+is never below the true error by more than the solver tolerance.  Sup fits
+record in their info the solver ("exchange" or "single-point-exchange"), its
+iterations and the lower bound.
 
 A caller that keeps the best of several candidates passes `best_approx` its
 incumbent, the best value so far.  A solver may then stop as soon as an
@@ -51,9 +51,10 @@ from .space import (POWER_SUM_FLOOR, Space, SpaceError, _norm_unchecked, _unit_s
 
 LP_TOL = 1e-10
 EXCHANGE_MAX_ITER = 100
-EXCHANGE_ROUNDING = 1e-13  # a closed exchange bracket this narrow (relative) is rounding
+EXCHANGE_ROUNDING = 1e-13  # relative: an exchange bracket or a ratio-test pivot this small is rounding
 EXCHANGE_MAX_COND = 1e12  # a reference system with ||A||_inf ||A^-1||_inf above this is singular
-INCUMBENT_MARGIN = 1e-6  # above LP_TOL and HiGHS's 1e-7 feasibility tolerance, relative
+EXCHANGE_STALLS = 3  # single-point steps with no higher lower bound before Bland's rule
+INCUMBENT_MARGIN = 1e-6  # above LP_TOL, the widest gap of an exact sup fit, relative
 IRLS_MAX_ITER = 500
 IRLS_REL_TOL = 1e-10
 IRLS_WEIGHT_FLOOR = 1e-12
@@ -93,26 +94,8 @@ def _weighted_l2_fit(space: Space, cols: np.ndarray, x: np.ndarray):
     return _norm_unchecked(space, x - approx), coef, approx
 
 
-def _sup_fit_lp(cols: np.ndarray, x: np.ndarray):
-    """Chebyshev fit by linear programming; exact to LP tolerance."""
-    n, d = cols.shape
-    if d == 0:
-        return float(np.max(np.abs(x))), np.zeros(0), np.zeros_like(x, dtype=float)
-    a_ub = np.block([[cols, -np.ones((n, 1))], [-cols, -np.ones((n, 1))]])
-    b_ub = np.concatenate([x, -x])
-    c = np.zeros(d + 1)
-    c[-1] = 1.0
-    bounds = [(None, None)] * d + [(0.0, None)]
-    res = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
-    if not res.success:
-        raise SolverError(f"minimax LP failed: {res.message}")
-    coef = res.x[:d]
-    approx = cols @ coef
-    return float(np.max(np.abs(x - approx))), coef, approx
-
-
 def _sup_fit(cols: np.ndarray, x: np.ndarray, incumbent: float = -math.inf):
-    """Chebyshev fit over the columns by discrete exchange, LP when its bracket stays open.
+    """Chebyshev fit over the columns by multi-point exchange, then single-point steps.
 
     The exchange (Remez; Stiefel's discrete form) solves the (d+1)x(d+1)
     system [cols[ref], s] (c, h) = x[ref] on a reference of d+1 indices with
@@ -126,34 +109,28 @@ def _sup_fit(cols: np.ndarray, x: np.ndarray, incumbent: float = -math.inf):
     bracket closes once the re-measured max |x - cols c| is within
     tol = LP_TOL * max(1, ||x||_inf) of the best lower bound seen; unless
     lower <= tol, the exchange goes on while it lowers the value, down to a
-    gap of EXCHANGE_ROUNDING * max(1, ||x||_inf).  A singular system, a
-    stalled reference or the iteration cap before the bracket closes sends
-    the fit to the LP, which runs at HiGHS default tolerances.  So does a
-    closed bracket whose system, or the one behind `lower`, is singular to
-    working precision (||system||_inf ||inv||_inf > EXCHANGE_MAX_COND; `inv`
-    need not raise, e.g. on a repeated column), checked once per fit.  On the
-    solve path ||x||_inf <= 1, so tol = LP_TOL is relative to x; a direct
-    caller with a smaller x gets an absolute bracket.
+    gap of EXCHANGE_ROUNDING * max(1, ||x||_inf).  n <= d, a singular system,
+    a stalled reference or the iteration cap before the bracket closes hand
+    the fit to `_single_point_exchange`.  So does a closed bracket whose
+    system, or the one behind `lower`, is singular to working precision
+    (||system||_inf ||inv||_inf > EXCHANGE_MAX_COND; `inv` need not raise,
+    e.g. on a repeated column), checked once per fit.  On the solve path
+    ||x||_inf <= 1, so tol = LP_TOL is relative to x; a direct caller with a
+    smaller x gets an absolute bracket.
 
     A step whose value + INCUMBENT_MARGIN * max(1, ||x||_inf) is below
     `incumbent` ends the fit with that value: it bounds the best error from
-    above, and the fit run to its end (at most the best error plus tol, or
-    plus the LP's tolerance) could not have reached the incumbent either.
+    above, and the fit run to its end (if exact, at most the best error plus
+    tol) could not have reached the incumbent either.
 
-    Returns (value, approx, info); info holds solver, iterations and lower,
-    and "below_incumbent" for a fit so stopped.
+    Returns (value, approx, info); info holds solver, iterations, lower and
+    tol, and "below_incumbent" for a fit so stopped.
     """
     n, d = cols.shape
     scale = max(1.0, float(np.max(np.abs(x))))
     tol = LP_TOL * scale
     lower, it, best, lower_system = 0.0, 0, None, None
-    if n <= d:  # no reference of d+1 points: interpolate, bracket [0, value]
-        coef, *_ = np.linalg.lstsq(cols, x, rcond=None)
-        approx = cols @ coef
-        value = float(np.max(np.abs(x - approx)))
-        if value <= tol:
-            return value, approx, {"solver": "exchange", "iterations": 0, "lower": 0.0, "tol": LP_TOL}
-    else:
+    if n > d:
         system = np.empty((d + 1, d + 1))
         system[:, d] = (-1.0) ** np.arange(d + 1)
         ref = np.rint(np.arange(d + 1) * ((n - 1) / max(d, 1))).astype(int)  # evenly spaced
@@ -175,7 +152,7 @@ def _sup_fit(cols: np.ndarray, x: np.ndarray, incumbent: float = -math.inf):
                 lower, lower_system = bound, current
             if value + INCUMBENT_MARGIN * scale < incumbent:
                 return value, approx, {"solver": "exchange", "iterations": it, "lower": lower,
-                                       "tol": LP_TOL, "below_incumbent": True}
+                                       "tol": tol, "below_incumbent": True}
             if best is not None and value >= best[0]:
                 break
             if value - lower <= tol:
@@ -189,9 +166,53 @@ def _sup_fit(cols: np.ndarray, x: np.ndarray, incumbent: float = -math.inf):
         if best is not None and _reference_cond(cols, *best[2]) <= EXCHANGE_MAX_COND and (
                 lower_system is None or lower_system is best[2]
                 or _reference_cond(cols, *lower_system) <= EXCHANGE_MAX_COND):
-            return *best[:2], {"solver": "exchange", "iterations": it, "lower": lower, "tol": LP_TOL}
-    value, _, approx = _sup_fit_lp(cols, x)
-    return value, approx, {"solver": "lp", "iterations": it, "lower": lower, "tol": LP_TOL}
+            return *best[:2], {"solver": "exchange", "iterations": it, "lower": lower, "tol": tol}
+    return _single_point_exchange(cols, x, scale, it)
+
+
+def _single_point_exchange(cols: np.ndarray, x: np.ndarray, scale: float, it: int):
+    """Chebyshev fit by single-point exchange steps, which need no Haar
+    condition: the simplex method on the dual LP (Barrodale and Phillips,
+    1975).  The reference starts at the pivoted-QR rows of an orthonormal
+    basis of the span, signed by their null vector.  Each step brings in the
+    residual's peak and drops the point of the ratio test on lam = inv[r], or
+    after EXCHANGE_STALLS steps with no higher bound follows Bland's rule."""
+    tol = LP_TOL * scale
+    rank = int(np.linalg.matrix_rank(cols))
+    basis = linalg.qr(cols, mode="economic", pivoting=True)[0][:, :rank]  # spans the columns
+    if rank == x.size:  # the columns span every x
+        approx = basis @ (basis.T @ x)
+        return float(np.max(np.abs(x - approx))), approx, {
+            "solver": "single-point-exchange", "iterations": it, "lower": 0.0, "tol": tol}
+    ref = linalg.qr(basis.T, mode="r", pivoting=True)[1][:rank + 1]
+    lam = linalg.null_space(basis[ref].T)[:, 0]
+    sigma = np.where(lam * np.copysign(1.0, lam @ x[ref]) < 0, -1.0, 1.0)  # so that h >= 0
+    lower, stalls = 0.0, 0
+    for step in range(1, EXCHANGE_MAX_ITER + 1):
+        inv = np.linalg.inv(np.column_stack([basis[ref], sigma]))
+        sol = inv @ x[ref]
+        approx = basis @ sol[:rank]
+        resid = x - approx
+        absr = np.abs(resid)
+        value = float(absr.max())
+        bound = abs(float(sol[rank])) / float(np.abs(inv[rank]).sum())
+        stalls = 0 if bound > lower else stalls + 1
+        lower = max(lower, bound)
+        gap = value - lower
+        if gap <= tol and (lower <= tol or gap <= EXCHANGE_ROUNDING * scale or stalls >= EXCHANGE_STALLS):
+            break
+        absr[ref] = 0.0  # a reference residual is +-h up to rounding
+        enter = int((absr > lower + tol).argmax()) if stalls >= EXCHANGE_STALLS else int(absr.argmax())
+        sign = math.copysign(1.0, resid[enter])
+        pivots = sign * sigma * (np.append(basis[enter], sign) @ inv)
+        ok = pivots > EXCHANGE_ROUNDING * np.abs(pivots).max()
+        if absr[enter] <= lower or not ok.any():
+            break
+        ratio = np.where(ok, np.abs(inv[rank]) / np.where(ok, pivots, 1.0), math.inf)
+        leave = np.lexsort((ref, ratio))[0]  # the least ratio, ties to the lowest index
+        ref[leave], sigma[leave] = enter, sign
+    return value, approx, {"solver": "single-point-exchange", "iterations": it + step, "lower": lower,
+                           "tol": tol}
 
 
 def _reference_cond(cols: np.ndarray, ref: np.ndarray, inv: np.ndarray) -> float:
@@ -303,7 +324,8 @@ def _fit_in_span(space: Space, cols: np.ndarray, x: np.ndarray, incumbent: float
     fit stops below `incumbent`."""
     if space.norm_kind == "sup":
         value, approx, info = _sup_fit(cols, x, incumbent)
-        return value, approx, "upper-bound" if "below_incumbent" in info else "exact", info
+        closed = value - info["lower"] <= info["tol"] and "below_incumbent" not in info
+        return value, approx, "exact" if closed else "upper-bound", info
     if space.norm_kind == "lp":
         if space.p == 2.0:
             value, _, approx = _weighted_l2_fit(space, cols, x)
@@ -315,8 +337,7 @@ def _fit_in_span(space: Space, cols: np.ndarray, x: np.ndarray, incumbent: float
             )
         value, _, approx, info = _irls_fit(cols, x, space.weights, space.p)
         info["solver"] = "irls"
-        status = "upper-bound"
-        return value, approx, status, info
+        return value, approx, "upper-bound", info
     raise NoSolverError(f"no linear-span solver for norm kind {space.norm_kind!r}")
 
 

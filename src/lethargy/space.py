@@ -8,7 +8,7 @@ plain numpy arrays; the space object validates shape and evaluates the norm.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -111,6 +111,8 @@ class Space:
     p: float = math.inf
     grid: Optional[Grid] = None
     dim: int = 0  # coordinate dimension or matrix side
+    # the quadrature weight of each entry, read-only: the grid's weights, else ones
+    weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.carrier not in ("grid", "coords", "matrix"):
@@ -129,6 +131,9 @@ class Space:
             raise SpaceError("coordinate/matrix spaces need a positive dimension")
         if (self.norm_kind in ("hs", "operator")) != (self.carrier == "matrix"):
             raise SpaceError("the matrix carrier takes the HS and operator norms, and only it")
+        weights = self.grid.weights if self.carrier == "grid" else np.ones(self.shape)
+        weights.setflags(write=False)
+        object.__setattr__(self, "weights", weights)
 
     # -- constructors ------------------------------------------------------
 
@@ -165,11 +170,6 @@ class Space:
         if self.carrier == "coords":
             return (self.dim,)
         return (self.dim, self.dim)
-
-    @property
-    def weights(self) -> np.ndarray:
-        """The quadrature weight of each entry: the grid's weights, else ones."""
-        return self.grid.weights if self.carrier == "grid" else np.ones(self.shape)
 
     def check(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x)

@@ -1,4 +1,4 @@
-"""The discrete exchange behind every sup-norm fit, against the HiGHS LP oracle."""
+"""The exchange behind every sup-norm fit, against the HiGHS LP oracle."""
 
 import math
 
@@ -10,9 +10,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lethargy.solve as solve
-from lethargy.solve import (INCUMBENT_MARGIN, LP_TOL, _exchange_reference, _fit_in_span, _sup_fit,
-                           _sup_fit_lp)
+from lethargy.scheme import build_scheme
+from lethargy.solve import INCUMBENT_MARGIN, LP_TOL, _exchange_reference, _fit_in_span, _sup_fit, error_profile
 from lethargy.space import Space
+from lp_oracle import sup_fit_lp
 
 VALUES = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
 
@@ -53,17 +54,18 @@ def member_cases(draw):
     return cols, cols @ coef
 
 
-def assert_bracket_against_lp(cols: np.ndarray, x: np.ndarray) -> None:
+def assert_bracket_against_lp(cols: np.ndarray, x: np.ndarray) -> dict:
+    """The fit closes its bracket, and the LP oracle's value lies in it up to
+    HiGHS's rounding; returns the fit's info."""
     value, approx, info = _sup_fit(cols, x)
-    lp_value, _, _ = _sup_fit_lp(cols, x)
+    lp_value, _, _ = sup_fit_lp(cols, x)
     scale = max(1.0, float(np.max(np.abs(x))))
     assert value == pytest.approx(float(np.max(np.abs(x - approx))), abs=1e-15 * scale)
-    assert info["lower"] <= lp_value + 1e-12
+    assert info["lower"] <= lp_value + 1e-12 * scale
     assert value <= lp_value + 1e-12 * scale
-    if info["solver"] == "exchange":
-        assert value - info["lower"] <= LP_TOL * scale
-    else:
-        assert info["solver"] == "lp"
+    assert value - info["lower"] <= LP_TOL * scale
+    assert info["solver"] in ("exchange", "single-point-exchange")
+    return info
 
 
 @settings(max_examples=80, deadline=None)
@@ -89,22 +91,124 @@ def test_members_of_the_span(case):
 
 @settings(max_examples=30, deadline=None)
 @given(st.data())
-def test_repeated_column_falls_back_to_lp(data):
+def test_repeated_column_takes_single_point_steps(data):
     size = data.draw(st.integers(3, 65))
     cols = poly_columns(size, data.draw(st.integers(1, min(size - 2, 9))))
     cols = np.column_stack([cols, cols[:, -1]])  # not a Haar system: every reference is singular
     x = np.array(data.draw(st.lists(VALUES, min_size=size, max_size=size)))
-    value, _, info = _sup_fit(cols, x)
-    assert info["solver"] == "lp"
-    assert value == _sup_fit_lp(cols, x)[0]
+    assert assert_bracket_against_lp(cols, x)["solver"] == "single-point-exchange"
 
 
-def test_repeated_column_on_zero_element_falls_back_to_lp():
+def test_repeated_column_on_zero_element_takes_single_point_steps():
     # inv does not raise on these singular reference systems (condition number ~1e17)
     cols = poly_columns(7, 5)
     cols = np.column_stack([cols, cols[:, -1]])
     value, _, info = _sup_fit(cols, np.zeros(7))
-    assert (value, info["solver"]) == (0.0, "lp")
+    assert (value, info["lower"], info["solver"]) == (0.0, 0.0, "single-point-exchange")
+
+
+def dyadic_indicators(size: int) -> np.ndarray:
+    """The indicators of the dyadic intervals of `size` = 2^k nodes, coarsest first."""
+    cols = []
+    width = size
+    while width >= 1:
+        for start in range(0, size, width):
+            cols.append(np.zeros(size))
+            cols[-1][start:start + width] = 1.0
+        width //= 2
+    return np.column_stack(cols)
+
+
+@st.composite
+def non_haar_cases(draw):
+    """Column sets that are not Haar systems: subsets of dyadic indicators
+    (nested or disjoint), a repeated polynomial column, coordinate columns;
+    x drawn from few values (ties), any values, or in the span."""
+    kind = draw(st.sampled_from(["indicator", "repeated", "coordinate"]))
+    if kind == "indicator":
+        atoms = dyadic_indicators(2 ** draw(st.integers(1, 5)))
+        picks = draw(st.sets(st.integers(0, atoms.shape[1] - 1), min_size=1, max_size=6))
+        cols = atoms[:, sorted(picks)]
+    elif kind == "repeated":
+        size = draw(st.integers(2, 40))
+        cols = poly_columns(size, draw(st.integers(1, min(size, 6))))
+        cols = np.column_stack([cols, cols[:, draw(st.integers(0, cols.shape[1] - 1))]])
+    else:
+        size = draw(st.integers(1, 40))
+        picks = draw(st.sets(st.integers(0, size - 1), min_size=1, max_size=min(size, 6)))
+        cols = np.eye(size)[:, sorted(picks)]
+    size, count = cols.shape
+    values = draw(st.sampled_from([VALUES, st.integers(-2, 2).map(float)]))
+    x = np.array(draw(st.lists(values, min_size=size, max_size=size)))
+    if draw(st.booleans()):
+        x = cols @ np.array(draw(st.lists(values, min_size=count, max_size=count)))
+    return cols, x
+
+
+def sine_columns() -> np.ndarray:
+    t = 2.0 * np.pi * np.arange(32) / 32
+    return np.column_stack([np.sin(k * t) for k in (1, 2, 3)])
+
+
+# sin t, sin 2t, sin 3t vanish together at t = 0 and pi: every reference
+# holding both is singular, and the lower bound stalls on degenerate steps
+# until Bland's rule takes over
+DEGENERATE_32X3 = (sine_columns(), np.array(
+    [-1, 2, 2, 1, -1, -2, -2, 0, -1, -2, 2, 1, 0, 0, -1, -2, -2, -1, -2, 0, -2, 0, 2, 2, 0, -2, 2, 2, 0, 2, 2, 2],
+    dtype=float))
+
+
+@settings(max_examples=150, deadline=None)
+@given(non_haar_cases())
+@example(DEGENERATE_32X3)
+def test_non_haar_columns_against_the_lp(case):
+    """Every fit closes its bracket, so it is exact, and is at most the LP
+    oracle's value plus 1e-12 * max(1, ||x||_inf)."""
+    cols, x = case
+    assert_bracket_against_lp(cols, x)
+    assert _fit_in_span(Space.sup_coords(x.size), cols, x)[2] == "exact"
+
+
+def test_bland_rule_closes_the_degenerate_input():
+    # Bland's rule from the first single-point step, after three stalled
+    # steps, and never: each closes the bracket at the best error, 2
+    cols, x = DEGENERATE_32X3
+    for stalls in (0, 3, 10**6):
+        with mock.patch.object(solve, "EXCHANGE_STALLS", stalls):
+            value, _, info = _sup_fit(cols, x)
+        assert info["solver"] == "single-point-exchange"
+        assert info["lower"] == 2.0
+        assert value - 2.0 <= LP_TOL * 2.0
+
+
+def test_the_cap_leaves_an_open_bracket_upper_bound():
+    # two multi-point and two single-point steps do not reach the best error, 2
+    cols, x = DEGENERATE_32X3
+    with mock.patch.object(solve, "EXCHANGE_MAX_ITER", 2):
+        value, approx, status, info = _fit_in_span(Space.sup_coords(x.size), cols, x)
+    assert (status, info["solver"], info["iterations"]) == ("upper-bound", "single-point-exchange", 4)
+    assert 0.0 < info["lower"] <= 2.0 < value - LP_TOL * 2.0
+    assert value == float(np.max(np.abs(x - approx)))  # an achieved distance
+
+
+def test_sup_fits_never_call_highs():
+    """With `linprog` raising, the non-Haar fits and a sup n-term profile
+    (trigonometric subsets on the torus) still solve, every level exact."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a sup fit called HiGHS")
+
+    rng = np.random.default_rng(11)
+    scheme = build_scheme({"kind": "nterm", "n_max": 3, "label": "trig-nterm-sup",
+                           "dictionary": {"family": "trig", "levels": 3},
+                           "space": {"carrier": "grid", "domain": "torus", "nodes": 32, "norm": "sup"}})
+    with mock.patch.object(solve, "linprog", refuse):
+        for cols, x in (DEGENERATE_32X3, (dyadic_indicators(16)[:, [0, 1, 3, 8]], rng.standard_normal(16)),
+                        (np.column_stack([poly_columns(9, 3), poly_columns(9, 3)]), rng.standard_normal(9))):
+            value, _, info = _sup_fit(cols, x)
+            assert value - info["lower"] <= LP_TOL * max(1.0, float(np.max(np.abs(x))))
+        x = np.cos(scheme.space.grid.nodes) ** 3 + rng.standard_normal(32) / 4
+        profile = error_profile(scheme.space, x, scheme, 3)
+    assert [e.status for e in profile.entries] == ["exact"] * 4
 
 
 def test_generic_elements_use_the_exchange():
@@ -190,8 +294,8 @@ def test_fits_match_the_oracle_exchange(case):
 @st.composite
 def incumbent_problems(draw):
     """Monomial or trig columns (d = 1..9) on 33..257 nodes, one in six with a
-    repeated column (every reference singular: the LP decides); x random or
-    near a member, at scale 1 or 2^+-40."""
+    repeated column (every reference singular: single-point steps decide); x
+    random or near a member, at scale 1 or 2^+-40."""
     size = draw(st.integers(33, 257))
     if draw(st.booleans()):
         cols = poly_columns(size, draw(st.integers(1, 9)))

@@ -184,8 +184,8 @@ class TestWaveletWitness:
             witness_wavelet(3, seed=1)
 
     def test_separation_level_monotone_target(self):
-        n1, _ = pick_separation_level(1, 1.0 / (8 * math.sqrt(2)), seed=0)
-        n2, _ = pick_separation_level(2, 1.0 / (8 * math.sqrt(3)), seed=0)
+        n1, _ = pick_separation_level(1, 1.0 / (8 * math.sqrt(2)))
+        n2, _ = pick_separation_level(2, 1.0 / (8 * math.sqrt(3)))
         assert n2 >= n1
 
 
