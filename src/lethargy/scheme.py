@@ -142,7 +142,9 @@ def _chebyshev_columns(grid: Grid, count: int) -> np.ndarray:
     """Degree-graded polynomial basis, Chebyshev-of-the-domain for conditioning."""
     a, b = grid.a, grid.b
     u = (2.0 * grid.nodes - (a + b)) / (b - a)
-    cols = np.ones((grid.size, count))
+    cols = np.empty((grid.size, count))
+    if count > 0:
+        cols[:, 0] = 1.0
     if count > 1:
         cols[:, 1] = u
     for k in range(2, count):

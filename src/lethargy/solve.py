@@ -6,7 +6,7 @@ value - lower <= LP_TOL * max(1, ||x||_inf) by discrete exchange, multi-point
 or single-point; SVD is exact to machine precision, closed forms to rounding.
 "upper-bound" means the value is an achieved distance that may exceed the
 infimum (IRLS, greedy n-term selection, a sup fit stopped below its caller's
-incumbent or at the single-point cap).  A value is always achievable, so it
+incumbent or with its bracket open).  A value is always achievable, so it
 is never below the true error by more than the solver tolerance.  Sup fits
 record in their info the solver ("exchange" or "single-point-exchange"), its
 iterations and the lower bound.
@@ -53,7 +53,6 @@ LP_TOL = 1e-10
 EXCHANGE_MAX_ITER = 100
 EXCHANGE_ROUNDING = 1e-13  # relative: an exchange bracket or a ratio-test pivot this small is rounding
 EXCHANGE_MAX_COND = 1e12  # a reference system with ||A||_inf ||A^-1||_inf above this is singular
-EXCHANGE_STALLS = 3  # single-point steps with no higher lower bound before Bland's rule
 INCUMBENT_MARGIN = 1e-6  # above LP_TOL, the widest gap of an exact sup fit, relative
 IRLS_MAX_ITER = 500
 IRLS_REL_TOL = 1e-10
@@ -167,16 +166,19 @@ def _sup_fit(cols: np.ndarray, x: np.ndarray, incumbent: float = -math.inf):
                 lower_system is None or lower_system is best[2]
                 or _reference_cond(cols, *lower_system) <= EXCHANGE_MAX_COND):
             return *best[:2], {"solver": "exchange", "iterations": it, "lower": lower, "tol": tol}
-    return _single_point_exchange(cols, x, scale, it)
+    return _single_point_exchange(cols, x, scale, it, best and best[:2])
 
 
-def _single_point_exchange(cols: np.ndarray, x: np.ndarray, scale: float, it: int):
+def _single_point_exchange(cols: np.ndarray, x: np.ndarray, scale: float, it: int, best=None):
     """Chebyshev fit by single-point exchange steps, which need no Haar
     condition: the simplex method on the dual LP (Barrodale and Phillips,
-    1975).  The reference starts at the pivoted-QR rows of an orthonormal
-    basis of the span, signed by their null vector.  Each step brings in the
-    residual's peak and drops the point of the ratio test on lam = inv[r], or
-    after EXCHANGE_STALLS steps with no higher bound follows Bland's rule."""
+    1975), over an orthonormal basis of the span (directions of the columns
+    below `matrix_rank`'s tolerance are rounding and drop out).  The
+    reference starts at the basis's pivoted-QR rows, signed by their null
+    vector.  Each step brings in the residual's peak and drops the point of
+    the ratio test on lam = inv[r], ties to the lowest index; the cap ends a
+    cycle.  Only a system within EXCHANGE_MAX_COND raises `lower`, and the
+    least value seen, from `best` (value, approx) on, is returned."""
     tol = LP_TOL * scale
     rank = int(np.linalg.matrix_rank(cols))
     basis = linalg.qr(cols, mode="economic", pivoting=True)[0][:, :rank]  # spans the columns
@@ -187,7 +189,7 @@ def _single_point_exchange(cols: np.ndarray, x: np.ndarray, scale: float, it: in
     ref = linalg.qr(basis.T, mode="r", pivoting=True)[1][:rank + 1]
     lam = linalg.null_space(basis[ref].T)[:, 0]
     sigma = np.where(lam * np.copysign(1.0, lam @ x[ref]) < 0, -1.0, 1.0)  # so that h >= 0
-    lower, stalls = 0.0, 0
+    lower = 0.0
     for step in range(1, EXCHANGE_MAX_ITER + 1):
         inv = np.linalg.inv(np.column_stack([basis[ref], sigma]))
         sol = inv @ x[ref]
@@ -195,24 +197,25 @@ def _single_point_exchange(cols: np.ndarray, x: np.ndarray, scale: float, it: in
         resid = x - approx
         absr = np.abs(resid)
         value = float(absr.max())
-        bound = abs(float(sol[rank])) / float(np.abs(inv[rank]).sum())
-        stalls = 0 if bound > lower else stalls + 1
-        lower = max(lower, bound)
-        gap = value - lower
-        if gap <= tol and (lower <= tol or gap <= EXCHANGE_ROUNDING * scale or stalls >= EXCHANGE_STALLS):
+        if best is None or value < best[0]:
+            best = value, approx
+        level = abs(float(sol[rank]))
+        if _reference_cond(basis, ref, inv) <= EXCHANGE_MAX_COND:
+            lower = max(lower, level / float(np.abs(inv[rank]).sum()))
+        gap = best[0] - lower
+        if gap <= tol and (lower <= tol or gap <= EXCHANGE_ROUNDING * scale):
             break
         absr[ref] = 0.0  # a reference residual is +-h up to rounding
-        enter = int((absr > lower + tol).argmax()) if stalls >= EXCHANGE_STALLS else int(absr.argmax())
+        enter = int(absr.argmax())
         sign = math.copysign(1.0, resid[enter])
         pivots = sign * sigma * (np.append(basis[enter], sign) @ inv)
         ok = pivots > EXCHANGE_ROUNDING * np.abs(pivots).max()
-        if absr[enter] <= lower or not ok.any():
+        if absr[enter] <= level + EXCHANGE_ROUNDING * scale or not ok.any():
             break
         ratio = np.where(ok, np.abs(inv[rank]) / np.where(ok, pivots, 1.0), math.inf)
         leave = np.lexsort((ref, ratio))[0]  # the least ratio, ties to the lowest index
         ref[leave], sigma[leave] = enter, sign
-    return value, approx, {"solver": "single-point-exchange", "iterations": it + step, "lower": lower,
-                           "tol": tol}
+    return *best, {"solver": "single-point-exchange", "iterations": it + step, "lower": lower, "tol": tol}
 
 
 def _reference_cond(cols: np.ndarray, ref: np.ndarray, inv: np.ndarray) -> float:
@@ -337,7 +340,8 @@ def _fit_in_span(space: Space, cols: np.ndarray, x: np.ndarray, incumbent: float
             )
         value, _, approx, info = _irls_fit(cols, x, space.weights, space.p)
         info["solver"] = "irls"
-        return value, approx, "upper-bound", info
+        status = "upper-bound"
+        return value, approx, status, info
     raise NoSolverError(f"no linear-span solver for norm kind {space.norm_kind!r}")
 
 

@@ -140,7 +140,9 @@ def verify_witness(w: Witness, seed: int = 0) -> bool:
             # an achieved distance can overshoot the infimum, so it cannot
             # certify a lower bound on its own
             ok_lower = status == "exact" and observed >= claim.lower - w.tol * scale
-            ok_upper = claim.upper is None or observed <= claim.upper + w.tol * scale
+            ok_upper = True
+            if claim.upper is not None:
+                ok_upper = observed <= claim.upper + w.tol * scale
             records.append(Verification(claim.level, observed, mode, status,
                                         ok_lower and ok_upper, w.tol))
         else:
@@ -228,7 +230,8 @@ class HaarLikeFamily:
 
         if self.name == "poly":
             return _chebyshev_columns(grid, n)  # span of degrees < n
-        return _trig_columns(grid, n)
+        cols = _trig_columns(grid, n)
+        return cols
 
     def default_grid(self) -> Grid:
         return Grid.interval(0.0, 1.0, 2049) if self.name == "poly" else Grid.torus(4096)
@@ -295,11 +298,13 @@ def witness_haar_bumps(n: int, p: float, family: str = "poly",
         _, coef0, approx2, _ = solve._irls_fit(cols, h, mu, 2.0)
         record("exact-l2-projection", 0, approx2)
         if p == 1.0:
-            _, coef0, approx1 = l1_fit_lp(cols, h, mu)
+            _, coef1, approx1 = l1_fit_lp(cols, h, mu)
             record("exact-l1-lp", 0, approx1)
+            coef0 = coef1
         elif p != 2.0:
-            _, coef0, approxp, _ = solve._irls_fit(cols, h, grid.weights, p)
+            value, coefp, approxp, info = solve._irls_fit(cols, h, grid.weights, p)
             record("irls-local-minimum", 0, approxp)
+            coef0 = coefp
         scale = max(float(np.max(np.abs(coef0))), 1.0)
         for k in range(n_attempts):
             coef = coef0 + rng.standard_normal(cols.shape[1]) * scale * 10.0 ** rng.uniform(-3, 0.5)

@@ -61,7 +61,7 @@ def assert_bracket_against_lp(cols: np.ndarray, x: np.ndarray) -> dict:
     lp_value, _, _ = sup_fit_lp(cols, x)
     scale = max(1.0, float(np.max(np.abs(x))))
     assert value == pytest.approx(float(np.max(np.abs(x - approx))), abs=1e-15 * scale)
-    assert info["lower"] <= lp_value + 1e-12 * scale
+    assert info["lower"] <= lp_value + 1e-12
     assert value <= lp_value + 1e-12 * scale
     assert value - info["lower"] <= LP_TOL * scale
     assert info["solver"] in ("exchange", "single-point-exchange")
@@ -151,8 +151,7 @@ def sine_columns() -> np.ndarray:
 
 
 # sin t, sin 2t, sin 3t vanish together at t = 0 and pi: every reference
-# holding both is singular, and the lower bound stalls on degenerate steps
-# until Bland's rule takes over
+# holding both is singular, and single-point steps meet degenerate references
 DEGENERATE_32X3 = (sine_columns(), np.array(
     [-1, 2, 2, 1, -1, -2, -2, 0, -1, -2, 2, 1, 0, 0, -1, -2, -2, -1, -2, 0, -2, 0, 2, 2, 0, -2, 2, 2, 0, 2, 2, 2],
     dtype=float))
@@ -169,16 +168,50 @@ def test_non_haar_columns_against_the_lp(case):
     assert _fit_in_span(Space.sup_coords(x.size), cols, x)[2] == "exact"
 
 
-def test_bland_rule_closes_the_degenerate_input():
-    # Bland's rule from the first single-point step, after three stalled
-    # steps, and never: each closes the bracket at the best error, 2
+def test_the_degenerate_input_closes():
+    # the single-point steps pass the degenerate references without cycling
+    # and close the bracket at the best error, 2
     cols, x = DEGENERATE_32X3
-    for stalls in (0, 3, 10**6):
-        with mock.patch.object(solve, "EXCHANGE_STALLS", stalls):
-            value, _, info = _sup_fit(cols, x)
-        assert info["solver"] == "single-point-exchange"
-        assert info["lower"] == 2.0
-        assert value - 2.0 <= LP_TOL * 2.0
+    value, _, info = _sup_fit(cols, x)
+    assert info["solver"] == "single-point-exchange"
+    assert info["lower"] == 2.0
+    assert value - 2.0 <= LP_TOL * 2.0
+
+
+def test_single_point_steps_return_the_least_value():
+    # the third step's value, 19.7, is above the first's, 3.43: a fit stopped
+    # there returns the least value and its approximant, not the last
+    cols = sine_columns()
+    x = np.random.default_rng(31).integers(-2, 3, 32).astype(float)
+    with mock.patch.object(solve, "EXCHANGE_MAX_ITER", 3):
+        value, approx, info = solve._single_point_exchange(cols, x, 2.0, 0)
+    assert value == float(np.max(np.abs(x - approx))) < 3.5
+    assert info["iterations"] == 3
+    best = value / 2.0, np.zeros(32)  # a smaller value seen before the steps is kept
+    with mock.patch.object(solve, "EXCHANGE_MAX_ITER", 3):
+        assert solve._single_point_exchange(cols, x, 2.0, 0, best)[0] == best[0]
+
+
+def test_ill_conditioned_full_rank_columns():
+    # monomials t^k, k < 14, on 101 nodes of [0, 1]: condition about 4e9, so
+    # the multi-point references are refused and the single-point steps,
+    # on an orthonormal basis of the same span, close the bracket
+    t = np.linspace(0.0, 1.0, 101)
+    cols = np.column_stack([t ** k for k in range(14)])
+    assert np.linalg.matrix_rank(cols) == 14
+    x = np.sign(np.sin(7.0 * t)) + np.random.default_rng(0).standard_normal(101) / 10
+    assert assert_bracket_against_lp(cols, x)["solver"] == "single-point-exchange"
+    assert _fit_in_span(Space.sup_coords(101), cols, x)[2] == "exact"
+
+
+def test_a_system_singular_to_working_precision_proves_nothing():
+    # with every reference system refused, no step may raise `lower`: the
+    # fit keeps an achieved value and is no longer exact
+    cols, x = DEGENERATE_32X3
+    with mock.patch.object(solve, "_reference_cond", lambda *args: math.inf):
+        value, approx, status, info = _fit_in_span(Space.sup_coords(x.size), cols, x)
+    assert (status, info["solver"], info["lower"]) == ("upper-bound", "single-point-exchange", 0.0)
+    assert value == float(np.max(np.abs(x - approx))) <= 2.0 + LP_TOL * 2.0
 
 
 def test_the_cap_leaves_an_open_bracket_upper_bound():
