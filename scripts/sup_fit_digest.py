@@ -7,8 +7,8 @@ Run from the root of a checkout.  It wraps `solve._sup_fit` and runs one
 round of the certify-sup and one of the verify-members workload, as
 perfbench/workloads.py lists them for benchmark seed SEED (replaying the
 reports that the workload replays).  Each call prints one JSON line: the workload,
-the operation, the call's number within it, the `repr` of the value and of
-`info["lower"]`, the solver, the iterations and the sha256 of the
+the operation, the call's number within it, the `repr` of the answer's
+value and lower bound, the solver, the iterations and the sha256 of the
 minimizer's bytes, and `"below_incumbent": true` for a fit stopped below
 its caller's incumbent.  BLAS runs on one thread, as in the benchmark.
 Diffing the output of two checkouts shows whether a change to the exchange
@@ -40,18 +40,18 @@ def main() -> int:
     where = {}
 
     def digest(cols, x, *incumbent):
-        value, approx, info = fit(cols, x, *incumbent)
+        res = fit(cols, x, *incumbent)
         where["call"] += 1
         line = {
             "workload": where["workload"], "op": where["op"], "call": where["call"],
-            "value": repr(value), "lower": repr(info["lower"]), "solver": info["solver"],
-            "iterations": info["iterations"],
-            "approx": hashlib.sha256(np.ascontiguousarray(approx).tobytes()).hexdigest(),
+            "value": repr(res.value), "lower": repr(res.lower), "solver": res.info["solver"],
+            "iterations": res.info["iterations"],
+            "approx": hashlib.sha256(np.ascontiguousarray(res.minimizer).tobytes()).hexdigest(),
         }
-        if "below_incumbent" in info:
+        if "below_incumbent" in res.info:
             line["below_incumbent"] = True
         print(json.dumps(line))
-        return value, approx, info
+        return res
 
     solve._sup_fit = digest
     for workload in WORKLOADS:

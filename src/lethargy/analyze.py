@@ -49,16 +49,21 @@ class DensityCertificate:
 
 
 def density_lower_bound(s: Scheme, n: int, rng_seed: int = 0) -> DensityCertificate:
-    """Best found unit element far from A_n; rigorous iff the solver is exact.
+    """Best found unit element far from A_n, with the lower end of its
+    solve's bracket as the bound.
 
     The pool is `density_candidates`: the kind's extremal candidates and six
-    Gaussian draws, all of unit norm, each normalized again.  Each solve gets
-    the best exact score so far as its incumbent, so a candidate that cannot
-    beat it may stop early, as "upper-bound"; the certificate is the one the
-    full solves would give.
+    Gaussian draws, all of unit norm, each normalized again.  A candidate is
+    rigorous when its solve is exact and proves a positive bound, and the
+    certificate is the rigorous candidate of largest value, else the first.
+    It is exact when rigorous, or when every solve was exact (each candidate
+    is then a member of A_n, and 0 the proved bound).  Each solve gets the
+    best rigorous value so far as its incumbent, so a candidate that cannot
+    beat it may stop early; the certificate is the one the full solves
+    would give.
     """
     rng = np.random.default_rng(rng_seed)
-    best = None
+    best, decided = None, True
     for cand in density_candidates(s, min(n, s.n_max), rng):
         cand = cand / norm(s.space, cand)
         try:
@@ -66,16 +71,15 @@ def density_lower_bound(s: Scheme, n: int, rng_seed: int = 0) -> DensityCertific
                               incumbent=-math.inf if best is None else best[0])
         except NoSolverError:
             continue
-        rigorous = res.status == "exact"
-        score = res.value if rigorous else -math.inf
+        decided &= res.status == "exact"
+        score = res.value if res.status == "exact" and res.lower > 0.0 else -math.inf
         if best is None or score > best[0]:
             best = (score, cand, res)
     if best is None:
         raise AnalyzeError(f"no candidate could be solved at level {n}")
-    _, element, res = best
-    status = "exact" if res.status == "exact" else "empirical"
-    bound = res.value if status == "exact" else 0.0
-    return DensityCertificate(n, bound, element, res.value, "lower", status,
+    score, element, res = best
+    status = "exact" if score > -math.inf or decided else "empirical"
+    return DensityCertificate(n, res.lower, element, res.value, "lower", status,
                               "" if status == "exact" else "solver is upper-bound only")
 
 

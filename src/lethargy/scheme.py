@@ -265,10 +265,11 @@ class Scheme:
     points (here and `solve.best_approx`, `solve.error_profile`) check their
     input and call these methods.
 
-    `solve(space, x, n, seed, incumbent)` returns E(x, A_n) as a BestApprox.
-    It may stop once an achieved value proves E(x, A_n) below `incumbent`,
-    the best value of a caller's search so far, and return that value with
-    status "upper-bound"; only sup-norm chains do.
+    `solve(space, x, n, seed, incumbent)` returns E(x, A_n) as a BestApprox,
+    its value with the lower bound the solver proved.  It may stop once an
+    achieved value proves E(x, A_n) below `incumbent`, the best value of a
+    caller's search so far, and return that value with the lower bound
+    proved so far; only sup-norm chains do.
 
     `draw(n, rng)` returns a member of A_n and the support it was drawn with:
     the atom indices of an n-term scheme, the cell edges of a spline, and
@@ -285,8 +286,9 @@ class Scheme:
     gap: np.ndarray  # K(n), -1 = beyond window
 
     def K(self, n: int) -> Optional[int]:
-        """Gap map value, or None when it falls beyond the window (quantizer)."""
-        k = int(self.gap[n])
+        """Gap map value, or None when it falls beyond the window (quantizer)
+        or n lies past the gap table."""
+        k = int(self.gap[n]) if n < self.gap.size else -1
         return None if k < 0 else k
 
     def gap_values(self) -> list:
@@ -296,7 +298,7 @@ class Scheme:
         return dict(self.descriptor)
 
     def profile(self, space: Space, x: np.ndarray, n_max: int, seed: int) -> Optional[tuple]:
-        """([(value, status)] for n = 0..n_max, element norm or None) from one
+        """([BestApprox] for n = 0..n_max, element norm or None) from one
         factorization of x, or None when the levels are solved one by one."""
         return None
 
@@ -373,14 +375,15 @@ class Chain(Scheme):
     def solve(self, space: Space, x: np.ndarray, n: int, seed: int, incumbent: float) -> BestApprox:
         if n > self.n_max:
             raise SolverError(f"chain level {n} beyond the window 0..{self.n_max} has no basis columns")
-        return BestApprox(*_fit_in_span(space, self.basis[:, : self.chain_dim(n)], x, incumbent))
+        return _fit_in_span(space, self.basis[:, : self.chain_dim(n)], x, incumbent)
 
     def profile(self, space, x, n_max, seed):
         """L2 chains: one QR."""
         if not _is_l2(space):
             return None
         dims = [self.chain_dim(n) for n in range(n_max + 1)]
-        return [(value, "exact") for value in _chain_l2_values(space, self.basis, dims, x)], None
+        values = _chain_l2_values(space, self.basis, dims, x)
+        return [BestApprox(value, None, value) for value in values], None
 
     def draw(self, n, rng):
         d = self.chain_dim(n)
@@ -459,7 +462,7 @@ class NTerm(Scheme):
         return cls(space, n_max, label, desc, 2 * np.arange(n_max + 1), dictionary=dictionary)
 
     def solve(self, space, x, n, seed, incumbent):
-        return BestApprox(*_nterm_levels(space, self.dictionary.atoms, x, [n], seed)[n])
+        return _nterm_levels(space, self.dictionary.atoms, x, [n], seed)[n]
 
     def profile(self, space, x, n_max, seed):
         """L2: one coefficient sort, or exhaustive levels plus one greedy run
@@ -468,7 +471,7 @@ class NTerm(Scheme):
             return None
         levels = list(range(n_max + 1))
         by_level = _nterm_levels(space, self.dictionary.atoms, x, levels, seed)
-        return [(by_level[n][0], by_level[n][2]) for n in levels], None
+        return [by_level[n] for n in levels], None
 
     def draw(self, n, rng):
         k = min(n, self.dictionary.size)
@@ -612,7 +615,7 @@ class InterleavedC0(Scheme):
         if space.norm_kind != "sup":
             raise NoSolverError("interleaved-c0 solver is defined for the sup norm")
         value, y = _interleaved_error(self.cap, np.asarray(x, dtype=float), n)
-        return BestApprox(value, y, "exact", {"solver": "coordinate-closed-form"})
+        return BestApprox(value, y, value, info={"solver": "coordinate-closed-form"})
 
     def draw(self, n, rng):
         x = np.zeros(self.cap)
@@ -668,15 +671,14 @@ class Spline(Scheme):
     def solve(self, space, x, n, seed, incumbent):
         """Sup norm: greedy segmentation; L_p: dynamic program over grid-node breakpoints."""
         if space.norm_kind == "sup":
-            return BestApprox(*_spline_sup(space, x, self.degree, n + 1))
-        return BestApprox(*_spline_lp(space, x, self.degree, [n])[0])
+            return _spline_sup(space, x, self.degree, n + 1)
+        return _spline_lp(space, x, self.degree, [n])[0]
 
     def profile(self, space, x, n_max, seed):
         """L_p: one cost table and one DP."""
         if space.norm_kind != "lp":
             return None
-        fits = _spline_lp(space, x, self.degree, list(range(n_max + 1)))
-        return [(value, status) for value, _, status, _ in fits], None
+        return _spline_lp(space, x, self.degree, list(range(n_max + 1))), None
 
     def draw(self, n, rng):
         g = self.space.grid
@@ -726,12 +728,13 @@ class Rank(Scheme):
         return cls(space, n_max, label, desc, np.minimum(2 * np.arange(n_max + 1), space.dim))
 
     def solve(self, space, x, n, seed, incumbent):
-        return BestApprox(*_rank_error(space, x, n))
+        return _rank_error(space, x, n)
 
     def profile(self, space, x, n_max, seed):
         """One SVD, whose top singular value is the operator norm."""
         sv = np.linalg.svd(x, compute_uv=False)
-        fits = [(_rank_value(space, sv, n), "exact") for n in range(n_max + 1)]
+        values = [_rank_value(space, sv, n) for n in range(n_max + 1)]
+        fits = [BestApprox(value, None, value) for value in values]
         if space.norm_kind != "operator":
             return fits, None
         return fits, float(sv[0]) if sv.size else 0.0

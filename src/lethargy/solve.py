@@ -1,35 +1,33 @@
 """Best-approximation error computation E(x, A_n) per scheme kind.
 
-Every solver reports an exactness status.  "exact" means exact on the grid
-up to the documented solver tolerance: sup-norm fits close a proved bracket
-value - lower <= LP_TOL * max(1, ||x||_inf) by discrete exchange, multi-point
-or single-point; SVD is exact to machine precision, closed forms to rounding.
-"upper-bound" means the value is an achieved distance that may exceed the
-infimum (IRLS, greedy n-term selection, a sup fit stopped below its caller's
-incumbent or with its bracket open).  A value is always achievable, so it
-is never below the true error by more than the solver tolerance.  Sup fits
-record in their info the solver ("exchange" or "single-point-exchange"), its
-iterations and the lower bound.
+Every solver returns one record, `BestApprox`: an achieved distance `value`
+with its minimizer, a proved lower bound `lower` on E(x, A_n) and the solver
+tolerance `tol` = LP_TOL * max(1, ||x||_inf).  One rule decides exactness:
+the status is "exact" when value - lower <= tol, else "upper-bound".  A value
+is always achievable, so it is never below E by more than the tolerance.
+
+- Closed forms pass lower = value: the L2 projection, the orthonormal top-n
+  coefficients, the zero level, the L2 exhaustive n-term search, the L2
+  spline DP, SVD truncation and the interleaved-c0 formula.
+- Sup fits pass the bound of their discrete exchange, multi-point or
+  single-point; a sup exhaustive n-term search the least over its subsets.
+  The quantizer and the sup free-knot spline share one min-max segmentation
+  solver (`_min_max_cells`), whose bracket closes exactly for the quantizer
+  and within LP_TOL for the spline.
+- IRLS and greedy n-term selection prove nothing and pass lower = 0.
 
 A caller that keeps the best of several candidates passes `best_approx` its
-incumbent, the best value so far.  A solver may then stop as soon as an
-achieved value proves the candidate cannot beat it, and report that value
-with status "upper-bound".  Only the sup exchange stops, at a step whose
-value + INCUMBENT_MARGIN * max(1, ||x||_inf) is below the incumbent; the fit
-run to its end could not have reached it (info "below_incumbent").
-
-The quantizer and the sup-norm free-knot spline share one min-max
-segmentation solver (`_min_max_cells`), which also brackets its value: the
-quantizer's bracket closes exactly, and a sup spline is "exact" only when its
-bracket closes within LP_TOL.  Their info records the solver, the number of
-greedy passes ("iterations") and the lower bound.
+incumbent, the best value so far.  Only the sup exchange uses it: it stops
+at a step whose value + INCUMBENT_MARGIN * max(1, ||x||_inf) is below the
+incumbent, with the lower bound proved so far; the fit run to its end could
+not have reached the incumbent (info "below_incumbent").
 
 `best_approx` and `error_profile` are the one scaling boundary: every solve
-runs on x scaled by a power of two so that max |x| lies in (1/2, 1], and is
-scaled back.  On that path the tolerances written with max(1, ||x||_inf)
-are relative to the element.  The fits called directly keep them absolute
-below ||x||_inf = 1: `Spline.certified_members` through `_spline_on_cells`,
-and the witness fits through `_irls_fit`.
+runs on x scaled by a power of two so that max |x| lies in (1/2, 1], and
+value, lower and tol scale back together, so the tolerances written with
+max(1, ||x||_inf) are relative to the element.  The fits called directly
+keep them absolute below ||x||_inf = 1: `Spline.certified_members` through
+`_spline_on_cells`, and the witness fits through `_irls_fit`.
 """
 
 from __future__ import annotations
@@ -74,10 +72,19 @@ class SolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class BestApprox:
+    """E(x, A_n) bracketed: lower <= E <= value up to rounding, with the
+    minimizer that achieves value (None from a whole-profile solve)."""
+
     value: float
     minimizer: Optional[np.ndarray]
-    status: str  # "exact" | "upper-bound"
+    lower: float
+    tol: float = LP_TOL
     info: dict = field(default_factory=dict, compare=False)
+
+    @property
+    def status(self) -> str:
+        """The one place a solve's exactness is decided."""
+        return "exact" if self.value - self.lower <= self.tol else "upper-bound"
 
 
 # -- linear fits over an explicit column basis --------------------------------
@@ -122,8 +129,8 @@ def _sup_fit(cols: np.ndarray, x: np.ndarray, incumbent: float = -math.inf):
     above, and the fit run to its end (if exact, at most the best error plus
     tol) could not have reached the incumbent either.
 
-    Returns (value, approx, info); info holds solver, iterations, lower and
-    tol, and "below_incumbent" for a fit so stopped.
+    Returns a BestApprox; its info holds solver and iterations, and
+    "below_incumbent" for a fit so stopped.
     """
     n, d = cols.shape
     scale = max(1.0, float(np.max(np.abs(x))))
@@ -150,8 +157,8 @@ def _sup_fit(cols: np.ndarray, x: np.ndarray, incumbent: float = -math.inf):
             if bound > lower:
                 lower, lower_system = bound, current
             if value + INCUMBENT_MARGIN * scale < incumbent:
-                return value, approx, {"solver": "exchange", "iterations": it, "lower": lower,
-                                       "tol": tol, "below_incumbent": True}
+                return BestApprox(value, approx, lower, tol, {"solver": "exchange", "iterations": it,
+                                                              "below_incumbent": True})
             if best is not None and value >= best[0]:
                 break
             if value - lower <= tol:
@@ -165,7 +172,7 @@ def _sup_fit(cols: np.ndarray, x: np.ndarray, incumbent: float = -math.inf):
         if best is not None and _reference_cond(cols, *best[2]) <= EXCHANGE_MAX_COND and (
                 lower_system is None or lower_system is best[2]
                 or _reference_cond(cols, *lower_system) <= EXCHANGE_MAX_COND):
-            return *best[:2], {"solver": "exchange", "iterations": it, "lower": lower, "tol": tol}
+            return BestApprox(best[0], best[1], lower, tol, {"solver": "exchange", "iterations": it})
     return _single_point_exchange(cols, x, scale, it, best and best[:2])
 
 
@@ -184,8 +191,8 @@ def _single_point_exchange(cols: np.ndarray, x: np.ndarray, scale: float, it: in
     basis = linalg.qr(cols, mode="economic", pivoting=True)[0][:, :rank]  # spans the columns
     if rank == x.size:  # the columns span every x
         approx = basis @ (basis.T @ x)
-        return float(np.max(np.abs(x - approx))), approx, {
-            "solver": "single-point-exchange", "iterations": it, "lower": 0.0, "tol": tol}
+        return BestApprox(float(np.max(np.abs(x - approx))), approx, 0.0, tol,
+                          {"solver": "single-point-exchange", "iterations": it})
     ref = linalg.qr(basis.T, mode="r", pivoting=True)[1][:rank + 1]
     lam = linalg.null_space(basis[ref].T)[:, 0]
     sigma = np.where(lam * np.copysign(1.0, lam @ x[ref]) < 0, -1.0, 1.0)  # so that h >= 0
@@ -215,7 +222,8 @@ def _single_point_exchange(cols: np.ndarray, x: np.ndarray, scale: float, it: in
         ratio = np.where(ok, np.abs(inv[rank]) / np.where(ok, pivots, 1.0), math.inf)
         leave = np.lexsort((ref, ratio))[0]  # the least ratio, ties to the lowest index
         ref[leave], sigma[leave] = enter, sign
-    return *best, {"solver": "single-point-exchange", "iterations": it + step, "lower": lower, "tol": tol}
+    return BestApprox(best[0], best[1], lower, tol, {"solver": "single-point-exchange",
+                                                     "iterations": it + step})
 
 
 def _reference_cond(cols: np.ndarray, ref: np.ndarray, inv: np.ndarray) -> float:
@@ -326,22 +334,18 @@ def _fit_in_span(space: Space, cols: np.ndarray, x: np.ndarray, incumbent: float
     """Dispatch a linear best-approximation by the space's norm; only the sup
     fit stops below `incumbent`."""
     if space.norm_kind == "sup":
-        value, approx, info = _sup_fit(cols, x, incumbent)
-        closed = value - info["lower"] <= info["tol"] and "below_incumbent" not in info
-        return value, approx, "exact" if closed else "upper-bound", info
+        return _sup_fit(cols, x, incumbent)
     if space.norm_kind == "lp":
         if space.p == 2.0:
             value, _, approx = _weighted_l2_fit(space, cols, x)
-            return value, approx, "exact", {"solver": "projection"}
+            return BestApprox(value, approx, value, info={"solver": "projection"})
         if space.p < 1.0:
             raise NoSolverError(
                 "best approximation from a linear span with p < 1 is non-convex; "
                 "only quantizer, rank, and interleaved-c0 kinds support p < 1"
             )
         value, _, approx, info = _irls_fit(cols, x, space.weights, space.p)
-        info["solver"] = "irls"
-        status = "upper-bound"
-        return value, approx, status, info
+        return BestApprox(value, approx, 0.0, info={**info, "solver": "irls"})
     raise NoSolverError(f"no linear-span solver for norm kind {space.norm_kind!r}")
 
 
@@ -412,7 +416,7 @@ def best_m_value_sup(values: np.ndarray, m: int):
     value is the largest half-range of the final greedy partition.  The
     minimizer takes each cell's midpoint vl[i] + half, which is rounded, so it
     achieves the value only to within about one ulp of max|x|.  Returns
-    (value, minimizer, labels, info).
+    (BestApprox, labels).
     """
     if m < 1:
         raise SolverError("value budget m must be >= 1")
@@ -421,8 +425,8 @@ def best_m_value_sup(values: np.ndarray, m: int):
     order = np.argsort(values, kind="stable")
     v = values[order]
     if v.size == 0:
-        return 0.0, np.zeros(0), np.zeros(0, dtype=int), {"solver": "sorted-partition",
-                                                          "iterations": 0, "lower": 0.0}
+        return BestApprox(0.0, np.zeros(0), 0.0, info={"solver": "sorted-partition",
+                                                       "iterations": 0}), np.zeros(0, dtype=int)
     vl = v.tolist()
     size = len(vl)
 
@@ -453,16 +457,15 @@ def best_m_value_sup(values: np.ndarray, m: int):
     labels = np.empty_like(labels_sorted)
     minimizer[order] = levels[labels_sorted]
     labels[order] = labels_sorted
-    return value, minimizer, labels, {"solver": "sorted-partition", "iterations": passes,
-                                      "lower": lower}
+    return BestApprox(value, minimizer, lower, info={"solver": "sorted-partition",
+                                                     "iterations": passes}), labels
 
 
 def quantizer_error(space: Space, x: np.ndarray, m: int) -> BestApprox:
     """Best sup-norm approximation by functions taking at most m values."""
     if space.norm_kind != "sup":
         raise NoSolverError("the quantizer solver is defined for sup-norm carriers")
-    value, minimizer, _, info = best_m_value_sup(np.asarray(space.check(x), dtype=float), m)
-    return BestApprox(value, minimizer, "exact", info)
+    return best_m_value_sup(np.asarray(space.check(x), dtype=float), m)[0]
 
 
 def midpoint_quantizer(x: np.ndarray, m: int, radius: Optional[float] = None) -> np.ndarray:
@@ -628,22 +631,21 @@ def _nterm_l2_candidates(space: Space, atoms: np.ndarray, x: np.ndarray, n: int,
 def _nterm_exhaustive(space: Space, atoms: np.ndarray, x: np.ndarray, n: int,
                       gram: Optional[Callable] = None):
     """Best n-term fit over every n-subset of the atoms, the first least value in
-    `combinations` order.  In L2 a batched screen picks the subsets to fit."""
+    `combinations` order; its lower bound is the least over the subsets' fits.
+    In L2 a batched screen picks the subsets to fit."""
     if n > 0 and _is_l2(space):
         subsets = _nterm_l2_candidates(space, atoms, x, n, gram)
     else:
         subsets = combinations(range(atoms.shape[1]), n)
-    best = (math.inf, None, "exact", {})
-    statuses = set()
+    best, lower = None, math.inf
     for subset in subsets:
-        value, approx, status, _ = _fit_in_span(space, atoms[:, list(subset)], x)
-        statuses.add(status)
-        if value < best[0]:
-            best = (value, approx, status, {"subset": list(subset)})
-    value, approx, status, info = best
-    status = "exact" if statuses == {"exact"} else "upper-bound"
-    info.update(solver="exhaustive-subsets")
-    return value, approx, status, info
+        fit = _fit_in_span(space, atoms[:, list(subset)], x)
+        lower = min(lower, fit.lower)
+        if best is None or fit.value < best[0].value:
+            best = fit, subset
+    fit, subset = best
+    return BestApprox(fit.value, fit.minimizer, lower, fit.tol,
+                      {"solver": "exhaustive-subsets", "subset": list(subset)})
 
 
 def _nterm_greedy(space: Space, atoms: np.ndarray, x: np.ndarray, levels: list, seed: int) -> dict:
@@ -664,8 +666,9 @@ def _nterm_greedy(space: Space, atoms: np.ndarray, x: np.ndarray, levels: list, 
     the level's picks by `_fit_in_span`.
 
     A restart's picks do not depend on how far it runs, so level n's picks
-    are its first n picks.  Returns {n: (value, approx, "upper-bound", info)},
-    the least value over restarts (the first restart on ties).
+    are its first n picks.  Returns {n: BestApprox}, the least value over
+    restarts (the first restart on ties), with lower 0: a pursuit proves
+    nothing.
 
     Correlations that tie in exact arithmetic are decided by rounding.  In a
     dyadic dictionary, once a parent is chosen its two children tie; either
@@ -708,16 +711,16 @@ def _nterm_greedy(space: Space, atoms: np.ndarray, x: np.ndarray, levels: list, 
             values = [_norm_unchecked(space, r) for r in resid]
         else:
             fits = [_fit_in_span(space, atoms[:, chosen], x) for chosen in picks[:, :n]]
-            values = [fit[0] for fit in fits]
+            values = [fit.value for fit in fits]
         r = int(np.argmin(values))  # the first restart on ties
-        best[n] = (values[r], x - resid[r] if l2 else fits[r][1], "upper-bound",
-                   {"subset": sorted(int(i) for i in picks[r, :n]), "solver": "greedy-omp",
-                    "restarts": GREEDY_RESTARTS})
+        best[n] = BestApprox(values[r], x - resid[r] if l2 else fits[r].minimizer, 0.0,
+                             info={"subset": sorted(int(i) for i in picks[r, :n]),
+                                   "solver": "greedy-omp", "restarts": GREEDY_RESTARTS})
     return best
 
 
 def _nterm_levels(space: Space, atoms: np.ndarray, x: np.ndarray, levels: list, seed: int) -> dict:
-    """Best n-term fits {n: (value, approx, status, info)} for each of `levels`.
+    """Best n-term fits {n: BestApprox} for each of `levels`.
 
     An orthonormal dictionary takes the top coefficients of one sort; other
     levels search every subset when they number at most
@@ -741,14 +744,15 @@ def _nterm_levels(space: Space, atoms: np.ndarray, x: np.ndarray, levels: list, 
     for level in levels:
         n = min(level, n_atoms)
         if n <= 0:
-            out[level] = (_norm_unchecked(space, x), np.zeros_like(x, dtype=float), "exact",
-                          {"solver": "zero-level"})
+            value = _norm_unchecked(space, x)
+            out[level] = BestApprox(value, np.zeros_like(x, dtype=float), value,
+                                    info={"solver": "zero-level"})
         elif order is not None:
             top = order[:n]
             approx = atoms[:, top] @ b[top]
-            out[level] = (_norm_unchecked(space, x - approx), approx, "exact",
-                          {"solver": "orthonormal-top-coefficients",
-                           "subset": sorted(int(i) for i in top)})
+            value = _norm_unchecked(space, x - approx)
+            out[level] = BestApprox(value, approx, value, info={
+                "solver": "orthonormal-top-coefficients", "subset": sorted(int(i) for i in top)})
         elif math.comb(n_atoms, n) <= EXHAUSTIVE_SUBSET_LIMIT:
             out[level] = _nterm_exhaustive(space, atoms, x, n, gram)
         else:
@@ -832,11 +836,10 @@ def _spline_cost_table_l2(space: Space, x: np.ndarray, degree: int) -> np.ndarra
 
 
 def _spline_cost_entry(space: Space, x: np.ndarray, degree: int, i: int, j: int):
-    """p-power error, fit and status of the best degree-<degree> L_p fit on nodes [i, j)."""
+    """p-power error and fit of the best degree-<degree> L_p fit on nodes [i, j)."""
     quad = space.grid.weights[i:j]
     approx = _irls_fit(_spline_columns(space.grid.nodes[i:j], degree), x[i:j], quad, space.p)[2]
-    status = "exact" if space.p == 2.0 else "upper-bound"
-    return float(np.sum(quad * np.abs(x[i:j] - approx) ** space.p)), approx, status
+    return float(np.sum(quad * np.abs(x[i:j] - approx) ** space.p)), approx
 
 
 def _spline_columns(t: np.ndarray, degree: int) -> np.ndarray:
@@ -853,7 +856,7 @@ def _spline_on_cells(space: Space, x: np.ndarray, degree: int, cuts) -> np.ndarr
         if j <= i:
             continue
         if space.norm_kind == "sup":
-            approx[i:j] = _sup_fit(_spline_columns(nodes[i:j], degree), x[i:j])[1]
+            approx[i:j] = _sup_fit(_spline_columns(nodes[i:j], degree), x[i:j]).minimizer
         else:
             approx[i:j] = _spline_cost_entry(space, x, degree, i, j)[1]
     return approx
@@ -865,8 +868,8 @@ def _spline_sup(space: Space, x: np.ndarray, degree: int, pieces: int):
     A cell's cost is the minimax error of its degree-<degree> fit (`_sup_fit`,
     which brackets it), and it never grows when the cell shrinks, so each
     greedy cell end is found by galloping then bisecting over fits.  The
-    status is exact only when the segmentation bracket closed within LP_TOL,
-    relative to x: it is reached only through `best_approx`, so ||x||_inf <= 1.
+    segmentation bracket closes within LP_TOL, relative to x: it is reached
+    only through `best_approx`, so ||x||_inf <= 1.
     """
     nodes = space.grid.nodes
     npts = nodes.size
@@ -875,8 +878,8 @@ def _spline_sup(space: Space, x: np.ndarray, degree: int, pieces: int):
 
     def cell_cost(s: int, e: int):
         if (s, e) not in costs:
-            value, _, info = _sup_fit(_spline_columns(nodes[s:e], degree), x[s:e])
-            costs[s, e] = (value, info["lower"])
+            fit = _sup_fit(_spline_columns(nodes[s:e], degree), x[s:e])
+            costs[s, e] = (fit.value, fit.lower)
         return costs[s, e]
 
     def cell_end(s: int, t: float) -> int:
@@ -893,15 +896,14 @@ def _spline_sup(space: Space, x: np.ndarray, degree: int, pieces: int):
 
     lower, bounds, passes = _min_max_cells(npts, pieces, cell_end, cell_cost, tol)
     approx = _spline_on_cells(space, x, degree, bounds)
-    value = _norm_unchecked(space, x - approx)
-    status = "exact" if value - lower <= tol else "upper-bound"
-    return value, approx, status, {"solver": "greedy-segmentation", "iterations": passes,
-                                   "lower": lower, "knot_nodes": bounds[1:-1]}
+    return BestApprox(_norm_unchecked(space, x - approx), approx, lower, tol, {
+        "solver": "greedy-segmentation", "iterations": passes, "knot_nodes": bounds[1:-1]})
 
 
 def _spline_lp(space: Space, x: np.ndarray, degree: int, knots: list) -> list:
     """L_p free-knot splines by a dynamic program over grid-node breakpoints,
-    one fit (value, approx, status, info) per knot count in `knots`.
+    one BestApprox per knot count in `knots`: exact in L2, lower 0 (IRLS
+    cells) otherwise.
 
     The cost table and the DP rows do not depend on the largest knot count,
     so one table and one DP to min(max(knots) + 1, npts) cells serve every count.
@@ -916,10 +918,8 @@ def _spline_lp(space: Space, x: np.ndarray, degree: int, knots: list) -> list:
         raise NoSolverError("spline solver does not support p < 1 (non-convex regime)")
     if space.p == 2.0:
         cost = _spline_cost_table_l2(space, x, degree)
-        status = "exact"
     else:
         cost = np.full((npts + 1, npts + 1), math.inf)
-        status = "upper-bound"
         for i in range(npts):
             for j in range(i + 1, npts + 1):
                 cost[i, j] = _spline_cost_entry(space, x, degree, i, j)[0]
@@ -939,8 +939,9 @@ def _spline_lp(space: Space, x: np.ndarray, degree: int, knots: list) -> list:
             cuts.append(int(arg[k, cuts[-1]]))
         cuts = cuts[::-1]
         approx = _spline_on_cells(space, x, degree, cuts)
-        fits.append((_norm_unchecked(space, x - approx), approx, status,
-                     {"solver": "breakpoint-dp", "knot_nodes": cuts[1:-1]}))
+        value = _norm_unchecked(space, x - approx)
+        fits.append(BestApprox(value, approx, value if space.p == 2.0 else 0.0,
+                               info={"solver": "breakpoint-dp", "knot_nodes": cuts[1:-1]}))
     return fits
 
 
@@ -963,12 +964,11 @@ def _rank_value(space: Space, sv: np.ndarray, n: int) -> float:
     return float(np.ldexp(np.sqrt(np.sum(scaled**2)), e))
 
 
-def _rank_error(space: Space, x: np.ndarray, n: int):
+def _rank_error(space: Space, x: np.ndarray, n: int) -> BestApprox:
     u, sv, vt = np.linalg.svd(x)
-    if n >= sv.size:
-        return 0.0, x.copy(), "exact", {"solver": "svd-truncation"}
-    trunc = (u[:, :n] * sv[:n]) @ vt[:n] if n > 0 else np.zeros_like(x)
-    return _rank_value(space, sv, n), trunc, "exact", {"solver": "svd-truncation"}
+    value = _rank_value(space, sv, n)
+    trunc = x.copy() if n >= sv.size else (u[:, :n] * sv[:n]) @ vt[:n]  # zero at n = 0
+    return BestApprox(value, trunc, value, info={"solver": "svd-truncation"})
 
 
 # -- L2 chains ------------------------------------------------------------------
@@ -999,23 +999,24 @@ def _chain_l2_values(space: Space, basis: np.ndarray, dims: list, x: np.ndarray)
 
 def best_approx(space: Space, x: np.ndarray, s, n: int, seed: int = 0,
                 incumbent: float = -math.inf) -> BestApprox:
-    """E(x, A_n) with minimizer and exactness status from the solver of the
-    scheme `s`; a value that is not finite raises SolverError.
+    """E(x, A_n) as the BestApprox of the solver of the scheme `s`: value,
+    minimizer and proved lower bound, whose status follows the one rule; a
+    value that is not finite raises SolverError.
 
     `incumbent` is the best value a caller searching for the largest E has
     so far.  The solver may stop once an achieved value proves E(x, A_n)
-    below it, and return that value with status "upper-bound"; an x whose
-    fit run to its end would beat or tie the incumbent is solved as without
-    one.  The solver runs on x / 2^e with max |x / 2^e| in (1/2, 1], which is exact as A_n is
-    homogeneous; value, minimizer and info["lower"] scale back by 2^e, `incumbent` by 2^-e."""
+    below it, and return that value with the lower bound proved so far; an
+    x whose fit run to its end would beat or tie the incumbent is solved as
+    without one.  The solver runs on x / 2^e with max |x / 2^e| in (1/2, 1],
+    which is exact as A_n is homogeneous; value, minimizer, lower (at most
+    value) and tol scale back by 2^e together, `incumbent` by 2^-e."""
     x, e = _unit_scaled(space.check(x))
     if n < 0:
         raise SolverError("level n must be >= 0")
     res = s.solve(space, x, n, seed, _ldexp(incumbent, -e))
-    if e:
-        if "lower" in res.info:
-            res.info["lower"] = _ldexp(res.info["lower"], e)
-        res = BestApprox(_ldexp(res.value, e), np.ldexp(res.minimizer, e), res.status, res.info)
+    if e or res.lower > res.value:  # rounding can put a closed bracket's lower above value
+        res = BestApprox(_ldexp(res.value, e), np.ldexp(res.minimizer, e),
+                         _ldexp(min(res.lower, res.value), e), _ldexp(res.tol, e), res.info)
     if not math.isfinite(res.value):
         raise SolverError(NOT_FINITE)
     return res
@@ -1088,16 +1089,15 @@ def error_profile(space: Space, x: np.ndarray, s, n_max: int, seed: int = 0) -> 
     levels = list(range(n_max + 1))
     scaled, k = _unit_scaled(x)  # `best_approx` scales it again by 2^0
 
-    def entry(n: int, value: float, status: str) -> ProfileEntry:
-        value = _ldexp(value, k)
+    def entry(n: int, res: BestApprox) -> ProfileEntry:
+        value = _ldexp(res.value, k)
         if not math.isfinite(value):
             return ProfileEntry(n, math.nan, "error", NOT_FINITE)
-        return ProfileEntry(n, value, status)
+        return ProfileEntry(n, value, res.status)
 
     def one(n: int) -> ProfileEntry:
         try:
-            r = best_approx(space, scaled, s, n, seed=seed)
-            return entry(n, r.value, r.status)
+            return entry(n, best_approx(space, scaled, s, n, seed=seed))
         except documented as exc:
             return ProfileEntry(n, math.nan, "error", str(exc))
 
@@ -1111,7 +1111,7 @@ def error_profile(space: Space, x: np.ndarray, s, n_max: int, seed: int = 0) -> 
             entries = [one(n) for n in levels]
         else:
             fits, element_norm = whole
-            entries = [entry(n, value, status) for n, (value, status) in enumerate(fits)]
+            entries = [entry(n, res) for n, res in enumerate(fits)]
 
     # nesting makes any achieved value at level n feasible at n+1, so an
     # upper-bound entry may be tightened by its predecessors

@@ -102,8 +102,9 @@ def test_04_orthonormal_nterm_exhaustive():
     for n in range(1, 7):
         y = np.zeros(dim)
         y[:n] = 1.0 / n
-        value, _, status, _ = _nterm_exhaustive(space, atoms, y, n - 1)
-        if status != "exact":
+        res = _nterm_exhaustive(space, atoms, y, n - 1)
+        value = res.value
+        if res.status != "exact":
             failures.append(f"n={n}: exhaustive search not exact")
         if abs(value - 1.0 / n) > 1e-15:
             failures.append(f"n={n}: E = {value!r} != 1/n")

@@ -94,9 +94,10 @@ class TestBrudnyiGap:
 
 def oracle_density_lower_bound(s, n, rng_seed):
     """`density_lower_bound` with its default pool, as written before the
-    searches passed incumbents: every candidate solved to the end."""
+    searches passed incumbents: every candidate solved to the end, the bound
+    the lower end of the chosen bracket."""
     rng = np.random.default_rng(rng_seed)
-    best = None
+    best, decided = None, True
     for cand in density_candidates(s, min(n, s.n_max), rng, count=6):
         nx = norm(s.space, cand)
         if nx < 1e-12:
@@ -106,12 +107,13 @@ def oracle_density_lower_bound(s, n, rng_seed):
             res = best_approx(s.space, cand, s, n, seed=rng_seed)
         except NoSolverError:
             continue
-        score = res.value if res.status == "exact" else -math.inf
+        decided &= res.status == "exact"
+        score = res.value if res.status == "exact" and res.lower > 0.0 else -math.inf
         if best is None or score > best[0]:
             best = (score, cand, res)
-    _, element, res = best
-    status = "exact" if res.status == "exact" else "empirical"
-    return n, res.value if status == "exact" else 0.0, res.value, status, element.tobytes()
+    score, element, res = best
+    status = "exact" if score > -math.inf or decided else "empirical"
+    return n, res.lower, res.value, status, element.tobytes()
 
 
 def oracle_brudnyi_gap(s, rng_seed):
@@ -135,7 +137,7 @@ def sup_fit_iterations(search, *args, **kwargs) -> int:
 
     def counted(*fit_args):
         out = fit(*fit_args)
-        steps.append(out[2]["iterations"])
+        steps.append(out.info["iterations"])
         return out
 
     with mock.patch.object(solve, "_sup_fit", counted):

@@ -1,12 +1,9 @@
 import base64
 import copy
 import functools
-import importlib.util
 import json
 import math
 import operator
-import sys
-from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -14,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from by_path import load_by_path
 from lethargy import analyze, cli, scheme
 from lethargy import witness as wit
 from lethargy.cli import (REL_TOL, TABLE, TASKS, UsageError, canonical_json, check_config,
@@ -282,6 +280,18 @@ class TestReplay:
         assert replay_report(json.loads(json.dumps(report)))
         report["verified"] = True
         assert not replay_report(json.loads(json.dumps(report)))
+
+    def test_a_ladder_past_the_gap_table_halts(self):
+        # the spline's gap map is 2n, so a rung lands at level 10, past the
+        # gap table of n_max = 6: K(10) is None there, and the ladder halts
+        assert build_scheme("free-knot-spline").K(10) is None
+        report = run_task({"task": "slowdecay", "seed": 1, "scheme": "free-knot-spline",
+                           "params": {"i_max": 8}})
+        payload = report["payload"]
+        assert payload["meta"]["halted"] == "gap map leaves the window at level 10"
+        assert [claim["level"] for claim in payload["claims"]] == list(range(9))
+        assert not report["verified"]  # the element is a member of A_6, A_7 and A_8 (ROADMAP item 3)
+        assert replay_report(json.loads(json.dumps(report)))
 
     def test_unverified_validate_replays_its_verdict(self):
         # a constant-only chain cannot approximate the density probes
@@ -610,21 +620,7 @@ def _refused(tmp_path, capsys, config) -> str:
 
 def _load_workloads():
     """perfbench/workloads.py, loaded by path without importing perfbench."""
-    return _load_by_path("perfbench/workloads.py")
-
-
-def _load_by_path(relative: str):
-    """A file of the repository, loaded as a module by its path: its package is
-    not imported, and nothing under a `__main__` check runs."""
-    path = Path(__file__).resolve().parent.parent / relative
-    spec = importlib.util.spec_from_file_location("_loaded_" + path.stem, path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses look their module up while it loads
-    try:
-        spec.loader.exec_module(module)
-    finally:
-        del sys.modules[spec.name]
-    return module
+    return load_by_path("perfbench/workloads.py")
 
 
 KEYS = [(name, key) for name, entry in TABLE.items() for key in entry.params]
@@ -908,7 +904,7 @@ class TestDescriptorCheck:
         inline = [value for value in vars(_load_workloads()).values()
                   if isinstance(value, dict) and "kind" in value]
         assert len(inline) == 5
-        for desc in [*list_schemes(), *_load_by_path("scripts/golden_reports.py").INLINE, *inline]:
+        for desc in [*list_schemes(), *load_by_path("scripts/golden_reports.py").INLINE, *inline]:
             build_scheme(desc)
 
     def test_every_witness_descriptor_passes(self):

@@ -90,7 +90,7 @@ def test_power_of_two_scaling_is_exact(name, seed):
 @pytest.mark.parametrize("seed", [0, 1])
 def test_incumbent_and_lower_scale_with_the_element(name, seed):
     """best_approx(2^k x, incumbent=2^k c) is 2^k best_approx(x, incumbent=c)
-    bit for bit: value, minimizer, status, lower and the early stop."""
+    bit for bit: value, minimizer, status, lower, tol and the early stop."""
     s = SCHEMES[name]
     x = element(s, seed)
     stopped = 0
@@ -101,9 +101,9 @@ def test_incumbent_and_lower_scale_with_the_element(name, seed):
             stopped += "below_incumbent" in base.info
             for k in (-996, -1, 3, 996):
                 got = best_approx(s.space, np.ldexp(x, k), s, n, incumbent=float(np.ldexp(c, k)))
-                assert (got.value, got.status, got.info["lower"], got.info.get("below_incumbent")) == (
-                    np.ldexp(base.value, k), base.status, np.ldexp(base.info["lower"], k),
-                    base.info.get("below_incumbent"))
+                assert (got.value, got.status, got.lower, got.tol, got.info.get("below_incumbent")) == (
+                    np.ldexp(base.value, k), base.status, np.ldexp(base.lower, k),
+                    np.ldexp(base.tol, k), base.info.get("below_incumbent"))
                 assert got.minimizer.tobytes() == np.ldexp(base.minimizer, k).tobytes()
     assert stopped  # some incumbent above E stops a fit early
 
@@ -121,7 +121,7 @@ def test_adding_a_member_keeps_the_error(name, seed):
         slack = rounding(s, x) + rounding(s, y)
         if s.space.norm_kind == "sup":
             # both brackets [lower, value] hold the same E(x, A_n)
-            assert max(e_x.info["lower"], e_y.info["lower"]) <= min(e_x.value, e_y.value) + slack
+            assert max(e_x.lower, e_y.lower) <= min(e_x.value, e_y.value) + slack
         assert abs(e_x.value - e_y.value) <= slack
 
 

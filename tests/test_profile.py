@@ -15,6 +15,7 @@ import lethargy.solve as solve
 from lethargy.scheme import build_scheme, make_dictionary, sample_element
 from lethargy.solve import (
     GREEDY_RESTARTS,
+    LP_TOL,
     NoSolverError,
     SolverError,
     _fit_in_span,
@@ -107,18 +108,17 @@ def test_l2_chain_member_profile_vanishes(rng):
 
 def loop_exhaustive(space, atoms, x, n):
     """The former exhaustive search: a direct fit of every n-subset, keeping
-    the first least value in `combinations` order."""
-    best = (math.inf, None, "exact", {})
-    statuses = set()
+    the first least value in `combinations` order and the least lower bound
+    over all subsets; the status follows the one rule, value - lower <= LP_TOL."""
+    best, lower = (math.inf, None, {}), math.inf
     for subset in combinations(range(atoms.shape[1]), n):
-        value, approx, status, _ = _fit_in_span(space, atoms[:, list(subset)], x)
-        statuses.add(status)
-        if value < best[0]:
-            best = (value, approx, status, {"subset": list(subset)})
-    value, approx, status, info = best
-    status = "exact" if statuses == {"exact"} else "upper-bound"
-    info.update(solver="exhaustive-subsets")
-    return value, approx, status, info
+        fit = _fit_in_span(space, atoms[:, list(subset)], x)
+        lower = min(lower, fit.lower)
+        if fit.value < best[0]:
+            best = (fit.value, fit.minimizer, {"subset": list(subset)})
+    value, approx, info = best
+    status = "exact" if value - lower <= LP_TOL else "upper-bound"
+    return value, approx, lower, status, {**info, "solver": "exhaustive-subsets"}
 
 
 @settings(max_examples=150, deadline=None)
@@ -140,12 +140,13 @@ def test_screen_matches_fitting_every_subset(dim, n_atoms, n, seed, shape, delta
     if shape == "member" or rng.uniform() < 0.3:
         pick = rng.choice(n_atoms, size=n, replace=False)
         x = atoms[:, pick] @ rng.standard_normal(n) + (0.0 if shape == "member" else delta * x)
-    value, approx, status, info = _nterm_exhaustive(space, atoms, x, n)
-    want_value, want_approx, want_status, want_info = loop_exhaustive(space, atoms, x, n)
-    assert value == want_value
-    assert info == want_info
-    assert status == want_status
-    assert np.array_equal(approx, want_approx)
+    got = _nterm_exhaustive(space, atoms, x, n)
+    want_value, want_approx, want_lower, want_status, want_info = loop_exhaustive(space, atoms, x, n)
+    assert got.value == want_value
+    assert got.lower == want_lower
+    assert got.info == want_info
+    assert got.status == want_status
+    assert np.array_equal(got.minimizer, want_approx)
 
 
 # -- the lockstep pursuit against the former per-restart loop ----------------------------
@@ -173,13 +174,15 @@ def loop_greedy(space, atoms, x, levels, seed):
             chosen.append(pick)
             cols = atoms[:, chosen]
             fit = _fit_in_span(space, cols, x) if step + 1 in best else None
-            if fit is not None and fit[0] < best[step + 1][0]:
-                best[step + 1] = (fit[0], fit[1], {"subset": sorted(chosen)})
+            if fit is not None and fit.value < best[step + 1][0]:
+                best[step + 1] = (fit.value, fit.minimizer, {"subset": sorted(chosen)})
             if step + 1 < top:
-                approx = fit[1] if fit is not None and l2 else solve._weighted_l2_fit(space, cols, x)[2]
-                resid = x - approx
-    return {n: (value, approx, "upper-bound", {**info, "solver": "greedy-omp",
-                                               "restarts": GREEDY_RESTARTS})
+                l2_fit = fit is not None and l2
+                resid = x - (fit.minimizer if l2_fit else solve._weighted_l2_fit(space, cols, x)[2])
+    # a pursuit proves no lower bound: lower 0, so the one rule leaves exact
+    # only a value within LP_TOL of 0
+    return {n: (value, approx, 0.0, "exact" if value <= LP_TOL else "upper-bound",
+                {**info, "solver": "greedy-omp", "restarts": GREEDY_RESTARTS})
             for n, (value, approx, info) in best.items()}
 
 
@@ -207,9 +210,9 @@ def test_lockstep_pursuit_matches_the_restart_loop(dim, n_atoms, seed, where, sh
     assert sorted(got) == sorted(want) == sorted(levels)
     tol = 1e-12 * max(1.0, norm(space, x))
     for n in levels:
-        assert got[n][2] == want[n][2]
-        assert abs(got[n][0] - want[n][0]) <= tol, (n, got[n][0], want[n][0])
-        assert norm(space, x - got[n][1]) == pytest.approx(got[n][0], rel=1e-9, abs=tol)
+        assert (got[n].lower, got[n].status) == want[n][2:4]
+        assert abs(got[n].value - want[n][0]) <= tol, (n, got[n].value, want[n][0])
+        assert norm(space, x - got[n].minimizer) == pytest.approx(got[n].value, rel=1e-9, abs=tol)
 
 
 @pytest.mark.parametrize("name", ["char-binary-intervals", "haar-wavelet-nterm"])
@@ -227,7 +230,7 @@ def test_lockstep_pursuit_matches_the_restart_loop_on_dyadic_dictionaries(name, 
     got = solve._nterm_greedy(s.space, s.dictionary.atoms, x, levels, 5)
     want = loop_greedy(s.space, s.dictionary.atoms, x, levels, 5)
     tol = 1e-12 * max(1.0, norm(s.space, x))
-    assert all(abs(got[n][0] - want[n][0]) <= tol for n in levels)
+    assert all(abs(got[n].value - want[n][0]) <= tol for n in levels)
 
 
 # -- work counts ---------------------------------------------------------------------

@@ -69,7 +69,7 @@ def breakpoint_dp_sup(nodes: np.ndarray, x: np.ndarray, degree: int, pieces: int
             t = nodes[i:j]
             cols = np.vander((t - t.mean()) / max(float(np.ptp(t)), 1e-300), degree,
                              increasing=True)
-            cost[i, j] = _sup_fit(cols, x[i:j])[0]
+            cost[i, j] = _sup_fit(cols, x[i:j]).value
     dp = np.full(npts + 1, math.inf)
     dp[0] = 0.0
     for _ in range(pieces):
@@ -87,11 +87,11 @@ MIXED = st.lists(st.one_of(st.integers(-3, 3).map(float),
 @given(st.one_of(TIED, MIXED), st.integers(1, 6))
 def test_quantizer_matches_brute_force(values, m):
     x = np.array(values)
-    value, minimizer, labels, info = best_m_value_sup(x, m)
-    assert value == brute_force_partition_value(x, m)
-    assert info["lower"] == value
+    res, labels = best_m_value_sup(x, m)
+    assert res.value == brute_force_partition_value(x, m)
+    assert res.lower == res.value
     ulp = np.finfo(float).eps * max(1.0, float(np.max(np.abs(x))))  # levels are rounded
-    assert float(np.max(np.abs(x - minimizer))) == pytest.approx(value, abs=4.0 * ulp)
+    assert float(np.max(np.abs(x - res.minimizer))) == pytest.approx(res.value, abs=4.0 * ulp)
     assert len(np.unique(labels)) <= m
 
 
@@ -111,13 +111,13 @@ def _vector(seed: int, kind: str) -> np.ndarray:
        st.sampled_from([1, 4, 16, 128, 256]))
 def test_quantizer_bit_identical_to_bisection(seed, kind, m):
     x = _vector(seed, kind)
-    value, minimizer, labels, info = best_m_value_sup(x, m)
+    res, labels = best_m_value_sup(x, m)
     want_value, want_minimizer, want_labels = bisection_quantizer(x, m)
-    assert value == want_value
-    assert np.array_equal(minimizer, want_minimizer)
+    assert res.value == want_value
+    assert np.array_equal(res.minimizer, want_minimizer)
     assert np.array_equal(labels, want_labels)
-    assert info["lower"] == value
-    assert info["iterations"] <= 70
+    assert res.lower == res.value
+    assert res.info["iterations"] <= 70
 
 
 @settings(max_examples=12, deadline=None)
@@ -139,8 +139,8 @@ def test_sup_spline_matches_breakpoint_dp(nodes, degree, knots, seed, kind):
     want = breakpoint_dp_sup(t, x, degree, knots + 1)
     tol = LP_TOL * max(1.0, float(np.max(np.abs(x))))
     assert res.value == pytest.approx(want, abs=tol)
-    assert res.info["lower"] <= want + tol
+    assert res.lower <= want + tol
     assert res.value == pytest.approx(float(np.max(np.abs(x - res.minimizer))), abs=1e-15)
     assert len(res.info["knot_nodes"]) <= knots
     assert res.status == "exact"
-    assert res.value - res.info["lower"] <= tol
+    assert res.value - res.lower <= tol

@@ -115,10 +115,10 @@ class TestQuantizerSolver:
                 assert got == want
 
     def test_member_has_zero_distance(self):
-        value, minimizer, _, info = best_m_value_sup(np.array([0.0, 0.0, 1.0, 1.0]), 2)
-        assert value == 0.0
-        assert info["lower"] == 0.0
-        assert np.array_equal(minimizer, [0.0, 0.0, 1.0, 1.0])
+        res, _ = best_m_value_sup(np.array([0.0, 0.0, 1.0, 1.0]), 2)
+        assert res.value == 0.0
+        assert res.lower == 0.0
+        assert np.array_equal(res.minimizer, [0.0, 0.0, 1.0, 1.0])
 
     def test_bisection_stops_at_adjacent_floats(self, rng, monkeypatch):
         import lethargy.solve as solve_mod
@@ -138,20 +138,20 @@ class TestQuantizerSolver:
         x = rng.standard_normal(2049)
         for m in (2, 5, 12):
             calls.clear()
-            value, _, _, info = best_m_value_sup(x, m)
+            res, _ = best_m_value_sup(x, m)
             assert len(calls) <= 70
-            assert info["iterations"] == len(calls)
-            assert value > 0.0
-            assert info["lower"] == value
+            assert res.info["iterations"] == len(calls)
+            assert res.value > 0.0
+            assert res.lower == res.value
 
     def test_minimizer_achieves_value_up_to_rounded_levels(self):
         # found by Hypothesis: the cell midpoints are rounded, so the minimizer
         # misses the value by about one ulp of max|x|
         x = np.array([0.0, 1.0, -1.0, 2.0, -2.0, -8.0, -8.534907327886616])
-        value, minimizer, _, info = best_m_value_sup(x, 6)
+        res, _ = best_m_value_sup(x, 6)
         scale = float(np.max(np.abs(x)))
-        assert float(np.max(np.abs(x - minimizer))) <= value + 2.0 * np.finfo(float).eps * scale
-        assert info["lower"] == value
+        assert float(np.max(np.abs(x - res.minimizer))) <= res.value + 2.0 * np.finfo(float).eps * scale
+        assert res.lower == res.value
 
     def test_budget_validation(self):
         g = Grid.interval(0, 1, 33)
@@ -167,8 +167,8 @@ class TestQuantizerSolver:
 
     def test_labels_and_minimizer(self, rng):
         v = rng.standard_normal(50)
-        value, minimizer, labels, _ = best_m_value_sup(v, 4)
-        assert np.max(np.abs(v - minimizer)) == pytest.approx(value, abs=1e-15)
+        res, labels = best_m_value_sup(v, 4)
+        assert np.max(np.abs(v - res.minimizer)) == pytest.approx(res.value, abs=1e-15)
         assert len(np.unique(labels)) <= 4
 
     def test_coordinate_sup_variant(self, rng):
@@ -276,8 +276,8 @@ class TestNTerm:
                           "space": {"carrier": "coords", "dim": 10, "norm": "lp", "p": 2.0}})
         x = rng.standard_normal(10)
         fast = best_approx(s.space, x, s, 3)
-        value, _, status, _ = _nterm_exhaustive(s.space, s.dictionary.atoms, x, 3)
-        assert fast.value == pytest.approx(value, abs=1e-12)
+        exhaustive = _nterm_exhaustive(s.space, s.dictionary.atoms, x, 3)
+        assert fast.value == pytest.approx(exhaustive.value, abs=1e-12)
         assert fast.status == "exact"
 
     def test_greedy_never_beats_exhaustive(self, rng):
@@ -287,10 +287,10 @@ class TestNTerm:
         sp = Space.coords(12, 2.0)
         atoms = make_dictionary(sp, rng.standard_normal((12, 9)), "random")
         x = rng.standard_normal(12)
-        exh, *_ = _nterm_exhaustive(sp, atoms.atoms, x, 2)
-        greedy, _, status, _ = _nterm_greedy(sp, atoms.atoms, x, [2], seed=0)[2]
-        assert status == "upper-bound"
-        assert greedy >= exh - 1e-12
+        exh = _nterm_exhaustive(sp, atoms.atoms, x, 2)
+        greedy = _nterm_greedy(sp, atoms.atoms, x, [2], seed=0)[2]
+        assert (greedy.lower, greedy.status) == (0.0, "upper-bound")
+        assert greedy.value >= exh.value - 1e-12
 
     def test_zero_level(self, rng):
         s = build_scheme("orthonormal-nterm")
@@ -326,10 +326,10 @@ class TestSplineSolver:
         t = np.linspace(0, 1, 80)
         x = rng.standard_normal(80)
         cols = np.vander((t - t.mean()) / np.ptp(t), 3, increasing=True)
-        val_ex, _, info = _sup_fit(cols, x)
+        fit = _sup_fit(cols, x)
         val_lp, _, _ = sup_fit_lp(cols, x)
-        assert info["solver"] == "exchange"
-        assert val_ex == pytest.approx(val_lp, rel=1e-9, abs=1e-12)
+        assert fit.info["solver"] == "exchange"
+        assert fit.value == pytest.approx(val_lp, rel=1e-9, abs=1e-12)
 
 
 class TestErrorProfile:

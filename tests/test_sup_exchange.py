@@ -57,15 +57,17 @@ def member_cases(draw):
 def assert_bracket_against_lp(cols: np.ndarray, x: np.ndarray) -> dict:
     """The fit closes its bracket, and the LP oracle's value lies in it up to
     HiGHS's rounding; returns the fit's info."""
-    value, approx, info = _sup_fit(cols, x)
+    fit = _sup_fit(cols, x)
     lp_value, _, _ = sup_fit_lp(cols, x)
     scale = max(1.0, float(np.max(np.abs(x))))
-    assert value == pytest.approx(float(np.max(np.abs(x - approx))), abs=1e-15 * scale)
-    assert info["lower"] <= lp_value + 1e-12
-    assert value <= lp_value + 1e-12 * scale
-    assert value - info["lower"] <= LP_TOL * scale
-    assert info["solver"] in ("exchange", "single-point-exchange")
-    return info
+    assert fit.value == pytest.approx(float(np.max(np.abs(x - fit.minimizer))), abs=1e-15 * scale)
+    assert fit.lower <= lp_value + 1e-12
+    assert fit.value <= lp_value + 1e-12 * scale
+    assert fit.tol == LP_TOL * scale
+    assert fit.value - fit.lower <= fit.tol
+    assert fit.status == "exact"
+    assert fit.info["solver"] in ("exchange", "single-point-exchange")
+    return fit.info
 
 
 @settings(max_examples=80, deadline=None)
@@ -85,8 +87,7 @@ def test_trigonometric_columns(case):
 def test_members_of_the_span(case):
     cols, x = case
     assert_bracket_against_lp(cols, x)
-    value, _, _ = _sup_fit(cols, x)
-    assert value <= 1e-9 * max(1.0, float(np.max(np.abs(x))))
+    assert _sup_fit(cols, x).value <= 1e-9 * max(1.0, float(np.max(np.abs(x))))
 
 
 @settings(max_examples=30, deadline=None)
@@ -103,8 +104,8 @@ def test_repeated_column_on_zero_element_takes_single_point_steps():
     # inv does not raise on these singular reference systems (condition number ~1e17)
     cols = poly_columns(7, 5)
     cols = np.column_stack([cols, cols[:, -1]])
-    value, _, info = _sup_fit(cols, np.zeros(7))
-    assert (value, info["lower"], info["solver"]) == (0.0, 0.0, "single-point-exchange")
+    fit = _sup_fit(cols, np.zeros(7))
+    assert (fit.value, fit.lower, fit.info["solver"]) == (0.0, 0.0, "single-point-exchange")
 
 
 def dyadic_indicators(size: int) -> np.ndarray:
@@ -165,17 +166,17 @@ def test_non_haar_columns_against_the_lp(case):
     oracle's value plus 1e-12 * max(1, ||x||_inf)."""
     cols, x = case
     assert_bracket_against_lp(cols, x)
-    assert _fit_in_span(Space.sup_coords(x.size), cols, x)[2] == "exact"
+    assert _fit_in_span(Space.sup_coords(x.size), cols, x).status == "exact"
 
 
 def test_the_degenerate_input_closes():
     # the single-point steps pass the degenerate references without cycling
     # and close the bracket at the best error, 2
     cols, x = DEGENERATE_32X3
-    value, _, info = _sup_fit(cols, x)
-    assert info["solver"] == "single-point-exchange"
-    assert info["lower"] == 2.0
-    assert value - 2.0 <= LP_TOL * 2.0
+    fit = _sup_fit(cols, x)
+    assert fit.info["solver"] == "single-point-exchange"
+    assert fit.lower == 2.0
+    assert fit.value - 2.0 <= LP_TOL * 2.0
 
 
 def test_single_point_steps_return_the_least_value():
@@ -184,12 +185,12 @@ def test_single_point_steps_return_the_least_value():
     cols = sine_columns()
     x = np.random.default_rng(31).integers(-2, 3, 32).astype(float)
     with mock.patch.object(solve, "EXCHANGE_MAX_ITER", 3):
-        value, approx, info = solve._single_point_exchange(cols, x, 2.0, 0)
-    assert value == float(np.max(np.abs(x - approx))) < 3.5
-    assert info["iterations"] == 3
-    best = value / 2.0, np.zeros(32)  # a smaller value seen before the steps is kept
+        fit = solve._single_point_exchange(cols, x, 2.0, 0)
+    assert fit.value == float(np.max(np.abs(x - fit.minimizer))) < 3.5
+    assert fit.info["iterations"] == 3
+    best = fit.value / 2.0, np.zeros(32)  # a smaller value seen before the steps is kept
     with mock.patch.object(solve, "EXCHANGE_MAX_ITER", 3):
-        assert solve._single_point_exchange(cols, x, 2.0, 0, best)[0] == best[0]
+        assert solve._single_point_exchange(cols, x, 2.0, 0, best).value == best[0]
 
 
 def test_ill_conditioned_full_rank_columns():
@@ -201,7 +202,7 @@ def test_ill_conditioned_full_rank_columns():
     assert np.linalg.matrix_rank(cols) == 14
     x = np.sign(np.sin(7.0 * t)) + np.random.default_rng(0).standard_normal(101) / 10
     assert assert_bracket_against_lp(cols, x)["solver"] == "single-point-exchange"
-    assert _fit_in_span(Space.sup_coords(101), cols, x)[2] == "exact"
+    assert _fit_in_span(Space.sup_coords(101), cols, x).status == "exact"
 
 
 def test_a_system_singular_to_working_precision_proves_nothing():
@@ -209,19 +210,20 @@ def test_a_system_singular_to_working_precision_proves_nothing():
     # fit keeps an achieved value and is no longer exact
     cols, x = DEGENERATE_32X3
     with mock.patch.object(solve, "_reference_cond", lambda *args: math.inf):
-        value, approx, status, info = _fit_in_span(Space.sup_coords(x.size), cols, x)
-    assert (status, info["solver"], info["lower"]) == ("upper-bound", "single-point-exchange", 0.0)
-    assert value == float(np.max(np.abs(x - approx))) <= 2.0 + LP_TOL * 2.0
+        fit = _fit_in_span(Space.sup_coords(x.size), cols, x)
+    assert (fit.status, fit.info["solver"], fit.lower) == ("upper-bound", "single-point-exchange", 0.0)
+    assert fit.value == float(np.max(np.abs(x - fit.minimizer))) <= 2.0 + LP_TOL * 2.0
 
 
 def test_the_cap_leaves_an_open_bracket_upper_bound():
     # two multi-point and two single-point steps do not reach the best error, 2
     cols, x = DEGENERATE_32X3
     with mock.patch.object(solve, "EXCHANGE_MAX_ITER", 2):
-        value, approx, status, info = _fit_in_span(Space.sup_coords(x.size), cols, x)
-    assert (status, info["solver"], info["iterations"]) == ("upper-bound", "single-point-exchange", 4)
-    assert 0.0 < info["lower"] <= 2.0 < value - LP_TOL * 2.0
-    assert value == float(np.max(np.abs(x - approx)))  # an achieved distance
+        fit = _fit_in_span(Space.sup_coords(x.size), cols, x)
+    assert (fit.status, fit.info["solver"], fit.info["iterations"]) == (
+        "upper-bound", "single-point-exchange", 4)
+    assert 0.0 < fit.lower <= 2.0 < fit.value - LP_TOL * 2.0
+    assert fit.value == float(np.max(np.abs(x - fit.minimizer)))  # an achieved distance
 
 
 def test_sup_fits_never_call_highs():
@@ -237,8 +239,8 @@ def test_sup_fits_never_call_highs():
     with mock.patch.object(solve, "linprog", refuse):
         for cols, x in (DEGENERATE_32X3, (dyadic_indicators(16)[:, [0, 1, 3, 8]], rng.standard_normal(16)),
                         (np.column_stack([poly_columns(9, 3), poly_columns(9, 3)]), rng.standard_normal(9))):
-            value, _, info = _sup_fit(cols, x)
-            assert value - info["lower"] <= LP_TOL * max(1.0, float(np.max(np.abs(x))))
+            fit = _sup_fit(cols, x)
+            assert fit.value - fit.lower <= LP_TOL * max(1.0, float(np.max(np.abs(x))))
         x = np.cos(scheme.space.grid.nodes) ** 3 + rng.standard_normal(32) / 4
         profile = error_profile(scheme.space, x, scheme, 3)
     assert [e.status for e in profile.entries] == ["exact"] * 4
@@ -248,7 +250,7 @@ def test_generic_elements_use_the_exchange():
     rng = np.random.default_rng(3)
     for cols in (poly_columns(65, 9), trig_columns(64, 6)):
         for _ in range(5):
-            _, _, info = _sup_fit(cols, rng.standard_normal(cols.shape[0]))
+            info = _sup_fit(cols, rng.standard_normal(cols.shape[0])).info
             assert info["solver"] == "exchange"
             assert 1 <= info["iterations"]
 
@@ -257,8 +259,8 @@ def test_closed_bracket_goes_on_to_the_best_error():
     # the reference {3, 2} closes the bracket within LP_TOL at 1 + 5e-11;
     # one more exchange step reaches the best error, 1
     cols, x = np.ones((4, 1)), np.array([1.0, 0.0, 2.0, 1e-10])
-    value, approx, info = _sup_fit(cols, x)
-    assert (value, info["lower"], info["solver"]) == (1.0, 1.0, "exchange")
+    fit = _sup_fit(cols, x)
+    assert (fit.value, fit.lower, fit.info["solver"]) == (1.0, 1.0, "exchange")
     assert_bracket_against_lp(cols, x)
 
 
@@ -317,11 +319,11 @@ def test_reference_update_matches_the_oracle(state):
 @given(st.one_of(poly_cases(), trig_cases()))
 def test_fits_match_the_oracle_exchange(case):
     cols, x = case
-    value, approx, info = _sup_fit(cols, x)
+    fit = _sup_fit(cols, x)
     with mock.patch.object(solve, "_exchange_reference", oracle_exchange_reference):
         want = _sup_fit(cols, x)
-    assert (value, info) == (want[0], want[2])
-    assert approx.tobytes() == want[1].tobytes()
+    assert (fit.value, fit.lower, fit.tol, fit.info) == (want.value, want.lower, want.tol, want.info)
+    assert fit.minimizer.tobytes() == want.minimizer.tobytes()
 
 
 @st.composite
@@ -347,22 +349,27 @@ def incumbent_problems(draw):
 @given(incumbent_problems())
 def test_a_fit_stops_only_below_its_incumbent(problem):
     """A fit with an incumbent is the fit without one, bit for bit, unless it
-    stopped as "upper-bound" at an achieved value that, and the full fit's
-    value, lie below the incumbent."""
+    stopped at an achieved value that, and the full fit's value, lie below
+    the incumbent.  A stopped fit keeps the lower bound proved so far, and its
+    status follows the one rule of its bracket."""
     cols, x = problem
     space = Space.sup_coords(x.size)
     scale = max(1.0, float(np.max(np.abs(x))))
-    full_value, full_approx, full_info = _sup_fit(cols, x)
+    full = _sup_fit(cols, x)
     for incumbent in (-math.inf, 0.0, math.inf,
-                      *(full_value * (1.0 + sign * delta)
+                      *(full.value * (1.0 + sign * delta)
                         for delta in (1e-3, 1e-7, 1e-12) for sign in (1, -1))):
-        value, approx, status, info = _fit_in_span(space, cols, x, incumbent)
+        fit = _fit_in_span(space, cols, x, incumbent)
+        info = fit.info
         if "below_incumbent" not in info:
-            assert (value, status, info) == (full_value, "exact", full_info)
-            assert approx.tobytes() == full_approx.tobytes()
+            assert (fit.value, fit.lower, fit.tol, fit.status, info) == (
+                full.value, full.lower, full.tol, "exact", full.info)
+            assert fit.minimizer.tobytes() == full.minimizer.tobytes()
             continue
-        assert (status, info["solver"], info["below_incumbent"]) == ("upper-bound", "exchange", True)
-        assert value + INCUMBENT_MARGIN * scale < incumbent
-        assert full_value < incumbent
-        assert value == float(np.max(np.abs(x - approx)))  # an achieved distance
+        assert (info["solver"], info["below_incumbent"], fit.tol) == ("exchange", True, LP_TOL * scale)
+        assert fit.status == ("exact" if fit.value - fit.lower <= fit.tol else "upper-bound")
+        assert 0.0 <= fit.lower <= full.value + full.tol  # a lower bound on the best error
+        assert fit.value + INCUMBENT_MARGIN * scale < incumbent
+        assert full.value < incumbent
+        assert fit.value == float(np.max(np.abs(x - fit.minimizer)))  # an achieved distance
         assert incumbent < math.inf or info["iterations"] == 1  # the first step stops at once

@@ -141,10 +141,9 @@ class TestOrthonormalWitness:
     def test_exhaustive_oracle_n3_d8(self):
         w = witness_orthonormal_nterm(3, 8)
         assert verify_witness(w)
-        value, _, status, _ = _nterm_exhaustive(w.scheme.space, w.scheme.dictionary.atoms,
-                                                w.element, 2)
-        assert status == "exact"
-        assert value == pytest.approx(1.0 / 3.0, abs=1e-12)
+        res = _nterm_exhaustive(w.scheme.space, w.scheme.dictionary.atoms, w.element, 2)
+        assert res.status == "exact"
+        assert res.value == pytest.approx(1.0 / 3.0, abs=1e-12)
 
     def test_level_one_is_norm(self):
         w = witness_orthonormal_nterm(1, 6)
