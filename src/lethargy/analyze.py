@@ -53,19 +53,19 @@ def density_lower_bound(s: Scheme, n: int, rng_seed: int = 0) -> DensityCertific
     solve's bracket as the bound.
 
     The pool is `density_candidates`: the kind's extremal candidates and six
-    Gaussian draws, all of unit norm, each normalized again.  A candidate is
-    rigorous when its solve is exact and proves a positive bound, and the
-    certificate is the rigorous candidate of largest value, else the first.
-    It is exact when rigorous, or when every solve was exact (each candidate
-    is then a member of A_n, and 0 the proved bound).  Each solve gets the
-    best rigorous value so far as its incumbent, so a candidate that cannot
-    beat it may stop early; the certificate is the one the full solves
-    would give.
+    Gaussian draws, all of unit norm.  A candidate is rigorous when its solve
+    is exact and proves a positive bound.  The certificate is the first
+    rigorous candidate, replaced only by a later one whose value is larger
+    by more than that later solve's tol, so that rounding decides no tie;
+    with no rigorous candidate it is the first.  It is exact when rigorous,
+    or when every solve was exact (each candidate is then a member of A_n,
+    and 0 the proved bound).  Each solve gets the best rigorous value so far
+    as its incumbent, so a candidate that cannot beat it may stop early; the
+    certificate is the one the full solves would give.
     """
     rng = np.random.default_rng(rng_seed)
     best, decided = None, True
     for cand in density_candidates(s, min(n, s.n_max), rng):
-        cand = cand / norm(s.space, cand)
         try:
             res = best_approx(s.space, cand, s, n, seed=rng_seed,
                               incumbent=-math.inf if best is None else best[0])
@@ -73,7 +73,7 @@ def density_lower_bound(s: Scheme, n: int, rng_seed: int = 0) -> DensityCertific
             continue
         decided &= res.status == "exact"
         score = res.value if res.status == "exact" and res.lower > 0.0 else -math.inf
-        if best is None or score > best[0]:
+        if best is None or score > best[0] + res.tol:
             best = (score, cand, res)
     if best is None:
         raise AnalyzeError(f"no candidate could be solved at level {n}")
@@ -113,8 +113,10 @@ def monotone_envelope(bounds: list) -> list:
 
 
 def brudnyi_gap(s: Scheme, n_max: Optional[int] = None, rng_seed: int = 0) -> dict:
-    """min over n of the best found E(a, A_n) over unit a in A_{n+1}; each
-    solve gets the level's best so far as its incumbent."""
+    """min over n of the best found E(a, A_n) over unit a in A_{n+1}; a
+    candidate counts, as in `density_lower_bound`, only when its solve is
+    exact with a positive lower bound.  Each solve gets the level's best so
+    far as its incumbent."""
     if n_max is None:
         n_max = s.n_max - 1
     n_max = min(n_max, s.n_max - 1)
@@ -124,7 +126,7 @@ def brudnyi_gap(s: Scheme, n_max: Optional[int] = None, rng_seed: int = 0) -> di
         best = 0.0
         for cand in gap_candidates(s, n, rng, count=4):
             res = best_approx(s.space, cand, s, n, seed=rng_seed, incumbent=best)
-            if res.status == "exact":
+            if res.status == "exact" and res.lower > 0.0:
                 best = max(best, res.value)
         per.append(best)
     gamma = min(per) if per else 0.0

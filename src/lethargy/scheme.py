@@ -25,9 +25,9 @@ from typing import Callable, ClassVar, Optional
 import numpy as np
 
 from .solve import (BestApprox, NoSolverError, SolverError, _chain_l2_values, _fit_in_span,
-                    _interleaved_error, _is_l2, _nterm_levels, _rank_error, _rank_value,
-                    _spline_lp, _spline_on_cells, _spline_sup, _support_fits, _weighted_l2_fit,
-                    best_approx, quantizer_error)
+                    _interleaved_error, _is_l2, _nterm_levels, _rank_value, _spline_lp,
+                    _spline_on_cells, _spline_sup, _support_fits, _weighted_l2_fit, best_approx,
+                    quantizer_error)
 from .space import Grid, Space, column_norms, norm
 
 MEMBERSHIP_TOL = 1e-9
@@ -265,11 +265,15 @@ class Scheme:
     points (here and `solve.best_approx`, `solve.error_profile`) check their
     input and call these methods.
 
-    `solve(space, x, n, seed, incumbent)` returns E(x, A_n) as a BestApprox,
-    its value with the lower bound the solver proved.  It may stop once an
-    achieved value proves E(x, A_n) below `incumbent`, the best value of a
-    caller's search so far, and return that value with the lower bound
-    proved so far; only sup-norm chains do.
+    `solve(space, x, levels, seed, incumbent)` returns E(x, A_n) for each n
+    of the list `levels` as a BestApprox, its value with the lower bound the
+    solver proved; `best_approx` asks for one level and `error_profile` for
+    the whole window.  A kind that factors x (rank, L2 chains, L_p splines,
+    n-term schemes) does so once for the list; a closed form may then give
+    no minimizer.  A solve may stop once an achieved value proves E(x, A_n)
+    below `incumbent`, the best value of a caller's search so far, and
+    return that value with the lower bound proved so far; only sup-norm
+    chains do.
 
     `draw(n, rng)` returns a member of A_n and the support it was drawn with:
     the atom indices of an n-term scheme, the cell edges of a spline, and
@@ -296,11 +300,6 @@ class Scheme:
 
     def to_json(self) -> dict:
         return dict(self.descriptor)
-
-    def profile(self, space: Space, x: np.ndarray, n_max: int, seed: int) -> Optional[tuple]:
-        """([BestApprox] for n = 0..n_max, element norm or None) from one
-        factorization of x, or None when the levels are solved one by one."""
-        return None
 
     def member(self, x: np.ndarray, n: int) -> bool:
         """x in A_n: its distance to A_n is at most MEMBERSHIP_TOL * ||x||, so
@@ -372,18 +371,16 @@ class Chain(Scheme):
     def chain_dim(self, n: int) -> int:
         return int(self.level_dims[n])
 
-    def solve(self, space: Space, x: np.ndarray, n: int, seed: int, incumbent: float) -> BestApprox:
-        if n > self.n_max:
-            raise SolverError(f"chain level {n} beyond the window 0..{self.n_max} has no basis columns")
-        return _fit_in_span(space, self.basis[:, : self.chain_dim(n)], x, incumbent)
-
-    def profile(self, space, x, n_max, seed):
-        """L2 chains: one QR."""
-        if not _is_l2(space):
-            return None
-        dims = [self.chain_dim(n) for n in range(n_max + 1)]
-        values = _chain_l2_values(space, self.basis, dims, x)
-        return [BestApprox(value, None, value) for value in values], None
+    def solve(self, space: Space, x: np.ndarray, levels: list, seed: int, incumbent: float) -> list:
+        """L2: one QR for every level; other norms: one fit per level."""
+        top = max(levels)
+        if top > self.n_max:
+            raise SolverError(f"chain level {top} beyond the window 0..{self.n_max} has no basis columns")
+        dims = [self.chain_dim(n) for n in levels]
+        if _is_l2(space):
+            return [BestApprox(value, None, value, info={"solver": "projection"})
+                    for value in _chain_l2_values(space, self.basis, dims, x)]
+        return [_fit_in_span(space, self.basis[:, :d], x, incumbent) for d in dims]
 
     def draw(self, n, rng):
         d = self.chain_dim(n)
@@ -461,17 +458,10 @@ class NTerm(Scheme):
             space, max_level=level if max_level is None else max_level, budget=budget)
         return cls(space, n_max, label, desc, 2 * np.arange(n_max + 1), dictionary=dictionary)
 
-    def solve(self, space, x, n, seed, incumbent):
-        return _nterm_levels(space, self.dictionary.atoms, x, [n], seed)[n]
-
-    def profile(self, space, x, n_max, seed):
-        """L2: one coefficient sort, or exhaustive levels plus one greedy run
+    def solve(self, space, x, levels, seed, incumbent):
+        """One coefficient sort, or exhaustive levels plus one greedy run
         shared by the greedy levels."""
-        if not _is_l2(space):
-            return None
-        levels = list(range(n_max + 1))
-        by_level = _nterm_levels(space, self.dictionary.atoms, x, levels, seed)
-        return [by_level[n] for n in levels], None
+        return _nterm_levels(space, self.dictionary.atoms, x, levels, seed)
 
     def draw(self, n, rng):
         k = min(n, self.dictionary.size)
@@ -552,10 +542,10 @@ class Quantizer(Scheme):
     def m_of(self, n: int) -> int:
         return int(self.value_budget[n])
 
-    def solve(self, space, x, n, seed, incumbent):
-        if n > self.n_max:
+    def solve(self, space, x, levels, seed, incumbent):
+        if max(levels) > self.n_max:
             raise SolverError("quantizer level beyond the window has no declared budget")
-        return quantizer_error(space, x, self.m_of(n))
+        return [quantizer_error(space, x, self.m_of(n)) for n in levels]
 
     def member(self, x, n):
         return distinct_value_count(x) <= self.m_of(n)
@@ -611,11 +601,12 @@ class InterleavedC0(Scheme):
             raise SchemeError("levels beyond 2*cap-1 coincide with the whole space")
         return cls(Space.sup_coords(cap), n_max, label, desc, np.arange(n_max + 1) + 1, cap=cap)
 
-    def solve(self, space, x, n, seed, incumbent):
+    def solve(self, space, x, levels, seed, incumbent):
         if space.norm_kind != "sup":
             raise NoSolverError("interleaved-c0 solver is defined for the sup norm")
-        value, y = _interleaved_error(self.cap, np.asarray(x, dtype=float), n)
-        return BestApprox(value, y, value, info={"solver": "coordinate-closed-form"})
+        fits = [_interleaved_error(self.cap, np.asarray(x, dtype=float), n) for n in levels]
+        return [BestApprox(value, y, value, info={"solver": "coordinate-closed-form"})
+                for value, y in fits]
 
     def draw(self, n, rng):
         x = np.zeros(self.cap)
@@ -668,17 +659,12 @@ class Spline(Scheme):
         gap = np.minimum(2 * np.arange(n_max + 1), space.grid.size - 2)
         return cls(space, n_max, label, desc, gap, degree=degree)
 
-    def solve(self, space, x, n, seed, incumbent):
-        """Sup norm: greedy segmentation; L_p: dynamic program over grid-node breakpoints."""
+    def solve(self, space, x, levels, seed, incumbent):
+        """Sup norm: greedy segmentation per level; L_p: one cost table and one
+        dynamic program over grid-node breakpoints for every level."""
         if space.norm_kind == "sup":
-            return _spline_sup(space, x, self.degree, n + 1)
-        return _spline_lp(space, x, self.degree, [n])[0]
-
-    def profile(self, space, x, n_max, seed):
-        """L_p: one cost table and one DP."""
-        if space.norm_kind != "lp":
-            return None
-        return _spline_lp(space, x, self.degree, list(range(n_max + 1))), None
+            return [_spline_sup(space, x, self.degree, n + 1) for n in levels]
+        return _spline_lp(space, x, self.degree, levels)
 
     def draw(self, n, rng):
         g = self.space.grid
@@ -727,17 +713,11 @@ class Rank(Scheme):
         n_max = space.dim if n_max is None else n_max
         return cls(space, n_max, label, desc, np.minimum(2 * np.arange(n_max + 1), space.dim))
 
-    def solve(self, space, x, n, seed, incumbent):
-        return _rank_error(space, x, n)
-
-    def profile(self, space, x, n_max, seed):
-        """One SVD, whose top singular value is the operator norm."""
+    def solve(self, space, x, levels, seed, incumbent):
+        """Eckart-Young from one values-only SVD."""
         sv = np.linalg.svd(x, compute_uv=False)
-        values = [_rank_value(space, sv, n) for n in range(n_max + 1)]
-        fits = [BestApprox(value, None, value) for value in values]
-        if space.norm_kind != "operator":
-            return fits, None
-        return fits, float(sv[0]) if sv.size else 0.0
+        return [BestApprox(value, None, value, info={"solver": "svd-truncation"})
+                for value in (_rank_value(space, sv, n) for n in levels)]
 
     def member(self, x, n):
         return bool(_numerical_ranks(x[None])[0] <= n)

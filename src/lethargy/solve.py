@@ -1,5 +1,12 @@
 """Best-approximation error computation E(x, A_n) per scheme kind.
 
+Each kind has one solve, `Scheme.solve`, which answers a list of levels:
+`best_approx` asks it for one level and `error_profile` for the whole
+window, so a kind that factors x (one QR for an L2 chain, one SVD for rank,
+one cost table for an L_p spline, one coefficient sort, Gram matrix and
+greedy pursuit for an n-term scheme) does so once for the list, and a
+profile entry is the answer `best_approx` gives at that level.
+
 Every solver returns one record, `BestApprox`: an achieved distance `value`
 with its minimizer, a proved lower bound `lower` on E(x, A_n) and the solver
 tolerance `tol` = LP_TOL * max(1, ||x||_inf).  One rule decides exactness:
@@ -73,7 +80,8 @@ class SolverError(RuntimeError):
 @dataclass(frozen=True)
 class BestApprox:
     """E(x, A_n) bracketed: lower <= E <= value up to rounding, with the
-    minimizer that achieves value (None from a whole-profile solve)."""
+    minimizer that achieves value (None from the closed forms that read E
+    off one factorization of x: the L2 chain's QR and rank's SVD)."""
 
     value: float
     minimizer: Optional[np.ndarray]
@@ -127,7 +135,9 @@ def _sup_fit(cols: np.ndarray, x: np.ndarray, incumbent: float = -math.inf):
     A step whose value + INCUMBENT_MARGIN * max(1, ||x||_inf) is below
     `incumbent` ends the fit with that value: it bounds the best error from
     above, and the fit run to its end (if exact, at most the best error plus
-    tol) could not have reached the incumbent either.
+    tol) could not have reached the incumbent either.  Its lower bound is the
+    one proved so far when that bound's system is within EXCHANGE_MAX_COND,
+    else 0.
 
     Returns a BestApprox; its info holds solver and iterations, and
     "below_incumbent" for a fit so stopped.
@@ -157,8 +167,9 @@ def _sup_fit(cols: np.ndarray, x: np.ndarray, incumbent: float = -math.inf):
             if bound > lower:
                 lower, lower_system = bound, current
             if value + INCUMBENT_MARGIN * scale < incumbent:
-                return BestApprox(value, approx, lower, tol, {"solver": "exchange", "iterations": it,
-                                                              "below_incumbent": True})
+                cond = _reference_cond(cols, *lower_system) if lower_system else 0.0
+                return BestApprox(value, approx, lower if cond <= EXCHANGE_MAX_COND else 0.0, tol, {
+                    "solver": "exchange", "iterations": it, "below_incumbent": True})
             if best is not None and value >= best[0]:
                 break
             if value - lower <= tol:
@@ -719,8 +730,8 @@ def _nterm_greedy(space: Space, atoms: np.ndarray, x: np.ndarray, levels: list, 
     return best
 
 
-def _nterm_levels(space: Space, atoms: np.ndarray, x: np.ndarray, levels: list, seed: int) -> dict:
-    """Best n-term fits {n: BestApprox} for each of `levels`.
+def _nterm_levels(space: Space, atoms: np.ndarray, x: np.ndarray, levels: list, seed: int) -> list:
+    """Best n-term fits, one BestApprox for each of `levels`, in every norm.
 
     An orthonormal dictionary takes the top coefficients of one sort; other
     levels search every subset when they number at most
@@ -759,7 +770,7 @@ def _nterm_levels(space: Space, atoms: np.ndarray, x: np.ndarray, levels: list, 
             greedy.append(level)  # level < n_atoms here, since comb(n_atoms, n_atoms) = 1
     if greedy:
         out.update(_nterm_greedy(space, atoms, x, greedy, seed))
-    return out
+    return [out[level] for level in levels]
 
 
 # -- free-knot splines ----------------------------------------------------------
@@ -964,27 +975,20 @@ def _rank_value(space: Space, sv: np.ndarray, n: int) -> float:
     return float(np.ldexp(np.sqrt(np.sum(scaled**2)), e))
 
 
-def _rank_error(space: Space, x: np.ndarray, n: int) -> BestApprox:
-    u, sv, vt = np.linalg.svd(x)
-    value = _rank_value(space, sv, n)
-    trunc = x.copy() if n >= sv.size else (u[:, :n] * sv[:n]) @ vt[:n]  # zero at n = 0
-    return BestApprox(value, trunc, value, info={"solver": "svd-truncation"})
-
-
 # -- L2 chains ------------------------------------------------------------------
 
 
 def _chain_l2_values(space: Space, basis: np.ndarray, dims: list, x: np.ndarray) -> list:
-    """E(x, A_n) of a chain in L2 (or ell_2), A_n the span of the first dims[n]
-    columns of `basis`, from one QR of [a | b].
+    """E(x, A) of a chain in L2 (or ell_2) for each A the span of the first d
+    columns of `basis`, d in `dims`, from one QR of [a | b].
 
-    a is the weighted basis up to the top level's dimension and b the weighted
+    a is the weighted basis up to the largest of `dims` and b the weighted
     element, factored in place (neither Q nor a copy of [a | b] is formed).
     R[i, -1] is b's coordinate on the i-th orthonormal column of a,
     so the residual at dimension d is sqrt(sum_{i >= d} |R[i, -1]|^2), a sum
     of non-negative terms (no cancellation for members).
     """
-    top = dims[-1]
+    top = max(dims)
     ab = np.empty((x.size, top + 1), dtype=np.result_type(basis, x), order="F")
     ab[:, :top] = basis[:, :top]
     ab[:, top] = x
@@ -999,24 +1003,26 @@ def _chain_l2_values(space: Space, basis: np.ndarray, dims: list, x: np.ndarray)
 
 def best_approx(space: Space, x: np.ndarray, s, n: int, seed: int = 0,
                 incumbent: float = -math.inf) -> BestApprox:
-    """E(x, A_n) as the BestApprox of the solver of the scheme `s`: value,
-    minimizer and proved lower bound, whose status follows the one rule; a
-    value that is not finite raises SolverError.
+    """E(x, A_n) as the BestApprox of the scheme's `s.solve` of the one level
+    n: value, minimizer and proved lower bound, whose status follows the one
+    rule; a value that is not finite raises SolverError.
 
     `incumbent` is the best value a caller searching for the largest E has
     so far.  The solver may stop once an achieved value proves E(x, A_n)
     below it, and return that value with the lower bound proved so far; an
     x whose fit run to its end would beat or tie the incumbent is solved as
     without one.  The solver runs on x / 2^e with max |x / 2^e| in (1/2, 1],
-    which is exact as A_n is homogeneous; value, minimizer, lower (at most
-    value) and tol scale back by 2^e together, `incumbent` by 2^-e."""
+    which is exact as A_n is homogeneous; value, minimizer (where the solver
+    gives one), lower (at most value) and tol scale back by 2^e together,
+    `incumbent` by 2^-e."""
     x, e = _unit_scaled(space.check(x))
     if n < 0:
         raise SolverError("level n must be >= 0")
-    res = s.solve(space, x, n, seed, _ldexp(incumbent, -e))
+    res = s.solve(space, x, [n], seed, _ldexp(incumbent, -e))[0]
     if e or res.lower > res.value:  # rounding can put a closed bracket's lower above value
-        res = BestApprox(_ldexp(res.value, e), np.ldexp(res.minimizer, e),
-                         _ldexp(min(res.lower, res.value), e), _ldexp(res.tol, e), res.info)
+        minimizer = None if res.minimizer is None else np.ldexp(res.minimizer, e)
+        res = BestApprox(_ldexp(res.value, e), minimizer, _ldexp(min(res.lower, res.value), e),
+                         _ldexp(res.tol, e), res.info)
     if not math.isfinite(res.value):
         raise SolverError(NOT_FINITE)
     return res
@@ -1077,47 +1083,39 @@ class ErrorProfile:
 def error_profile(space: Space, x: np.ndarray, s, n_max: int, seed: int = 0) -> ErrorProfile:
     """Tabulate E(x, A_n), n = 0..n_max; solver errors become entries, not raises.
 
-    A kind with a whole-profile solve (`s.profile`) factors x once, and an
-    error there becomes an entry at every level; the other kinds are solved
-    level by level.  A value that is not finite becomes an error entry.  The
-    solves run on x scaled by a power of two, as in `best_approx`.
+    One `s.solve` answers every level, so a kind that factors x does so
+    once.  A documented error there has each level solved alone, and the
+    error becomes an entry at the levels that raise it.  A value that is not
+    finite becomes an error entry.  The solves run on x scaled by a power of
+    two, as in `best_approx`.
     """
     x = space.check(x)
     if n_max > s.n_max:
         raise SolverError(f"n_max {n_max} beyond the scheme window {s.n_max}")
     documented = (NoSolverError, SolverError, SpaceError)
-    levels = list(range(n_max + 1))
-    scaled, k = _unit_scaled(x)  # `best_approx` scales it again by 2^0
+    scaled, k = _unit_scaled(x)
 
-    def entry(n: int, res: BestApprox) -> ProfileEntry:
-        value = _ldexp(res.value, k)
-        if not math.isfinite(value):
-            return ProfileEntry(n, math.nan, "error", NOT_FINITE)
-        return ProfileEntry(n, value, res.status)
-
-    def one(n: int) -> ProfileEntry:
+    def entries(levels: list) -> Optional[list]:
+        """An entry per level from one `s.solve`, or None after a documented
+        error at more than one level; one level's error is its entry."""
         try:
-            return entry(n, best_approx(space, scaled, s, n, seed=seed))
+            fits = s.solve(space, scaled, levels, seed, -math.inf)
         except documented as exc:
-            return ProfileEntry(n, math.nan, "error", str(exc))
+            return None if len(levels) > 1 else [ProfileEntry(levels[0], math.nan, "error", str(exc))]
+        values = [_ldexp(res.value, k) for res in fits]
+        return [ProfileEntry(n, value, res.status) if math.isfinite(value)
+                else ProfileEntry(n, math.nan, "error", NOT_FINITE)
+                for n, value, res in zip(levels, values, fits)]
 
-    element_norm = None
-    try:
-        whole = s.profile(space, scaled, n_max, seed) if levels else ([], None)
-    except documented as exc:
-        entries = [ProfileEntry(n, math.nan, "error", str(exc)) for n in levels]
-    else:
-        if whole is None:
-            entries = [one(n) for n in levels]
-        else:
-            fits, element_norm = whole
-            entries = [entry(n, res) for n, res in enumerate(fits)]
-
+    levels = list(range(n_max + 1))
+    solved = entries(levels) if levels else []
+    if solved is None:  # each level alone, so an error stays at the levels that raise it
+        solved = [entries([n])[0] for n in levels]
     # nesting makes any achieved value at level n feasible at n+1, so an
     # upper-bound entry may be tightened by its predecessors
     best_so_far = math.inf
     out = []
-    for e in entries:
+    for e in solved:
         if e.status == "error":
             out.append(e)
             continue
@@ -1125,5 +1123,7 @@ def error_profile(space: Space, x: np.ndarray, s, n_max: int, seed: int = 0) -> 
             e = ProfileEntry(e.n, best_so_far, e.status, "tightened by level monotonicity")
         best_so_far = min(best_so_far, e.value)
         out.append(e)
-    element_norm = norm(space, x) if element_norm is None else _ldexp(element_norm, k)
-    return ErrorProfile(out, s.label, element_norm)
+    # the operator norm is the top singular value, which a rank profile's
+    # level 0, ||x - 0||, has already computed bit for bit
+    operator = space.norm_kind == "operator" and out and out[0].status != "error"
+    return ErrorProfile(out, s.label, out[0].value if operator else norm(space, x))

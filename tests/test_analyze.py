@@ -4,6 +4,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
+import lethargy.analyze as analyze
 import lethargy.solve as solve
 from lethargy.analyze import (
     AnalyzeError,
@@ -20,7 +21,7 @@ from lethargy.analyze import (
     shapiro_check,
 )
 from lethargy.scheme import build_scheme, density_candidates, gap_candidates
-from lethargy.solve import NoSolverError, best_approx
+from lethargy.solve import LP_TOL, BestApprox, NoSolverError, best_approx
 from lethargy.space import Grid, Space, norm
 
 
@@ -72,6 +73,20 @@ class TestDensityCertificates:
     def test_monotone_envelope(self):
         assert monotone_envelope([0.5, 0.9, 0.3]) == [0.9, 0.9, 0.3]
 
+    @pytest.mark.parametrize("margin,winner", [(0.5, 0), (2.0, 1)])
+    def test_a_tie_within_tol_keeps_the_first_candidate(self, margin, winner, monkeypatch):
+        # two exact answers: the later one replaces the first only when it is
+        # farther by more than its tol, so rounding decides no tie
+        s = build_scheme("rank-8-operator")
+        pool = [np.eye(8), np.diag([1.0] + [0.0] * 7)]
+        values = [1.0, 1.0 + margin * LP_TOL]
+        answers = iter([BestApprox(value, None, value) for value in values])
+        monkeypatch.setattr(analyze, "density_candidates", lambda *args: pool)
+        monkeypatch.setattr(analyze, "best_approx", lambda *args, **kwargs: next(answers))
+        c = density_lower_bound(s, 0)
+        assert c.element is pool[winner]
+        assert (c.bound, c.status) == (values[winner], "exact")
+
 
 class TestBrudnyiGap:
     def test_interleaved_matches_reciprocal(self, small_interleaved):
@@ -93,23 +108,20 @@ class TestBrudnyiGap:
 
 
 def oracle_density_lower_bound(s, n, rng_seed):
-    """`density_lower_bound` with its default pool, as written before the
-    searches passed incumbents: every candidate solved to the end, the bound
-    the lower end of the chosen bracket."""
+    """`density_lower_bound` with its default pool of unit candidates, as
+    written before the searches passed incumbents: every candidate solved to
+    the end, a later one chosen only when farther by more than its tol, the
+    bound the lower end of the chosen bracket."""
     rng = np.random.default_rng(rng_seed)
     best, decided = None, True
     for cand in density_candidates(s, min(n, s.n_max), rng, count=6):
-        nx = norm(s.space, cand)
-        if nx < 1e-12:
-            continue
-        cand = cand / nx
         try:
             res = best_approx(s.space, cand, s, n, seed=rng_seed)
         except NoSolverError:
             continue
         decided &= res.status == "exact"
         score = res.value if res.status == "exact" and res.lower > 0.0 else -math.inf
-        if best is None or score > best[0]:
+        if best is None or score > best[0] + res.tol:
             best = (score, cand, res)
     score, element, res = best
     status = "exact" if score > -math.inf or decided else "empirical"
@@ -118,14 +130,14 @@ def oracle_density_lower_bound(s, n, rng_seed):
 
 def oracle_brudnyi_gap(s, rng_seed):
     """`brudnyi_gap` over its default levels, as written before the searches
-    passed incumbents."""
+    passed incumbents: only an exact solve with a positive lower bound counts."""
     rng = np.random.default_rng(rng_seed)
     per = []
     for n in range(s.n_max):
         best = 0.0
         for cand in gap_candidates(s, n, rng, count=4):
             res = best_approx(s.space, cand, s, n, seed=rng_seed)
-            if res.status == "exact":
+            if res.status == "exact" and res.lower > 0.0:
                 best = max(best, res.value)
         per.append(best)
     return {"gamma": min(per) if per else 0.0, "per_level": per, "levels": list(range(s.n_max))}

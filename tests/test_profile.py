@@ -1,7 +1,7 @@
-"""Whole-profile solves in `error_profile` against the per-level `best_approx`,
-the batched L2 n-term screen against the former fit of every subset, the
-lockstep greedy pursuit against the former per-restart `lstsq` loop, and work
-counts that keep each profile to one factorization."""
+"""`error_profile`'s one solve of every level against the per-level
+`best_approx`, the batched L2 n-term screen against the former fit of every
+subset, the lockstep greedy pursuit against the former per-restart `lstsq`
+loop, and work counts that keep each profile to one factorization."""
 
 import math
 from itertools import combinations
@@ -79,7 +79,7 @@ def test_profile_matches_per_level_solves(name, seed, element):
     want = per_level_profile(s, x, s.n_max, seed % 1000)
     assert [e.status for e in prof.entries] == [status for _, status in want]
     got = [e.value for e in prof.entries]
-    if s.kind in ("rank", "chain"):
+    if s.kind == "chain":  # one level's QR is only as wide as that level
         scale = norm(s.space, x)
         assert got == [pytest.approx(v, rel=1e-12, abs=1e-12 * scale) for v, _ in want]
     else:
@@ -93,6 +93,19 @@ def test_shared_factorization_errors_become_entries():
     want = per_level_profile(s, x, 3, 0)
     assert [(e.status, e.note) for e in prof.entries] == [(st_, msg) for msg, st_ in want]
     assert all(e.status == "error" for e in prof.entries)
+
+
+def test_errors_at_some_levels_stay_at_those_levels():
+    # p < 1: the zero level is the norm, and every fit in a span is refused
+    s = build_scheme({"kind": "nterm", "n_max": 3, "dictionary": {"family": "monomial", "count": 4},
+                      "space": _grid(17, p=0.5)})
+    x = np.random.default_rng(0).standard_normal(17)
+    prof = error_profile(s.space, x, s, 3)
+    assert [e.status for e in prof.entries] == ["exact", "error", "error", "error"]
+    assert prof.entries[0].value == norm(s.space, x)
+    assert all("p < 1" in e.note for e in prof.entries[1:])
+    got = [(e.note if e.status == "error" else e.value, e.status) for e in prof.entries]
+    assert got == per_level_profile(s, x, 3, 0)
 
 
 def test_l2_chain_member_profile_vanishes(rng):
@@ -291,6 +304,23 @@ def test_one_greedy_run_per_nterm_profile(rng, monkeypatch):
     lstsq = _count(monkeypatch, np.linalg, "lstsq")
     solve._nterm_greedy(s.space, s.dictionary.atoms, x, list(range(2, s.n_max + 1)), 0)
     assert lstsq == []
+
+
+def test_one_greedy_run_per_sup_nterm_profile(rng, monkeypatch):
+    # 511 atoms: comb(511, 2) > EXHAUSTIVE_SUBSET_LIMIT, so level 1 is
+    # exhaustive and levels 2..4 share one pursuit, each fitted in the sup norm
+    s = build_scheme({"kind": "nterm", "n_max": 4,
+                      "dictionary": {"family": "char-binary-intervals", "depth": 8},
+                      "space": {"carrier": "grid", "domain": "interval-cells", "nodes": 256,
+                                "norm": "sup"}})
+    x = rng.standard_normal(s.space.shape)
+    runs = _count(monkeypatch, solve, "_nterm_greedy")
+    prof = error_profile(s.space, x, s, s.n_max)
+    assert len(runs) == 1
+    monkeypatch.undo()
+    want = per_level_profile(s, x, s.n_max, 0)
+    assert [(e.value, e.status) for e in prof.entries] == want
+    assert [status for _, status in want] == ["exact", "exact"] + ["upper-bound"] * 3
 
 
 @pytest.mark.parametrize("name,grams", [("char-binary-intervals", 1),

@@ -207,12 +207,16 @@ def test_ill_conditioned_full_rank_columns():
 
 def test_a_system_singular_to_working_precision_proves_nothing():
     # with every reference system refused, no step may raise `lower`: the
-    # fit keeps an achieved value and is no longer exact
+    # fit keeps an achieved value and is no longer exact; a fit stopped below
+    # its incumbent keeps no bound either (its first system proves 1 unchecked)
     cols, x = DEGENERATE_32X3
     with mock.patch.object(solve, "_reference_cond", lambda *args: math.inf):
         fit = _fit_in_span(Space.sup_coords(x.size), cols, x)
+        stopped = _fit_in_span(Space.sup_coords(x.size), cols, x, math.inf)
     assert (fit.status, fit.info["solver"], fit.lower) == ("upper-bound", "single-point-exchange", 0.0)
     assert fit.value == float(np.max(np.abs(x - fit.minimizer))) <= 2.0 + LP_TOL * 2.0
+    assert (stopped.info["below_incumbent"], stopped.info["iterations"], stopped.lower) == (True, 1, 0.0)
+    assert stopped.status == "upper-bound"
 
 
 def test_the_cap_leaves_an_open_bracket_upper_bound():
