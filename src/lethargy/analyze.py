@@ -59,28 +59,31 @@ def density_lower_bound(s: Scheme, n: int, rng_seed: int = 0) -> DensityCertific
     by more than that later solve's tol, so that rounding decides no tie;
     with no rigorous candidate it is the first.  It is exact when rigorous,
     or when every solve was exact (each candidate is then a member of A_n,
-    and 0 the proved bound).  Each solve gets the best rigorous value so far
-    as its incumbent, so a candidate that cannot beat it may stop early; the
-    certificate is the one the full solves would give.
+    and 0 the proved bound); else it is empirical, and its note counts the
+    candidate solves that are upper-bound only.  Each solve gets the best
+    rigorous value so far as its incumbent, so a candidate that cannot beat
+    it may stop early; the certificate is the one the full solves would give.
     """
     rng = np.random.default_rng(rng_seed)
-    best, decided = None, True
+    best, solved, upper = None, 0, 0
     for cand in density_candidates(s, min(n, s.n_max), rng):
         try:
             res = best_approx(s.space, cand, s, n, seed=rng_seed,
                               incumbent=-math.inf if best is None else best[0])
         except NoSolverError:
             continue
-        decided &= res.status == "exact"
+        solved += 1
+        upper += res.status != "exact"
         score = res.value if res.status == "exact" and res.lower > 0.0 else -math.inf
         if best is None or score > best[0] + res.tol:
             best = (score, cand, res)
     if best is None:
         raise AnalyzeError(f"no candidate could be solved at level {n}")
     score, element, res = best
-    status = "exact" if score > -math.inf or decided else "empirical"
-    return DensityCertificate(n, res.lower, element, res.value, "lower", status,
-                              "" if status == "exact" else "solver is upper-bound only")
+    status = "exact" if score > -math.inf or not upper else "empirical"
+    note = "" if status == "exact" else (f"no solve proved a positive distance; {upper} of "
+                                         f"{solved} candidate solves are upper-bound only")
+    return DensityCertificate(n, res.lower, element, res.value, "lower", status, note)
 
 
 def density_upper_estimate(s: Scheme, n: int, rng_seed: int = 0) -> DensityCertificate:
@@ -112,17 +115,14 @@ def monotone_envelope(bounds: list) -> list:
 # -- gap and verdicts -----------------------------------------------------------
 
 
-def brudnyi_gap(s: Scheme, n_max: Optional[int] = None, rng_seed: int = 0) -> dict:
-    """min over n of the best found E(a, A_n) over unit a in A_{n+1}; a
-    candidate counts, as in `density_lower_bound`, only when its solve is
+def brudnyi_gap(s: Scheme, rng_seed: int = 0) -> dict:
+    """min over n < n_max of the best found E(a, A_n) over unit a in A_{n+1};
+    a candidate counts, as in `density_lower_bound`, only when its solve is
     exact with a positive lower bound.  Each solve gets the level's best so
     far as its incumbent."""
-    if n_max is None:
-        n_max = s.n_max - 1
-    n_max = min(n_max, s.n_max - 1)
     rng = np.random.default_rng(rng_seed)
     per = []
-    for n in range(n_max + 1):
+    for n in range(s.n_max):
         best = 0.0
         for cand in gap_candidates(s, n, rng, count=4):
             res = best_approx(s.space, cand, s, n, seed=rng_seed, incumbent=best)
@@ -130,7 +130,7 @@ def brudnyi_gap(s: Scheme, n_max: Optional[int] = None, rng_seed: int = 0) -> di
                 best = max(best, res.value)
         per.append(best)
     gamma = min(per) if per else 0.0
-    return {"gamma": gamma, "per_level": per, "levels": list(range(n_max + 1))}
+    return {"gamma": gamma, "per_level": per, "levels": list(range(s.n_max))}
 
 
 @dataclass
@@ -200,23 +200,19 @@ def shapiro_check(s: Scheme, probe_budget: int = 16, rng_seed: int = 0,
 PROFILE_CHECK_TOL = 1e-3
 
 
-def density_profile_check(s: Scheme, n_max: Optional[int] = None,
-                          rng_seed: int = 0) -> dict:
-    """Flag (m, n) pairs whose certified lower bound at the paired level
-    exceeds the product of upper estimates; entries flag estimate
-    inconsistencies, never a refutation.
+def density_profile_check(s: Scheme, rng_seed: int = 0) -> dict:
+    """Flag (m, n) pairs of levels 0..n_max whose certified lower bound at the
+    paired level exceeds the product of upper estimates; entries flag
+    estimate inconsistencies, never a refutation.
 
     Empirical upper estimates are merged with the certified lower bounds
     (the sup is at least any certified value), and the tolerance absorbs
     grid discretization.
     """
-    if n_max is None:
-        n_max = s.n_max
-    n_max = min(n_max, s.n_max)
     lowers = {}
     uppers = {}
     upper_status = {}
-    for n in range(n_max + 1):
+    for n in range(s.n_max + 1):
         lowers[n] = density_lower_bound(s, n, rng_seed=rng_seed + n)
         est = density_upper_estimate(s, n, rng_seed=rng_seed + n)
         if est.status == "certified":
@@ -226,10 +222,10 @@ def density_profile_check(s: Scheme, n_max: Optional[int] = None,
         upper_status[n] = est.status
     flagged = []
     checked = 0
-    for m in range(n_max + 1):
-        for n in range(m, n_max + 1):
+    for m in range(s.n_max + 1):
+        for n in range(m, s.n_max + 1):
             ell = s.pairing(m, n)
-            if ell is None or ell > n_max:
+            if ell is None or ell > s.n_max:
                 continue
             checked += 1
             lhs = lowers[ell].bound
@@ -238,22 +234,8 @@ def density_profile_check(s: Scheme, n_max: Optional[int] = None,
                 flagged.append({"m": m, "n": n, "paired_level": ell,
                                 "certified_lower": lhs, "upper_product": rhs,
                                 "upper_status": [upper_status[m], upper_status[n]]})
-    decay = []
-    if s.power_decay:
-        for m in range(1, n_max + 1):
-            um = uppers[m]
-            if um < 1.0 - PROFILE_CHECK_TOL:
-                k = 2
-                while k * m <= n_max:
-                    decay.append({"m": m, "k": k,
-                                  "certified_lower": lowers[k * m].bound,
-                                  "power_bound": um**k,
-                                  "consistent": lowers[k * m].bound <= um**k + PROFILE_CHECK_TOL})
-                    k += 1
     return {"scheme": s.label, "checked_pairs": checked, "flagged": flagged,
-            "exponential_decay": decay, "tolerance": PROFILE_CHECK_TOL,
-            "upper_status": upper_status,
-            "passed": not flagged}
+            "tolerance": PROFILE_CHECK_TOL, "passed": not flagged}
 
 
 # -- Jackson / Bernstein audits ------------------------------------------------------
@@ -320,13 +302,11 @@ def jackson_audit(s: Scheme, y_desc: dict, samples: Optional[list] = None,
             "rng_seed": rng_seed}
 
 
-def bernstein_audit(s: Scheme, y_desc: dict, n_list: Optional[list] = None,
-                    budget: int = 200, rng_seed: int = 0) -> dict:
+def bernstein_audit(s: Scheme, y_desc: dict, budget: int = 200, rng_seed: int = 0) -> dict:
     """Fitted inverse-estimate constants b_n = max ||a||_Y / ||a||_X over
-    sampled members of A_n; degenerate samples are skipped and counted."""
+    sampled members of A_n, n = 1..n_max; degenerate samples are skipped and counted."""
     rng = np.random.default_rng(rng_seed)
-    if n_list is None:
-        n_list = list(range(1, s.n_max + 1))
+    n_list = list(range(1, s.n_max + 1))
     fitted = []
     skipped = 0
     for n in n_list:
@@ -364,10 +344,13 @@ def sample_rational(rng: np.random.Generator, grid: Grid, max_degree: int):
     return f, max(deg_p, len(q) - 1)
 
 
+DOLZHENKO_TOL = 1e-3  # the discretization allowance of the grid variation
+
+
 def dolzhenko_variation_audit(n_samples: int = 1000, max_degree: int = 5,
-                              rng_seed: int = 0, tol: float = 1e-3) -> dict:
+                              rng_seed: int = 0) -> dict:
     """Grid total variation of sampled rational functions against twice the
-    degree times their sup, with a discretization allowance."""
+    degree times their sup, with a discretization allowance (DOLZHENKO_TOL)."""
     grid = Grid.interval(0.0, 1.0, 2049)
     rng = np.random.default_rng(rng_seed)
     violations = []
@@ -382,9 +365,9 @@ def dolzhenko_variation_audit(n_samples: int = 1000, max_degree: int = 5,
         tv = grid.total_variation(f)
         margin = tv - 2.0 * deg
         worst_margin = max(worst_margin, margin)
-        if margin > tol:
+        if margin > DOLZHENKO_TOL:
             violations.append({"sample": i, "degree": deg, "variation": tv})
-    return {"samples": n_samples, "max_degree": max_degree, "tolerance": tol,
+    return {"samples": n_samples, "max_degree": max_degree, "tolerance": DOLZHENKO_TOL,
             "violations": violations, "worst_margin": worst_margin,
             "rng_seed": rng_seed, "passed": not violations}
 

@@ -281,8 +281,7 @@ class Scheme:
     """
 
     kind: ClassVar[str]
-    kink_probe: ClassVar[bool] = False   # the density proxy also probes |t - 1/2|
-    power_decay: ClassVar[bool] = False  # density_profile_check tests d(km) <= d(m)^k
+    kink_probe: ClassVar[bool] = False  # the density proxy also probes |t - 1/2|
     space: Space
     n_max: int
     label: str
@@ -340,7 +339,9 @@ class Scheme:
 
 @dataclass(frozen=True)
 class Chain(Scheme):
-    """Nested subspaces: A_n is the span of the first dim(n) basis columns; K(n) = n."""
+    """Nested subspaces: A_n is the span of the first dim(n) basis columns; K(n) = n.
+    The basis runs one degree, frequency or coordinate (where the space has
+    one) past the window, so that every level's next direction is a column."""
 
     kind = "chain"
     basis: np.ndarray
@@ -352,17 +353,17 @@ class Chain(Scheme):
         space = build_space(space, "monomial chain" if family == "monomial" else None)
         if family == "monomial":
             level_dims = np.arange(1, n_max + 2)
-            basis = _chebyshev_columns(space.grid, n_max + 1)
+            basis = _chebyshev_columns(space.grid, n_max + 2)
         elif family == "trig":
             if space.grid is None or space.grid.domain != "torus":
                 raise SchemeError("trig chain needs a torus grid")
             level_dims = 2 * np.arange(n_max + 1) + 1
-            basis = _trig_columns(space.grid, n_max)
+            basis = _trig_columns(space.grid, n_max + 1)
         elif family == "coordinate":
             level_dims = np.arange(1, n_max + 2)
             if space.carrier != "coords" or space.dim < n_max + 1:
                 raise SchemeError("coordinate chain needs a coords space of dimension > n_max")
-            basis = np.eye(space.dim)[:, : n_max + 1]
+            basis = np.eye(space.dim)[:, : n_max + 2]
         else:
             raise SchemeError(f"unknown chain family {family!r}")
         return cls(space, n_max, label, desc, np.arange(n_max + 1), basis=basis,
@@ -408,21 +409,13 @@ class Chain(Scheme):
         return out
 
     def density_candidates(self, n):
-        sp, family = self.space, self.family
-        out = []
-        if family == "monomial" and sp.carrier == "grid":
-            deg = self.chain_dim(n)
-            out.append(_chebyshev_columns(sp.grid, deg + 1)[:, deg])
-        elif family == "trig":
-            out.append(np.cos((n + 1) * sp.grid.nodes))
-        elif family == "coordinate":
-            e = np.zeros(sp.dim)
-            e[min(self.chain_dim(n), sp.dim - 1)] = 1.0
-            out.append(e)
-        if _is_l2(sp) and sp.carrier == "grid":
-            # the family candidate above, so the top level needs no column past the basis
-            out.append(self._tail_column(self.chain_dim(n), out[-1]))
-        return out
+        """The next basis column (T_{n+1}, cos((n+1)t), e_{n+1} or the last
+        coordinate), and on L2 grids that column orthonormalized against A_n."""
+        d = self.chain_dim(n)
+        col = self.basis[:, min(d, self.basis.shape[1] - 1)]
+        if _is_l2(self.space) and self.space.carrier == "grid":
+            return [col, self._tail_column(d, col)]
+        return [col]
 
     def density_threshold(self):
         return 1e-3 if self.family == "monomial" and self.n_max >= 10 else 0.5
@@ -434,7 +427,6 @@ class NTerm(Scheme):
 
     kind = "nterm"
     kink_probe = True
-    power_decay = True
     dictionary: Dictionary
 
     @classmethod
@@ -809,12 +801,12 @@ def gap_candidates(s: Scheme, n: int, rng: np.random.Generator, count: int = 4) 
     return _units(s.space, s.gap_candidates(n, rng, count))
 
 
-def density_candidates(s: Scheme, n: int, rng: np.random.Generator, count: int = 6) -> list:
+def density_candidates(s: Scheme, n: int, rng: np.random.Generator) -> list:
     """Unit elements of the ambient space expected to be far from A_n: the
-    kind's extremal candidates, then `count` Gaussian draws."""
+    kind's extremal candidates, then six Gaussian draws."""
     if not 0 <= n <= s.n_max:
         raise SchemeError(f"level {n} outside the window 0..{s.n_max}")
-    draws = [rng.standard_normal(s.space.shape) for _ in range(count)]
+    draws = [rng.standard_normal(s.space.shape) for _ in range(6)]
     return _units(s.space, s.density_candidates(n) + draws)
 
 

@@ -426,8 +426,7 @@ def best_m_value_sup(values: np.ndarray, m: int):
     half-range, and `_min_max_cells` closes the bracket exactly (tol 0).  The
     value is the largest half-range of the final greedy partition.  The
     minimizer takes each cell's midpoint vl[i] + half, which is rounded, so it
-    achieves the value only to within about one ulp of max|x|.  Returns
-    (BestApprox, labels).
+    achieves the value only to within about one ulp of max|x|.
     """
     if m < 1:
         raise SolverError("value budget m must be >= 1")
@@ -437,7 +436,7 @@ def best_m_value_sup(values: np.ndarray, m: int):
     v = values[order]
     if v.size == 0:
         return BestApprox(0.0, np.zeros(0), 0.0, info={"solver": "sorted-partition",
-                                                       "iterations": 0}), np.zeros(0, dtype=int)
+                                                       "iterations": 0})
     vl = v.tolist()
     size = len(vl)
 
@@ -457,26 +456,20 @@ def best_m_value_sup(values: np.ndarray, m: int):
 
     lower, bounds, passes = _min_max_cells(size, m, cell_end, cell_cost, 0.0)
     value = 0.0
-    levels = np.empty(len(bounds) - 1)
-    labels_sorted = np.empty(v.size, dtype=int)
-    for g, (i, j) in enumerate(zip(bounds[:-1], bounds[1:])):
+    minimizer = np.empty_like(values, dtype=float)
+    for i, j in zip(bounds[:-1], bounds[1:]):
         half = (vl[j - 1] - vl[i]) / 2.0
         value = max(value, half)
-        levels[g] = vl[i] + half
-        labels_sorted[i:j] = g
-    minimizer = np.empty_like(values, dtype=float)
-    labels = np.empty_like(labels_sorted)
-    minimizer[order] = levels[labels_sorted]
-    labels[order] = labels_sorted
+        minimizer[order[i:j]] = vl[i] + half
     return BestApprox(value, minimizer, lower, info={"solver": "sorted-partition",
-                                                     "iterations": passes}), labels
+                                                     "iterations": passes})
 
 
 def quantizer_error(space: Space, x: np.ndarray, m: int) -> BestApprox:
     """Best sup-norm approximation by functions taking at most m values."""
     if space.norm_kind != "sup":
         raise NoSolverError("the quantizer solver is defined for sup-norm carriers")
-    return best_m_value_sup(np.asarray(space.check(x), dtype=float), m)[0]
+    return best_m_value_sup(np.asarray(space.check(x), dtype=float), m)
 
 
 def midpoint_quantizer(x: np.ndarray, m: int, radius: Optional[float] = None) -> np.ndarray:

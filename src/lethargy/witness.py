@@ -247,19 +247,17 @@ def _bump_profile(grid: Grid, lo: float, hi: float) -> np.ndarray:
     return prof
 
 
-def witness_haar_bumps(n: int, p: float, family: str = "poly",
-                       grid: Optional[Grid] = None, n_attempts: int = 100,
+def witness_haar_bumps(n: int, p: float, family: str = "poly", n_attempts: int = 100,
                        seed: int = 0) -> Witness:
     """Alternating bumps that no sign-change-limited member can track.
 
     The claimed bound is on the normalized p-power error: for every family
     member g at level n, int |h-g|^p dmu > 1/5 with mu the normalized grid
-    measure.  Verified by the exact projection (p = 2) / exact L1 LP (p = 1)
-    plus seeded perturbation attempts.
+    measure, on the family's default grid.  Verified by the exact projection
+    (p = 2) / exact L1 LP (p = 1) plus seeded perturbation attempts.
     """
     fam = HaarLikeFamily(family)
-    if grid is None:
-        grid = fam.default_grid()
+    grid = fam.default_grid()
     big_n = fam.zero_bound(n) + 1
     cells = 4 * big_n
     nodes_per_cell = grid.size / cells
@@ -328,16 +326,12 @@ def witness_haar_bumps(n: int, p: float, family: str = "poly",
 # -- bounded-variation witness ----------------------------------------------------
 
 
-def witness_bv(n: int, grid: Optional[Grid] = None, n_attempts: int = 100,
-               seed: int = 0) -> Witness:
-    """Oscillation profile with unit total variation that n-term smooth
-    combinations cannot track in the variation norm."""
+def witness_bv(n: int, n_attempts: int = 100, seed: int = 0) -> Witness:
+    """Oscillation profile with unit total variation, on the 2048-node
+    torus, that n-term smooth combinations cannot track in the variation norm."""
     psi = max(n, 1)
     big_n = 6 * psi
-    if grid is None:
-        grid = Grid.torus(2048)
-    if grid.domain != "torus":
-        raise WitnessError("the variation witness lives on the torus")
+    grid = Grid.torus(2048)
     dt = grid.spacing
     if big_n**2 * dt**2 / 8.0 > 5e-4:
         raise WitnessError(f"grid under-resolves frequency {big_n}")
@@ -426,10 +420,9 @@ def _complex_l1_fit(mu: np.ndarray, cols: np.ndarray, x: np.ndarray) -> float:
     return best
 
 
-def witness_ridge(n: int, grid: Optional[Grid] = None, n_starts: int = 100,
-                  seed: int = 0) -> Witness:
+def witness_ridge(n: int, n_starts: int = 100, seed: int = 0) -> Witness:
     """Alternating exponential sum that fewer than n exponentials cannot
-    approximate below 1/n^2 in L1 of the normalized torus measure.
+    approximate below 1/n^2 in L1 of the normalized 1024-node torus measure.
 
     Each start draws n - 1 frequencies and runs Nelder-Mead over them; the
     objective is the coefficient fit `_complex_l1_fit` (closed-form IRLS
@@ -439,8 +432,7 @@ def witness_ridge(n: int, grid: Optional[Grid] = None, n_starts: int = 100,
     """
     if n < 1:
         raise WitnessError("level n must be >= 1")
-    if grid is None:
-        grid = Grid.torus(1024)
+    grid = Grid.torus(1024)
     if grid.size < 8 * n * n:
         raise WitnessError(f"grid under-resolves frequency {n * n}")
     t = grid.nodes

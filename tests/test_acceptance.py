@@ -192,7 +192,9 @@ def test_08_shapiro_dichotomy():
 def test_09_dolzhenko_variation_audit():
     t0 = time.perf_counter()
     failures = []
-    rep = dolzhenko_variation_audit(n_samples=1000, max_degree=5, rng_seed=909, tol=1e-3)
+    rep = dolzhenko_variation_audit(n_samples=1000, max_degree=5, rng_seed=909)
+    if rep["tolerance"] != 1e-3:
+        failures.append(f"discretization allowance {rep['tolerance']!r}, not 1e-3")
     if not rep["passed"]:
         failures.append(f"{len(rep['violations'])} variation violations")
     report_line(9, "dolzhenko-variation-audit", failures, time.perf_counter() - t0, 10.0)

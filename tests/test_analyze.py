@@ -70,6 +70,28 @@ class TestDensityCertificates:
         assert res.value == pytest.approx(c.solver_value, abs=1e-9)
         assert c.bound <= c.solver_value / norm(small_interleaved.space, c.element) + 1e-9
 
+    def test_empirical_note_counts_the_upper_bound_solves(self, monkeypatch):
+        # the certificate is the first candidate, a member solved exactly;
+        # the other solve is upper-bound only, so nothing is proved
+        s = build_scheme("rank-8-operator")
+        pool = [np.eye(8), np.diag([1.0] + [0.0] * 7)]
+        answers = iter([BestApprox(0.0, None, 0.0), BestApprox(0.5, None, 0.25)])
+        monkeypatch.setattr(analyze, "density_candidates", lambda *args: pool)
+        monkeypatch.setattr(analyze, "best_approx", lambda *args, **kwargs: next(answers))
+        c = density_lower_bound(s, 0)
+        assert (c.element is pool[0], c.bound, c.status) == (True, 0.0, "empirical")
+        assert c.note == ("no solve proved a positive distance; 1 of 2 candidate solves "
+                          "are upper-bound only")
+
+    def test_no_solver_in_the_norm_names_the_level(self):
+        # p < 1: every candidate's solve at a level above 0 raises NoSolverError
+        s = build_scheme({"kind": "nterm", "n_max": 3,
+                          "dictionary": {"family": "monomial", "count": 4},
+                          "space": {"carrier": "grid", "nodes": 17, "norm": "lp", "p": 0.5}})
+        with pytest.raises(AnalyzeError, match="no candidate could be solved at level 2"):
+            density_lower_bound(s, 2)
+        assert density_lower_bound(s, 0).status == "exact"  # level 0 is the norm
+
     def test_monotone_envelope(self):
         assert monotone_envelope([0.5, 0.9, 0.3]) == [0.9, 0.9, 0.3]
 
@@ -103,7 +125,7 @@ class TestBrudnyiGap:
         assert rep["gamma"] == pytest.approx(1.0, abs=1e-12)
 
     def test_monomial_chain_gap_near_one(self, small_monomial_chain):
-        rep = brudnyi_gap(small_monomial_chain, n_max=4, rng_seed=2)
+        rep = brudnyi_gap(small_monomial_chain, rng_seed=2)
         assert rep["gamma"] >= 0.99
 
 
@@ -114,7 +136,7 @@ def oracle_density_lower_bound(s, n, rng_seed):
     bound the lower end of the chosen bracket."""
     rng = np.random.default_rng(rng_seed)
     best, decided = None, True
-    for cand in density_candidates(s, min(n, s.n_max), rng, count=6):
+    for cand in density_candidates(s, min(n, s.n_max), rng):
         try:
             res = best_approx(s.space, cand, s, n, seed=rng_seed)
         except NoSolverError:
@@ -203,6 +225,17 @@ class TestShapiro:
         assert v.verdict == "consistent-with-Shapiro"
         assert v.gamma < 0.2  # the weak-gap constant survives, the strong gap does not
 
+    def test_whole_space_top_level_is_inconclusive(self):
+        # rank 3 of 3x3 matrices is the whole space: the top certificate is 0.0,
+        # and the kind proves no envelope
+        s = build_scheme({"kind": "rank", "n_max": 3,
+                          "space": {"carrier": "matrix", "side": 3, "norm": "hs"}})
+        v = shapiro_check(s, rng_seed=0)
+        assert v.verdict == "inconclusive"
+        assert v.certificates[-1].status == "exact"
+        assert v.constant == v.certificates[-1].bound == 0.0
+        assert v.envelope is None and "envelope" not in v.to_json()
+
     def test_verdict_json(self, quantizer_linear_small):
         v = shapiro_check(quantizer_linear_small, probe_budget=2, rng_seed=1)
         d = v.to_json()
@@ -222,10 +255,10 @@ class TestSubmultiplicativity:
                           "space": {"carrier": "coords", "dim": 8, "norm": "lp", "p": 2.0}})
         rep = density_profile_check(s, rng_seed=1)
         assert rep["passed"]
-        assert all(e["consistent"] for e in rep["exponential_decay"])
+        assert rep["checked_pairs"] > 0  # the (m, m) pairs test d(2m) <= d(m)^2
 
     def test_linear_chain_trivial(self, small_monomial_chain):
-        rep = density_profile_check(small_monomial_chain, n_max=4, rng_seed=1)
+        rep = density_profile_check(small_monomial_chain, rng_seed=1)
         assert rep["passed"]
 
 
@@ -236,7 +269,7 @@ class TestJacksonAudit:
 
     def test_same_norm_reports_no_gain(self, small_monomial_chain, rng):
         s = small_monomial_chain
-        samples = density_candidates(s, s.n_max, rng, count=2)
+        samples = density_candidates(s, s.n_max, rng)
         rep = jackson_audit(s, {"kind": "same-norm"}, samples=samples,
                             n_list=[1, 3, 5], rng_seed=2)
         finite = [c for c in rep["c_n"] if math.isfinite(c)]
@@ -275,9 +308,9 @@ class TestBernsteinAudit:
             return real(s, n, rng)
 
         monkeypatch.setattr(analyze_mod, "sample_element", sometimes_zero)
-        rep = bernstein_audit(small_monomial_chain, {"kind": "lipschitz"},
-                              n_list=[2], budget=30, rng_seed=4)
-        assert rep["skipped_degenerate"] == 10
+        rep = bernstein_audit(small_monomial_chain, {"kind": "lipschitz"}, budget=30, rng_seed=4)
+        assert rep["levels"] == list(range(1, small_monomial_chain.n_max + 1))
+        assert rep["skipped_degenerate"] == 10 * len(rep["levels"])
 
 
 class TestDolzhenko:

@@ -147,6 +147,16 @@ class TestRun:
         assert lines[0] == "n,envelope"
         assert len(lines) == 6
 
+    def test_density_csv_rows_match_the_certificates(self, tmp_path):
+        csv_path = tmp_path / "density.csv"
+        report = run_task({"task": "density", "seed": 5, "scheme": "char-binary-intervals",
+                           "params": {"levels": [0, 3]}, "csv": str(csv_path)})
+        header, *rows = csv_path.read_text().strip().splitlines()
+        assert header == "n,bound,status"
+        certs = report["payload"]["certificates"]
+        assert [row.split(",") for row in rows] == [
+            [str(c["level"]), repr(c["bound"]), c["status"]] for c in certs]
+
     def test_validate_task(self):
         report = run_task({"task": "validate", "seed": 4, "scheme": "interleaved-c0",
                            "params": {"trials": 60}})

@@ -16,6 +16,7 @@ from lethargy.scheme import build_scheme, make_dictionary, sample_element
 from lethargy.solve import (
     GREEDY_RESTARTS,
     LP_TOL,
+    BestApprox,
     NoSolverError,
     SolverError,
     _fit_in_span,
@@ -106,6 +107,27 @@ def test_errors_at_some_levels_stay_at_those_levels():
     assert all("p < 1" in e.note for e in prof.entries[1:])
     got = [(e.note if e.status == "error" else e.value, e.status) for e in prof.entries]
     assert got == per_level_profile(s, x, 3, 0)
+
+
+class ScriptedKind:
+    """A kind whose one solve returns fixed answers, one per level."""
+    label, n_max = "scripted", 2
+
+    def __init__(self, answers: list):
+        self.answers = answers
+
+    def solve(self, space, x, levels, seed, incumbent):
+        return [self.answers[n] for n in levels]
+
+
+def test_an_upper_bound_above_an_earlier_value_is_tightened():
+    # nesting: the value achieved at level 1 is feasible at level 2
+    s = ScriptedKind([BestApprox(1.0, None, 1.0), BestApprox(0.5, None, 0.1),
+                      BestApprox(0.7, None, 0.2)])
+    prof = error_profile(Space.coords(4, math.inf), np.ones(4), s, 2)  # max|x| = 1: unscaled
+    assert [(e.value, e.status, e.note) for e in prof.entries] == [
+        (1.0, "exact", ""), (0.5, "upper-bound", ""),
+        (0.5, "upper-bound", "tightened by level monotonicity")]
 
 
 def test_l2_chain_member_profile_vanishes(rng):

@@ -275,6 +275,17 @@ class TestValidate:
         homog = [c for c in report.checks if c.name == "homogeneity"][0]
         assert homog.failures == 0
 
+    def test_density_proxy_without_a_solver_reads_inf_and_fails(self):
+        # p < 1: every probe solve at n_max raises NoSolverError
+        s = build_scheme({"kind": "nterm", "n_max": 3,
+                          "dictionary": {"family": "monomial", "count": 4},
+                          "space": {"carrier": "grid", "nodes": 17, "norm": "lp", "p": 0.5}})
+        report = validate_scheme(s, trials=40, rng_seed=3)
+        proxy = [c for c in report.checks if c.name == "density-proxy"][0]
+        assert not proxy.passed
+        assert proxy.note.startswith("max probe error inf vs threshold")
+        assert not report.passed
+
     def test_report_json_shape(self, small_interleaved):
         report = validate_scheme(small_interleaved, trials=40, rng_seed=1)
         d = report.to_json()

@@ -6,7 +6,7 @@ import pytest
 from lethargy.scheme import build_scheme
 from lethargy.seq import NullSequence
 from lethargy.solve import _nterm_exhaustive
-from lethargy.space import Grid, norm
+from lethargy.space import norm
 from lethargy.witness import (
     ClaimedBound,
     WitnessError,
@@ -96,8 +96,8 @@ class TestHaarBumps:
         assert exact.value > 1.0 / 5.0
 
     def test_coarse_grid_rejected(self):
-        with pytest.raises(WitnessError):
-            witness_haar_bumps(3, 1.0, family="poly", grid=Grid.interval(0, 1, 33))
+        with pytest.raises(WitnessError, match="2049 nodes cannot host 260 bump cells"):
+            witness_haar_bumps(64, 1.0, family="poly")
 
 
 class TestBVWitness:
@@ -114,8 +114,8 @@ class TestBVWitness:
         assert min(a.value for a in w.attempts) >= 1.0 / 3.0
 
     def test_under_resolved_grid(self):
-        with pytest.raises(WitnessError):
-            witness_bv(40, grid=Grid.torus(128))
+        with pytest.raises(WitnessError, match="under-resolves frequency 24"):
+            witness_bv(4)  # on its 2048 torus nodes
 
 
 class TestRidgeWitness:
@@ -133,8 +133,8 @@ class TestRidgeWitness:
         assert min(a.value for a in w.attempts) >= 1.0 / 9.0
 
     def test_under_resolved(self):
-        with pytest.raises(WitnessError):
-            witness_ridge(5, grid=Grid.torus(64))
+        with pytest.raises(WitnessError, match="under-resolves frequency 144"):
+            witness_ridge(12)  # its 1024 torus nodes are fewer than 8 n^2
 
 
 class TestOrthonormalWitness:
