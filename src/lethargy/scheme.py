@@ -916,8 +916,8 @@ def validate_scheme(s: Scheme, trials: int = 1000, rng_seed: int = 0) -> Validat
         except NoSolverError:
             worst = math.inf
             break
-    checks.append(AxiomCheck("density-proxy", worst < density_threshold, 1, 0,
-                             f"max probe error {worst:.3e} vs threshold {density_threshold:.3e}"))
+    checks.append(audit("density-proxy", [(int(worst >= density_threshold), 1)],
+                        f"max probe error {worst:.3e} vs threshold {density_threshold:.3e}"))
 
     return ValidationReport(s.label, checks, s.gap_values(), all(c.passed for c in checks))
 

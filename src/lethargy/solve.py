@@ -24,10 +24,10 @@ is always achievable, so it is never below E by more than the tolerance.
 - IRLS and greedy n-term selection prove nothing and pass lower = 0.
 
 A caller that keeps the best of several candidates passes `best_approx` its
-incumbent, the best value so far.  Only the sup exchange uses it: it stops
-at a step whose value + INCUMBENT_MARGIN * max(1, ||x||_inf) is below the
-incumbent, with the lower bound proved so far; the fit run to its end could
-not have reached the incumbent (info "below_incumbent").
+incumbent, the best value so far.  Only the sup fit uses it: a least-squares
+fit or an exchange step whose value + INCUMBENT_MARGIN * max(1, ||x||_inf) is
+below the incumbent stops it, with the lower bound proved so far; the fit run
+to its end could not have reached the incumbent (info "below_incumbent").
 
 `best_approx` and `error_profile` are the one scaling boundary: every solve
 runs on x scaled by a power of two so that max |x| lies in (1/2, 1], and
@@ -132,12 +132,13 @@ def _sup_fit(cols: np.ndarray, x: np.ndarray, incumbent: float = -math.inf):
     ||x||_inf <= 1, so tol = LP_TOL is relative to x; a direct caller with a
     smaller x gets an absolute bracket.
 
-    A step whose value + INCUMBENT_MARGIN * max(1, ||x||_inf) is below
-    `incumbent` ends the fit with that value: it bounds the best error from
-    above, and the fit run to its end (if exact, at most the best error plus
-    tol) could not have reached the incumbent either.  Its lower bound is the
-    one proved so far when that bound's system is within EXCHANGE_MAX_COND,
-    else 0.
+    A least-squares fit before the first step (the normal equations; none on
+    a singular Gram matrix), or a step, whose value + INCUMBENT_MARGIN *
+    max(1, ||x||_inf) is below `incumbent` ends the fit with that value: it
+    bounds the best error from above, and the fit run to its end (if exact,
+    at most the best error plus tol) could not have reached the incumbent
+    either.  Its lower bound is the one proved so far (none before a step)
+    when that bound's system is within EXCHANGE_MAX_COND, else 0.
 
     Returns a BestApprox; its info holds solver and iterations, and
     "below_incumbent" for a fit so stopped.
@@ -147,6 +148,15 @@ def _sup_fit(cols: np.ndarray, x: np.ndarray, incumbent: float = -math.inf):
     tol = LP_TOL * scale
     lower, it, best, lower_system = 0.0, 0, None, None
     if n > d:
+        if incumbent > INCUMBENT_MARGIN * scale:  # else no value can stop below it
+            try:
+                approx = cols @ np.linalg.solve(cols.T @ cols, cols.T @ x)
+                value = float(np.max(np.abs(x - approx)))  # NaN or inf never stops
+            except np.linalg.LinAlgError:  # a singular Gram matrix, e.g. a repeated column
+                value = math.inf
+            if value + INCUMBENT_MARGIN * scale < incumbent:
+                return BestApprox(value, approx, 0.0, tol, {
+                    "solver": "least-squares", "iterations": 0, "below_incumbent": True})
         system = np.empty((d + 1, d + 1))
         system[:, d] = (-1.0) ** np.arange(d + 1)
         ref = np.rint(np.arange(d + 1) * ((n - 1) / max(d, 1))).astype(int)  # evenly spaced

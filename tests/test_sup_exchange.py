@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 import lethargy.solve as solve
 from lethargy.scheme import build_scheme
-from lethargy.solve import INCUMBENT_MARGIN, LP_TOL, _exchange_reference, _fit_in_span, _sup_fit, error_profile
+from lethargy.solve import (INCUMBENT_MARGIN, LP_TOL, _exchange_reference, _fit_in_span, _sup_fit,
+                            best_approx, error_profile)
 from lethargy.space import Space
 from lp_oracle import sup_fit_lp
 
@@ -208,15 +209,23 @@ def test_ill_conditioned_full_rank_columns():
 def test_a_system_singular_to_working_precision_proves_nothing():
     # with every reference system refused, no step may raise `lower`: the
     # fit keeps an achieved value and is no longer exact; a fit stopped below
-    # its incumbent keeps no bound either (its first system proves 1 unchecked)
+    # its incumbent keeps no bound either, whether the least-squares screen
+    # stops it or, on Haar columns with an incumbent the screen misses, an
+    # exchange step whose systems would prove one
     cols, x = DEGENERATE_32X3
+    haar, y = poly_columns(65, 6), np.random.default_rng(0).standard_normal(65)
+    between = (_sup_fit(haar, y).value + _sup_fit(haar, y, math.inf).value) / 2
+    assert _sup_fit(haar, y, between).lower > 0.0
     with mock.patch.object(solve, "_reference_cond", lambda *args: math.inf):
         fit = _fit_in_span(Space.sup_coords(x.size), cols, x)
         stopped = _fit_in_span(Space.sup_coords(x.size), cols, x, math.inf)
+        step = _sup_fit(haar, y, between)
     assert (fit.status, fit.info["solver"], fit.lower) == ("upper-bound", "single-point-exchange", 0.0)
     assert fit.value == float(np.max(np.abs(x - fit.minimizer))) <= 2.0 + LP_TOL * 2.0
-    assert (stopped.info["below_incumbent"], stopped.info["iterations"], stopped.lower) == (True, 1, 0.0)
+    assert (stopped.info["below_incumbent"], stopped.info["iterations"], stopped.lower) == (True, 0, 0.0)
     assert stopped.status == "upper-bound"
+    assert (step.info["solver"], step.info["below_incumbent"], step.lower) == ("exchange", True, 0.0)
+    assert step.info["iterations"] >= 1
 
 
 def test_the_cap_leaves_an_open_bracket_upper_bound():
@@ -370,10 +379,56 @@ def test_a_fit_stops_only_below_its_incumbent(problem):
                 full.value, full.lower, full.tol, "exact", full.info)
             assert fit.minimizer.tobytes() == full.minimizer.tobytes()
             continue
-        assert (info["solver"], info["below_incumbent"], fit.tol) == ("exchange", True, LP_TOL * scale)
+        assert (info["below_incumbent"], fit.tol) == (True, LP_TOL * scale)
         assert fit.status == ("exact" if fit.value - fit.lower <= fit.tol else "upper-bound")
         assert 0.0 <= fit.lower <= full.value + full.tol  # a lower bound on the best error
         assert fit.value + INCUMBENT_MARGIN * scale < incumbent
         assert full.value < incumbent
         assert fit.value == float(np.max(np.abs(x - fit.minimizer)))  # an achieved distance
-        assert incumbent < math.inf or info["iterations"] == 1  # the first step stops at once
+        if info["solver"] == "least-squares":  # the screen, before any step, proves nothing
+            assert (info["iterations"], fit.lower) == (0, 0.0)
+        else:  # the screen's Gram matrix was singular: the first step stops at once
+            assert info["solver"] == "exchange"
+            assert incumbent < math.inf or info["iterations"] == 1
+
+
+def test_the_screen_stops_a_gaussian_draw_below_the_chebyshev_incumbent():
+    """At level 8 of monomial-chain, E(T_9) ~ 1 is the density search's
+    incumbent; a unit Gaussian draw, at distance about 0.92, stops at the
+    least-squares screen, whose value bounds the full fit's from above."""
+    s = build_scheme("monomial-chain")
+    incumbent = best_approx(s.space, s.basis[:, 9], s, 8).value  # T_9 on the grid
+    assert 0.9999 < incumbent <= 1.0  # 1 on [0, 1], a little less on 2,049 nodes
+    x = np.random.default_rng(5).standard_normal(s.space.shape)
+    x /= np.max(np.abs(x))
+    fit = best_approx(s.space, x, s, 8, incumbent=incumbent)
+    assert (fit.info["solver"], fit.info["iterations"], fit.info["below_incumbent"]) == (
+        "least-squares", 0, True)
+    assert fit.value == float(np.max(np.abs(x - fit.minimizer)))
+    assert (fit.lower, fit.status) == (0.0, "upper-bound")
+    full = best_approx(s.space, x, s, 8)
+    assert full.status == "exact"
+    assert full.value <= fit.value + full.tol
+    assert fit.value + INCUMBENT_MARGIN < incumbent
+    near = best_approx(s.space, x, s, 8, incumbent=fit.value + INCUMBENT_MARGIN / 2)
+    assert near.info["solver"] != "least-squares"  # the screen keeps the margin too
+
+
+def test_a_singular_gram_matrix_skips_the_screen():
+    """A repeated column makes the screen's Gram solve raise; with a finite
+    incumbent the fit goes on to the exchange, stopped there or run to its
+    end, and raises nothing."""
+    cols = poly_columns(33, 4)
+    cols = np.column_stack([cols, cols[:, -1]])
+    x = np.random.default_rng(2).standard_normal(33)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(cols.T @ cols, cols.T @ x)
+    full = _sup_fit(cols, x)
+    for incumbent in (full.value / 2, 2 * full.value, 10.0):
+        fit = _sup_fit(cols, x, incumbent)
+        assert fit.info["solver"] != "least-squares"
+        assert fit.value == float(np.max(np.abs(x - fit.minimizer)))
+        if "below_incumbent" in fit.info:
+            assert fit.value + INCUMBENT_MARGIN < incumbent
+        else:
+            assert (fit.value, fit.lower) == (full.value, full.lower)
