@@ -1,16 +1,21 @@
 #!/usr/bin/env python3
-"""Compare two checkouts on the benchmark in alternating pairs of runs.
+"""Compare a change with its parent revision on the benchmark in alternating
+pairs of runs.
 
-    python3 scripts/bench_pairs.py --parent ../parent --change . --pr N \\
+    python3 scripts/bench_pairs.py --parent HEAD~1 --change . --pr N \\
         profile-l2:301 certify-sup:201 verify-members:101 \\
         --pairs 10 --seconds 15 --claim profile-l2:wall_s
 
-Each WORKLOAD:FIRST_SEED runs `python3 perfbench/run.py` in both checkouts,
-pair k (k = 0, 1, ...) with seed FIRST_SEED + k in both.  Pairs alternate the
-order: odd pairs (the 1st, 3rd, ...) run the parent first.  The summary gives,
-per end-to-end metric of the change's BENCHMARK.json, the quartiles of each
-side, the number of pairs the change won, the relative change of the median
-and the parent's interquartile range.  Per operation it gives each side's
+`--parent` is a git revision of the repository that holds this script.  It
+is exported with `git archive REV | tar -x` into a temporary directory,
+removed at exit, and `git rev-parse --short REV` is written as `"parent"`.
+`--change` is a checkout directory.  Each WORKLOAD:FIRST_SEED runs
+`python3 perfbench/run.py` in both trees, pair k (k = 0, 1, ...) with seed
+FIRST_SEED + k in both.  Pairs alternate the order: odd pairs (the 1st, 3rd,
+...) run the parent first.  The summary gives, per end-to-end metric of the
+change's BENCHMARK.json, the quartiles of each side, the number of pairs the
+change won, the relative change of the median and the parent's
+interquartile range.  Per operation it gives each side's
 median reference seconds over all rounds of all its runs, read from the
 `per_op_ref_s` of the run's perfbench/results/<workload>-seed<seed>-trace0.json.
 It is rewritten after each workload.
@@ -23,12 +28,15 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def parse_args(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--parent", required=True, type=Path, help="parent checkout")
+    ap.add_argument("--parent", required=True, help="parent git revision")
     ap.add_argument("--change", required=True, type=Path, help="change checkout")
     ap.add_argument("--pr", required=True, type=int)
     ap.add_argument("runs", nargs="+", metavar="WORKLOAD:FIRST_SEED")
@@ -51,7 +59,9 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> tuple:
 
 
 def quartiles(values: list) -> dict:
-    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    """q1, median and q3; all three are the value itself when there is one."""
+    q1, median, q3 = (statistics.quantiles(values, n=4, method="inclusive")
+                      if len(values) > 1 else values * 3)
     return {"q1": round(q1, 6), "median": round(median, 6), "q3": round(q3, 6)}
 
 
@@ -108,10 +118,9 @@ def detect_host() -> str:
             f"Python {platform.python_version()}, numpy {versions[0]}, scipy {versions[1]}")
 
 
-def git_rev(checkout: Path):
-    out = subprocess.run(["git", "-C", str(checkout), "rev-parse", "--short", "HEAD"],
-                         capture_output=True, text=True)
-    return out.stdout.strip() or None
+def git(*args: str) -> bytes:
+    """The output of `git ARGS` in the repository that holds this script."""
+    return subprocess.run(["git", "-C", str(ROOT), *args], capture_output=True, check=True).stdout
 
 
 def main(argv=None) -> int:
@@ -123,7 +132,7 @@ def main(argv=None) -> int:
         better = next(m["better"] for m in bench["end_to_end"] if m["name"] == metric)
         claim = {"workload": workload, "metric": metric, "better": better}
     summary = {
-        "pr": args.pr, "parent": git_rev(args.parent),
+        "pr": args.pr, "parent": git("rev-parse", "--short", args.parent).decode().strip(),
         "command": f"python3 perfbench/run.py --workload W --seed S --seconds {args.seconds:g}",
         "seconds": int(args.seconds) if args.seconds.is_integer() else args.seconds,
         "pairs": args.pairs,
@@ -133,24 +142,26 @@ def main(argv=None) -> int:
         "claim": claim, "workloads": {},
     }
     out_path = Path(f"BENCH_{args.pr}.json")
-    checkouts = {"parent": args.parent, "change": args.change}
-    for item in args.runs:
-        workload, first = item.split(":")
-        seeds = [int(first) + k for k in range(args.pairs)]
-        results = {"parent": [], "change": []}
-        per_op = {"parent": [], "change": []}
-        for k, seed in enumerate(seeds):
-            order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
-            for side in order:
-                r, ops = run_once(checkouts[side], workload, seed, args.seconds)
-                results[side].append(r)
-                per_op[side].append(ops)
-                print(f"{workload} pair {k + 1} seed {seed} {side}: correct={r['correct']} "
-                      f"failed={r['failed']} wall_s={r['metrics']['wall_s']['value']:.4f}",
-                      file=sys.stderr, flush=True)
-        summary["workloads"][workload] = {**summarize(seeds, results, bench["end_to_end"]),
-                                          "per_op_s": per_op_medians(per_op)}
-        out_path.write_text(json.dumps(summary, indent=2) + "\n")
+    with tempfile.TemporaryDirectory(prefix="bench-parent-") as parent:
+        subprocess.run(["tar", "-x", "-C", parent], input=git("archive", args.parent), check=True)
+        checkouts = {"parent": Path(parent), "change": args.change}
+        for item in args.runs:
+            workload, first = item.split(":")
+            seeds = [int(first) + k for k in range(args.pairs)]
+            results = {"parent": [], "change": []}
+            per_op = {"parent": [], "change": []}
+            for k, seed in enumerate(seeds):
+                order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
+                for side in order:
+                    r, ops = run_once(checkouts[side], workload, seed, args.seconds)
+                    results[side].append(r)
+                    per_op[side].append(ops)
+                    print(f"{workload} pair {k + 1} seed {seed} {side}: correct={r['correct']} "
+                          f"failed={r['failed']} wall_s={r['metrics']['wall_s']['value']:.4f}",
+                          file=sys.stderr, flush=True)
+            summary["workloads"][workload] = {**summarize(seeds, results, bench["end_to_end"]),
+                                              "per_op_s": per_op_medians(per_op)}
+            out_path.write_text(json.dumps(summary, indent=2) + "\n")
     return 0
 
 

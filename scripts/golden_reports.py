@@ -3,10 +3,11 @@
 
     PYTHONPATH=src python3 scripts/golden_reports.py [--out tests/data/golden_reports.json]
 
-Runs `cli.run_task` on small configs: validate, density and a whole-window
-"random" profile on every registry scheme and on four inline descriptors;
-shapiro on quantizer-linear and interleaved-c0; slowdecay on monomial-chain;
-jackson and bernstein audits on one chain.  The reports go to one JSON list,
+Runs `cli.run_task` on small configs: validate, density at the levels 0..3
+inside the window and a whole-window "random" profile on every registry scheme
+and on four inline descriptors; shapiro on quantizer-linear and
+interleaved-c0; slowdecay on monomial-chain; jackson and bernstein audits on
+one chain.  The reports go to one JSON list,
 after a JSON round trip, so that `tests/test_golden.py` can replay each with
 `cli.replay_report`.  Written from one checkout and replayed in another, the
 fixture shows that a change kept every claimed number.
@@ -41,7 +42,7 @@ def configs() -> list:
         n_max = build_scheme(name).n_max
         out.append({"task": "validate", "scheme": name, "seed": SEED, "params": {"trials": 40}})
         out.append({"task": "density", "scheme": name, "seed": SEED,
-                    "params": {"levels": [0, 1, 2, 3]}})
+                    "params": {"levels": list(range(min(n_max, 3) + 1))}})
         out.append({"task": "profile", "scheme": name, "seed": SEED,
                     "params": {"n_max": n_max, "element": "random"}})
     out.append({"task": "shapiro", "scheme": "quantizer-linear", "seed": SEED,

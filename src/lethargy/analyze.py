@@ -48,41 +48,48 @@ class DensityCertificate:
         return d
 
 
+def farthest(s: Scheme, n: int, candidates, seed: int = 0, best=None):
+    """The candidate provably farthest from A_n: the one search behind density
+    certificates, the gap estimate and the slow-decay ladder.
+
+    Each candidate is solved with the best value so far as its incumbent, so
+    one that cannot beat it may stop early.  A candidate counts only when its
+    solve is exact with a positive lower bound, and it replaces `best` only
+    when farther by more than its solve's tol, so that rounding decides no
+    tie.  Returns `best`, a (BestApprox, candidate) pair or None, and every
+    solved pair in order."""
+    solved = []
+    for cand in candidates:
+        res = best_approx(s.space, cand, s, n, seed=seed,
+                          incumbent=-math.inf if best is None else best[0].value)
+        solved.append((res, cand))
+        if res.status == "exact" and res.lower > 0.0 and (
+                best is None or res.value > best[0].value + res.tol):
+            best = (res, cand)
+    return best, solved
+
+
 def density_lower_bound(s: Scheme, n: int, rng_seed: int = 0) -> DensityCertificate:
     """Best found unit element far from A_n, with the lower end of its
     solve's bracket as the bound.
 
     The pool is `density_candidates`: the kind's extremal candidates and six
-    Gaussian draws, all of unit norm.  A candidate is rigorous when its solve
-    is exact and proves a positive bound.  The certificate is the first
-    rigorous candidate, replaced only by a later one whose value is larger
-    by more than that later solve's tol, so that rounding decides no tie;
-    with no rigorous candidate it is the first.  It is exact when rigorous,
-    or when every solve was exact (each candidate is then a member of A_n,
-    and 0 the proved bound); else it is empirical, and its note counts the
-    candidate solves that are upper-bound only.  Each solve gets the best
-    rigorous value so far as its incumbent, so a candidate that cannot beat
-    it may stop early; the certificate is the one the full solves would give.
+    Gaussian draws, all of unit norm; a level outside the window is refused.
+    The certificate is the `farthest` candidate; with none it is the first.
+    It is exact when rigorous, or when every solve was exact (each candidate
+    is then a member of A_n, and 0 the proved bound); else it is empirical,
+    and its note counts the candidate solves that are upper-bound only.
     """
     rng = np.random.default_rng(rng_seed)
-    best, solved, upper = None, 0, 0
-    for cand in density_candidates(s, min(n, s.n_max), rng):
-        try:
-            res = best_approx(s.space, cand, s, n, seed=rng_seed,
-                              incumbent=-math.inf if best is None else best[0])
-        except NoSolverError:
-            continue
-        solved += 1
-        upper += res.status != "exact"
-        score = res.value if res.status == "exact" and res.lower > 0.0 else -math.inf
-        if best is None or score > best[0] + res.tol:
-            best = (score, cand, res)
-    if best is None:
-        raise AnalyzeError(f"no candidate could be solved at level {n}")
-    score, element, res = best
-    status = "exact" if score > -math.inf or not upper else "empirical"
+    try:
+        best, solved = farthest(s, n, density_candidates(s, n, rng), seed=rng_seed)
+    except NoSolverError:
+        raise AnalyzeError(f"no candidate could be solved at level {n}") from None
+    upper = sum(res.status != "exact" for res, _ in solved)
+    res, element = best or solved[0]
+    status = "exact" if best or not upper else "empirical"
     note = "" if status == "exact" else (f"no solve proved a positive distance; {upper} of "
-                                         f"{solved} candidate solves are upper-bound only")
+                                         f"{len(solved)} candidate solves are upper-bound only")
     return DensityCertificate(n, res.lower, element, res.value, "lower", status, note)
 
 
@@ -116,19 +123,13 @@ def monotone_envelope(bounds: list) -> list:
 
 
 def brudnyi_gap(s: Scheme, rng_seed: int = 0) -> dict:
-    """min over n < n_max of the best found E(a, A_n) over unit a in A_{n+1};
-    a candidate counts, as in `density_lower_bound`, only when its solve is
-    exact with a positive lower bound.  Each solve gets the level's best so
-    far as its incumbent."""
+    """min over n < n_max of the best found E(a, A_n) over unit a in A_{n+1},
+    the `farthest` of four gap candidates per level, or 0.0 where none counts."""
     rng = np.random.default_rng(rng_seed)
     per = []
     for n in range(s.n_max):
-        best = 0.0
-        for cand in gap_candidates(s, n, rng, count=4):
-            res = best_approx(s.space, cand, s, n, seed=rng_seed, incumbent=best)
-            if res.status == "exact" and res.lower > 0.0:
-                best = max(best, res.value)
-        per.append(best)
+        best, _ = farthest(s, n, gap_candidates(s, n, rng, count=4), seed=rng_seed)
+        per.append(best[0].value if best else 0.0)
     gamma = min(per) if per else 0.0
     return {"gamma": gamma, "per_level": per, "levels": list(range(s.n_max))}
 

@@ -17,7 +17,8 @@ from typing import Optional
 import numpy as np
 
 from . import solve
-from .scheme import Scheme, build_scheme, haar_scaling_atoms
+from .analyze import farthest
+from .scheme import Scheme, build_scheme, gap_candidates, haar_scaling_atoms
 from .seq import NullSequence
 from .space import Grid, Space, norm
 from .solve import best_approx, l1_fit_lp
@@ -674,19 +675,17 @@ def witness_tensor(n: int, norm_kind: str = "hs") -> Witness:
 
 
 def _ladder_direction(s: Scheme, level: int, rng: np.random.Generator):
-    """Unit element of some finite A_s with a certified exact distance to
-    A_level; a member of A_level, whose proved bound is 0, certifies none."""
-    from .scheme import gap_candidates
-
-    best = None
-    for source in range(level + 1, s.n_max + 1):
-        for cand in gap_candidates(s, source - 1, rng, count=2):
-            res = best_approx(s.space, cand, s, level)
-            if res.status == "exact" and res.lower > 0.0 and (best is None or res.value > best[2]):
-                best = (cand, source, res.value)
-        if best is not None and best[2] > 0.2:
+    """The `farthest` gap candidate from A_level, searched source by source
+    up the window until one is farther than 0.2: (unit element of A_source,
+    source, its exact distance), or None; a member of A_level certifies none."""
+    best = source = None
+    for src in range(level + 1, s.n_max + 1):
+        found, _ = farthest(s, level, gap_candidates(s, src - 1, rng, count=2), best=best)
+        if found is not best:
+            best, source = found, src
+        if best is not None and best[0].value > 0.2:
             break
-    return best
+    return None if best is None else (best[1], source, best[0].value)
 
 
 def construct_slow_decay(s: Scheme, eps: NullSequence, i_max: int, rng_seed: int = 0) -> Witness:

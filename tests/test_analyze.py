@@ -20,7 +20,7 @@ from lethargy.analyze import (
     seminorm,
     shapiro_check,
 )
-from lethargy.scheme import build_scheme, density_candidates, gap_candidates
+from lethargy.scheme import SchemeError, build_scheme, density_candidates, gap_candidates
 from lethargy.solve import LP_TOL, BestApprox, NoSolverError, best_approx
 from lethargy.space import Grid, Space, norm
 
@@ -92,6 +92,18 @@ class TestDensityCertificates:
             density_lower_bound(s, 2)
         assert density_lower_bound(s, 0).status == "exact"  # level 0 is the norm
 
+    @pytest.mark.parametrize("name,n", [("free-knot-spline", 9), ("orthonormal-nterm", 12),
+                                        ("rank-8-hs", 11), ("interleaved-c0", 41)])
+    def test_a_level_past_the_window_is_refused(self, name, n):
+        # these kinds' solvers answer past the window; the certificate does not
+        s = build_scheme(name)
+        message = f"level {n} outside the window 0..{s.n_max}"
+        with pytest.raises(SchemeError, match=message):
+            density_lower_bound(s, n)
+        with pytest.raises(SchemeError, match=message):
+            shapiro_check(s, levels=[n])
+        assert best_approx(s.space, s.space.zero() + 1.0, s, n).status == "exact"
+
     def test_monotone_envelope(self):
         assert monotone_envelope([0.5, 0.9, 0.3]) == [0.9, 0.9, 0.3]
 
@@ -128,6 +140,18 @@ class TestBrudnyiGap:
         rep = brudnyi_gap(small_monomial_chain, rng_seed=2)
         assert rep["gamma"] >= 0.99
 
+    @pytest.mark.parametrize("margin,winner", [(0.5, 0), (2.0, 1)])
+    def test_a_tie_within_tol_keeps_the_first_candidate(self, margin, winner, monkeypatch):
+        # the level's best is the first exact answer unless the later one is
+        # farther by more than its tol
+        s = build_scheme({"kind": "rank", "n_max": 1,
+                          "space": {"carrier": "matrix", "side": 2, "norm": "hs"}})
+        values = [1.0, 1.0 + margin * LP_TOL]
+        answers = iter([BestApprox(value, None, value) for value in values])
+        monkeypatch.setattr(analyze, "gap_candidates", lambda *args, **kwargs: [None, None])
+        monkeypatch.setattr(analyze, "best_approx", lambda *args, **kwargs: next(answers))
+        assert brudnyi_gap(s)["per_level"] == [values[winner]]
+
 
 def oracle_density_lower_bound(s, n, rng_seed):
     """`density_lower_bound` with its default pool of unit candidates, as
@@ -136,7 +160,7 @@ def oracle_density_lower_bound(s, n, rng_seed):
     bound the lower end of the chosen bracket."""
     rng = np.random.default_rng(rng_seed)
     best, decided = None, True
-    for cand in density_candidates(s, min(n, s.n_max), rng):
+    for cand in density_candidates(s, n, rng):
         try:
             res = best_approx(s.space, cand, s, n, seed=rng_seed)
         except NoSolverError:
@@ -151,17 +175,19 @@ def oracle_density_lower_bound(s, n, rng_seed):
 
 
 def oracle_brudnyi_gap(s, rng_seed):
-    """`brudnyi_gap` over its default levels, as written before the searches
-    passed incumbents: only an exact solve with a positive lower bound counts."""
+    """`brudnyi_gap` over its default levels, every candidate solved to the
+    end: only an exact solve with a positive lower bound counts, and a later
+    one replaces the first only when farther by more than its tol."""
     rng = np.random.default_rng(rng_seed)
     per = []
     for n in range(s.n_max):
-        best = 0.0
+        best = None
         for cand in gap_candidates(s, n, rng, count=4):
             res = best_approx(s.space, cand, s, n, seed=rng_seed)
-            if res.status == "exact" and res.lower > 0.0:
-                best = max(best, res.value)
-        per.append(best)
+            if res.status == "exact" and res.lower > 0.0 and (
+                    best is None or res.value > best + res.tol):
+                best = res.value
+        per.append(0.0 if best is None else best)
     return {"gamma": min(per) if per else 0.0, "per_level": per, "levels": list(range(s.n_max))}
 
 
@@ -236,6 +262,15 @@ class TestShapiro:
         assert v.constant == v.certificates[-1].bound == 0.0
         assert v.envelope is None and "envelope" not in v.to_json()
 
+    def test_a_probe_above_the_envelope_is_inconclusive(self, quantizer_linear_small, monkeypatch):
+        # half the proved budget envelope: some probe's error exceeds it
+        s = quantizer_linear_small
+        monkeypatch.setattr(type(s), "envelope",
+                            lambda self, levels: [0.5 / self.m_of(n) for n in levels])
+        v = shapiro_check(s, probe_budget=2, rng_seed=1, levels=[1, 2])
+        assert v.verdict == "inconclusive"
+        assert v.envelope is None and v.probes_checked == 0
+
     def test_verdict_json(self, quantizer_linear_small):
         v = shapiro_check(quantizer_linear_small, probe_budget=2, rng_seed=1)
         d = v.to_json()
@@ -256,6 +291,19 @@ class TestSubmultiplicativity:
         rep = density_profile_check(s, rng_seed=1)
         assert rep["passed"]
         assert rep["checked_pairs"] > 0  # the (m, m) pairs test d(2m) <= d(m)^2
+
+    def test_a_lower_bound_above_the_upper_product_is_flagged(self, small_interleaved,
+                                                              monkeypatch):
+        # certified upper estimates of 0.5: every pair whose paired level has
+        # a certified lower bound above 0.25 + tol is flagged
+        monkeypatch.setattr(analyze, "density_upper_estimate", lambda s, n, rng_seed=0:
+                            analyze.DensityCertificate(n, 0.5, None, 0.5, "upper", "certified"))
+        rep = density_profile_check(small_interleaved, rng_seed=1)
+        assert not rep["passed"] and rep["flagged"]
+        for entry in rep["flagged"]:
+            assert entry["upper_product"] == 0.25
+            assert entry["certified_lower"] > 0.25 + rep["tolerance"]
+            assert entry["upper_status"] == ["certified", "certified"]
 
     def test_linear_chain_trivial(self, small_monomial_chain):
         rep = density_profile_check(small_monomial_chain, rng_seed=1)

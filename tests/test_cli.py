@@ -699,9 +699,9 @@ class TestConfigCheck:
         ({"task": "witness", "params": {"op": "translates", "n": 2, "m": 5, "trials": 0}},
          "params of witness translates: trials must be a positive integer, not 0"),
         ({"task": "density", "scheme": "monomial-chain", "params": {"levels": [17]}},
-         "chain level 17 beyond the window 0..12 has no basis columns"),
+         "level 17 outside the window 0..12"),
         ({"task": "shapiro", "scheme": "trig-chain", "params": {"levels": [14]}},
-         "chain level 14 beyond the window 0..10 has no basis columns"),
+         "level 14 outside the window 0..10"),
     ], ids=["m-float", "density-levels-string", "shapiro-levels-string", "n_max-bool",
             "seed-string", "misspelled-trials", "missing-m", "scheme-on-witness",
             "csv-on-validate", "unknown-op", "missing-op", "trials-zero", "trials-negative",

@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+import lethargy.analyze as analyze
+import lethargy.witness as witness
 from lethargy.scheme import build_scheme
 from lethargy.seq import NullSequence
-from lethargy.solve import _nterm_exhaustive
+from lethargy.solve import LP_TOL, BestApprox, _nterm_exhaustive
 from lethargy.space import norm
 from lethargy.witness import (
     ClaimedBound,
@@ -94,6 +96,11 @@ class TestHaarBumps:
         assert verify_witness(w)
         exact = [a for a in w.attempts if a.label == "exact-l2-projection"][0]
         assert exact.value > 1.0 / 5.0
+
+    def test_p_between_one_and_two_logs_an_irls_attempt(self):
+        w = witness_haar_bumps(2, 1.5, family="poly", n_attempts=5, seed=0)
+        assert verify_witness(w)
+        assert [a.label for a in w.attempts].count("irls-local-minimum") == 1
 
     def test_coarse_grid_rejected(self):
         with pytest.raises(WitnessError, match="2049 nodes cannot host 260 bump cells"):
@@ -283,3 +290,52 @@ class TestSlowDecay:
     def test_short_eps_window_reports_partial(self, small_interleaved):
         w = construct_slow_decay(small_interleaved, NullSequence.harmonic(3), 8, rng_seed=1)
         assert w.meta["halted"]
+
+    def test_no_certified_direction_halts(self):
+        # rank-8-hs: the gap map reaches level 8, the whole space, and no
+        # source level lies above it
+        s = build_scheme("rank-8-hs")
+        w = construct_slow_decay(s, NullSequence.harmonic(12), 8, rng_seed=2)
+        assert w.meta["halted"] == "no certified direction for level 8"
+        assert verify_slow_decay(w)
+
+    @pytest.mark.parametrize("name", ["monomial-chain", "trig-chain"])
+    def test_incumbents_leave_the_ladder_unchanged(self, name, monkeypatch):
+        s = build_scheme(name)
+        solve_with, incumbents = analyze.best_approx, []
+
+        def full_solve(*args, incumbent, **kwargs):
+            return solve_with(*args, **kwargs)
+
+        def recorded(*args, incumbent, **kwargs):
+            incumbents.append(incumbent)
+            return solve_with(*args, incumbent=incumbent, **kwargs)
+
+        for seed in range(3):
+            ladders = []
+            for search in (recorded, full_solve):
+                monkeypatch.setattr(analyze, "best_approx", search)
+                w = construct_slow_decay(s, NullSequence.harmonic(12), 8, rng_seed=seed)
+                ladders.append((w.element.tobytes(), w.meta))
+            assert ladders[0] == ladders[1], seed
+        assert max(incumbents) > 0.2  # later candidates met the best so far
+
+    @pytest.mark.parametrize("margin,winner", [(0.5, 0), (2.0, 1)])
+    def test_a_tie_within_tol_keeps_the_first_direction(self, margin, winner, monkeypatch):
+        # one candidate at source 1 and one at source 2, both below the 0.2
+        # that ends the search: the later one wins only when farther by more
+        # than its tol, and its search starts from the first as incumbent
+        s = build_scheme("rank-8-operator")
+        pool, values = [np.eye(8), np.eye(8)], [0.1, 0.1 + margin * LP_TOL]
+        pools = iter([[pool[0]], [pool[1]]])
+        answers, incumbents = iter([BestApprox(v, None, v) for v in values]), []
+
+        def scripted(*args, incumbent, **kwargs):
+            incumbents.append(incumbent)
+            return next(answers)
+
+        monkeypatch.setattr(witness, "gap_candidates", lambda *args, **kwargs: next(pools, []))
+        monkeypatch.setattr(analyze, "best_approx", scripted)
+        element, source, quality = witness._ladder_direction(s, 0, np.random.default_rng(0))
+        assert (element is pool[winner], source, quality) == (True, winner + 1, values[winner])
+        assert incumbents == [-math.inf, 0.1]
