@@ -16,7 +16,7 @@ screen stopped before the first exchange step.  BLAS runs on one thread, as
 in the benchmark.  Diffing the output of two checkouts shows whether a change
 to the sup fit moved any fit by a single bit.  Per workload, the number of
 fits and of stopped fits by solver goes to standard error, e.g.
-`certify-sup: 200 sup fits, 120 stopped (64 least-squares, 56 exchange)`.
+`certify-sup: 152 sup fits, 120 stopped (64 least-squares, 56 exchange)`.
 """
 
 import hashlib

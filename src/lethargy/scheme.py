@@ -341,7 +341,9 @@ class Scheme:
 class Chain(Scheme):
     """Nested subspaces: A_n is the span of the first dim(n) basis columns; K(n) = n.
     The basis runs one degree, frequency or coordinate (where the space has
-    one) past the window, so that every level's next direction is a column."""
+    one) past the window, so that every level's next direction is a column.
+    That direction is the chain's density candidate and its first gap
+    candidate, so each level solves it once."""
 
     kind = "chain"
     basis: np.ndarray
@@ -387,35 +389,28 @@ class Chain(Scheme):
         d = self.chain_dim(n)
         return self.basis[:, :d] @ rng.standard_normal(d), None
 
-    def _tail_column(self, d: int, col: np.ndarray) -> np.ndarray:
-        """`col` orthonormalized against the first d basis columns (L2 grids)."""
-        w = np.sqrt(self.space.grid.weights)
-        q, _ = np.linalg.qr(np.column_stack([self.basis[:, :d], col]) * w[:, None])
-        col = q[:, d] / w
-        return col / norm(self.space, col)
+    def _next_direction(self, n: int) -> np.ndarray:
+        """The first basis column outside A_n (T_{n+1}, cos((n+1)t) or e_{n+1}),
+        orthonormalized against A_n on L2 grids; where A_n is the whole space
+        (a coordinate chain of dimension n_max + 1, at n_max) the last coordinate."""
+        d = self.chain_dim(n)
+        if _is_l2(self.space) and self.space.carrier == "grid":
+            w = np.sqrt(self.space.grid.weights)
+            q, _ = np.linalg.qr(self.basis[:, :d + 1] * w[:, None])
+            col = q[:, d] / w
+            return col / norm(self.space, col)
+        return self.basis[:, min(d, self.basis.shape[1] - 1)]
 
     def gap_candidates(self, n, rng, count):
-        d = self.chain_dim(n)
-        d_next = self.chain_dim(n + 1)
-        sp, family = self.space, self.family
-        out = []
-        if sp.norm_kind == "sup" and family in ("monomial", "trig"):
-            out.append(self.basis[:, d])  # Chebyshev column of the next degree, or cos((n+1)t)
-        elif _is_l2(sp) and sp.carrier == "grid":
-            out.append(self._tail_column(d, self.basis[:, d]))
-        for _ in range(count):
-            c = rng.standard_normal(d_next - d)
-            out.append(self.basis[:, d:d_next] @ c)
-        return out
+        """The next direction, then `count` draws from the columns that A_{n+1}
+        adds where it adds more than one (trig chains)."""
+        d, d_next = self.chain_dim(n), self.chain_dim(n + 1)
+        draws = [self.basis[:, d:d_next] @ rng.standard_normal(d_next - d)
+                 for _ in range(count)] if d_next - d > 1 else []
+        return [self._next_direction(n), *draws]
 
     def density_candidates(self, n):
-        """The next basis column (T_{n+1}, cos((n+1)t), e_{n+1} or the last
-        coordinate), and on L2 grids that column orthonormalized against A_n."""
-        d = self.chain_dim(n)
-        col = self.basis[:, min(d, self.basis.shape[1] - 1)]
-        if _is_l2(self.space) and self.space.carrier == "grid":
-            return [col, self._tail_column(d, col)]
-        return [col]
+        return [self._next_direction(n)]
 
     def density_threshold(self):
         return 1e-3 if self.family == "monomial" and self.n_max >= 10 else 0.5

@@ -1,3 +1,4 @@
+import json
 import math
 from unittest import mock
 
@@ -20,9 +21,12 @@ from lethargy.analyze import (
     seminorm,
     shapiro_check,
 )
-from lethargy.scheme import SchemeError, build_scheme, density_candidates, gap_candidates
+from lethargy.scheme import (Chain, SchemeError, build_scheme, density_candidates,
+                             gap_candidates)
+from lethargy.seq import NullSequence
 from lethargy.solve import LP_TOL, BestApprox, NoSolverError, best_approx
 from lethargy.space import Grid, Space, norm
+from lethargy.witness import construct_slow_decay, verify_slow_decay
 
 
 @pytest.fixture(scope="module")
@@ -63,6 +67,17 @@ class TestDensityCertificates:
         c = density_lower_bound(s, 2, rng_seed=1)
         # the normalized identity keeps unit distance to low rank in operator norm
         assert c.bound == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("norm", [{"norm": "sup"}, {"norm": "lp", "p": 2.0}],
+                             ids=["sup", "l2"])
+    def test_a_coordinate_chain_that_fills_the_space_certifies_zero(self, norm):
+        # dim 8 = n_max + 1: A_7 is the whole space, so the next direction
+        # falls back to the last coordinate, e_7, a member at distance 0
+        s = build_scheme({"kind": "chain", "family": "coordinate", "n_max": 7,
+                          "space": {"carrier": "coords", "dim": 8, **norm}})
+        c = density_lower_bound(s, 7, rng_seed=0)
+        assert (c.status, c.bound) == ("exact", 0.0)
+        assert np.array_equal(c.element, np.eye(8)[7])
 
     def test_certificate_reproducible(self, small_interleaved):
         c = density_lower_bound(small_interleaved, 5, rng_seed=9)
@@ -191,6 +206,25 @@ def oracle_brudnyi_gap(s, rng_seed):
     return {"gamma": min(per) if per else 0.0, "per_level": per, "levels": list(range(s.n_max))}
 
 
+def oracle_chain_gap_candidates(s, n, rng, count):
+    """`Chain.gap_candidates` as written before one next direction per level:
+    on sup monomial and trig chains the next column, on L2 grids that column
+    orthonormalized against A_n, then `count` draws from the columns that
+    A_{n+1} adds, however many these are."""
+    d, d_next = s.chain_dim(n), s.chain_dim(n + 1)
+    out = []
+    if s.space.norm_kind == "sup" and s.family in ("monomial", "trig"):
+        out.append(s.basis[:, d])
+    elif s.space.carrier == "grid" and s.space.norm_kind == "lp" and s.space.p == 2.0:
+        w = np.sqrt(s.space.grid.weights)
+        q, _ = np.linalg.qr(np.column_stack([s.basis[:, :d], s.basis[:, d]]) * w[:, None])
+        col = q[:, d] / w
+        out.append(col / norm(s.space, col))
+    for _ in range(count):
+        out.append(s.basis[:, d:d_next] @ rng.standard_normal(d_next - d))
+    return out
+
+
 def sup_fit_iterations(search, *args, **kwargs) -> int:
     """The exchange steps of every `_sup_fit` that `search(*args, **kwargs)` runs."""
     fit, steps = solve._sup_fit, []
@@ -231,6 +265,29 @@ class TestIncumbentSearch:
         s = build_scheme("monomial-chain")
         steps = sup_fit_iterations(density_lower_bound, s, 8, rng_seed=3)
         assert steps < sup_fit_iterations(oracle_density_lower_bound, s, 8, 3)
+
+
+class TestNextDirection:
+    """One next direction per chain level gives the gap and the slow-decay
+    ladder that the parent's pool of repeated draws gave, bit for bit."""
+
+    @pytest.mark.parametrize("name", ["monomial-chain", "monomial-chain-l2", "trig-chain"])
+    def test_gap_and_ladder_equal_the_repeated_draws(self, name, monkeypatch):
+        s = build_scheme(name)
+
+        def results():
+            out = []
+            for seed in range(3):
+                out.append(brudnyi_gap(s, rng_seed=seed)["per_level"])
+                for i_max in (2, 4, 8):
+                    w = construct_slow_decay(s, NullSequence.harmonic(12), i_max, rng_seed=seed)
+                    verify_slow_decay(w)
+                    out.append(json.dumps(w.to_json()))
+            return out
+
+        got = results()
+        monkeypatch.setattr(Chain, "gap_candidates", oracle_chain_gap_candidates)
+        assert got == results()
 
 
 class TestShapiro:

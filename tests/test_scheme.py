@@ -22,7 +22,7 @@ from lethargy.scheme import (
     sample_element,
     validate_scheme,
 )
-from lethargy.solve import best_approx
+from lethargy.solve import _is_l2, best_approx
 from lethargy.space import norm
 
 
@@ -306,3 +306,24 @@ class TestSamplers:
         for cand in gap_candidates(s, 2, rng, count=2):
             assert membership(s, cand, 3)
             assert norm(s.space, cand) == pytest.approx(1.0, rel=1e-9)
+
+    @pytest.mark.parametrize("desc", [
+        "monomial-chain", "monomial-chain-l2", "trig-chain",
+        {"kind": "chain", "family": "coordinate", "n_max": 5,
+         "space": {"carrier": "coords", "dim": 8, "norm": "sup"}},
+        {"kind": "chain", "family": "monomial", "n_max": 4,
+         "space": {"carrier": "grid", "nodes": 129, "norm": "lp", "p": 1.0}},
+    ], ids=["monomial-chain", "monomial-chain-l2", "trig-chain", "coordinate-sup", "monomial-l1"])
+    def test_chain_gap_candidates_are_distinct_directions(self, desc):
+        # one candidate per direction: a one-column increment gives the next
+        # direction alone, and on L2 grids that direction is orthonormal to A_n
+        s = build_scheme(desc)
+        for n in range(s.n_max):
+            cands = gap_candidates(s, n, np.random.default_rng(n), count=4)
+            for i, a in enumerate(cands):
+                assert membership(s, a, n + 1), (n, i)
+                for b in cands[:i]:
+                    assert min(np.linalg.norm(a - b), np.linalg.norm(a + b)) > 1e-8, (n, i)
+            if s.space.carrier == "grid" and _is_l2(s.space):
+                res = best_approx(s.space, cands[0], s, n)
+                assert res.value == pytest.approx(1.0, abs=res.tol), n

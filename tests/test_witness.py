@@ -318,7 +318,12 @@ class TestSlowDecay:
                 w = construct_slow_decay(s, NullSequence.harmonic(12), 8, rng_seed=seed)
                 ladders.append((w.element.tobytes(), w.meta))
             assert ladders[0] == ladders[1], seed
-        assert max(incumbents) > 0.2  # later candidates met the best so far
+        if name == "monomial-chain":
+            # one candidate per source, the next Chebyshev column, which is
+            # farther than 0.2 from the level it serves: no incumbent is passed
+            assert set(incumbents) == {-math.inf}
+        else:
+            assert max(incumbents) > 0.2  # later candidates met the best so far
 
     @pytest.mark.parametrize("margin,winner", [(0.5, 0), (2.0, 1)])
     def test_a_tie_within_tol_keeps_the_first_direction(self, margin, winner, monkeypatch):
