@@ -11,12 +11,15 @@ the operation, the call's number within it, the `repr` of the answer's
 value and lower bound, the solver, the iterations and the sha256 of the
 minimizer's bytes, and `"below_incumbent": true` for a fit stopped below
 its caller's incumbent.  The solver is "exchange" or "single-point-exchange",
-or "least-squares" (iterations 0, lower 0) for a fit that the least-squares
-screen stopped before the first exchange step.  BLAS runs on one thread, as
-in the benchmark.  Diffing the output of two checkouts shows whether a change
-to the sup fit moved any fit by a single bit.  Per workload, the number of
-fits and of stopped fits by solver goes to standard error, e.g.
-`certify-sup: 152 sup fits, 120 stopped (64 least-squares, 56 exchange)`.
+or "least-squares" for a fit that the incumbent screen stopped before the
+exchange (lower 0, iterations the screen's reweighting steps).  BLAS runs on
+one thread, as in the benchmark.  Diffing the output of two checkouts shows
+whether a change to the sup fit moved any fit by a single bit.  Per
+workload, standard error gets the number of fits, of fits stopped by the
+screen and by an exchange step, and of fits the screen passed on to the
+exchange, with the screen's reweighting steps as counts at 0, 1, ... steps:
+`certify-sup: 152 sup fits, 120 stopped (120 least-squares: 64/25/18/6/6/1
+at 0-5 steps, 0 exchange), 0 passed on by the screen`.
 """
 
 import hashlib
@@ -40,7 +43,7 @@ def main() -> int:
 
     from lethargy import cli, solve
 
-    fit = solve._sup_fit
+    fit, screen, linalg_solve = solve._sup_fit, solve._incumbent_screen, np.linalg.solve
     where = {}
 
     def digest(cols, x, *incumbent):
@@ -54,13 +57,36 @@ def main() -> int:
         }
         if "below_incumbent" in res.info:
             line["below_incumbent"] = True
-            where["stopped"][res.info["solver"]] += 1
+            where["exchange"] += res.info["solver"] != "least-squares"
         print(json.dumps(line))
         return res
 
-    solve._sup_fit = digest
+    def screened(*args):
+        """The screen, counting its steps: one solve each, the first unweighted."""
+        solves = []
+
+        def counted(*solve_args):
+            solves.append(1)
+            return linalg_solve(*solve_args)
+
+        np.linalg.solve = counted
+        try:
+            res = screen(*args)
+        finally:
+            np.linalg.solve = linalg_solve
+        where["passed" if res is None else "stopped"][len(solves) - 1] += 1
+        return res
+
+    def histogram(steps: Counter) -> str:
+        if not steps:
+            return ""
+        lo, hi = min(steps), max(steps)
+        counts = "/".join(str(steps[k]) for k in range(lo, hi + 1))
+        return f": {counts} at {lo}{'' if lo == hi else f'-{hi}'} steps"
+
+    solve._sup_fit, solve._incumbent_screen = digest, screened
     for workload in WORKLOADS:
-        calls, where["stopped"] = 0, Counter()
+        calls, where["stopped"], where["passed"], where["exchange"] = 0, Counter(), Counter(), 0
         for op in workloads.round_ops(workload, np.random.default_rng(SEED)):
             where.update(workload=workload, op=op.name, call=0)
             try:
@@ -71,10 +97,10 @@ def main() -> int:
                 print(json.dumps({"workload": workload, "op": op.name,
                                   "error": type(exc).__name__}))
             calls += where["call"]
-        stopped = where["stopped"]
-        by_solver = ", ".join(f"{n} {solver}" for solver, n in stopped.most_common())
-        print(f"{workload}: {calls} sup fits, {stopped.total()} stopped"
-              + (f" ({by_solver})" if stopped else ""), file=sys.stderr)
+        stopped, passed, exchange = where["stopped"], where["passed"], where["exchange"]
+        print(f"{workload}: {calls} sup fits, {stopped.total() + exchange} stopped "
+              f"({stopped.total()} least-squares{histogram(stopped)}, {exchange} exchange), "
+              f"{passed.total()} passed on by the screen{histogram(passed)}", file=sys.stderr)
     return 0
 
 

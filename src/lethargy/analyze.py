@@ -123,8 +123,11 @@ def monotone_envelope(bounds: list) -> list:
 
 
 def brudnyi_gap(s: Scheme, rng_seed: int = 0) -> dict:
-    """min over n < n_max of the best found E(a, A_n) over unit a in A_{n+1},
-    the `farthest` of four gap candidates per level, or 0.0 where none counts."""
+    """min over n < n_max of the best found E(a, A_n) over unit a in A_{n+1}:
+    per level the `farthest` of the kind's gap candidates with four draws (the
+    next direction alone on a chain whose level adds one column; it, or the
+    extremal element, and four draws on a trig chain, an n-term scheme and
+    interleaved-c0; four draws on the other kinds), or 0.0 where none counts."""
     rng = np.random.default_rng(rng_seed)
     per = []
     for n in range(s.n_max):

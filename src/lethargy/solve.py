@@ -24,10 +24,16 @@ is always achievable, so it is never below E by more than the tolerance.
 - IRLS and greedy n-term selection prove nothing and pass lower = 0.
 
 A caller that keeps the best of several candidates passes `best_approx` its
-incumbent, the best value so far.  Only the sup fit uses it: a least-squares
-fit or an exchange step whose value + INCUMBENT_MARGIN * max(1, ||x||_inf) is
-below the incumbent stops it, with the lower bound proved so far; the fit run
-to its end could not have reached the incumbent (info "below_incumbent").
+incumbent, the best value so far.  Only the sup fit uses it.  A screen
+before the exchange takes the least-squares fit, then Lawson's reweighting
+steps toward the Chebyshev fit; it gives up once a step leaves the value
+unchanged (the zero approximant, of value ||x||_inf, counts as the one
+before the least-squares fit) or after LAWSON_MAX_STEPS steps, and the
+exchange goes on.  The first approximant of the screen, or exchange step,
+whose value + INCUMBENT_MARGIN * max(1, ||x||_inf) is below the incumbent
+stops the fit with that value and the lower bound proved so far (none in
+the screen); the fit run to its end could not have reached the incumbent
+(info "below_incumbent").
 
 `best_approx` and `error_profile` are the one scaling boundary: every solve
 runs on x scaled by a power of two so that max |x| lies in (1/2, 1], and
@@ -59,6 +65,8 @@ EXCHANGE_MAX_ITER = 100
 EXCHANGE_ROUNDING = 1e-13  # relative: an exchange bracket or a ratio-test pivot this small is rounding
 EXCHANGE_MAX_COND = 1e12  # a reference system with ||A||_inf ||A^-1||_inf above this is singular
 INCUMBENT_MARGIN = 1e-6  # above LP_TOL, the widest gap of an exact sup fit, relative
+LAWSON_MAX_STEPS = 8  # reweighting steps of the incumbent screen, from their measured counts
+LAWSON_BLOCK = 8192  # entries of a block of weighted columns in a reweighting step
 IRLS_MAX_ITER = 500
 IRLS_REL_TOL = 1e-10
 IRLS_WEIGHT_FLOOR = 1e-12
@@ -132,31 +140,29 @@ def _sup_fit(cols: np.ndarray, x: np.ndarray, incumbent: float = -math.inf):
     ||x||_inf <= 1, so tol = LP_TOL is relative to x; a direct caller with a
     smaller x gets an absolute bracket.
 
-    A least-squares fit before the first step (the normal equations; none on
-    a singular Gram matrix), or a step, whose value + INCUMBENT_MARGIN *
-    max(1, ||x||_inf) is below `incumbent` ends the fit with that value: it
-    bounds the best error from above, and the fit run to its end (if exact,
-    at most the best error plus tol) could not have reached the incumbent
-    either.  Its lower bound is the one proved so far (none before a step)
-    when that bound's system is within EXCHANGE_MAX_COND, else 0.
+    An `incumbent` above INCUMBENT_MARGIN * max(1, ||x||_inf) is screened
+    first (`_incumbent_screen`: the least-squares fit, then up to
+    LAWSON_MAX_STEPS of Lawson's reweighting steps).  The first approximant
+    of the screen, or exchange step, whose value + INCUMBENT_MARGIN *
+    max(1, ||x||_inf) is below the incumbent ends the fit with that value:
+    it bounds the best error from above, and the fit run to its end (if
+    exact, at most the best error plus tol) could not have reached the
+    incumbent either.  Its lower bound is the one proved so far (none in the
+    screen) when that bound's system is within EXCHANGE_MAX_COND, else 0.
 
     Returns a BestApprox; its info holds solver and iterations, and
     "below_incumbent" for a fit so stopped.
     """
     n, d = cols.shape
-    scale = max(1.0, float(np.max(np.abs(x))))
+    x_norm = float(np.max(np.abs(x)))
+    scale = max(1.0, x_norm)
     tol = LP_TOL * scale
     lower, it, best, lower_system = 0.0, 0, None, None
     if n > d:
         if incumbent > INCUMBENT_MARGIN * scale:  # else no value can stop below it
-            try:
-                approx = cols @ np.linalg.solve(cols.T @ cols, cols.T @ x)
-                value = float(np.max(np.abs(x - approx)))  # NaN or inf never stops
-            except np.linalg.LinAlgError:  # a singular Gram matrix, e.g. a repeated column
-                value = math.inf
-            if value + INCUMBENT_MARGIN * scale < incumbent:
-                return BestApprox(value, approx, 0.0, tol, {
-                    "solver": "least-squares", "iterations": 0, "below_incumbent": True})
+            stopped = _incumbent_screen(cols, x, incumbent, x_norm)
+            if stopped is not None:
+                return stopped
         system = np.empty((d + 1, d + 1))
         system[:, d] = (-1.0) ** np.arange(d + 1)
         ref = np.rint(np.arange(d + 1) * ((n - 1) / max(d, 1))).astype(int)  # evenly spaced
@@ -195,6 +201,47 @@ def _sup_fit(cols: np.ndarray, x: np.ndarray, incumbent: float = -math.inf):
                 or _reference_cond(cols, *lower_system) <= EXCHANGE_MAX_COND):
             return BestApprox(best[0], best[1], lower, tol, {"solver": "exchange", "iterations": it})
     return _single_point_exchange(cols, x, scale, it, best and best[:2])
+
+
+def _incumbent_screen(cols: np.ndarray, x: np.ndarray, incumbent: float, x_norm: float):
+    """The least-squares fit, then Lawson's reweighting steps toward the
+    Chebyshev fit (Lawson, 1961; Rice and Usow, 1968): weights
+    u <- u |x - cols c|, normalized, and c the u-weighted least-squares fit.
+    Each approximant's max |x - cols c| is an achieved distance.  The first
+    whose value + INCUMBENT_MARGIN * scale (scale = max(1, x_norm), x_norm =
+    ||x||_inf) is below `incumbent` is returned as a fit stopped below it:
+    solver "least-squares", lower 0, and iterations the reweighting steps
+    taken.  Returns None, for the exchange to go on, at the first
+    approximant whose value is that of the one before within
+    EXCHANGE_ROUNDING * scale (the zero approximant, of value x_norm, comes
+    before the least-squares fit, so an x that fit leaves as it is takes no
+    step; a NaN value counts as unchanged), after LAWSON_MAX_STEPS steps,
+    or on a singular Gram matrix (e.g. a repeated column).  A step sums its
+    weighted normal equations over blocks of LAWSON_BLOCK entries of
+    cols.T, so it allocates nothing as large as cols."""
+    rows, size = cols.T, max(1, LAWSON_BLOCK // max(1, cols.shape[1]))  # columns of rows per block
+    gram, rhs = rows @ cols, rows @ x  # unweighted at step 0: the least-squares fit
+    scale, previous = max(1.0, x_norm), x_norm  # previous: the zero approximant's value
+    for step in range(LAWSON_MAX_STEPS + 1):
+        try:
+            approx = np.linalg.solve(gram, rhs) @ rows
+        except np.linalg.LinAlgError:
+            return None
+        absr = np.abs(x - approx)
+        value = float(absr.max())
+        if value + INCUMBENT_MARGIN * scale < incumbent:
+            return BestApprox(value, approx, 0.0, LP_TOL * scale, {
+                "solver": "least-squares", "iterations": step, "below_incumbent": True})
+        if step == LAWSON_MAX_STEPS or not abs(value - previous) > EXCHANGE_ROUNDING * scale:
+            return None
+        previous = value
+        weights = absr if step == 0 else weights * absr
+        weights /= weights.sum()
+        gram, rhs = np.zeros_like(gram), np.zeros_like(rhs)
+        for a in range(0, x.size, size):
+            part = rows[:, a:a + size] * weights[a:a + size]
+            gram += part @ rows[:, a:a + size].T
+            rhs += part @ x[a:a + size]
 
 
 def _single_point_exchange(cols: np.ndarray, x: np.ndarray, scale: float, it: int, best=None):

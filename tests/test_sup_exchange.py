@@ -209,12 +209,13 @@ def test_ill_conditioned_full_rank_columns():
 def test_a_system_singular_to_working_precision_proves_nothing():
     # with every reference system refused, no step may raise `lower`: the
     # fit keeps an achieved value and is no longer exact; a fit stopped below
-    # its incumbent keeps no bound either, whether the least-squares screen
-    # stops it or, on Haar columns with an incumbent the screen misses, an
-    # exchange step whose systems would prove one
+    # its incumbent keeps no bound either, whether the incumbent screen
+    # stops it or, on Haar columns with an incumbent 1% above the best error
+    # that the screen's reweighting steps miss, an exchange step whose
+    # systems would prove one
     cols, x = DEGENERATE_32X3
     haar, y = poly_columns(65, 6), np.random.default_rng(0).standard_normal(65)
-    between = (_sup_fit(haar, y).value + _sup_fit(haar, y, math.inf).value) / 2
+    between = 1.01 * _sup_fit(haar, y).value
     assert _sup_fit(haar, y, between).lower > 0.0
     with mock.patch.object(solve, "_reference_cond", lambda *args: math.inf):
         fit = _fit_in_span(Space.sup_coords(x.size), cols, x)
@@ -360,18 +361,23 @@ def incumbent_problems(draw):
 
 @settings(max_examples=40, deadline=None)
 @given(incumbent_problems())
+@example((poly_columns(65, 6), np.random.default_rng(1).standard_normal(65)))  # 1 and 3 steps
+@example((np.zeros((33, 0)), np.random.default_rng(1).standard_normal(33)))  # no column
 def test_a_fit_stops_only_below_its_incumbent(problem):
     """A fit with an incumbent is the fit without one, bit for bit, unless it
     stopped at an achieved value that, and the full fit's value, lie below
     the incumbent.  A stopped fit keeps the lower bound proved so far, and its
-    status follows the one rule of its bracket."""
+    status follows the one rule of its bracket.  A fit the screen stopped
+    proves no bound, and its iterations are the reweighting steps it took:
+    capped at that many steps the screen stops it the same, capped one step
+    fewer it does not."""
     cols, x = problem
     space = Space.sup_coords(x.size)
     scale = max(1.0, float(np.max(np.abs(x))))
     full = _sup_fit(cols, x)
     for incumbent in (-math.inf, 0.0, math.inf,
                       *(full.value * (1.0 + sign * delta)
-                        for delta in (1e-3, 1e-7, 1e-12) for sign in (1, -1))):
+                        for delta in (0.2, 0.05, 1e-3, 1e-7, 1e-12) for sign in (1, -1))):
         fit = _fit_in_span(space, cols, x, incumbent)
         info = fit.info
         if "below_incumbent" not in info:
@@ -385,9 +391,16 @@ def test_a_fit_stops_only_below_its_incumbent(problem):
         assert fit.value + INCUMBENT_MARGIN * scale < incumbent
         assert full.value < incumbent
         assert fit.value == float(np.max(np.abs(x - fit.minimizer)))  # an achieved distance
-        if info["solver"] == "least-squares":  # the screen, before any step, proves nothing
-            assert (info["iterations"], fit.lower) == (0, 0.0)
-        else:  # the screen's Gram matrix was singular: the first step stops at once
+        if info["solver"] == "least-squares":  # the screen proves nothing
+            assert fit.lower == 0.0
+            steps = info["iterations"]
+            with mock.patch.object(solve, "LAWSON_MAX_STEPS", steps):
+                again = _fit_in_span(space, cols, x, incumbent)
+            assert (again.value, again.info) == (fit.value, info)
+            if steps:
+                with mock.patch.object(solve, "LAWSON_MAX_STEPS", steps - 1):
+                    assert _fit_in_span(space, cols, x, incumbent).info["solver"] != "least-squares"
+        else:  # the screen ended unstopped: at its cap, an unchanged value or a singular Gram matrix
             assert info["solver"] == "exchange"
             assert incumbent < math.inf or info["iterations"] == 1
 
@@ -395,7 +408,8 @@ def test_a_fit_stops_only_below_its_incumbent(problem):
 def test_the_screen_stops_a_gaussian_draw_below_the_chebyshev_incumbent():
     """At level 8 of monomial-chain, E(T_9) ~ 1 is the density search's
     incumbent; a unit Gaussian draw, at distance about 0.92, stops at the
-    least-squares screen, whose value bounds the full fit's from above."""
+    least-squares fit, whose value bounds the full fit's from above; with
+    an incumbent within the margin of that value, a reweighting step stops it."""
     s = build_scheme("monomial-chain")
     incumbent = best_approx(s.space, s.basis[:, 9], s, 8).value  # T_9 on the grid
     assert 0.9999 < incumbent <= 1.0  # 1 on [0, 1], a little less on 2,049 nodes
@@ -410,8 +424,58 @@ def test_the_screen_stops_a_gaussian_draw_below_the_chebyshev_incumbent():
     assert full.status == "exact"
     assert full.value <= fit.value + full.tol
     assert fit.value + INCUMBENT_MARGIN < incumbent
-    near = best_approx(s.space, x, s, 8, incumbent=fit.value + INCUMBENT_MARGIN / 2)
-    assert near.info["solver"] != "least-squares"  # the screen keeps the margin too
+    # the least-squares value is within the margin of this incumbent: a
+    # reweighting step, not that value, stops the fit, below by the margin
+    incumbent = fit.value + INCUMBENT_MARGIN / 2
+    near = best_approx(s.space, x, s, 8, incumbent=incumbent)
+    assert (near.info["below_incumbent"], near.lower) == (True, 0.0)
+    assert near.info["iterations"] >= 1
+    assert near.value + INCUMBENT_MARGIN < incumbent
+    assert near.value == float(np.max(np.abs(x - near.minimizer)))
+
+
+def lawson_values(cols: np.ndarray, x: np.ndarray, steps: int) -> list:
+    """max |x - cols c| of the least-squares fit and of `steps` Lawson
+    steps, each c by `lstsq` on square-root weighted rows, the weights
+    multiplied by |x - cols c| and normalized after each fit."""
+    weights, values = np.ones(x.size), []
+    for _ in range(steps + 1):
+        root = np.sqrt(weights)
+        resid = np.abs(x - cols @ np.linalg.lstsq(cols * root[:, None], x * root, rcond=None)[0])
+        values.append(float(resid.max()))
+        weights = weights * resid / np.sum(weights * resid)
+    return values
+
+
+def test_the_screen_takes_lawson_steps():
+    """A fit stopped after reweighting steps has the value of Lawson's
+    iteration at that step, as the oracle above computes it."""
+    cols, x = poly_columns(65, 6), np.random.default_rng(1).standard_normal(65)
+    incumbent, margin = 1.05 * _sup_fit(cols, x).value, INCUMBENT_MARGIN * float(np.max(np.abs(x)))
+    fit = _sup_fit(cols, x, incumbent)
+    assert (fit.info["solver"], fit.info["iterations"]) == ("least-squares", 3)
+    values = lawson_values(cols, x, 3)
+    assert fit.value == pytest.approx(values[3], rel=1e-9)
+    assert min(values[:3]) + margin >= incumbent  # no earlier step stopped it
+
+
+def test_the_screen_ends_when_the_value_stays_or_at_the_cap():
+    """At a tied incumbent nothing stops the fit.  cos 5t is orthogonal to
+    the trig columns of degree <= 3 on the uniform torus grid: the
+    least-squares fit leaves it as it is, at the zero approximant's value 1,
+    so the screen ends after that one solve, though the Chebyshev fit is
+    lower.  A Gaussian draw takes every reweighting step up to the cap.
+    Both fits then run to their end."""
+    cols = trig_columns(64, 3)
+    wave = np.cos(10.0 * np.pi * np.arange(64) / 64)
+    assert _sup_fit(cols, wave).value < 0.995
+    for x, solves in ((wave, 1), (np.random.default_rng(4).standard_normal(64), solve.LAWSON_MAX_STEPS + 1)):
+        full = _sup_fit(cols, x)
+        with mock.patch.object(np.linalg, "solve", wraps=np.linalg.solve) as counted:
+            assert solve._incumbent_screen(cols, x, full.value, float(np.max(np.abs(x)))) is None
+        assert counted.call_count == solves
+        fit = _sup_fit(cols, x, full.value)
+        assert (fit.value, fit.lower, fit.info) == (full.value, full.lower, full.info)
 
 
 def test_a_singular_gram_matrix_skips_the_screen():
