@@ -9,17 +9,15 @@ perfbench/workloads.py lists them for benchmark seed SEED (replaying the
 reports that the workload replays).  Each call prints one JSON line: the workload,
 the operation, the call's number within it, the `repr` of the answer's
 value and lower bound, the solver, the iterations and the sha256 of the
-minimizer's bytes, and `"below_incumbent": true` for a fit stopped below
-its caller's incumbent.  The solver is "exchange" or "single-point-exchange",
-or "least-squares" for a fit that the incumbent screen stopped before the
-exchange (lower 0, iterations the screen's reweighting steps).  BLAS runs on
-one thread, as in the benchmark.  Diffing the output of two checkouts shows
-whether a change to the sup fit moved any fit by a single bit.  Per
-workload, standard error gets the number of fits, of fits stopped by the
-screen and by an exchange step, and of fits the screen passed on to the
-exchange, with the screen's reweighting steps as counts at 0, 1, ... steps:
-`certify-sup: 152 sup fits, 120 stopped (120 least-squares: 64/25/18/6/6/1
-at 0-5 steps, 0 exchange), 0 passed on by the screen`.
+minimizer's bytes.  The solver is "exchange" or "single-point-exchange", or
+"least-squares" for a fit that the incumbent screen stopped below its
+caller's incumbent (lower 0, iterations the screen's reweighting steps).
+BLAS runs on one thread, as in the benchmark.  Diffing the output of two
+checkouts shows whether a change to the sup fit moved any fit by a single
+bit.  Per workload, standard error gets the number of fits, of fits stopped
+by the screen and of fits it passed on to the exchange, with the screen's
+reweighting steps as counts at 0, 1, ... steps: `certify-sup: 152 sup fits,
+120 stopped by the screen (64/25/18/6/6/1 at 0-5 steps), 0 passed on`.
 """
 
 import hashlib
@@ -55,14 +53,14 @@ def main() -> int:
             "iterations": res.info["iterations"],
             "approx": hashlib.sha256(np.ascontiguousarray(res.minimizer).tobytes()).hexdigest(),
         }
-        if "below_incumbent" in res.info:
-            line["below_incumbent"] = True
-            where["exchange"] += res.info["solver"] != "least-squares"
+        if res.info["solver"] == "least-squares":
+            where["stopped"][res.info["iterations"]] += 1
         print(json.dumps(line))
         return res
 
     def screened(*args):
-        """The screen, counting its steps: one solve each, the first unweighted."""
+        """The screen, counting the steps of a fit it passes on: one solve
+        each, the first unweighted."""
         solves = []
 
         def counted(*solve_args):
@@ -74,7 +72,8 @@ def main() -> int:
             res = screen(*args)
         finally:
             np.linalg.solve = linalg_solve
-        where["passed" if res is None else "stopped"][len(solves) - 1] += 1
+        if res is None:
+            where["passed"][len(solves) - 1] += 1
         return res
 
     def histogram(steps: Counter) -> str:
@@ -82,11 +81,11 @@ def main() -> int:
             return ""
         lo, hi = min(steps), max(steps)
         counts = "/".join(str(steps[k]) for k in range(lo, hi + 1))
-        return f": {counts} at {lo}{'' if lo == hi else f'-{hi}'} steps"
+        return f" ({counts} at {lo}{'' if lo == hi else f'-{hi}'} steps)"
 
     solve._sup_fit, solve._incumbent_screen = digest, screened
     for workload in WORKLOADS:
-        calls, where["stopped"], where["passed"], where["exchange"] = 0, Counter(), Counter(), 0
+        calls, where["stopped"], where["passed"] = 0, Counter(), Counter()
         for op in workloads.round_ops(workload, np.random.default_rng(SEED)):
             where.update(workload=workload, op=op.name, call=0)
             try:
@@ -97,10 +96,9 @@ def main() -> int:
                 print(json.dumps({"workload": workload, "op": op.name,
                                   "error": type(exc).__name__}))
             calls += where["call"]
-        stopped, passed, exchange = where["stopped"], where["passed"], where["exchange"]
-        print(f"{workload}: {calls} sup fits, {stopped.total() + exchange} stopped "
-              f"({stopped.total()} least-squares{histogram(stopped)}, {exchange} exchange), "
-              f"{passed.total()} passed on by the screen{histogram(passed)}", file=sys.stderr)
+        stopped, passed = where["stopped"], where["passed"]
+        print(f"{workload}: {calls} sup fits, {stopped.total()} stopped by the screen"
+              f"{histogram(stopped)}, {passed.total()} passed on{histogram(passed)}", file=sys.stderr)
     return 0
 
 

@@ -52,12 +52,13 @@ def farthest(s: Scheme, n: int, candidates, seed: int = 0, best=None):
     """The candidate provably farthest from A_n: the one search behind density
     certificates, the gap estimate and the slow-decay ladder.
 
-    Each candidate is solved with the best value so far as its incumbent, so
-    one that cannot beat it may stop early.  A candidate counts only when its
-    solve is exact with a positive lower bound, and it replaces `best` only
-    when farther by more than its solve's tol, so that rounding decides no
-    tie.  Returns `best`, a (BestApprox, candidate) pair or None, and every
-    solved pair in order."""
+    Each candidate is solved with the best value so far as its incumbent.  A
+    candidate counts only when its solve is exact with a positive lower
+    bound, and it replaces `best` only when farther by more than its solve's
+    tol, so that rounding decides no tie.  So a solve stopped below the
+    incumbent (lower 0) loses, as its full solve would have, and one that
+    would win is solved as without an incumbent.  Returns `best`, a
+    (BestApprox, candidate) pair or None, and every solved pair in order."""
     solved = []
     for cand in candidates:
         res = best_approx(s.space, cand, s, n, seed=seed,

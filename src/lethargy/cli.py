@@ -98,8 +98,7 @@ def make_element(space, desc, rng: np.random.Generator) -> np.ndarray:
     `"random"`."""
     size = math.prod(space.shape)
     where = f"element for shape {list(space.shape)}"
-    if isinstance(desc, dict) and sorted(desc) not in (["values"], ["f64"], ["f64", "shape"],
-                                                       ["probe"]):
+    if isinstance(desc, dict) and sorted(desc) not in (["values"], ["f64", "shape"], ["probe"]):
         raise UsageError(f"{where}: an element object holds values, f64 with shape, or probe, "
                          f"not the keys {sorted(desc)}")
     if isinstance(desc, dict) and "values" in desc:
@@ -111,7 +110,7 @@ def make_element(space, desc, rng: np.random.Generator) -> np.ndarray:
             raise UsageError(f"{where}: {x.size} values, expected {size}")
         return x.reshape(space.shape)
     if isinstance(desc, dict) and "f64" in desc:
-        shape = desc.get("shape")
+        shape = desc["shape"]
         if not isinstance(shape, (list, tuple)) or list(shape) != list(space.shape):
             raise UsageError(f"{where}: f64 has shape {shape!r}")
         try:
@@ -216,7 +215,8 @@ def _profile(r, *, n_max, element="random"):
         profile.dump_csv(r.csv)
     if r.plot_data:
         profile.dump_plot_data(r.plot_data)
-    return profile.to_json(), bool(np.all(np.diff(profile.values()) <= 1e-9))
+    slack = 1e-9 * max(1.0, profile.element_norm)  # the replay tolerance's form
+    return profile.to_json(), bool(np.all(np.diff(profile.values()) <= slack))
 
 
 def _density(r, *, levels=None):

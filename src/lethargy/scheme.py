@@ -272,8 +272,9 @@ class Scheme:
     n-term schemes) does so once for the list; a closed form may then give
     no minimizer.  A solve may stop once an achieved value proves E(x, A_n)
     below `incumbent`, the best value of a caller's search so far, and
-    return that value with the lower bound proved so far; only sup-norm
-    chains do.
+    return that value with lower 0; only sup-norm chains do, and an x whose
+    exact fit would beat the incumbent by more than its tol is solved as
+    without one.
 
     `draw(n, rng)` returns a member of A_n and the support it was drawn with:
     the atom indices of an n-term scheme, the cell edges of a spline, and
@@ -823,7 +824,7 @@ def probe_elements(s: Scheme, rng: np.random.Generator, count: int = 4) -> list:
     out = list(named_probes(s.space).values())
     for _ in range(count):
         out.append(rng.standard_normal(s.space.shape))
-    return [x / max(norm(s.space, x), 1e-30) for x in out]
+    return _units(s.space, out)
 
 
 # -- axiom validation ---------------------------------------------------------
@@ -938,7 +939,7 @@ def _proxy_probes(s: Scheme, rng: np.random.Generator) -> list:
         d = s.space.dim
         k = min(s.n_max, d)
         out.append(rng.standard_normal((d, k)) @ rng.standard_normal((k, d)))
-    return [x / max(norm(s.space, x), 1e-30) for x in out]
+    return _units(s.space, out)
 
 
 # -- registry -----------------------------------------------------------------

@@ -29,11 +29,11 @@ before the exchange takes the least-squares fit, then Lawson's reweighting
 steps toward the Chebyshev fit; it gives up once a step leaves the value
 unchanged (the zero approximant, of value ||x||_inf, counts as the one
 before the least-squares fit) or after LAWSON_MAX_STEPS steps, and the
-exchange goes on.  The first approximant of the screen, or exchange step,
-whose value + INCUMBENT_MARGIN * max(1, ||x||_inf) is below the incumbent
-stops the fit with that value and the lower bound proved so far (none in
-the screen); the fit run to its end could not have reached the incumbent
-(info "below_incumbent").
+exchange goes on without the incumbent.  The first approximant of the
+screen whose value is below the incumbent stops the fit with that value,
+lower 0 and solver "least-squares": E(x, A_n) is then below the incumbent,
+so the fit run to its end, if exact, could not beat it by more than its
+tol.  A fit that would is solved as if it had no incumbent.
 
 `best_approx` and `error_profile` are the one scaling boundary: every solve
 runs on x scaled by a power of two so that max |x| lies in (1/2, 1], and
@@ -64,7 +64,6 @@ LP_TOL = 1e-10
 EXCHANGE_MAX_ITER = 100
 EXCHANGE_ROUNDING = 1e-13  # relative: an exchange bracket or a ratio-test pivot this small is rounding
 EXCHANGE_MAX_COND = 1e12  # a reference system with ||A||_inf ||A^-1||_inf above this is singular
-INCUMBENT_MARGIN = 1e-6  # above LP_TOL, the widest gap of an exact sup fit, relative
 LAWSON_MAX_STEPS = 8  # reweighting steps of the incumbent screen, from their measured counts
 LAWSON_BLOCK = 8192  # entries of a block of weighted columns in a reweighting step
 IRLS_MAX_ITER = 500
@@ -140,18 +139,17 @@ def _sup_fit(cols: np.ndarray, x: np.ndarray, incumbent: float = -math.inf):
     ||x||_inf <= 1, so tol = LP_TOL is relative to x; a direct caller with a
     smaller x gets an absolute bracket.
 
-    An `incumbent` above INCUMBENT_MARGIN * max(1, ||x||_inf) is screened
-    first (`_incumbent_screen`: the least-squares fit, then up to
-    LAWSON_MAX_STEPS of Lawson's reweighting steps).  The first approximant
-    of the screen, or exchange step, whose value + INCUMBENT_MARGIN *
-    max(1, ||x||_inf) is below the incumbent ends the fit with that value:
-    it bounds the best error from above, and the fit run to its end (if
-    exact, at most the best error plus tol) could not have reached the
-    incumbent either.  Its lower bound is the one proved so far (none in the
-    screen) when that bound's system is within EXCHANGE_MAX_COND, else 0.
+    A positive `incumbent` is screened first (`_incumbent_screen`: the
+    least-squares fit, then up to LAWSON_MAX_STEPS of Lawson's reweighting
+    steps).  The first approximant of the screen whose value is below the
+    incumbent ends the fit with that value and lower 0: it bounds the best
+    error from above, so the fit run to its end (if exact, at most the best
+    error plus tol) could not beat the incumbent by more than tol.  A fit
+    that would beat it so is never stopped, and the exchange reads no
+    incumbent, so that fit is solved as if it had none.
 
-    Returns a BestApprox; its info holds solver and iterations, and
-    "below_incumbent" for a fit so stopped.
+    Returns a BestApprox; its info holds solver and iterations, and the
+    solver is "least-squares" for a fit the screen stopped.
     """
     n, d = cols.shape
     x_norm = float(np.max(np.abs(x)))
@@ -159,7 +157,7 @@ def _sup_fit(cols: np.ndarray, x: np.ndarray, incumbent: float = -math.inf):
     tol = LP_TOL * scale
     lower, it, best, lower_system = 0.0, 0, None, None
     if n > d:
-        if incumbent > INCUMBENT_MARGIN * scale:  # else no value can stop below it
+        if incumbent > 0.0:  # else no value can stop below it
             stopped = _incumbent_screen(cols, x, incumbent, x_norm)
             if stopped is not None:
                 return stopped
@@ -182,10 +180,6 @@ def _sup_fit(cols: np.ndarray, x: np.ndarray, incumbent: float = -math.inf):
             bound = abs(float(sol[d])) / float(np.abs(inv[d]).sum())
             if bound > lower:
                 lower, lower_system = bound, current
-            if value + INCUMBENT_MARGIN * scale < incumbent:
-                cond = _reference_cond(cols, *lower_system) if lower_system else 0.0
-                return BestApprox(value, approx, lower if cond <= EXCHANGE_MAX_COND else 0.0, tol, {
-                    "solver": "exchange", "iterations": it, "below_incumbent": True})
             if best is not None and value >= best[0]:
                 break
             if value - lower <= tol:
@@ -208,17 +202,17 @@ def _incumbent_screen(cols: np.ndarray, x: np.ndarray, incumbent: float, x_norm:
     Chebyshev fit (Lawson, 1961; Rice and Usow, 1968): weights
     u <- u |x - cols c|, normalized, and c the u-weighted least-squares fit.
     Each approximant's max |x - cols c| is an achieved distance.  The first
-    whose value + INCUMBENT_MARGIN * scale (scale = max(1, x_norm), x_norm =
-    ||x||_inf) is below `incumbent` is returned as a fit stopped below it:
+    whose value is below `incumbent` is returned as a fit stopped below it:
     solver "least-squares", lower 0, and iterations the reweighting steps
     taken.  Returns None, for the exchange to go on, at the first
     approximant whose value is that of the one before within
-    EXCHANGE_ROUNDING * scale (the zero approximant, of value x_norm, comes
-    before the least-squares fit, so an x that fit leaves as it is takes no
-    step; a NaN value counts as unchanged), after LAWSON_MAX_STEPS steps,
-    or on a singular Gram matrix (e.g. a repeated column).  A step sums its
-    weighted normal equations over blocks of LAWSON_BLOCK entries of
-    cols.T, so it allocates nothing as large as cols."""
+    EXCHANGE_ROUNDING * scale (scale = max(1, x_norm), x_norm = ||x||_inf;
+    the zero approximant, of value x_norm, comes before the least-squares
+    fit, so an x that fit leaves as it is takes no step; a NaN value counts
+    as unchanged), after LAWSON_MAX_STEPS steps, or on a singular Gram
+    matrix (e.g. a repeated column).  A step sums its weighted normal
+    equations over blocks of LAWSON_BLOCK entries of cols.T, so it
+    allocates nothing as large as cols."""
     rows, size = cols.T, max(1, LAWSON_BLOCK // max(1, cols.shape[1]))  # columns of rows per block
     gram, rhs = rows @ cols, rows @ x  # unweighted at step 0: the least-squares fit
     scale, previous = max(1.0, x_norm), x_norm  # previous: the zero approximant's value
@@ -229,9 +223,9 @@ def _incumbent_screen(cols: np.ndarray, x: np.ndarray, incumbent: float, x_norm:
             return None
         absr = np.abs(x - approx)
         value = float(absr.max())
-        if value + INCUMBENT_MARGIN * scale < incumbent:
-            return BestApprox(value, approx, 0.0, LP_TOL * scale, {
-                "solver": "least-squares", "iterations": step, "below_incumbent": True})
+        if value < incumbent:
+            return BestApprox(value, approx, 0.0, LP_TOL * scale,
+                              {"solver": "least-squares", "iterations": step})
         if step == LAWSON_MAX_STEPS or not abs(value - previous) > EXCHANGE_ROUNDING * scale:
             return None
         previous = value
@@ -1059,8 +1053,8 @@ def best_approx(space: Space, x: np.ndarray, s, n: int, seed: int = 0,
 
     `incumbent` is the best value a caller searching for the largest E has
     so far.  The solver may stop once an achieved value proves E(x, A_n)
-    below it, and return that value with the lower bound proved so far; an
-    x whose fit run to its end would beat or tie the incumbent is solved as
+    below it, and return that value with lower 0; an x whose exact fit run
+    to its end would beat the incumbent by more than its tol is solved as
     without one.  The solver runs on x / 2^e with max |x / 2^e| in (1/2, 1],
     which is exact as A_n is homogeneous; value, minimizer (where the solver
     gives one), lower (at most value) and tol scale back by 2^e together,

@@ -263,7 +263,7 @@ class TestIncumbentSearch:
                     got = c.level, c.bound, c.solver_value, c.status, c.element.tobytes()
                     assert got == oracle_density_lower_bound(s, n, seed), (seed, n)
 
-        stopped = [info["iterations"] for info in sup_fit_infos(search) if "below_incumbent" in info]
+        stopped = [info["iterations"] for info in sup_fit_infos(search) if info["solver"] == "least-squares"]
         if isinstance(s, Chain):  # the oracle covers fits stopped after reweighting steps
             assert max(stopped) >= 1
 

@@ -211,6 +211,18 @@ class TestRun:
         matrix = build_scheme("rank-8-hs").space
         assert np.array_equal(make_element(matrix, "identity", None), np.eye(8) / 8)
 
+    def test_profile_verification_is_relative_to_the_element(self):
+        # 1e6 T_3(2t - 1) lies in A_3 of monomial-chain: every entry is exact,
+        # and the values of the member levels differ by rounding of its size
+        t = np.linspace(0.0, 1.0, 2049)
+        x = 1e6 * np.polynomial.chebyshev.chebval(2.0 * t - 1.0, [0, 0, 0, 1])
+        verified = []
+        for k in (-40, 0, 40):
+            report = run_task(_values_profile(np.ldexp(x, k).tolist(), "monomial-chain", n_max=12))
+            assert {e["status"] for e in report["payload"]["entries"]} == {"exact"}
+            verified.append(report["verified"])
+        assert verified == [True, True, True]
+
     @pytest.mark.parametrize("task", TASKS)
     def test_run_task_leaves_config_unchanged(self, task):
         config = copy.deepcopy(SMALL[task])
@@ -516,6 +528,11 @@ class TestElementEncoding:
                                       "params": {"n_max": 3, "element": BAD_ELEMENTS[case]}})
         assert main(["run", "--config", cfg]) == 1
         assert "element for shape [20]" in capsys.readouterr().err
+
+    def test_f64_without_shape_names_the_accepted_forms(self):
+        space = build_scheme("interleaved-c0").space
+        with pytest.raises(UsageError, match=r"holds values, f64 with shape, or probe, not the keys \['f64'\]"):
+            make_element(space, {"f64": _f64([1.0] * 20)}, None)
 
     def test_non_finite_values_reach_the_space_check(self):
         with pytest.raises(SpaceError):

@@ -11,8 +11,7 @@ from hypothesis import strategies as st
 
 import lethargy.solve as solve
 from lethargy.scheme import build_scheme
-from lethargy.solve import (INCUMBENT_MARGIN, LP_TOL, _exchange_reference, _fit_in_span, _sup_fit,
-                            best_approx, error_profile)
+from lethargy.solve import LP_TOL, _exchange_reference, _fit_in_span, _sup_fit, best_approx, error_profile
 from lethargy.space import Space
 from lp_oracle import sup_fit_lp
 
@@ -208,25 +207,16 @@ def test_ill_conditioned_full_rank_columns():
 
 def test_a_system_singular_to_working_precision_proves_nothing():
     # with every reference system refused, no step may raise `lower`: the
-    # fit keeps an achieved value and is no longer exact; a fit stopped below
-    # its incumbent keeps no bound either, whether the incumbent screen
-    # stops it or, on Haar columns with an incumbent 1% above the best error
-    # that the screen's reweighting steps miss, an exchange step whose
-    # systems would prove one
+    # fit keeps an achieved value and is no longer exact; a fit the incumbent
+    # screen stopped keeps no bound either
     cols, x = DEGENERATE_32X3
-    haar, y = poly_columns(65, 6), np.random.default_rng(0).standard_normal(65)
-    between = 1.01 * _sup_fit(haar, y).value
-    assert _sup_fit(haar, y, between).lower > 0.0
     with mock.patch.object(solve, "_reference_cond", lambda *args: math.inf):
         fit = _fit_in_span(Space.sup_coords(x.size), cols, x)
         stopped = _fit_in_span(Space.sup_coords(x.size), cols, x, math.inf)
-        step = _sup_fit(haar, y, between)
     assert (fit.status, fit.info["solver"], fit.lower) == ("upper-bound", "single-point-exchange", 0.0)
     assert fit.value == float(np.max(np.abs(x - fit.minimizer))) <= 2.0 + LP_TOL * 2.0
-    assert (stopped.info["below_incumbent"], stopped.info["iterations"], stopped.lower) == (True, 0, 0.0)
+    assert (stopped.info["solver"], stopped.info["iterations"], stopped.lower) == ("least-squares", 0, 0.0)
     assert stopped.status == "upper-bound"
-    assert (step.info["solver"], step.info["below_incumbent"], step.lower) == ("exchange", True, 0.0)
-    assert step.info["iterations"] >= 1
 
 
 def test_the_cap_leaves_an_open_bracket_upper_bound():
@@ -364,13 +354,12 @@ def incumbent_problems(draw):
 @example((poly_columns(65, 6), np.random.default_rng(1).standard_normal(65)))  # 1 and 3 steps
 @example((np.zeros((33, 0)), np.random.default_rng(1).standard_normal(33)))  # no column
 def test_a_fit_stops_only_below_its_incumbent(problem):
-    """A fit with an incumbent is the fit without one, bit for bit, unless it
-    stopped at an achieved value that, and the full fit's value, lie below
-    the incumbent.  A stopped fit keeps the lower bound proved so far, and its
-    status follows the one rule of its bracket.  A fit the screen stopped
-    proves no bound, and its iterations are the reweighting steps it took:
-    capped at that many steps the screen stops it the same, capped one step
-    fewer it does not."""
+    """A fit with an incumbent is the fit without one, bit for bit, unless the
+    screen stopped it at an achieved value below the incumbent; the full
+    fit's value then lies below the incumbent plus its tol, so it could not
+    have beaten the incumbent by more.  A stopped fit proves no bound, and
+    its iterations are the reweighting steps it took: capped at that many
+    steps the screen stops it the same, capped one step fewer it does not."""
     cols, x = problem
     space = Space.sup_coords(x.size)
     scale = max(1.0, float(np.max(np.abs(x))))
@@ -380,58 +369,41 @@ def test_a_fit_stops_only_below_its_incumbent(problem):
                         for delta in (0.2, 0.05, 1e-3, 1e-7, 1e-12) for sign in (1, -1))):
         fit = _fit_in_span(space, cols, x, incumbent)
         info = fit.info
-        if "below_incumbent" not in info:
+        if info["solver"] != "least-squares":
             assert (fit.value, fit.lower, fit.tol, fit.status, info) == (
                 full.value, full.lower, full.tol, "exact", full.info)
             assert fit.minimizer.tobytes() == full.minimizer.tobytes()
             continue
-        assert (info["below_incumbent"], fit.tol) == (True, LP_TOL * scale)
-        assert fit.status == ("exact" if fit.value - fit.lower <= fit.tol else "upper-bound")
-        assert 0.0 <= fit.lower <= full.value + full.tol  # a lower bound on the best error
-        assert fit.value + INCUMBENT_MARGIN * scale < incumbent
-        assert full.value < incumbent
+        assert (fit.lower, fit.tol) == (0.0, LP_TOL * scale)  # the screen proves nothing
+        assert fit.value < incumbent
+        assert full.value <= incumbent + full.tol
         assert fit.value == float(np.max(np.abs(x - fit.minimizer)))  # an achieved distance
-        if info["solver"] == "least-squares":  # the screen proves nothing
-            assert fit.lower == 0.0
-            steps = info["iterations"]
-            with mock.patch.object(solve, "LAWSON_MAX_STEPS", steps):
-                again = _fit_in_span(space, cols, x, incumbent)
-            assert (again.value, again.info) == (fit.value, info)
-            if steps:
-                with mock.patch.object(solve, "LAWSON_MAX_STEPS", steps - 1):
-                    assert _fit_in_span(space, cols, x, incumbent).info["solver"] != "least-squares"
-        else:  # the screen ended unstopped: at its cap, an unchanged value or a singular Gram matrix
-            assert info["solver"] == "exchange"
-            assert incumbent < math.inf or info["iterations"] == 1
+        steps = info["iterations"]
+        with mock.patch.object(solve, "LAWSON_MAX_STEPS", steps):
+            again = _fit_in_span(space, cols, x, incumbent)
+        assert (again.value, again.info) == (fit.value, info)
+        if steps:
+            with mock.patch.object(solve, "LAWSON_MAX_STEPS", steps - 1):
+                assert _fit_in_span(space, cols, x, incumbent).info["solver"] != "least-squares"
 
 
 def test_the_screen_stops_a_gaussian_draw_below_the_chebyshev_incumbent():
     """At level 8 of monomial-chain, E(T_9) ~ 1 is the density search's
     incumbent; a unit Gaussian draw, at distance about 0.92, stops at the
-    least-squares fit, whose value bounds the full fit's from above; with
-    an incumbent within the margin of that value, a reweighting step stops it."""
+    least-squares fit, whose value bounds the full fit's from above."""
     s = build_scheme("monomial-chain")
     incumbent = best_approx(s.space, s.basis[:, 9], s, 8).value  # T_9 on the grid
     assert 0.9999 < incumbent <= 1.0  # 1 on [0, 1], a little less on 2,049 nodes
     x = np.random.default_rng(5).standard_normal(s.space.shape)
     x /= np.max(np.abs(x))
     fit = best_approx(s.space, x, s, 8, incumbent=incumbent)
-    assert (fit.info["solver"], fit.info["iterations"], fit.info["below_incumbent"]) == (
-        "least-squares", 0, True)
+    assert (fit.info["solver"], fit.info["iterations"]) == ("least-squares", 0)
     assert fit.value == float(np.max(np.abs(x - fit.minimizer)))
     assert (fit.lower, fit.status) == (0.0, "upper-bound")
     full = best_approx(s.space, x, s, 8)
     assert full.status == "exact"
     assert full.value <= fit.value + full.tol
-    assert fit.value + INCUMBENT_MARGIN < incumbent
-    # the least-squares value is within the margin of this incumbent: a
-    # reweighting step, not that value, stops the fit, below by the margin
-    incumbent = fit.value + INCUMBENT_MARGIN / 2
-    near = best_approx(s.space, x, s, 8, incumbent=incumbent)
-    assert (near.info["below_incumbent"], near.lower) == (True, 0.0)
-    assert near.info["iterations"] >= 1
-    assert near.value + INCUMBENT_MARGIN < incumbent
-    assert near.value == float(np.max(np.abs(x - near.minimizer)))
+    assert fit.value < incumbent
 
 
 def lawson_values(cols: np.ndarray, x: np.ndarray, steps: int) -> list:
@@ -451,12 +423,12 @@ def test_the_screen_takes_lawson_steps():
     """A fit stopped after reweighting steps has the value of Lawson's
     iteration at that step, as the oracle above computes it."""
     cols, x = poly_columns(65, 6), np.random.default_rng(1).standard_normal(65)
-    incumbent, margin = 1.05 * _sup_fit(cols, x).value, INCUMBENT_MARGIN * float(np.max(np.abs(x)))
+    incumbent = 1.05 * _sup_fit(cols, x).value
     fit = _sup_fit(cols, x, incumbent)
     assert (fit.info["solver"], fit.info["iterations"]) == ("least-squares", 3)
     values = lawson_values(cols, x, 3)
     assert fit.value == pytest.approx(values[3], rel=1e-9)
-    assert min(values[:3]) + margin >= incumbent  # no earlier step stopped it
+    assert min(values[:3]) >= incumbent  # no earlier step stopped it
 
 
 def test_the_screen_ends_when_the_value_stays_or_at_the_cap():
@@ -480,8 +452,8 @@ def test_the_screen_ends_when_the_value_stays_or_at_the_cap():
 
 def test_a_singular_gram_matrix_skips_the_screen():
     """A repeated column makes the screen's Gram solve raise; with a finite
-    incumbent the fit goes on to the exchange, stopped there or run to its
-    end, and raises nothing."""
+    incumbent the fit goes on to the exchange, run to its end as without
+    one, and raises nothing."""
     cols = poly_columns(33, 4)
     cols = np.column_stack([cols, cols[:, -1]])
     x = np.random.default_rng(2).standard_normal(33)
@@ -490,9 +462,5 @@ def test_a_singular_gram_matrix_skips_the_screen():
     full = _sup_fit(cols, x)
     for incumbent in (full.value / 2, 2 * full.value, 10.0):
         fit = _sup_fit(cols, x, incumbent)
-        assert fit.info["solver"] != "least-squares"
-        assert fit.value == float(np.max(np.abs(x - fit.minimizer)))
-        if "below_incumbent" in fit.info:
-            assert fit.value + INCUMBENT_MARGIN < incumbent
-        else:
-            assert (fit.value, fit.lower) == (full.value, full.lower)
+        assert (fit.value, fit.lower, fit.info) == (full.value, full.lower, full.info)
+        assert fit.minimizer.tobytes() == full.minimizer.tobytes()
