@@ -106,10 +106,18 @@ def _pick(what: str, specs: dict, desc: dict, key: str, default=None, error=Sche
 
 @dataclass(frozen=True)
 class Dictionary:
-    """Finite atom set; columns of `atoms` in the carrier representation."""
+    """Finite atom set; columns of `atoms` in the carrier representation.
+
+    A family that builds indicator atoms declares them by `windows`, three
+    arrays (start, stop, height): atom j is height[j] on the node indices
+    start[j] <= i < stop[j] and 0 elsewhere.  The n-term kernels then read
+    inner products and Gram entries off prefix sums (`solve._window_sums`);
+    every other dictionary has None and takes the dense products.
+    """
 
     atoms: np.ndarray  # shape (carrier_size, n_atoms)
     label: str
+    windows: Optional[tuple] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         a = np.ascontiguousarray(np.asarray(self.atoms, dtype=float))
@@ -119,20 +127,27 @@ class Dictionary:
             raise SchemeError("dictionary contains a zero atom (homogeneity axiom degenerates)")
         a.setflags(write=False)
         object.__setattr__(self, "atoms", a)
+        for v in self.windows or ():
+            v.setflags(write=False)
 
     @property
     def size(self) -> int:
         return int(self.atoms.shape[1])
 
 
-def make_dictionary(space: Space, atoms: np.ndarray, label: str) -> Dictionary:
-    """A dictionary of the atoms scaled to unit norm in `space`."""
+def make_dictionary(space: Space, atoms: np.ndarray, label: str,
+                    windows: Optional[tuple] = None) -> Dictionary:
+    """A dictionary of the atoms scaled to unit norm in `space`, with the
+    heights of their `windows`, if declared, scaled alike."""
     a = np.asarray(atoms, dtype=float)
     norms = column_norms(space, a)
     zero = np.flatnonzero(norms == 0)
     if zero.size:
         raise SchemeError(f"atom {zero[0]} of {label!r} has zero norm")
-    return Dictionary(a / norms, label)
+    if windows is not None:
+        start, stop, height = windows
+        windows = start, stop, height / norms
+    return Dictionary(a / norms, label, windows)
 
 
 # -- basis families ----------------------------------------------------------
@@ -172,29 +187,42 @@ def haar_scaling_atoms(level_cells: int, max_level: int, budget: Optional[int] =
     return idx
 
 
-def _haar_columns(cells: int, idx: list) -> np.ndarray:
-    """The atoms `idx` of `haar_scaling_atoms` on `cells` cells: atom (k, j) is
-    2^(k/2) on cells [j w, (j + 1) w), w = cells >> k, one scatter per level."""
-    cols = np.zeros((cells, len(idx)))
-    rows = np.arange(cells)
-    levels = [k for k, _ in idx]
-    for k in dict.fromkeys(levels):  # a level's atoms are j = 0, 1, ... in order
-        j = rows // (cells >> k)
-        hit = j < levels.count(k)
-        cols[rows[hit], levels.index(k) + j[hit]] = 2.0 ** (k / 2.0)
+def _indicator_columns(rows: int, windows: tuple) -> np.ndarray:
+    """The atoms of `windows` = (start, stop, height): atom j is height[j] on
+    the node indices start[j] <= i < stop[j] and 0 elsewhere, one scatter."""
+    start, stop, height = windows
+    length = stop - start
+    atom = np.repeat(np.arange(len(start)), length)
+    cols = np.zeros((rows, len(start)))
+    cols[np.arange(length.sum()) + np.repeat(start + length - np.cumsum(length), length),
+         atom] = height[atom]
     return cols
 
 
-def _char_columns(grid: Grid, depth: int) -> np.ndarray:
-    """Indicators of [a + (b - a) j / 2^k, a + (b - a) (j + 1) / 2^k), k = 0..depth,
-    coarse to fine: each node lies in at most one interval per level."""
-    cols = np.zeros((grid.size, 2 ** (depth + 1) - 1))
-    for k in range(depth + 1):
-        edges = grid.a + (grid.b - grid.a) * np.arange(2**k + 1) / 2**k
-        j = np.searchsorted(edges, grid.nodes, side="right") - 1
-        inside = np.flatnonzero((j >= 0) & (j < 2**k))
-        cols[inside, 2**k - 1 + j[inside]] = 1.0
-    return cols
+def _haar_dictionary(space: Space, *, max_level=8, budget=None) -> Dictionary:
+    """The atoms `haar_scaling_atoms` lists on the grid's cells, unit in L2 of
+    [0, 1) by construction: atom (k, j) is 2^(k/2) on cells [j w, (j + 1) w),
+    w = cells >> k."""
+    cells = space.grid.size
+    idx = haar_scaling_atoms(cells, max_level, budget)
+    width = np.array([cells >> k for k, _ in idx])
+    j = np.array([j for _, j in idx])
+    windows = j * width, (j + 1) * width, np.array([2.0 ** (k / 2.0) for k, _ in idx])
+    return Dictionary(_indicator_columns(cells, windows), "haar-scaling", windows)
+
+
+def _char_dictionary(space: Space, *, depth=6) -> Dictionary:
+    """Unit indicators of [a + (b - a) j / 2^k, a + (b - a) (j + 1) / 2^k),
+    k = 0..depth, coarse to fine; the grid's nodes increase, so each holds a
+    run of them."""
+    g = space.grid
+    edges = [np.searchsorted(g.nodes, g.a + (g.b - g.a) * np.arange(2**k + 1) / 2**k)
+             for k in range(depth + 1)]
+    start = np.concatenate([at[:-1] for at in edges])
+    stop = np.concatenate([at[1:] for at in edges])
+    windows = start, stop, np.ones(len(start))
+    return make_dictionary(space, _indicator_columns(g.size, windows), "char-binary-intervals",
+                           windows)
 
 
 # -- space / scheme descriptors ---------------------------------------------
@@ -239,15 +267,12 @@ def build_space(desc: dict, grid_for: Optional[str] = None) -> Space:
 # dictionary family -> builder of its atoms in `space`
 FAMILIES = {
     "orthonormal": lambda space: Dictionary(np.eye(space.dim), "orthonormal-basis"),
-    "char-binary-intervals": lambda space, *, depth=6: make_dictionary(
-        space, _char_columns(space.grid, depth), "char-binary-intervals"),
+    "char-binary-intervals": _char_dictionary,
     "trig": lambda space, *, levels=8: make_dictionary(
         space, _trig_columns(space.grid, levels), "trig-atoms"),
     "monomial": lambda space, *, count=9: make_dictionary(
         space, _chebyshev_columns(space.grid, count), "poly-atoms"),
-    # unit in L2 of [0, 1) by construction
-    "haar-scaling": lambda space, *, max_level=8, budget=None: Dictionary(_haar_columns(
-        space.grid.size, haar_scaling_atoms(space.grid.size, max_level, budget)), "haar-scaling"),
+    "haar-scaling": _haar_dictionary,
 }
 FAMILY_KEYS = {family: declared_keys(build) for family, build in FAMILIES.items()}
 
@@ -449,7 +474,8 @@ class NTerm(Scheme):
     def solve(self, space, x, levels, seed, incumbent):
         """One coefficient sort, or exhaustive levels plus one greedy run
         shared by the greedy levels."""
-        return _nterm_levels(space, self.dictionary.atoms, x, levels, seed)
+        return _nterm_levels(space, self.dictionary.atoms, x, levels, seed,
+                             self.dictionary.windows)
 
     def draw(self, n, rng):
         k = min(n, self.dictionary.size)

@@ -5,7 +5,10 @@ Each kind has one solve, `Scheme.solve`, which answers a list of levels:
 window, so a kind that factors x (one QR for an L2 chain, one SVD for rank,
 one cost table for an L_p spline, one coefficient sort, Gram matrix and
 greedy pursuit for an n-term scheme) does so once for the list, and a
-profile entry is the answer `best_approx` gives at that level.
+profile entry is the answer `best_approx` gives at that level.  An n-term
+dictionary of indicator atoms declares their windows, and its Gram entries,
+norms and the inner products of its screen and pursuit are then window sums
+of one prefix sum (`_window_sums`), with no product with the atom matrix.
 
 Every solver returns one record, `BestApprox`: an achieved distance `value`
 with its minimizer, a proved lower bound `lower` on E(x, A_n) and the solver
@@ -568,17 +571,42 @@ def _interleaved_error(cap: int, x: np.ndarray, level: int):
 # -- n-term -------------------------------------------------------------------
 
 
-def _inner_products(space: Space, cols: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """<col, x> for every column; x is one element or a column per element."""
-    return cols.T @ (space.weights * x.T).T
+def _window_sums(v: np.ndarray, start, stop) -> np.ndarray:
+    """v[start:stop].sum(axis=0) for each pair of index arrays, from one prefix sum."""
+    prefix = np.zeros((len(v) + 1, *v.shape[1:]))
+    np.cumsum(v, axis=0, out=prefix[1:])
+    return prefix[stop] - prefix[start]
 
 
-def _diag_gram(space: Space, atoms: np.ndarray) -> np.ndarray:
+def _inner_products(space: Space, cols: np.ndarray, x: np.ndarray,
+                    windows: Optional[tuple] = None) -> np.ndarray:
+    """<col, x> for every column; x is one element or a column per element.
+    Indicator columns (`windows`, as `scheme.Dictionary` declares them) read
+    h_j (P[stop_j] - P[start_j]) off the prefix sums P of W x."""
+    wx = (space.weights * x.T).T
+    if windows is not None:
+        start, stop, height = windows
+        return (_window_sums(wx, start, stop).T * height).T
+    return cols.T @ wx
+
+
+def _diag_gram(space: Space, atoms: np.ndarray, windows: Optional[tuple] = None) -> np.ndarray:
+    """||a_j||^2 for every atom: h_j^2 W(window_j) for indicator atoms."""
+    if windows is not None:
+        start, stop, height = windows
+        return height**2 * _window_sums(space.weights, start, stop)
     return np.einsum("ij,ij,i->j", atoms, atoms, space.weights)
 
 
-def _gram(space: Space, atoms: np.ndarray) -> np.ndarray:
-    """A^T W A, as B^T B for B = W^(1/2) A (one symmetric rank-k update)."""
+def _gram(space: Space, atoms: np.ndarray, windows: Optional[tuple] = None) -> np.ndarray:
+    """A^T W A, as B^T B for B = W^(1/2) A (one symmetric rank-k update); for
+    indicator atoms h_i h_j W(window_i & window_j), exactly 0 where they are
+    disjoint."""
+    if windows is not None:
+        start, stop, height = windows
+        lo = np.maximum.outer(start, start)
+        hi = np.maximum(np.minimum.outer(stop, stop), lo)
+        return np.outer(height, height) * _window_sums(space.weights, lo, hi)
     atoms = atoms * np.sqrt(space.weights)[:, None]
     return atoms.T @ atoms
 
@@ -634,28 +662,31 @@ def _support_fits(space: Space, atoms: np.ndarray, xs: np.ndarray,
 
 
 def _nterm_l2_candidates(space: Space, atoms: np.ndarray, x: np.ndarray, n: int,
-                         gram: Optional[Callable] = None) -> list:
+                         gram: Optional[Callable] = None, windows: Optional[tuple] = None) -> list:
     """The n-subsets, in `combinations` order, that may hold the least L2 error.
 
     Each subset S gets the estimate x^T W x - c_S^T G_SS^{-1} c_S of its squared
     error, from c = A^T W x and the Gram matrix G (only its diagonal when
-    n = 1), by batched eigensolves of the diagonally normalized blocks
-    D^-1/2 G_SS D^-1/2.  Their condition times max(D) / min(D) bounds the
-    condition k of G_SS, and the estimate is taken to be off from the direct
-    fit's squared error by at most err = max(sqrt(eps), n * N * eps * k) * x^T W x
-    (rounding in the N-term Gram sums, the eigensolve and the fit).  A subset
-    is kept when its estimate minus err does not exceed the least estimate
-    plus its err, and always when its block is singular or k > 1/sqrt(eps).
-    The kept subsets are re-measured directly, so the first least value in
-    `combinations` order is the same as fitting every subset.  `gram()` returns
-    G (by default it is built here).
+    n = 1), through the diagonally normalized blocks D^-1/2 G_SS D^-1/2.  A
+    2 x 2 block [[1, rho], [rho, 1]] has the eigenvalues 1 -+ |rho| and
+    c^T G^-1 c = (u^2 + v^2 - 2 rho u v) / (1 - rho^2) for the normalized
+    u, v; larger blocks go to batched eigensolves.  Their condition times
+    max(D) / min(D) bounds the condition k of G_SS, and the estimate is taken
+    to be off from the direct fit's squared error by at most
+    err = max(sqrt(eps), n * N * eps * k) * x^T W x (rounding in the N-term
+    Gram sums, the eigensolve and the fit).  A subset is kept when its
+    estimate minus err does not exceed the least estimate plus its err, and
+    always when its block is singular or k > 1/sqrt(eps).  The kept subsets
+    are re-measured directly, so the first least value in `combinations`
+    order is the same as fitting every subset.  `gram()` returns G (by
+    default it is built here); `windows` are the atoms' indicator windows.
     """
     n_rows, n_atoms = atoms.shape
     eps = np.finfo(float).eps
-    c = _inner_products(space, atoms, x)
+    c = _inner_products(space, atoms, x, windows)
     xx = _norm_unchecked(space, x) ** 2
-    diag = _diag_gram(space, atoms)
-    gram = (gram or functools.partial(_gram, space, atoms))() if n > 1 else None
+    diag = _diag_gram(space, atoms, windows)
+    gram = (gram or functools.partial(_gram, space, atoms, windows))() if n > 1 else None
     count = math.comb(n_atoms, n)
     subsets = np.fromiter(chain.from_iterable(combinations(range(n_atoms), n)), dtype=np.intp,
                           count=count * n).reshape(count, n)
@@ -665,16 +696,25 @@ def _nterm_l2_candidates(space: Space, atoms: np.ndarray, x: np.ndarray, n: int,
         rows = subsets[lo:lo + SCREEN_CHUNK]
         d = diag[rows]
         scale = 1.0 / np.sqrt(d)
-        block = d[:, :, None] if gram is None else gram[rows[:, :, None], rows[:, None, :]]
-        try:
-            lam, vec = np.linalg.eigh(block * scale[:, :, None] * scale[:, None, :])
-        except np.linalg.LinAlgError:
-            continue
-        proj = np.einsum("kij,ki->kj", vec, c[rows] * scale)
+        u = c[rows] * scale
+        if n == 2:
+            rho = gram[rows[:, 0], rows[:, 1]] * scale[:, 0] * scale[:, 1]
+            lam = 1.0 + np.abs(rho)[:, None] * [-1.0, 1.0]
+        else:
+            block = d[:, :, None] if gram is None else gram[rows[:, :, None], rows[:, None, :]]
+            try:
+                lam, vec = np.linalg.eigh(block * scale[:, :, None] * scale[:, None, :])
+            except np.linalg.LinAlgError:
+                continue
         spread = d.max(axis=1) / d.min(axis=1)
         ok = (lam[:, 0] > 0) & (lam[:, 0] >= math.sqrt(eps) * lam[:, -1] * spread)
-        lam, proj, at = lam[ok], proj[ok], lo + np.flatnonzero(ok)
-        est[at] = xx - np.sum(np.abs(proj) ** 2 / lam, axis=1)
+        lam, u, at = lam[ok], u[ok], lo + np.flatnonzero(ok)
+        if n == 2:
+            a, b = u.T
+            quad = (a * a + b * b - 2.0 * rho[ok] * a * b) / (lam[:, 0] * lam[:, 1])
+        else:
+            quad = np.sum(np.einsum("kij,ki->kj", vec[ok], u) ** 2 / lam, axis=1)
+        est[at] = xx - quad
         err[at] = np.maximum(math.sqrt(eps), n * n_rows * eps * lam[:, -1] / lam[:, 0] * spread[ok]) * xx
     trusted = np.isfinite(err)
     keep = ~trusted
@@ -684,12 +724,12 @@ def _nterm_l2_candidates(space: Space, atoms: np.ndarray, x: np.ndarray, n: int,
 
 
 def _nterm_exhaustive(space: Space, atoms: np.ndarray, x: np.ndarray, n: int,
-                      gram: Optional[Callable] = None):
+                      gram: Optional[Callable] = None, windows: Optional[tuple] = None):
     """Best n-term fit over every n-subset of the atoms, the first least value in
     `combinations` order; its lower bound is the least over the subsets' fits.
     In L2 a batched screen picks the subsets to fit."""
     if n > 0 and _is_l2(space):
-        subsets = _nterm_l2_candidates(space, atoms, x, n, gram)
+        subsets = _nterm_l2_candidates(space, atoms, x, n, gram, windows)
     else:
         subsets = combinations(range(atoms.shape[1]), n)
     best, lower = None, math.inf
@@ -703,7 +743,8 @@ def _nterm_exhaustive(space: Space, atoms: np.ndarray, x: np.ndarray, n: int,
                       {"solver": "exhaustive-subsets", "subset": list(subset)})
 
 
-def _nterm_greedy(space: Space, atoms: np.ndarray, x: np.ndarray, levels: list, seed: int) -> dict:
+def _nterm_greedy(space: Space, atoms: np.ndarray, x: np.ndarray, levels: list, seed: int,
+                  windows: Optional[tuple] = None) -> dict:
     """Orthogonal matching pursuit with GREEDY_RESTARTS restarts in lockstep,
     fitted at each of `levels`.
 
@@ -736,18 +777,18 @@ def _nterm_greedy(space: Space, atoms: np.ndarray, x: np.ndarray, levels: list, 
     l2 = _is_l2(space)
     runs = np.arange(GREEDY_RESTARTS)
     w = space.weights
-    col_scale = np.sqrt(np.maximum(_diag_gram(space, atoms), 1e-300))
+    col_scale = np.sqrt(np.maximum(_diag_gram(space, atoms, windows), 1e-300))
     picks = np.zeros((GREEDY_RESTARTS, top), dtype=np.intp)
     basis = np.zeros((GREEDY_RESTARTS, top, n_rows))  # W-orthonormal rows, 0 where skipped
     resid = np.tile(x.astype(float), (GREEDY_RESTARTS, 1))
     best = {}
     for step in range(top):
         if step == 0:
-            corr = np.abs(_inner_products(space, atoms, x)) / col_scale
+            corr = np.abs(_inner_products(space, atoms, x, windows)) / col_scale
             first = np.argsort(corr)[-min(16, n_atoms):]
             picks[:, 0] = [np.argmax(corr), *(rng.choice(first) for _ in runs[1:])]
         else:
-            corr = np.abs(_inner_products(space, atoms, resid.T)) / col_scale[:, None]
+            corr = np.abs(_inner_products(space, atoms, resid.T, windows)) / col_scale[:, None]
             corr[picks[:, :step].T, runs] = -math.inf
             picks[:, step] = np.argmax(corr, axis=0)
         done, v = basis[:, :step], atoms[:, picks[:, step]].T[:, :, None]
@@ -774,7 +815,8 @@ def _nterm_greedy(space: Space, atoms: np.ndarray, x: np.ndarray, levels: list, 
     return best
 
 
-def _nterm_levels(space: Space, atoms: np.ndarray, x: np.ndarray, levels: list, seed: int) -> list:
+def _nterm_levels(space: Space, atoms: np.ndarray, x: np.ndarray, levels: list, seed: int,
+                  windows: Optional[tuple] = None) -> list:
     """Best n-term fits, one BestApprox for each of `levels`, in every norm.
 
     An orthonormal dictionary takes the top coefficients of one sort; other
@@ -786,14 +828,19 @@ def _nterm_levels(space: Space, atoms: np.ndarray, x: np.ndarray, levels: list, 
     rounding, except where rounding decides a tie (a chosen parent's two
     children tie, with the same span and value).  The Gram matrix is built at
     most once, when the orthonormality test or an L2 exhaustive level above 1
-    first needs it.
+    first needs it.  A dictionary of indicator atoms passes their `windows`:
+    its Gram entries, norms and the screen's and pursuit's inner products are
+    then window sums, and no product with the whole of `atoms` is formed
+    unless the dictionary is orthonormal.
     """
     n_atoms = atoms.shape[1]
     out: dict = {}
     greedy = []
     order = None
-    gram = functools.cache(functools.partial(_gram, space, atoms))
+    gram = functools.cache(functools.partial(_gram, space, atoms, windows))
     if max(levels) > 0 and _dictionary_is_orthonormal(space, atoms, gram):
+        # dense even for indicator atoms: an orthonormal one (in the two
+        # families, a single atom) keeps the dense path's values bit for bit
         b = _inner_products(space, atoms, x)
         order = np.argsort(-np.abs(b))
     for level in levels:
@@ -809,11 +856,11 @@ def _nterm_levels(space: Space, atoms: np.ndarray, x: np.ndarray, levels: list, 
             out[level] = BestApprox(value, approx, value, info={
                 "solver": "orthonormal-top-coefficients", "subset": sorted(int(i) for i in top)})
         elif math.comb(n_atoms, n) <= EXHAUSTIVE_SUBSET_LIMIT:
-            out[level] = _nterm_exhaustive(space, atoms, x, n, gram)
+            out[level] = _nterm_exhaustive(space, atoms, x, n, gram, windows)
         else:
             greedy.append(level)  # level < n_atoms here, since comb(n_atoms, n_atoms) = 1
     if greedy:
-        out.update(_nterm_greedy(space, atoms, x, greedy, seed))
+        out.update(_nterm_greedy(space, atoms, x, greedy, seed, windows))
     return [out[level] for level in levels]
 
 

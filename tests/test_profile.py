@@ -4,11 +4,12 @@ subset, the lockstep greedy pursuit against the former per-restart `lstsq`
 loop, and work counts that keep each profile to one factorization."""
 
 import math
+import warnings
 from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lethargy.solve as solve
@@ -156,17 +157,23 @@ def loop_exhaustive(space, atoms, x, n):
     return value, approx, lower, status, {**info, "solver": "exhaustive-subsets"}
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.integers(3, 12), st.integers(2, 9), st.integers(1, 5), st.integers(0, 2**32 - 1),
-       st.sampled_from(["random", "duplicate", "near-parallel", "scaled", "member"]),
-       st.sampled_from([1e-3, 1e-6, 1e-9]), st.booleans())
-def test_screen_matches_fitting_every_subset(dim, n_atoms, n, seed, shape, delta, on_grid):
+# the 2 x 2 closed form at its singular blocks: the last atom repeats the
+# first (rho = 1), negates it (rho = -1), or is within 1e-12 of parallel to it
+SINGULAR_PAIRS = [dict(dim=8, n_atoms=4, n=2, seed=0, shape=shape, delta=1e-6, on_grid=on_grid)
+                  for shape, on_grid in (("duplicate", True), ("negated", False),
+                                         ("near-parallel", True))]
+
+
+def screen_case(dim, n_atoms, n, seed, shape, delta, on_grid):
+    """(space, atoms, x, n) of one drawn case of the exhaustive screen."""
     n = min(n, n_atoms)
     rng = np.random.default_rng(seed)
     space = Space.lp_grid(Grid.interval(0.0, 1.0, dim), 2.0) if on_grid else Space.coords(dim, 2.0)
     atoms = rng.standard_normal((dim, n_atoms))
     if shape == "duplicate":
         atoms[:, -1] = atoms[:, 0]
+    elif shape == "negated":
+        atoms[:, -1] = -atoms[:, 0]
     elif shape == "near-parallel":
         atoms[:, -1] = atoms[:, 0] + delta * rng.standard_normal(dim)
     elif shape == "scaled":  # a direct fit truncates the small columns
@@ -175,6 +182,18 @@ def test_screen_matches_fitting_every_subset(dim, n_atoms, n, seed, shape, delta
     if shape == "member" or rng.uniform() < 0.3:
         pick = rng.choice(n_atoms, size=n, replace=False)
         x = atoms[:, pick] @ rng.standard_normal(n) + (0.0 if shape == "member" else delta * x)
+    return space, atoms, x, n
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(3, 12), st.integers(2, 9), st.integers(1, 5), st.integers(0, 2**32 - 1),
+       st.sampled_from(["random", "duplicate", "negated", "near-parallel", "scaled", "member"]),
+       st.sampled_from([1e-3, 1e-6, 1e-9]), st.booleans())
+@example(**SINGULAR_PAIRS[0])
+@example(**SINGULAR_PAIRS[1])
+@example(**SINGULAR_PAIRS[2])
+def test_screen_matches_fitting_every_subset(dim, n_atoms, n, seed, shape, delta, on_grid):
+    space, atoms, x, n = screen_case(dim, n_atoms, n, seed, shape, delta, on_grid)
     got = _nterm_exhaustive(space, atoms, x, n)
     want_value, want_approx, want_lower, want_status, want_info = loop_exhaustive(space, atoms, x, n)
     assert got.value == want_value
@@ -182,6 +201,24 @@ def test_screen_matches_fitting_every_subset(dim, n_atoms, n, seed, shape, delta
     assert got.info == want_info
     assert got.status == want_status
     assert np.array_equal(got.minimizer, want_approx)
+
+
+@pytest.mark.parametrize("case", SINGULAR_PAIRS, ids=lambda case: case["shape"])
+def test_a_singular_pair_is_untrusted_and_refitted(case):
+    # x = a_1 + a_2 lies far from the span of the pair (a_0, a_3): the screen
+    # drops such a pair when it trusts its estimate, as it drops (a_0, a_1)
+    space, atoms, _, n = screen_case(**case)
+    gram = solve._gram(space, atoms)
+    rho = gram[0, 3] / math.sqrt(gram[0, 0] * gram[3, 3])
+    assert 1.0 - abs(rho) <= 1e-12
+    x = atoms[:, 1] + atoms[:, 2]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no division by 1 - rho^2 = 0
+        kept = solve._nterm_l2_candidates(space, atoms, x, n)
+    assert (0, 3) in kept and (0, 1) not in kept
+    got = _nterm_exhaustive(space, atoms, x, n)
+    assert got.info["subset"] == [1, 2]
+    assert got.value == loop_exhaustive(space, atoms, x, n)[0]
 
 
 # -- the lockstep pursuit against the former per-restart loop ----------------------------
@@ -355,6 +392,39 @@ def test_one_gram_per_nterm_profile(name, grams, rng, monkeypatch):
     calls = _count(monkeypatch, solve, "_gram")
     error_profile(s.space, x, s, s.n_max)
     assert len(calls) == grams
+
+
+def test_char_solves_form_no_product_with_the_whole_dictionary(rng):
+    # the char atoms declare their windows, so every A^T W A, A^T W r and
+    # ||a_j||^2 of a best_approx at levels 0-8 is a window sum: no product,
+    # einsum or elementwise operation takes the whole 1024 x 127 atom matrix.
+    # Without the windows the same solves form all three.
+    x = rng.standard_normal(SCHEMES["char-binary-intervals"].space.shape)
+    uses = {}
+    for windowed in (True, False):
+        s = build_scheme("char-binary-intervals")
+        whole = {s.dictionary.atoms.shape, s.dictionary.atoms.shape[::-1]}
+        seen = uses[windowed] = []
+
+        class Watched(np.ndarray):
+            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+                seen.extend(ufunc.__name__ for a in inputs
+                            if isinstance(a, Watched) and a.shape in whole)
+                return getattr(ufunc, method)(*map(np.asarray, inputs), **kwargs)
+
+            def __array_function__(self, func, types, args, kwargs):
+                seen.extend(func.__name__ for a in args
+                            if isinstance(a, Watched) and a.shape in whole)
+                return func(*(np.asarray(a) if isinstance(a, Watched) else a for a in args),
+                            **kwargs)
+
+        object.__setattr__(s.dictionary, "atoms", s.dictionary.atoms.view(Watched))
+        if not windowed:
+            object.__setattr__(s.dictionary, "windows", None)
+        for n in range(9):
+            best_approx(s.space, x, s, n)
+    assert uses[True] == []
+    assert {"matmul", "einsum", "multiply"} <= set(uses[False])
 
 
 def test_greedy_fits_do_not_revalidate(rng, monkeypatch):
