@@ -32,8 +32,8 @@ import numpy as np
 
 from . import analyze, witness as wit
 from .scheme import (INTEGER, INTEGERS, NUMBER, NUMBERS, OBJECT, POSITIVE, REQUIRED, STRING,
-                     SchemeError, _checked, _real, build_scheme, declared_keys, list_schemes,
-                     named_probes, validate_scheme)
+                     SchemeError, _checked, _real, build_scheme, canonical_json, declared_keys,
+                     list_schemes, named_probes, validate_scheme)
 from .seq import NullSequence
 from .solve import NoSolverError, SolverError, error_profile
 from .space import SpaceError
@@ -53,10 +53,6 @@ class UsageError(ValueError):
 # errors that `run` and `replay` report as `error: <message>` with exit code 1
 HANDLED_ERRORS = (UsageError, SchemeError, SpaceError, KeyError, OSError,
                   json.JSONDecodeError, ValueError, SolverError, NoSolverError)
-
-
-def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 def hash_text(text: str) -> str:

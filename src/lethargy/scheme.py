@@ -6,7 +6,9 @@ one subclass of `Scheme`: subspace chains (`Chain`), n-term dictionaries
 (`Quantizer`), the interleaved-c0 family (`InterleavedC0`), free-knot
 splines (`Spline`) and matrix rank (`Rank`).  A kind carries its own solver,
 sampler, candidate rules and proved envelope.  Schemes are immutable after
-build; membership tests and samplers are re-entrant.
+build, every array they hold read-only, so that tasks can share the last
+one built (`build_scheme`); only a chain's memo of screen Gram matrices
+fills as fits ask for it.  Membership tests and samplers are re-entrant.
 
 A descriptor's `kind` picks a builder (`KINDS`), as a space's `carrier` and a
 dictionary's `family` do (`CARRIERS`, `FAMILIES`); the builder's keyword-only
@@ -17,9 +19,11 @@ refuses any other key, a missing one and an ill-typed value (`DESC_TYPES`).
 from __future__ import annotations
 
 import copy
+import functools
 import inspect
+import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, ClassVar, Optional
 
 import numpy as np
@@ -37,6 +41,12 @@ VALUE_MERGE_TOL = 1e-12
 
 class SchemeError(ValueError):
     """Invalid scheme descriptor; the message names the violated axiom."""
+
+
+def canonical_json(obj) -> str:
+    """The one JSON text of obj, keys sorted: it hashes a task config
+    (`cli.config_hash`) and keys the last built scheme (`build_scheme`)."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 # -- declared keys: the one check of descriptors and task configs ----------------
@@ -314,6 +324,12 @@ class Scheme:
     descriptor: dict = field(compare=False)
     gap: np.ndarray  # K(n), -1 = beyond window
 
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+
     def K(self, n: int) -> Optional[int]:
         """Gap map value, or None when it falls beyond the window (quantizer)
         or n lies past the gap table."""
@@ -324,7 +340,7 @@ class Scheme:
         return [self.K(n) for n in range(self.n_max + 1)]
 
     def to_json(self) -> dict:
-        return dict(self.descriptor)
+        return copy.deepcopy(self.descriptor)
 
     def member(self, x: np.ndarray, n: int) -> bool:
         """x in A_n: its distance to A_n is at most MEMBERSHIP_TOL * ||x||, so
@@ -375,6 +391,8 @@ class Chain(Scheme):
     basis: np.ndarray
     level_dims: np.ndarray  # dim of A_n
     family: str  # "monomial" (the descriptor's default), "trig" or "coordinate"
+    # dim -> the incumbent screen's Gram matrix of the first dim columns (`_screen_gram`)
+    screen_grams: dict = field(default_factory=dict, compare=False, repr=False)
 
     @classmethod
     def build(cls, desc: dict, label: str, *, space, n_max, family="monomial") -> "Chain":
@@ -409,7 +427,20 @@ class Chain(Scheme):
         if _is_l2(space):
             return [BestApprox(value, None, value, info={"solver": "projection"})
                     for value in _chain_l2_values(space, self.basis, dims, x)]
-        return [_fit_in_span(space, self.basis[:, :d], x, incumbent) for d in dims]
+        return [_fit_in_span(space, self.basis[:, :d], x, incumbent,
+                             functools.partial(self._screen_gram, d)) for d in dims]
+
+    def _screen_gram(self, d: int) -> np.ndarray:
+        """cols.T @ cols of the first d basis columns, the unweighted Gram
+        matrix of the incumbent screen, formed by the first screened fit of
+        the level and kept for the next.  Per level, not sliced from one
+        Gram of the whole basis: the slice differs in the last bits."""
+        if d not in self.screen_grams:
+            cols = self.basis[:, :d]
+            gram = cols.T @ cols
+            gram.setflags(write=False)
+            self.screen_grams[d] = gram
+        return self.screen_grams[d]
 
     def draw(self, n, rng):
         d = self.chain_dim(n)
@@ -767,13 +798,32 @@ KIND_KEYS = {kind: {**declared_keys(build), "label": kind} for kind, build in KI
 
 def build_scheme(descriptor) -> Scheme:
     """Materialize a scheme from a declarative descriptor (dict or registry name).
-    The scheme keeps the descriptor as given, defaults not filled in."""
+    The scheme keeps the descriptor, defaults not filled in, as its canonical
+    JSON reads back.
+
+    The last scheme built is kept, keyed on that JSON text, so a task whose
+    scheme is the one built just before it (a replay, the next task on the
+    same scheme) shares it.  Sharing is safe: the scheme is built from its
+    own parse of the key, so it holds no dict of the caller's, and its arrays
+    are read-only.  One entry, because more would hold the large atom
+    matrices (haar-wavelet-nterm's are 4.2 MB).  A bad descriptor is refused
+    on every call."""
     if isinstance(descriptor, str):
         descriptor = registry_descriptor(descriptor)
+    try:
+        key = canonical_json(descriptor)
+    except (TypeError, ValueError) as exc:  # e.g. a numpy integer, which JSON has no form for
+        raise SchemeError(f"scheme descriptor is not JSON: {exc}") from None
+    return _build_scheme(key)
+
+
+@functools.lru_cache(maxsize=1)
+def _build_scheme(key: str) -> Scheme:
+    descriptor = json.loads(key)
     kind, keys = _pick("scheme", KIND_KEYS, descriptor, "kind")
     if (keys.get("n_max") or 0) < 0:
         raise SchemeError(f"{kind} scheme: n_max must be >= 0, not {keys['n_max']}")
-    return KINDS[kind](dict(descriptor), keys.pop("label"), **keys)
+    return KINDS[kind](descriptor, keys.pop("label"), **keys)
 
 
 # -- membership, samplers and candidates ----------------------------------------

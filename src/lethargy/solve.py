@@ -23,7 +23,7 @@ is always achievable, so it is never below E by more than the tolerance.
   single-point; a sup exhaustive n-term search the least over its subsets.
   The quantizer and the sup free-knot spline share one min-max segmentation
   solver (`_min_max_cells`), whose bracket closes exactly for the quantizer
-  and within LP_TOL for the spline.
+  (over the sorted distinct values) and within LP_TOL for the spline.
 - IRLS and greedy n-term selection prove nothing and pass lower = 0.
 
 A caller that keeps the best of several candidates passes `best_approx` its
@@ -36,7 +36,11 @@ exchange goes on without the incumbent.  The first approximant of the
 screen whose value is below the incumbent stops the fit with that value,
 lower 0 and solver "least-squares": E(x, A_n) is then below the incumbent,
 so the fit run to its end, if exact, could not beat it by more than its
-tol.  A fit that would is solved as if it had no incumbent.
+tol.  A fit that would is solved as if it had no incumbent.  The
+least-squares fit solves the normal equations of the columns' Gram matrix,
+which a chain forms once per level, at the level's first screened fit, and
+passes in (`Chain._screen_gram`); a caller that passes none has the screen
+form it.
 
 `best_approx` and `error_profile` are the one scaling boundary: every solve
 runs on x scaled by a power of two so that max |x| lies in (1/2, 1], and
@@ -118,7 +122,8 @@ def _weighted_l2_fit(space: Space, cols: np.ndarray, x: np.ndarray):
     return _norm_unchecked(space, x - approx), coef, approx
 
 
-def _sup_fit(cols: np.ndarray, x: np.ndarray, incumbent: float = -math.inf):
+def _sup_fit(cols: np.ndarray, x: np.ndarray, incumbent: float = -math.inf,
+             gram: Optional[Callable] = None):
     """Chebyshev fit over the columns by multi-point exchange, then single-point steps.
 
     The exchange (Remez; Stiefel's discrete form) solves the (d+1)x(d+1)
@@ -149,7 +154,8 @@ def _sup_fit(cols: np.ndarray, x: np.ndarray, incumbent: float = -math.inf):
     error from above, so the fit run to its end (if exact, at most the best
     error plus tol) could not beat the incumbent by more than tol.  A fit
     that would beat it so is never stopped, and the exchange reads no
-    incumbent, so that fit is solved as if it had none.
+    incumbent, so that fit is solved as if it had none.  `gram` is passed on
+    to the screen.
 
     Returns a BestApprox; its info holds solver and iterations, and the
     solver is "least-squares" for a fit the screen stopped.
@@ -161,7 +167,7 @@ def _sup_fit(cols: np.ndarray, x: np.ndarray, incumbent: float = -math.inf):
     lower, it, best, lower_system = 0.0, 0, None, None
     if n > d:
         if incumbent > 0.0:  # else no value can stop below it
-            stopped = _incumbent_screen(cols, x, incumbent, x_norm)
+            stopped = _incumbent_screen(cols, x, incumbent, x_norm, gram)
             if stopped is not None:
                 return stopped
         system = np.empty((d + 1, d + 1))
@@ -200,7 +206,8 @@ def _sup_fit(cols: np.ndarray, x: np.ndarray, incumbent: float = -math.inf):
     return _single_point_exchange(cols, x, scale, it, best and best[:2])
 
 
-def _incumbent_screen(cols: np.ndarray, x: np.ndarray, incumbent: float, x_norm: float):
+def _incumbent_screen(cols: np.ndarray, x: np.ndarray, incumbent: float, x_norm: float,
+                      gram: Optional[Callable] = None):
     """The least-squares fit, then Lawson's reweighting steps toward the
     Chebyshev fit (Lawson, 1961; Rice and Usow, 1968): weights
     u <- u |x - cols c|, normalized, and c the u-weighted least-squares fit.
@@ -215,9 +222,15 @@ def _incumbent_screen(cols: np.ndarray, x: np.ndarray, incumbent: float, x_norm:
     as unchanged), after LAWSON_MAX_STEPS steps, or on a singular Gram
     matrix (e.g. a repeated column).  A step sums its weighted normal
     equations over blocks of LAWSON_BLOCK entries of cols.T, so it
-    allocates nothing as large as cols."""
+    allocates nothing as large as cols.
+
+    The least-squares fit needs the unweighted Gram matrix cols.T @ cols,
+    which depends on the columns alone: `gram()` returns it where the
+    caller keeps it (a chain keeps one per level, `Chain._screen_gram`), and
+    without `gram` the screen forms it."""
     rows, size = cols.T, max(1, LAWSON_BLOCK // max(1, cols.shape[1]))  # columns of rows per block
-    gram, rhs = rows @ cols, rows @ x  # unweighted at step 0: the least-squares fit
+    # unweighted at step 0: the least-squares fit
+    gram, rhs = (rows @ cols if gram is None else gram()), rows @ x
     scale, previous = max(1.0, x_norm), x_norm  # previous: the zero approximant's value
     for step in range(LAWSON_MAX_STEPS + 1):
         try:
@@ -395,11 +408,12 @@ def _is_l2(space: Space) -> bool:
     return space.norm_kind == "lp" and space.p == 2.0
 
 
-def _fit_in_span(space: Space, cols: np.ndarray, x: np.ndarray, incumbent: float = -math.inf):
+def _fit_in_span(space: Space, cols: np.ndarray, x: np.ndarray, incumbent: float = -math.inf,
+                 gram: Optional[Callable] = None):
     """Dispatch a linear best-approximation by the space's norm; only the sup
-    fit stops below `incumbent`."""
+    fit stops below `incumbent`, and only its screen reads `gram`."""
     if space.norm_kind == "sup":
-        return _sup_fit(cols, x, incumbent)
+        return _sup_fit(cols, x, incumbent, gram)
     if space.norm_kind == "lp":
         if space.p == 2.0:
             value, _, approx = _weighted_l2_fit(space, cols, x)
@@ -476,45 +490,46 @@ def _min_max_cells(n: int, k: int, cell_end, cell_cost, tol: float):
 def best_m_value_sup(values: np.ndarray, m: int):
     """Optimal sup-distance of a sample vector to vectors with <= m distinct values.
 
-    The cells are runs of the sorted values, the cost of a cell is its
-    half-range, and `_min_max_cells` closes the bracket exactly (tol 0).  The
-    value is the largest half-range of the final greedy partition.  The
-    minimizer takes each cell's midpoint vl[i] + half, which is rounded, so it
-    achieves the value only to within about one ulp of max|x|.
+    The cells are runs of the sorted distinct values, the cost of a cell is
+    its half-range, and `_min_max_cells` closes the bracket exactly (tol 0).
+    Equal values always share a cell, so the partition of the distinct
+    values is that of all values.  The value is the largest half-range of
+    the final greedy partition.  The minimizer takes each cell's midpoint
+    u[i] + half, which is rounded, so it achieves the value only to within
+    about one ulp of max|x|.
     """
     if m < 1:
         raise SolverError("value budget m must be >= 1")
     if not np.isfinite(values).all():
         raise SolverError("the quantizer needs finite values")
-    order = np.argsort(values, kind="stable")
-    v = values[order]
-    if v.size == 0:
+    if values.size == 0:
         return BestApprox(0.0, np.zeros(0), 0.0, info={"solver": "sorted-partition",
                                                        "iterations": 0})
-    vl = v.tolist()
-    size = len(vl)
+    ul = np.unique(values).tolist()  # sorted; -0.0 and 0.0 are one value
+    size = len(ul)
 
     def cell_end(s: int, t: float) -> int:
-        base, reach = vl[s], 2.0 * t
-        e = bisect.bisect_right(vl, base + reach, s + 1)
-        # base + reach is rounded: restore the exact predicate vl[j] - base <= 2t
-        while e < size and vl[e] - base <= reach:
-            e = bisect.bisect_right(vl, vl[e], e)
-        while vl[e - 1] - base > reach:
-            e = bisect.bisect_left(vl, vl[e - 1], s + 1, e)
+        base, reach = ul[s], 2.0 * t
+        e = bisect.bisect_right(ul, base + reach, s + 1)
+        # base + reach is rounded: restore the exact predicate ul[j] - base <= 2t
+        while e < size and ul[e] - base <= reach:
+            e += 1
+        while ul[e - 1] - base > reach:
+            e -= 1
         return e
 
     def cell_cost(s: int, e: int):
-        half = (vl[e - 1] - vl[s]) / 2.0
+        half = (ul[e - 1] - ul[s]) / 2.0
         return half, half
 
     lower, bounds, passes = _min_max_cells(size, m, cell_end, cell_cost, 0.0)
-    value = 0.0
-    minimizer = np.empty_like(values, dtype=float)
+    value, mids = 0.0, []
     for i, j in zip(bounds[:-1], bounds[1:]):
-        half = (vl[j - 1] - vl[i]) / 2.0
+        half = (ul[j - 1] - ul[i]) / 2.0
         value = max(value, half)
-        minimizer[order[i:j]] = vl[i] + half
+        mids.append(ul[i] + half)
+    starts = np.array([ul[i] for i in bounds[:-1]])
+    minimizer = np.array(mids)[np.searchsorted(starts, values, side="right") - 1]
     return BestApprox(value, minimizer, lower, info={"solver": "sorted-partition",
                                                      "iterations": passes})
 

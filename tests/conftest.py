@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
+from lethargy import scheme
 from lethargy.scheme import build_scheme
+
+
+@pytest.fixture(autouse=True)
+def fresh_schemes():
+    """`build_scheme` keeps the last scheme it built; each test starts
+    without it, so that no test gets a scheme an earlier one built."""
+    scheme._build_scheme.cache_clear()
 
 
 @pytest.fixture

@@ -17,7 +17,7 @@ from lethargy import witness as wit
 from lethargy.cli import (REL_TOL, TABLE, TASKS, UsageError, canonical_json, check_config,
                           config_hash, encode_element, main, make_element, replay_report,
                           run_task)
-from lethargy.scheme import build_scheme, build_space, list_schemes, named_probes
+from lethargy.scheme import SchemeError, build_scheme, build_space, list_schemes, named_probes
 from lethargy.seq import NullSequence
 from lethargy.solve import NoSolverError, SolverError
 from lethargy.space import SpaceError
@@ -945,6 +945,63 @@ class TestDescriptorCheck:
                 wit.witness_tensor(3, norm_kind)
         assert [desc["kind"] for desc in built] == [
             "interleaved-c0", "quantizer", "nterm", "rank", "rank"]
+
+
+class TestLastBuiltScheme:
+    """`build_scheme` keeps the last scheme it built, and the next task on the
+    same descriptor shares it."""
+
+    CHAIN_DENSITY = {"task": "density", "seed": 5, "scheme": SMALL_CHAIN,
+                     "params": {"levels": [3, 5]}}
+
+    def test_a_replay_builds_no_second_scheme(self, monkeypatch):
+        builds = []
+        build = scheme.KINDS["chain"]
+        monkeypatch.setitem(scheme.KINDS, "chain",
+                            lambda *args, **keys: builds.append(1) or build(*args, **keys))
+        report = run_task(copy.deepcopy(self.CHAIN_DENSITY))
+        assert replay_report(json.loads(json.dumps(report)))
+        # the key is the canonical JSON, whatever the key order
+        build_scheme(dict(reversed(list(SMALL_CHAIN.items()))))
+        assert len(builds) == 1
+
+    def test_shared_schemes_report_as_fresh_builds(self):
+        def reports(fresh: bool) -> list:
+            out = []
+            for config in (self.CHAIN_DENSITY, self.CHAIN_DENSITY, SMALL["shapiro"],
+                           self.CHAIN_DENSITY):
+                if fresh:
+                    scheme._build_scheme.cache_clear()
+                report = run_task(copy.deepcopy(config))
+                report.pop("timestamp")
+                out.append(report)
+            return out
+
+        assert reports(False) == reports(True)
+
+    def test_no_callers_edit_reaches_a_later_scheme(self):
+        config = copy.deepcopy(self.CHAIN_DENSITY)
+        run_task(config)
+        config["scheme"]["space"]["nodes"] = 33
+        assert build_scheme(copy.deepcopy(SMALL_CHAIN)).to_json() == SMALL_CHAIN
+        desc = copy.deepcopy(SMALL_CHAIN)
+        s = build_scheme(desc)
+        desc["space"]["nodes"] = 33
+        s.to_json()["space"]["nodes"] = 17
+        again = build_scheme(copy.deepcopy(SMALL_CHAIN))
+        assert again is s and again.to_json() == SMALL_CHAIN
+
+    @pytest.mark.parametrize("bad, message", [
+        ({**SMALL_CHAIN, "n_max": -1}, "n_max must be >= 0"),
+        ({**SMALL_CHAIN, "family": "fourier"}, "unknown chain family"),
+        ({**SMALL_CHAIN, "kind": "lattice"}, "scheme kind must be one of"),
+        ({**SMALL_CHAIN, "n_max": np.int64(3)}, "not JSON: Object of type int64"),
+    ])
+    def test_a_bad_descriptor_is_refused_on_every_call(self, bad, message):
+        for _ in range(2):
+            with pytest.raises(SchemeError, match=message):
+                build_scheme(bad)
+            build_scheme(SMALL_CHAIN)
 
 
 class TestListSchemes:

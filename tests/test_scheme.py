@@ -26,6 +26,22 @@ from lethargy.solve import _is_l2, best_approx
 from lethargy.space import norm
 
 
+def _arrays(node, seen: set):
+    """Every ndarray reachable from node through dataclass fields, dicts,
+    lists and tuples."""
+    if id(node) in seen:
+        return
+    seen.add(id(node))
+    if isinstance(node, np.ndarray):
+        yield node
+    elif dataclasses.is_dataclass(node):
+        for f in dataclasses.fields(node):
+            yield from _arrays(getattr(node, f.name), seen)
+    elif isinstance(node, (dict, list, tuple)):
+        for v in node.values() if isinstance(node, dict) else node:
+            yield from _arrays(v, seen)
+
+
 class TestBuild:
     def test_monomial_chain_gap_is_identity(self, small_monomial_chain):
         s = small_monomial_chain
@@ -123,6 +139,18 @@ class TestBuild:
         assert s.dictionary.label == "haar-scaling"
         assert s.descriptor["kind"] == "wavelet-haar"
         assert build_scheme({"kind": "wavelet-haar", "level": 4, "n_max": 3}).label == "wavelet-haar"
+
+    @pytest.mark.parametrize("name", list_schemes())
+    def test_every_array_of_a_scheme_is_read_only(self, name):
+        # tasks share the last scheme built, so no caller may write into it
+        s = build_scheme(name)
+        if s.kind == "chain" and s.space.norm_kind == "sup":  # fill one screen Gram
+            x = np.random.default_rng(0).standard_normal(s.space.shape)
+            best_approx(s.space, x, s, 2, incumbent=2.0 * np.max(np.abs(x)))
+            assert s.screen_grams
+        arrays = list(_arrays(s, set()))
+        assert arrays
+        assert not [a.shape for a in arrays if a.flags.writeable]
 
 
 class TestProbes:

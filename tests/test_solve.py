@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lethargy.cli import run_task
 from lethargy.scheme import build_scheme, list_schemes
@@ -113,6 +115,20 @@ class TestQuantizerSolver:
                 got = quantizer_error(sp, x, m).value
                 want = brute_force_partition_value(x, m)
                 assert got == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(st.sampled_from([-1.5, -1.0, -0.0, 0.0, 0.25, 1.0, 2.0]),
+                              st.floats(-4.0, 4.0)), min_size=1, max_size=10),
+           st.integers(1, 10), st.sampled_from([1.0, 2.0**-1000, 2.0**1000]))
+    def test_matches_bruteforce_with_repeats_and_signed_zeros(self, values, m, scale):
+        # equal values share a cell, and -0.0 equals 0.0
+        x = np.array(values) * scale
+        res = best_m_value_sup(x, m)
+        assert res.value == brute_force_partition_value(x, m)
+        assert res.lower == res.value
+        assert np.unique(res.minimizer).size <= m
+        slack = 2.0 * np.finfo(float).eps * float(np.max(np.abs(x)))  # rounded midpoints
+        assert float(np.max(np.abs(x - res.minimizer))) <= res.value + slack
 
     def test_member_has_zero_distance(self):
         res = best_m_value_sup(np.array([0.0, 0.0, 1.0, 1.0]), 2)

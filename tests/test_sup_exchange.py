@@ -10,7 +10,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lethargy.solve as solve
-from lethargy.scheme import build_scheme
+from lethargy.cli import run_task
+from lethargy.scheme import Chain, build_scheme
 from lethargy.solve import LP_TOL, _exchange_reference, _fit_in_span, _sup_fit, best_approx, error_profile
 from lethargy.space import Space
 from lp_oracle import sup_fit_lp
@@ -464,3 +465,26 @@ def test_a_singular_gram_matrix_skips_the_screen():
         fit = _sup_fit(cols, x, incumbent)
         assert (fit.value, fit.lower, fit.info) == (full.value, full.lower, full.info)
         assert fit.minimizer.tobytes() == full.minimizer.tobytes()
+
+
+def test_a_chain_level_forms_its_screen_gram_once(monkeypatch):
+    """Two density tasks at level 8 of monomial-chain share the scheme, and
+    their screened fits share one Gram matrix of the level's 9 columns:
+    formed by the first, bit for bit the product the screen forms itself."""
+    keep = Chain._screen_gram
+    calls = []
+
+    def counted(self, d):
+        calls.append((d, d in self.screen_grams))  # (dim, kept already)
+        return keep(self, d)
+
+    monkeypatch.setattr(Chain, "_screen_gram", counted)
+    for seed in (0, 1):
+        run_task({"task": "density", "seed": seed, "scheme": "monomial-chain",
+                  "params": {"levels": [8]}})
+    assert [d for d, kept in calls if not kept] == [9]  # one fill
+    assert len(calls) > 2 and {d for d, _ in calls} == {9}  # many screened fits
+    s = build_scheme("monomial-chain")
+    cols = s.basis[:, :9]
+    assert s.screen_grams[9].tobytes() == (cols.T @ cols).tobytes()
+    assert not s.screen_grams[9].flags.writeable
