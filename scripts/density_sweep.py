@@ -1,14 +1,14 @@
 #!/usr/bin/env python3
 """Sweep density lower-bound certificates over the levels of a scheme.
 
-Writes (n, bound, status) rows and prints the monotone envelope alongside the
-raw certificates, plus the submultiplicativity cross-check report.
+Prints each level's certified lower bound, its monotone envelope and its
+status; with --csv, also writes those rows as (n, bound, envelope, status).
 """
 
 import argparse
 import csv
 
-from lethargy.analyze import density_lower_bound, density_profile_check, monotone_envelope
+from lethargy.analyze import density_lower_bound, monotone_envelope
 from lethargy.scheme import build_scheme, list_schemes
 
 
@@ -26,10 +26,6 @@ def main():
     print(f"{'n':>3} {'bound':>12} {'envelope':>12}  status")
     for c, env in zip(certs, envelope):
         print(f"{c.level:>3} {c.bound:>12.6g} {env:>12.6g}  {c.status}")
-
-    check = density_profile_check(s, rng_seed=args.seed)
-    print(f"submultiplicativity: {check['checked_pairs']} pairs checked, "
-          f"{len(check['flagged'])} flagged")
 
     if args.csv:
         with open(args.csv, "w", newline="") as fh:

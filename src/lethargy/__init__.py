@@ -56,8 +56,6 @@ from .analyze import (
     bernstein_audit,
     brudnyi_gap,
     density_lower_bound,
-    density_profile_check,
-    density_upper_estimate,
     dolzhenko_variation_audit,
     jackson_audit,
     shapiro_check,

@@ -1,9 +1,9 @@
-"""Scheme diagnostics: density certificates, Shapiro/weak-gap verdicts,
-submultiplicativity checks, and Jackson/Bernstein/Dolzhenko audits.
+"""Scheme diagnostics: density lower-bound certificates, Shapiro/weak-gap
+verdicts, and Jackson/Bernstein/Dolzhenko audits.
 
 Certificates are honest about solver status: a unit element with an exactly
-solved distance is a rigorous density lower bound; probe maxima are only
-empirical estimates and are flagged as such.
+solved distance is a rigorous density lower bound, and a certificate no
+exact solve backs is flagged empirical.
 """
 
 from __future__ import annotations
@@ -33,17 +33,16 @@ REPORT_SCHEMA = "1"
 @dataclass(frozen=True)
 class DensityCertificate:
     level: int
-    bound: float
-    element: Optional[np.ndarray]
+    bound: float  # a lower bound on the density at `level`
+    element: np.ndarray
     solver_value: float
-    direction: str  # "lower" | "upper"
-    status: str     # "exact" | "empirical" | "certified"
+    status: str  # "exact" | "empirical"
     note: str = ""
 
     def to_json(self, with_element: bool = False) -> dict:
         d = {"level": self.level, "bound": self.bound, "solver_value": self.solver_value,
-             "direction": self.direction, "status": self.status, "note": self.note}
-        if with_element and self.element is not None:
+             "direction": "lower", "status": self.status, "note": self.note}
+        if with_element:
             d["element"] = [float(v) for v in np.asarray(self.element).ravel()]
         return d
 
@@ -91,23 +90,7 @@ def density_lower_bound(s: Scheme, n: int, rng_seed: int = 0) -> DensityCertific
     status = "exact" if best or not upper else "empirical"
     note = "" if status == "exact" else (f"no solve proved a positive distance; {upper} of "
                                          f"{len(solved)} candidate solves are upper-bound only")
-    return DensityCertificate(n, res.lower, element, res.value, "lower", status, note)
-
-
-def density_upper_estimate(s: Scheme, n: int, rng_seed: int = 0) -> DensityCertificate:
-    """Probe-sweep max of E/||.||; certified where the kind proves an envelope
-    (the quantizer's midpoint quantization)."""
-    envelope = s.envelope([n])
-    if envelope is not None:
-        return DensityCertificate(n, envelope[0], None, envelope[0], "upper", "certified",
-                                  "midpoint quantization of the value range")
-    rng = np.random.default_rng(rng_seed)
-    worst = 0.0
-    for x in probe_elements(s, rng, count=12):
-        res = best_approx(s.space, x, s, n, seed=rng_seed)
-        worst = max(worst, res.value)
-    return DensityCertificate(n, worst, None, worst, "upper", "empirical",
-                              "probe max; not a certified bound")
+    return DensityCertificate(n, res.lower, element, res.value, status, note)
 
 
 def monotone_envelope(bounds: list) -> list:
@@ -197,50 +180,6 @@ def shapiro_check(s: Scheme, probe_budget: int = 16, rng_seed: int = 0,
             return ShapiroVerdict("Shapiro-fails", constant, certs, gamma,
                                   envelope=envelope, probes_checked=checked)
     return ShapiroVerdict("inconclusive", constant, certs, gamma)
-
-
-# -- submultiplicativity -----------------------------------------------------------
-
-
-PROFILE_CHECK_TOL = 1e-3
-
-
-def density_profile_check(s: Scheme, rng_seed: int = 0) -> dict:
-    """Flag (m, n) pairs of levels 0..n_max whose certified lower bound at the
-    paired level exceeds the product of upper estimates; entries flag
-    estimate inconsistencies, never a refutation.
-
-    Empirical upper estimates are merged with the certified lower bounds
-    (the sup is at least any certified value), and the tolerance absorbs
-    grid discretization.
-    """
-    lowers = {}
-    uppers = {}
-    upper_status = {}
-    for n in range(s.n_max + 1):
-        lowers[n] = density_lower_bound(s, n, rng_seed=rng_seed + n)
-        est = density_upper_estimate(s, n, rng_seed=rng_seed + n)
-        if est.status == "certified":
-            uppers[n] = est.bound
-        else:
-            uppers[n] = max(est.bound, lowers[n].bound)
-        upper_status[n] = est.status
-    flagged = []
-    checked = 0
-    for m in range(s.n_max + 1):
-        for n in range(m, s.n_max + 1):
-            ell = s.pairing(m, n)
-            if ell is None or ell > s.n_max:
-                continue
-            checked += 1
-            lhs = lowers[ell].bound
-            rhs = uppers[m] * uppers[n]
-            if lhs > rhs + PROFILE_CHECK_TOL:
-                flagged.append({"m": m, "n": n, "paired_level": ell,
-                                "certified_lower": lhs, "upper_product": rhs,
-                                "upper_status": [upper_status[m], upper_status[n]]})
-    return {"scheme": s.label, "checked_pairs": checked, "flagged": flagged,
-            "tolerance": PROFILE_CHECK_TOL, "passed": not flagged}
 
 
 # -- Jackson / Bernstein audits ------------------------------------------------------

@@ -374,10 +374,6 @@ class Scheme:
         """A proved bound on E(x, A_n) / ||x|| at each of `levels`, or None."""
         return None
 
-    def pairing(self, m: int, n: int) -> Optional[int]:
-        """A level holding A_m + A_n."""
-        return self.K(max(m, n))
-
 
 @dataclass(frozen=True)
 class Chain(Scheme):
@@ -550,9 +546,6 @@ class NTerm(Scheme):
         alt[1::2] = -1.0
         return [np.ones(self.space.shape[0]), alt]
 
-    def pairing(self, m, n):
-        return m + n
-
 
 @dataclass(frozen=True)
 class Quantizer(Scheme):
@@ -620,13 +613,6 @@ class Quantizer(Scheme):
     def envelope(self, levels):
         """Midpoint quantization of the value range: E(x, A_n) <= ||x|| / m(n)."""
         return [1.0 / self.m_of(n) for n in levels]
-
-    def pairing(self, m, n):
-        need = self.m_of(m) * self.m_of(n)
-        for j in range(max(m, n), self.n_max + 1):
-            if self.m_of(j) >= need:
-                return j
-        return None
 
 
 @dataclass(frozen=True)
@@ -740,9 +726,6 @@ class Spline(Scheme):
     def density_threshold(self):
         return 0.2
 
-    def pairing(self, m, n):
-        return m + n
-
 
 @dataclass(frozen=True)
 class Rank(Scheme):
@@ -783,9 +766,6 @@ class Rank(Scheme):
 
     def density_threshold(self):
         return 1e-9 if self.n_max >= self.space.dim else 1.5
-
-    def pairing(self, m, n):
-        return m + n
 
 
 # descriptor kind -> builder; "wavelet-haar" builds an n-term scheme
@@ -831,8 +811,6 @@ def _build_scheme(key: str) -> Scheme:
 
 def distinct_value_count(x: np.ndarray) -> int:
     v = np.sort(np.asarray(x, dtype=float).ravel())
-    if v.size == 0:
-        return 0
     return 1 + int(np.sum(np.diff(v) > VALUE_MERGE_TOL * float(np.max(np.abs(v)))))
 
 

@@ -349,8 +349,6 @@ def l1_fit_lp(cols: np.ndarray, x: np.ndarray, weights: np.ndarray):
     from scipy import sparse
 
     n, d = cols.shape
-    if d == 0:
-        return float(np.sum(weights * np.abs(x))), np.zeros(0), np.zeros_like(x, dtype=float)
     eye = sparse.eye(n, format="csr")
     block = sparse.csr_matrix(cols)
     a_ub = sparse.vstack([sparse.hstack([block, -eye]), sparse.hstack([-block, -eye])], format="csr")
@@ -377,8 +375,6 @@ def _irls_fit(cols: np.ndarray, x: np.ndarray, quad: np.ndarray, p: float):
     def power_norm(resid: np.ndarray) -> float:
         return float(np.sum(quad * np.abs(resid) ** p)) ** (1.0 / p)
 
-    if cols.shape[1] == 0:
-        return power_norm(x), np.zeros(0), np.zeros_like(x, dtype=float), {"converged": True, "iterations": 0}
     u = np.sqrt(quad)
     coef, *_ = np.linalg.lstsq(cols * u[:, None], x * u, rcond=None)
     approx = cols @ coef
@@ -502,9 +498,6 @@ def best_m_value_sup(values: np.ndarray, m: int):
         raise SolverError("value budget m must be >= 1")
     if not np.isfinite(values).all():
         raise SolverError("the quantizer needs finite values")
-    if values.size == 0:
-        return BestApprox(0.0, np.zeros(0), 0.0, info={"solver": "sorted-partition",
-                                                       "iterations": 0})
     ul = np.unique(values).tolist()  # sorted; -0.0 and 0.0 are one value
     size = len(ul)
 
@@ -541,12 +534,8 @@ def quantizer_error(space: Space, x: np.ndarray, m: int) -> BestApprox:
     return best_m_value_sup(np.asarray(space.check(x), dtype=float), m)
 
 
-def midpoint_quantizer(x: np.ndarray, m: int, radius: Optional[float] = None) -> np.ndarray:
+def midpoint_quantizer(x: np.ndarray, m: int, radius: float) -> np.ndarray:
     """m-level midpoint quantization of [-radius, radius]; error <= radius/m."""
-    if radius is None:
-        radius = float(np.max(np.abs(x)))
-    if radius == 0.0:
-        return np.zeros_like(x)
     cell = 2.0 * radius / m
     idx = np.clip(np.floor((x + radius) / cell), 0, m - 1)
     return -radius + (idx + 0.5) * cell
@@ -966,12 +955,10 @@ def _spline_columns(t: np.ndarray, degree: int) -> np.ndarray:
 def _spline_on_cells(space: Space, x: np.ndarray, degree: int, cuts) -> np.ndarray:
     """The spline fitted on the cells [cuts[k], cuts[k + 1]) of the grid nodes,
     each cell by its best degree-<degree> fit: `_sup_fit` in sup, else
-    `_spline_cost_entry`.  Empty cells are skipped."""
+    `_spline_cost_entry`.  The cuts increase strictly."""
     nodes = space.grid.nodes
     approx = np.empty(nodes.size)
     for i, j in zip(cuts[:-1], cuts[1:]):
-        if j <= i:
-            continue
         if space.norm_kind == "sup":
             approx[i:j] = _sup_fit(_spline_columns(nodes[i:j], degree), x[i:j]).minimizer
         else:

@@ -172,13 +172,10 @@ def witness_c0(eps: NullSequence, cap: Optional[int] = None) -> Witness:
     x = np.zeros(cap)
     x[: len(vals)] = vals
     claims = [ClaimedBound(0, float(vals[0]), "sup of the full tail", float(vals[0]))]
-    for n in range(1, len(vals)):
-        if 2 * n - 1 > s.n_max:
-            break
+    for n in range(1, len(vals)):  # 2n - 1 < 2 * cap - 2 = n_max
         claims.append(ClaimedBound(2 * n - 1, float(vals[n]),
                                    "coordinate tail sup at an odd level", float(vals[n])))
-    return Witness(x, s.space, claims, float(vals[0]) if vals.size else 0.0,
-                   "c0-tail-witness", scheme=s, tol=1e-12)
+    return Witness(x, s.space, claims, float(vals[0]), "c0-tail-witness", scheme=s, tol=1e-12)
 
 
 # -- quantizer ramp witness -----------------------------------------------------
@@ -577,11 +574,8 @@ def witness_wavelet(n: int, seed: int = 0, n_attempts: int = 100) -> Witness:
             g12 = _scaling_gram(*atom_idx[a], *atom_idx[b])
             gram = np.array([[1.0, g12], [g12, 1.0]])
             rhs = np.array([inner[a], inner[b]])
-            if abs(np.linalg.det(gram)) < 1e-14:
-                cap = float(max(np.abs(rhs))) ** 2
-            else:
-                cap = float(rhs @ np.linalg.solve(gram, rhs))
-            best_pair = max(best_pair, cap)
+            # distinct atoms: |g12| <= 2^-1/2, so det(gram) >= 1/2
+            best_pair = max(best_pair, float(rhs @ np.linalg.solve(gram, rhs)))
         attempts.append(Attempt("pair-search", 0,
                                 math.sqrt(max(x_norm**2 - best_pair, 0.0))))
         # greedy extension for n > 2 would only lower the captured share bound

@@ -12,8 +12,6 @@ from lethargy.analyze import (
     bernstein_audit,
     brudnyi_gap,
     density_lower_bound,
-    density_profile_check,
-    density_upper_estimate,
     dolzhenko_variation_audit,
     jackson_audit,
     monotone_envelope,
@@ -43,9 +41,8 @@ class TestDensityCertificates:
         gap = 2.0 / (s.space.grid.size - 1)
         for n in (1, 2, 4, 8):
             lo = density_lower_bound(s, n, rng_seed=1)
-            hi = density_upper_estimate(s, n)
-            assert hi.status == "certified"
-            assert hi.bound == pytest.approx(1.0 / s.m_of(n), abs=1e-15)
+            [hi] = s.envelope([n])
+            assert hi == pytest.approx(1.0 / s.m_of(n), abs=1e-15)
             assert lo.status == "exact"
             assert abs(lo.bound - 1.0 / s.m_of(n)) <= gap + 1e-12
 
@@ -347,38 +344,6 @@ class TestShapiro:
         assert "envelope" in d
 
 
-class TestSubmultiplicativity:
-    def test_quantizer_exact(self, quantizer_linear_small):
-        rep = density_profile_check(quantizer_linear_small, rng_seed=1)
-        assert rep["passed"]
-        assert rep["checked_pairs"] > 0
-
-    def test_nterm_exponential_decay_entries(self):
-        s = build_scheme({"kind": "nterm", "n_max": 6,
-                          "dictionary": {"family": "orthonormal"},
-                          "space": {"carrier": "coords", "dim": 8, "norm": "lp", "p": 2.0}})
-        rep = density_profile_check(s, rng_seed=1)
-        assert rep["passed"]
-        assert rep["checked_pairs"] > 0  # the (m, m) pairs test d(2m) <= d(m)^2
-
-    def test_a_lower_bound_above_the_upper_product_is_flagged(self, small_interleaved,
-                                                              monkeypatch):
-        # certified upper estimates of 0.5: every pair whose paired level has
-        # a certified lower bound above 0.25 + tol is flagged
-        monkeypatch.setattr(analyze, "density_upper_estimate", lambda s, n, rng_seed=0:
-                            analyze.DensityCertificate(n, 0.5, None, 0.5, "upper", "certified"))
-        rep = density_profile_check(small_interleaved, rng_seed=1)
-        assert not rep["passed"] and rep["flagged"]
-        for entry in rep["flagged"]:
-            assert entry["upper_product"] == 0.25
-            assert entry["certified_lower"] > 0.25 + rep["tolerance"]
-            assert entry["upper_status"] == ["certified", "certified"]
-
-    def test_linear_chain_trivial(self, small_monomial_chain):
-        rep = density_profile_check(small_monomial_chain, rng_seed=1)
-        assert rep["passed"]
-
-
 class TestJacksonAudit:
     def test_monomial_lipschitz_grows(self, small_monomial_chain):
         rep = jackson_audit(small_monomial_chain, {"kind": "lipschitz"}, rng_seed=2)
@@ -435,6 +400,15 @@ class TestDolzhenko:
         rep = dolzhenko_variation_audit(n_samples=1000, rng_seed=6)
         assert rep["passed"]
         assert rep["worst_margin"] <= 1e-3
+
+    def test_a_margin_above_the_tolerance_is_a_violation(self, monkeypatch):
+        clean = dolzhenko_variation_audit(n_samples=50, rng_seed=6)
+        monkeypatch.setattr(analyze, "DOLZHENKO_TOL", clean["worst_margin"] - 1e-9)
+        rep = dolzhenko_variation_audit(n_samples=50, rng_seed=6)
+        assert clean["passed"] and not rep["passed"] and rep["violations"]
+        assert rep["tolerance"] == clean["worst_margin"] - 1e-9
+        for v in rep["violations"]:
+            assert v["variation"] - 2.0 * v["degree"] > rep["tolerance"]
 
     def test_sampler_degrees_and_margins(self, rng):
         g = Grid.interval(0, 1, 513)

@@ -51,6 +51,11 @@ SMALL = {
               "params": {"audit": "dolzhenko", "samples": 20, "max_degree": 3}},
     "slowdecay": {"task": "slowdecay", "seed": 8, "params": {"i_max": 3}, "scheme": SMALL_CHAIN},
 }
+# a constant-only chain cannot approximate the density probes
+UNVERIFIED_VALIDATE = {"task": "validate", "seed": 3, "params": {"trials": 20},
+                       "scheme": {"kind": "chain", "family": "monomial", "n_max": 0,
+                                  "space": {"carrier": "grid", "domain": "interval",
+                                            "nodes": 65, "norm": "sup"}}}
 
 
 class TestRun:
@@ -123,6 +128,26 @@ class TestRun:
                      "--out", str(out)]) == 0
         report = json.loads(out.read_text())
         assert len(report["payload"]["entries"]) == 9
+        # a value that is not JSON is taken as a string
+        assert main(["run", "--config", cfg, "--set", "params.element=flat",
+                     "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["config"]["params"]["element"] == "flat"
+
+    def test_set_without_a_value_is_refused(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, C0_CONFIG)
+        assert main(["run", "--config", cfg, "--set", "seed"]) == 1
+        assert capsys.readouterr().err == "error: --set needs KEY=VALUE, got 'seed'\n"
+
+    def test_no_command_prints_help(self, capsys):
+        assert main([]) == 1
+        assert capsys.readouterr().out.startswith("usage: lethargy")
+
+    def test_an_unverified_report_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        assert main(["run", "--config", write_config(tmp_path, UNVERIFIED_VALIDATE),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "verification failure\n"
+        assert not json.loads(out.read_text())["verified"]
 
     def test_profile_csv_and_plot_outputs(self, tmp_path):
         csv_path = tmp_path / "prof.csv"
@@ -316,11 +341,7 @@ class TestReplay:
         assert replay_report(json.loads(json.dumps(report)))
 
     def test_unverified_validate_replays_its_verdict(self):
-        # a constant-only chain cannot approximate the density probes
-        report = run_task({"task": "validate", "seed": 3, "params": {"trials": 20},
-                           "scheme": {"kind": "chain", "family": "monomial", "n_max": 0,
-                                      "space": {"carrier": "grid", "domain": "interval",
-                                                "nodes": 65, "norm": "sup"}}})
+        report = run_task(copy.deepcopy(UNVERIFIED_VALIDATE))
         assert not report["verified"]
         assert replay_report(json.loads(json.dumps(report)))
         report["verified"] = True
@@ -478,6 +499,7 @@ BAD_ELEMENTS = {  # for interleaved-c0, whose elements have shape [20]
     "f64-shape-differs": {"f64": _f64([1.0] * 20), "shape": [4, 5]},
     # valid once the "!" is discarded, which b64decode does unless validating
     "f64-invalid-base64": {"f64": "!" + _f64([1.0] * 20), "shape": [20]},
+    "values-not-numbers": {"values": ["one"] * 20},
 }
 
 
@@ -719,11 +741,13 @@ class TestConfigCheck:
          "level 17 outside the window 0..12"),
         ({"task": "shapiro", "scheme": "trig-chain", "params": {"levels": [14]}},
          "level 14 outside the window 0..10"),
+        ({"task": "validate", "scheme": "interleaved-c0", "params": [20]},
+         "config params must be a JSON object"),
     ], ids=["m-float", "density-levels-string", "shapiro-levels-string", "n_max-bool",
             "seed-string", "misspelled-trials", "missing-m", "scheme-on-witness",
             "csv-on-validate", "unknown-op", "missing-op", "trials-zero", "trials-negative",
             "ridge-starts-zero", "translates-trials-zero", "density-chain-beyond-window",
-            "shapiro-chain-beyond-window"])
+            "shapiro-chain-beyond-window", "params-not-an-object"])
     def test_config_the_task_would_misread_is_refused(self, tmp_path, capsys, config, message):
         assert _refused(tmp_path, capsys, config).startswith(f"error: {message}")
 

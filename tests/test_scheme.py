@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -105,6 +106,29 @@ class TestBuild:
             build_scheme({"kind": "spline", "degree": 9, "n_max": 2,
                           "space": {"carrier": "grid", "nodes": 33, "norm": "lp", "p": 2.0}})
 
+    @pytest.mark.parametrize("desc,message", [
+        ({"kind": "chain", "family": "trig", "n_max": 2,
+          "space": {"carrier": "grid", "nodes": 33, "norm": "sup"}},
+         "trig chain needs a torus grid"),
+        ({"kind": "chain", "family": "coordinate", "n_max": 8,
+          "space": {"carrier": "coords", "dim": 8, "norm": "sup"}},
+         "coordinate chain needs a coords space of dimension > n_max"),
+        ({"kind": "nterm", "n_max": 0, "dictionary": {"family": "orthonormal"},
+          "space": {"carrier": "coords", "dim": 8, "norm": "lp", "p": 2.0}},
+         "n-term scheme needs n_max >= 1 (strict inclusion axiom)"),
+        ({"kind": "quantizer", "m": [1, 2],
+          "space": {"carrier": "grid", "nodes": 33, "norm": "lp", "p": 2.0}},
+         "quantizer scheme is defined over a sup-norm carrier"),
+        ({"kind": "interleaved-c0", "cap": 3, "n_max": 6},
+         "levels beyond 2*cap-1 coincide with the whole space"),
+        ({"kind": "rank", "n_max": 2, "space": {"carrier": "coords", "dim": 4, "norm": "sup"}},
+         "rank scheme needs a matrix space"),
+    ], ids=["trig-on-interval", "coordinate-too-small", "nterm-n_max-0", "quantizer-lp",
+            "interleaved-past-the-space", "rank-on-coords"])
+    def test_refused_descriptor_names_its_fault(self, desc, message):
+        with pytest.raises(SchemeError, match=f"^{re.escape(message)}$"):
+            build_scheme(desc)
+
     def test_registry_names_resolve(self):
         for name in list_schemes():
             s = build_scheme(name)
@@ -176,6 +200,10 @@ class TestDictionary:
     def test_zero_atom_rejected(self):
         with pytest.raises(SchemeError):
             Dictionary(np.column_stack([np.ones(4), np.zeros(4)]), "bad")
+
+    def test_no_atom_rejected(self):
+        with pytest.raises(SchemeError, match="^dictionary must have at least one atom column$"):
+            Dictionary(np.zeros((4, 0)), "empty")
 
     def test_normalization(self):
         from lethargy.space import Space
@@ -328,6 +356,16 @@ class TestSamplers:
         for n in (0, 1, min(3, s.n_max)):
             a = sample_element(s, n, rng)
             assert membership(s, a, n)
+
+    @pytest.mark.parametrize("draw,n,message", [
+        (sample_element, 9, "level 9 outside the window 0..8"),
+        (sample_element, -1, "level -1 outside the window 0..8"),
+        (gap_candidates, 8, "level 8 has no successor in the window 0..8"),
+    ], ids=["sample-above", "sample-below", "gap-at-top"])
+    def test_level_outside_the_window_is_refused(self, small_monomial_chain, rng, draw, n,
+                                                 message):
+        with pytest.raises(SchemeError, match=f"^{re.escape(message)}$"):
+            draw(small_monomial_chain, n, rng)
 
     def test_gap_candidates_are_next_level_members(self, small_monomial_chain, rng):
         s = small_monomial_chain

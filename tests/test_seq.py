@@ -77,6 +77,11 @@ class TestNullSequence:
         with pytest.raises(SequenceError):
             NullSequence(np.array([1.0, -0.1]))
 
+    @pytest.mark.parametrize("values", [[], [[1.0]]], ids=["empty", "2-d"])
+    def test_window_must_be_a_nonempty_vector(self, values):
+        with pytest.raises(SequenceError, match="^values must be a non-empty 1-d array$"):
+            NullSequence(np.array(values))
+
     def test_representation_noise_tolerated(self):
         v = np.array([1.0, 1.0 + 1e-14])
         NullSequence(v)  # within the relative tolerance
@@ -86,6 +91,10 @@ class TestIndexMap:
     def test_below_diagonal_rejected(self):
         with pytest.raises(SequenceError):
             IndexMap(np.array([0, 0, 1]))
+
+    def test_empty_map_rejected(self):
+        with pytest.raises(SequenceError, match="^index map must be a non-empty 1-d array$"):
+            IndexMap(np.array([], dtype=np.int64))
 
     def test_call(self):
         h = IndexMap(2 * np.arange(4) + 1)

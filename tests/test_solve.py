@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -35,6 +36,33 @@ def brute_force_partition_value(values, m):
         worst = max((v[j - 1] - v[i]) / 2.0 for i, j in zip(edges[:-1], edges[1:]))
         best = min(best, worst)
     return best
+
+
+# case -> (registry scheme, the solve's space or None for the scheme's, level,
+# the error and its message)
+REFUSED_SOLVES = {
+    "level-below-zero": ("interleaved-c0", None, -1, SolverError, "level n must be >= 0"),
+    "chain-past-the-window": ("monomial-chain", None, 13, SolverError,
+                              "chain level 13 beyond the window 0..12 has no basis columns"),
+    "quantizer-past-the-window": ("quantizer-linear", None, 13, SolverError,
+                                  "quantizer level beyond the window has no declared budget"),
+    "quantizer-in-l2": ("quantizer-linear", Space.lp_grid(Grid.interval(-1.0, 1.0, 2049), 2.0),
+                        2, NoSolverError, "the quantizer solver is defined for sup-norm carriers"),
+    "interleaved-in-l2": ("interleaved-c0", Space.coords(20, 2.0), 2, NoSolverError,
+                          "interleaved-c0 solver is defined for the sup norm"),
+    "spline-past-2049-nodes": ("free-knot-spline",
+                               Space.lp_grid(Grid.interval(0.0, 1.0, 2050), 2.0), 2, NoSolverError,
+                               "free-knot spline solver is limited to grids of <= 2049 nodes"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED_SOLVES))
+def test_refused_solve_names_its_fault(case):
+    name, space, n, error, message = REFUSED_SOLVES[case]
+    s = build_scheme(name)
+    space = space or s.space
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        best_approx(space, np.ones(space.shape), s, n)
 
 
 class TestChainSolvers:

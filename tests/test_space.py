@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -30,6 +31,36 @@ class TestGrid:
     def test_nonincreasing_nodes_rejected(self):
         with pytest.raises(SpaceError):
             Grid(np.array([0.0, 0.5, 0.5]), np.array([0.25, 0.5, 0.25]), "interval", 0.0, 1.0)
+
+    # each case changes one argument of a valid grid: five nodes on [0, 1], weights 0.2
+    @pytest.mark.parametrize("change,message", [
+        ({"domain": "sphere"}, "unknown domain 'sphere'"),
+        ({"nodes": [0.5], "weights": [1.0]}, "grid needs at least two nodes"),
+        ({"weights": [0.25] * 4}, "weights must match nodes"),
+        ({"nodes": np.linspace(0.0, 1.5, 5)}, "nodes must lie within the domain"),
+        ({"weights": [0.6, -0.2, 0.2, 0.2, 0.2]}, "weights must be non-negative"),
+    ], ids=["domain", "one-node", "weights-length", "outside", "negative-weight"])
+    def test_bad_grid_is_refused(self, change, message):
+        args = {"nodes": np.linspace(0.0, 1.0, 5), "weights": [0.2] * 5,
+                "domain": "interval", "a": 0.0, "b": 1.0}
+        Grid(**args)
+        with pytest.raises(SpaceError, match=f"^{re.escape(message)}$"):
+            Grid(**{**args, **change})
+
+
+class TestSpace:
+    @pytest.mark.parametrize("args,message", [
+        ({"carrier": "tape", "norm_kind": "sup", "dim": 3}, "unknown carrier 'tape'"),
+        ({"carrier": "coords", "norm_kind": "l1", "dim": 3}, "unknown norm kind 'l1'"),
+        ({"carrier": "grid", "norm_kind": "sup"}, "grid carrier needs a grid"),
+        ({"carrier": "coords", "norm_kind": "sup", "dim": 8, "grid": Grid.torus(8)},
+         "only the grid carrier takes a grid"),
+        ({"carrier": "matrix", "norm_kind": "hs"},
+         "coordinate/matrix spaces need a positive dimension"),
+    ], ids=["carrier", "norm-kind", "grid-without-grid", "coords-with-grid", "no-dimension"])
+    def test_bad_space_is_refused(self, args, message):
+        with pytest.raises(SpaceError, match=f"^{re.escape(message)}$"):
+            Space(**args)
 
 
 class TestNorms:
@@ -85,6 +116,11 @@ class TestCheck:
         x.flat[1] = bad
         with pytest.raises(SpaceError, match="non-finite"):
             space.check(x)
+
+
+    def test_complex_entries_rejected(self):
+        with pytest.raises(SpaceError, match="^complex elements are not supported$"):
+            Space.coords(3, 2.0).check(np.ones(3, dtype=complex))
 
 
 class TestQuasiTriangle:

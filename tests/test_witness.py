@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -237,6 +238,31 @@ class TestTensorWitness:
         w = witness_tensor(1, "hs")
         assert verify_witness(w)
         assert w.verifications[0].observed == pytest.approx(norm(w.space, w.element))
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: witness_quantizer(0), "value budget m must be >= 1"),
+    (lambda: witness_haar_bumps(2, 2.0, family="legendre"), "unknown family 'legendre'"),
+    (lambda: witness_ridge(0), "level n must be >= 1"),
+    (lambda: witness_orthonormal_nterm(0, 4), "level n must be >= 1"),
+    (lambda: witness_wavelet(-1), "level n must be >= 0"),
+    (lambda: witness_tensor(0), "dimension n must be >= 1"),
+], ids=["quantizer-m-0", "unknown-family", "ridge-n-0", "orthonormal-n-0", "wavelet-n-below-0",
+        "tensor-n-0"])
+def test_bad_argument_is_refused(build, message):
+    with pytest.raises(WitnessError, match=f"^{re.escape(message)}$"):
+        build()
+
+
+def test_an_attempts_witness_without_attempts_is_not_verified():
+    w = witness_wavelet(0)
+    assert w.scheme is None and verify_witness(w)
+    w.attempts = []
+    assert not verify_witness(w)
+    [v] = w.verifications
+    assert (v.mode, v.status, v.passed, v.note) == ("attempts", "empty", False,
+                                                    "no attempts recorded")
+    assert math.isnan(v.observed)
 
 
 class TestWitnessBundles:
