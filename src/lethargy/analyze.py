@@ -54,8 +54,8 @@ def farthest(s: Scheme, n: int, candidates, seed: int = 0, best=None):
     Each candidate is solved with the best value so far as its incumbent.  A
     candidate counts only when its solve is exact with a positive lower
     bound, and it replaces `best` only when farther by more than its solve's
-    tol, so that rounding decides no tie.  So a solve stopped below the
-    incumbent (lower 0) loses, as its full solve would have, and one that
+    tol, so that rounding decides no tie.  So a solve stopped at or below
+    the incumbent (lower 0) loses, as its full solve would have, and one that
     would win is solved as without an incumbent.  Returns `best`, a
     (BestApprox, candidate) pair or None, and every solved pair in order."""
     solved = []
@@ -151,6 +151,11 @@ def shapiro_check(s: Scheme, probe_budget: int = 16, rng_seed: int = 0,
     certificate of at least WEAK_GAP_THRESHOLD (discretization forbids exactly 1).
     Shapiro-fails: the kind carries a proof-backed decaying envelope (the
     quantizer's reciprocal value budget) and every probe obeys it.
+
+    Each probe x at level n is solved with its cap, cap ||x|| + 1e-9, as the
+    incumbent: a solve stopped there has achieved a value at or below the
+    cap, so it obeys the envelope as its full solve does, and one that does
+    not stop is the full solve.
     """
     if levels is None:
         levels = list(range(s.n_max + 1))
@@ -170,9 +175,10 @@ def shapiro_check(s: Scheme, probe_budget: int = 16, rng_seed: int = 0,
         for x in probe_elements(s, rng, count=probe_budget):
             nx = norm(s.space, x)
             for n, cap in zip(levels, env):
-                value = best_approx(s.space, x, s, n).value
+                allowed = cap * nx + 1e-9
+                value = best_approx(s.space, x, s, n, incumbent=allowed).value
                 checked += 1
-                if value > cap * nx + 1e-9:
+                if value > allowed:
                     ok = False
         if ok:
             envelope = {"levels": levels, "values": env,

@@ -307,9 +307,9 @@ class Scheme:
     n-term schemes) does so once for the list; a closed form may then give
     no minimizer.  A solve may stop once an achieved value proves E(x, A_n)
     below `incumbent`, the best value of a caller's search so far, and
-    return that value with lower 0; only sup-norm chains do, and an x whose
-    exact fit would beat the incumbent by more than its tol is solved as
-    without one.
+    return that value with lower 0; sup-norm chains and quantizers do (a
+    quantizer also at a value equal to it), and an x whose exact fit would
+    beat the incumbent by more than its tol is solved as without one.
 
     `draw(n, rng)` returns a member of A_n and the support it was drawn with:
     the atom indices of an n-term scheme, the cell edges of a spline, and
@@ -481,6 +481,8 @@ class NTerm(Scheme):
     def build(cls, desc: dict, label: str, *, space, dictionary, n_max=None) -> "NTerm":
         space = build_space(space)
         family, keys = _pick("dictionary", FAMILY_KEYS, dictionary, "family")
+        if family == "orthonormal" and space.carrier != "coords":  # its atoms are coordinate vectors
+            raise SchemeError(f"orthonormal dictionary needs a coords space, not {space.carrier}")
         if space.grid is None and family != "orthonormal":
             raise SchemeError(f"{family} dictionary needs a grid space, not {space.carrier}")
         dictionary = FAMILIES[family](space, **keys)
@@ -583,7 +585,7 @@ class Quantizer(Scheme):
     def solve(self, space, x, levels, seed, incumbent):
         if max(levels) > self.n_max:
             raise SolverError("quantizer level beyond the window has no declared budget")
-        return [quantizer_error(space, x, self.m_of(n)) for n in levels]
+        return [quantizer_error(space, x, self.m_of(n), incumbent) for n in levels]
 
     def member(self, x, n):
         return distinct_value_count(x) <= self.m_of(n)

@@ -27,7 +27,11 @@ is always achievable, so it is never below E by more than the tolerance.
 - IRLS and greedy n-term selection prove nothing and pass lower = 0.
 
 A caller that keeps the best of several candidates passes `best_approx` its
-incumbent, the best value so far.  Only the sup fit uses it.  A screen
+incumbent, the best value so far.  The sup fit and the quantizer use it.
+The quantizer's segmentation probes the incumbent first and stops at the
+first partition whose value is at or below it, with lower 0; a probe there
+that fails proves E(x, A_n) above the incumbent, and the bisection closes
+on the value it closes on without one.  In the sup fit, a screen
 before the exchange takes the least-squares fit, then Lawson's reweighting
 steps toward the Chebyshev fit; it gives up once a step leaves the value
 unchanged (the zero approximant, of value ||x||_inf, counts as the one
@@ -427,7 +431,8 @@ def _fit_in_span(space: Space, cols: np.ndarray, x: np.ndarray, incumbent: float
 # -- quantizer ----------------------------------------------------------------
 
 
-def _min_max_cells(n: int, k: int, cell_end, cell_cost, tol: float):
+def _min_max_cells(n: int, k: int, cell_end, cell_cost, tol: float,
+                   incumbent: float = -math.inf):
     """Partition range(n) into at most k contiguous cells with the least largest cell cost.
 
     `cell_cost(s, e)` returns (upper, lower), an achieved value and a proved
@@ -448,8 +453,18 @@ def _min_max_cells(n: int, k: int, cell_end, cell_cost, tol: float):
     partition at t = hi, so it depends on the data only (the best partition
     seen, should rounding in the upper values make that pass infeasible).
 
+    An `incumbent` above tol, the best value of a caller's search, is the
+    first probe instead, and the search stops while the bracket is open once
+    the achieved hi is at or below it, returning lo and the partition that
+    achieves hi: before any pass when the one-cell cost is, or after a
+    feasible probe at t = incumbent.  Where lower = upper (the quantizer),
+    lo is then 0, and an infeasible probe there raises lo above the
+    incumbent, so the search goes on from that bracket to the same exactly
+    closed hi and returns what it would without an incumbent.
+
     The callers pass tol 0 (the quantizer) or LP_TOL (the sup spline, whose
-    x arrives scaled to ||x||_inf <= 1, so that tol is relative to it).
+    x arrives scaled to ||x||_inf <= 1, so that tol is relative to it, and
+    which passes no incumbent).
     Returns (lo, bounds, passes): bounds are the cell starts followed by n.
     """
     def greedy(t: float) -> list:
@@ -460,8 +475,10 @@ def _min_max_cells(n: int, k: int, cell_end, cell_cost, tol: float):
 
     lo, hi = 0.0, cell_cost(0, n)[0]
     bad, good, best = -math.inf, math.inf, [0, n]  # largest infeasible and smallest feasible probes
-    t, passes = tol, 0
+    t, passes = max(tol, incumbent), 0
     while hi - lo > tol:
+        if hi <= incumbent:  # the caller needs no better value
+            return lo, best, passes
         passes += 1
         starts = greedy(t)
         if starts[-1] == n:
@@ -483,7 +500,7 @@ def _min_max_cells(n: int, k: int, cell_end, cell_cost, tol: float):
     return lo, final if final[-1] == n else best, passes
 
 
-def best_m_value_sup(values: np.ndarray, m: int):
+def best_m_value_sup(values: np.ndarray, m: int, incumbent: float = -math.inf):
     """Optimal sup-distance of a sample vector to vectors with <= m distinct values.
 
     The cells are runs of the sorted distinct values, the cost of a cell is
@@ -493,6 +510,11 @@ def best_m_value_sup(values: np.ndarray, m: int):
     the final greedy partition.  The minimizer takes each cell's midpoint
     u[i] + half, which is rounded, so it achieves the value only to within
     about one ulp of max|x|.
+
+    A positive `incumbent` stops the segmentation once a partition achieves
+    a value at or below it: the answer then has that value, lower 0 and that
+    partition's minimizer.  Otherwise the answer is the one without an
+    incumbent, bit for bit, with lower = value.
     """
     if m < 1:
         raise SolverError("value budget m must be >= 1")
@@ -515,7 +537,7 @@ def best_m_value_sup(values: np.ndarray, m: int):
         half = (ul[e - 1] - ul[s]) / 2.0
         return half, half
 
-    lower, bounds, passes = _min_max_cells(size, m, cell_end, cell_cost, 0.0)
+    lower, bounds, passes = _min_max_cells(size, m, cell_end, cell_cost, 0.0, incumbent)
     value, mids = 0.0, []
     for i, j in zip(bounds[:-1], bounds[1:]):
         half = (ul[j - 1] - ul[i]) / 2.0
@@ -527,11 +549,13 @@ def best_m_value_sup(values: np.ndarray, m: int):
                                                      "iterations": passes})
 
 
-def quantizer_error(space: Space, x: np.ndarray, m: int) -> BestApprox:
-    """Best sup-norm approximation by functions taking at most m values."""
+def quantizer_error(space: Space, x: np.ndarray, m: int,
+                    incumbent: float = -math.inf) -> BestApprox:
+    """Best sup-norm approximation by functions taking at most m values,
+    stopped at or below `incumbent` as in `best_m_value_sup`."""
     if space.norm_kind != "sup":
         raise NoSolverError("the quantizer solver is defined for sup-norm carriers")
-    return best_m_value_sup(np.asarray(space.check(x), dtype=float), m)
+    return best_m_value_sup(np.asarray(space.check(x), dtype=float), m, incumbent)
 
 
 def midpoint_quantizer(x: np.ndarray, m: int, radius: float) -> np.ndarray:
@@ -1102,12 +1126,13 @@ def best_approx(space: Space, x: np.ndarray, s, n: int, seed: int = 0,
 
     `incumbent` is the best value a caller searching for the largest E has
     so far.  The solver may stop once an achieved value proves E(x, A_n)
-    below it, and return that value with lower 0; an x whose exact fit run
-    to its end would beat the incumbent by more than its tol is solved as
-    without one.  The solver runs on x / 2^e with max |x / 2^e| in (1/2, 1],
-    which is exact as A_n is homogeneous; value, minimizer (where the solver
-    gives one), lower (at most value) and tol scale back by 2^e together,
-    `incumbent` by 2^-e."""
+    below it (the sup fit) or at or below it (the quantizer), and return
+    that value with lower 0; an x whose exact fit run to its end would beat
+    the incumbent by more than its tol is solved as without one.  The
+    solver runs on x / 2^e with max |x / 2^e| in (1/2, 1], which is exact
+    as A_n is homogeneous; value, minimizer (where the solver gives one),
+    lower (at most value) and tol scale back by 2^e together, `incumbent`
+    by 2^-e."""
     x, e = _unit_scaled(space.check(x))
     if n < 0:
         raise SolverError("level n must be >= 0")

@@ -19,7 +19,8 @@ from lethargy.analyze import (
     seminorm,
     shapiro_check,
 )
-from lethargy.scheme import (Chain, SchemeError, build_scheme, density_candidates,
+from lethargy.cli import run_task
+from lethargy.scheme import (Chain, Quantizer, SchemeError, build_scheme, density_candidates,
                              gap_candidates)
 from lethargy.seq import NullSequence
 from lethargy.solve import LP_TOL, BestApprox, NoSolverError, best_approx
@@ -269,6 +270,36 @@ class TestIncumbentSearch:
         s = build_scheme(name)
         for seed in range(3):
             assert brudnyi_gap(s, rng_seed=seed) == oracle_brudnyi_gap(s, seed)
+
+    def test_quantizer_reports_equal_solves_without_an_incumbent(self, monkeypatch):
+        configs = [{"task": task, "scheme": name, "seed": seed}
+                   for name in ("quantizer-linear", "quantizer-geometric")
+                   for task in ("density", "shapiro") for seed in range(5)]
+        configs.append({"task": "slowdecay", "scheme": "quantizer-linear", "seed": 1,
+                        "params": {"i_max": 4}})
+
+        def reports():
+            out = []
+            for config in configs:
+                report = run_task(config)
+                del report["timestamp"]
+                out.append(json.dumps(report, sort_keys=True))
+            return out
+
+        quantize, stopped = solve.best_m_value_sup, []
+
+        def counted(*args):
+            res = quantize(*args)
+            stopped.append(res.lower < res.value)  # an unstopped solve is exact, lower = value
+            return res
+
+        monkeypatch.setattr(solve, "best_m_value_sup", counted)
+        got = reports()
+        assert any(stopped)
+        full = Quantizer.solve
+        monkeypatch.setattr(Quantizer, "solve", lambda self, space, x, levels, seed, incumbent:
+                            full(self, space, x, levels, seed, -math.inf))
+        assert got == reports()
 
     def test_the_density_search_takes_fewer_exchange_steps(self):
         s = build_scheme("monomial-chain")

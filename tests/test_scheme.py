@@ -123,8 +123,11 @@ class TestBuild:
          "levels beyond 2*cap-1 coincide with the whole space"),
         ({"kind": "rank", "n_max": 2, "space": {"carrier": "coords", "dim": 4, "norm": "sup"}},
          "rank scheme needs a matrix space"),
+        ({"kind": "nterm", "n_max": 2, "dictionary": {"family": "orthonormal"},
+          "space": {"carrier": "matrix", "side": 3, "norm": "hs"}},
+         "orthonormal dictionary needs a coords space, not matrix"),
     ], ids=["trig-on-interval", "coordinate-too-small", "nterm-n_max-0", "quantizer-lp",
-            "interleaved-past-the-space", "rank-on-coords"])
+            "interleaved-past-the-space", "rank-on-coords", "orthonormal-on-matrix"])
     def test_refused_descriptor_names_its_fault(self, desc, message):
         with pytest.raises(SchemeError, match=f"^{re.escape(message)}$"):
             build_scheme(desc)

@@ -48,6 +48,8 @@ REFUSED_SOLVES = {
                                   "quantizer level beyond the window has no declared budget"),
     "quantizer-in-l2": ("quantizer-linear", Space.lp_grid(Grid.interval(-1.0, 1.0, 2049), 2.0),
                         2, NoSolverError, "the quantizer solver is defined for sup-norm carriers"),
+    "chain-in-hs": ("monomial-chain", Space.matrix(3, "hs"), 1, NoSolverError,
+                    "no linear-span solver for norm kind 'hs'"),
     "interleaved-in-l2": ("interleaved-c0", Space.coords(20, 2.0), 2, NoSolverError,
                           "interleaved-c0 solver is defined for the sup norm"),
     "spline-past-2049-nodes": ("free-knot-spline",
@@ -158,6 +160,40 @@ class TestQuantizerSolver:
         slack = 2.0 * np.finfo(float).eps * float(np.max(np.abs(x)))  # rounded midpoints
         assert float(np.max(np.abs(x - res.minimizer))) <= res.value + slack
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(st.sampled_from([-1.5, -1.0, -0.0, 0.0, 0.25, 1.0, 2.0]),
+                              st.floats(-4.0, 4.0)), min_size=1, max_size=10),
+           st.integers(1, 10), st.sampled_from([1.0, 2.0**-1000, 2.0**1000]),
+           st.sampled_from(["next-below", "below", "at", "above", "past-half-range"]),
+           st.floats(0.0, 1.0))
+    def test_incumbent_stops_at_or_below_it(self, values, m, scale, where, frac):
+        # a stopped answer (lower 0 < value) is an achieved value between the
+        # full one and the incumbent; any other is the full answer, bit for bit
+        x = np.array(values) * scale
+        full = best_m_value_sup(x, m)
+        half = (float(np.max(x)) - float(np.min(x))) / 2.0  # the one-cell cost
+        incumbent = {
+            "next-below": np.nextafter(full.value, -math.inf),
+            "below": np.nextafter(full.value, -math.inf) * frac,
+            "at": full.value,
+            "above": full.value + frac * (half - full.value),
+            "past-half-range": half * (1.0 + frac),
+        }[where]
+        res = best_m_value_sup(x, m, incumbent)
+        if res.lower == res.value:
+            assert (res.value, res.lower) == (full.value, full.lower)
+            assert res.minimizer.tobytes() == full.minimizer.tobytes()
+        else:
+            assert res.lower == 0.0
+            assert full.value <= res.value <= incumbent
+        if where in ("next-below", "below"):
+            assert res.lower == res.value
+        if incumbent >= half and incumbent > 0.0:  # stopped before any greedy pass
+            assert res.info["iterations"] == 0
+        assert np.unique(res.minimizer).size <= m
+        slack = 2.0 * np.finfo(float).eps * float(np.max(np.abs(x)))  # rounded midpoints
+        assert float(np.max(np.abs(x - res.minimizer))) <= res.value + slack
+
     def test_member_has_zero_distance(self):
         res = best_m_value_sup(np.array([0.0, 0.0, 1.0, 1.0]), 2)
         assert res.value == 0.0
@@ -170,13 +206,13 @@ class TestQuantizerSolver:
         calls = []
         driver = solve_mod._min_max_cells
 
-        def counted(n, k, cell_end, cell_cost, tol):
+        def counted(n, k, cell_end, cell_cost, tol, incumbent):
             def end(s, t):
                 if s == 0:  # every greedy pass starts at the first cell
                     calls.append(t)
                 return cell_end(s, t)
 
-            return driver(n, k, end, cell_cost, tol)
+            return driver(n, k, end, cell_cost, tol, incumbent)
 
         monkeypatch.setattr(solve_mod, "_min_max_cells", counted)
         x = rng.standard_normal(2049)

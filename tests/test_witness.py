@@ -190,6 +190,11 @@ class TestWaveletWitness:
         with pytest.raises(WitnessError):
             witness_wavelet(3, seed=1)
 
+    def test_no_separation_level_reaches_a_tiny_target(self):
+        # at the largest offset, 24, one atom still leaks 2^-12
+        with pytest.raises(WitnessError, match="^no separation level reaches the target leakage$"):
+            pick_separation_level(1, 2.0**-13)
+
     def test_separation_level_monotone_target(self):
         n1, _ = pick_separation_level(1, 1.0 / (8 * math.sqrt(2)))
         n2, _ = pick_separation_level(2, 1.0 / (8 * math.sqrt(3)))
@@ -274,6 +279,15 @@ class TestWitnessBundles:
         assert d["seed"] == 5
         assert "element_imag" in d  # complex carrier round-trips both parts
         assert len(d["attempts"]) == len(w.attempts)
+
+    def test_meta_numpy_scalars_become_python_numbers(self):
+        w = witness_wavelet(0)
+        w.meta = {"gap": np.float64(0.5), "levels": (np.int64(3), [np.float32(0.25)]),
+                  "grid": np.arange(2)}
+        meta = w.to_json()["meta"]
+        assert meta == {"gap": 0.5, "levels": [3, [0.25]], "grid": [0, 1]}
+        assert [type(v) for v in (meta["gap"], meta["levels"][0], meta["levels"][1][0])] == [
+            float, int, float]
 
     def test_solver_witness_bundle_has_scheme(self):
         w = witness_orthonormal_nterm(2, 6)
